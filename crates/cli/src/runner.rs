@@ -25,7 +25,8 @@ pub struct RunOutcome {
     pub label: String,
     /// Training + evaluation steps executed.
     pub total_steps: u64,
-    /// Wall-clock spent constructing the world (DHT join, agents, ledger).
+    /// Wall-clock spent constructing the world (article seeding, agents,
+    /// ledger).
     pub build_seconds: f64,
     /// Wall-clock spent stepping.
     pub run_seconds: f64,

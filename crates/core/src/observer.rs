@@ -79,9 +79,9 @@ impl<'a> WorldView<'a> {
         &self.world.peers
     }
 
-    /// Number of peers currently online.
+    /// Number of peers currently online: a popcount of the online bitset.
     pub fn online_count(&self) -> usize {
-        self.world.peers.online().count()
+        self.world.active.online().count()
     }
 
     /// The article registry (quality, edit history).

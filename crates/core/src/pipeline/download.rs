@@ -17,7 +17,7 @@
 //!    observables and the upload history, then
 //!    [`TransferManager::apply_grants`](collabsim_netsim::transfer::TransferManager::apply_grants)
 //!    applies the whole batch and the drained completions update the
-//!    article store and DHT and release their transfer slots — the exact
+//!    article store and release their transfer slots — the exact
 //!    end-of-step state of a sequential source-by-source allocation.
 //!
 //! All tables live in [`StepContext::transfers`] and are rewritten in
@@ -30,7 +30,6 @@ use super::{StepContext, StepPhase};
 use crate::config::DownloadRate;
 use crate::world::SimWorld;
 use collabsim_netsim::bandwidth::{AllocScratch, Allocation, BandwidthAllocator, DownloadRequest};
-use collabsim_netsim::dht::DhtKey;
 use collabsim_netsim::fault::{
     step_connections, ConnectionState, BACKOFF_BASE_STEPS, MAX_TRANSFER_RETRIES,
     TRANSFER_TIMEOUT_STEPS,
@@ -440,7 +439,7 @@ impl StepPhase for DownloadPhase {
         // batches concatenate to exactly that order). Grants update the
         // step observables and the upload history, then the transfer
         // manager applies the whole grant queue and the drained
-        // completions update the store/DHT and free their slots.
+        // completions update the store and free their slots.
         tables.grant_queue.clear();
         {
             let mut allocations = tables
@@ -507,9 +506,6 @@ impl StepPhase for DownloadPhase {
             let (downloader, article) = (transfer.downloader, transfer.article);
             world.active_transfer[downloader.index()] = None;
             world.store.add_replica(downloader, article);
-            world
-                .dht
-                .add_holder(DhtKey::for_article(article.0), downloader);
             world.transfers.release(tid);
         }
     }

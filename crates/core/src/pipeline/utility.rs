@@ -110,18 +110,7 @@ impl StepPhase for UtilityPhase {
         let attempted_editing = &*attempted_editing;
         let voted_this_step = &*voted_this_step;
 
-        let bounds = worker_bounds(population, threads);
-        let mut acc_shards = accumulators.split_mut(&bounds);
-        // `rewards` splits along the same bounds so each worker owns its
-        // range's chunk; offline peers keep the reset's pre-filled 0.0.
-        let mut reward_chunks: Vec<&mut [f64]> = Vec::with_capacity(bounds.len() - 1);
-        let mut rest = rewards.as_mut_slice();
-        for window in bounds.windows(2) {
-            let (chunk, tail) = rest.split_at_mut(window[1] - window[0]);
-            reward_chunks.push(chunk);
-            rest = tail;
-        }
-
+        // Offline peers keep the reset's pre-filled 0.0 reward.
         let run_shard = |acc: &mut AccumulatorShardMut<'_>, chunk: &mut [f64]| {
             let start = acc.start;
             for p in active.online().iter_range(start..start + chunk.len()) {
@@ -150,16 +139,21 @@ impl StepPhase for UtilityPhase {
         };
 
         if threads > 1 {
+            let bounds = worker_bounds(population, threads);
+            let acc_shards = accumulators.split_mut(&bounds);
+            // `rewards` splits along the same bounds so each worker owns
+            // its range's chunk.
+            let mut rest = rewards.as_mut_slice();
             let run_shard = &run_shard;
             std::thread::scope(|scope| {
-                for (acc, chunk) in acc_shards.iter_mut().zip(reward_chunks.iter_mut()) {
-                    scope.spawn(move || run_shard(acc, chunk));
+                for (mut acc, window) in acc_shards.into_iter().zip(bounds.windows(2)) {
+                    let (chunk, tail) = rest.split_at_mut(window[1] - window[0]);
+                    rest = tail;
+                    scope.spawn(move || run_shard(&mut acc, chunk));
                 }
             });
         } else {
-            for (acc, chunk) in acc_shards.iter_mut().zip(reward_chunks.iter_mut()) {
-                run_shard(acc, chunk);
-            }
+            run_shard(&mut accumulators.as_shard_mut(), rewards);
         }
     }
 }

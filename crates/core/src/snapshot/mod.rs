@@ -20,10 +20,11 @@
 //! ```
 //!
 //! so every consumer detects truncation, bit rot and foreign files before
-//! touching the payload, and a future version 2 can be recognised (and
-//! refused with a typed [`SnapshotError::VersionMismatch`]) rather than
-//! misparsed. Two [`RunStore`] backends ship with the crate: the in-memory
-//! [`MemStore`] and the on-disk, content-hash-keyed [`DirStore`].
+//! touching the payload, and a file of another format version is
+//! recognised (and refused with a typed [`SnapshotError::VersionMismatch`])
+//! rather than misparsed. Two [`RunStore`] backends ship with the crate:
+//! the in-memory [`MemStore`] and the on-disk, content-hash-keyed
+//! [`DirStore`].
 
 mod codec;
 mod store;
@@ -42,7 +43,6 @@ use collabsim_netsim::article::{
     Article, ArticleId, ArticleRegistry, Edit, EditId, EditKind, EditOutcomeCounts, EditStatus,
 };
 use collabsim_netsim::clock::SimClock;
-use collabsim_netsim::dht::{Dht, DhtKey};
 use collabsim_netsim::fault::ConnectionState;
 use collabsim_netsim::peer::{Peer, PeerId, PeerRegistry};
 use collabsim_netsim::storage::ArticleStore;
@@ -56,9 +56,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"COLLBSNP";
 
 /// The format version this build writes and reads. Version 2 appended the
 /// per-unit learned adversary policies and the per-peer offline-since
-/// markers to the payload; version-1 files are refused with a typed
-/// [`SnapshotError::VersionMismatch`] rather than misparsed.
-pub const SNAPSHOT_VERSION: u16 = 2;
+/// markers to the payload; version 3 dropped the DHT membership and
+/// replica sets, which no phase reads. Files of any other version are
+/// refused with a typed [`SnapshotError::VersionMismatch`] rather than
+/// misparsed.
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 /// Typed failure of snapshot encoding, decoding, storage or restoration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,8 +107,8 @@ impl std::error::Error for SnapshotError {}
 /// plain data. Everything here is overwritten verbatim on restore; state
 /// that is a pure function of the configuration (service rules, allocator
 /// policy, thread plan, phase pipeline) or derivable from these fields
-/// (active sets, DHT routing, article caches, upload reverse index) is
-/// rebuilt instead of stored.
+/// (active sets, article caches, upload reverse index) is rebuilt instead
+/// of stored.
 #[derive(Debug, Clone, Default)]
 pub struct WorldState {
     /// Step counter at capture time.
@@ -131,12 +133,6 @@ pub struct WorldState {
     pub held: Vec<Vec<u32>>,
     /// Offered article replicas per peer (row index = peer id).
     pub offered: Vec<Vec<u32>>,
-    /// DHT replication factor.
-    pub dht_replication: u64,
-    /// DHT members in join order.
-    pub dht_members: Vec<u32>,
-    /// DHT replica sets, sorted by key (holders sorted by id).
-    pub dht_replicas: Vec<(u64, Vec<u32>)>,
     /// Per-peer reputation ledger records, dense by id.
     pub ledger: Vec<PeerLedgerState>,
     /// The transfer arena: every slot, the free list and retired totals.
@@ -385,14 +381,6 @@ impl WorldState {
                 .iter()
                 .map(|row| row.iter().map(|a| a.0).collect())
                 .collect(),
-            dht_replication: world.dht.replication() as u64,
-            dht_members: world.dht.member_peers().iter().map(|p| p.0).collect(),
-            dht_replicas: world
-                .dht
-                .replica_entries()
-                .into_iter()
-                .map(|(key, holders)| (key.0, holders.into_iter().map(|p| p.0).collect()))
-                .collect(),
             ledger: (0..population)
                 .map(|p| world.ledger.export_peer_state(p))
                 .collect(),
@@ -432,8 +420,8 @@ impl WorldState {
     }
 
     /// Overwrites a freshly constructed world (same spec) with this state.
-    /// Derived structures — active sets, DHT routing, article caches, the
-    /// upload reverse index — are rebuilt from the restored data.
+    /// Derived structures — active sets, article caches, the upload
+    /// reverse index — are rebuilt from the restored data.
     pub fn apply(&self, world: &mut SimWorld) -> Result<(), SnapshotError> {
         let population = world.config.population;
         let mismatch = |what: &str| -> SnapshotError {
@@ -499,14 +487,6 @@ impl WorldState {
             self.offered
                 .iter()
                 .map(|row| row.iter().map(|&a| ArticleId(a)).collect())
-                .collect(),
-        );
-        world.dht = Dht::from_parts(
-            self.dht_replication as usize,
-            self.dht_members.iter().map(|&p| PeerId(p)).collect(),
-            self.dht_replicas
-                .iter()
-                .map(|(key, holders)| (DhtKey(*key), holders.iter().map(|&p| PeerId(p)).collect()))
                 .collect(),
         );
         for (p, record) in self.ledger.iter().enumerate() {
@@ -603,13 +583,6 @@ impl WorldState {
         }
         write_rows(w, &self.held);
         write_rows(w, &self.offered);
-        w.u64(self.dht_replication);
-        write_u32_vec(w, &self.dht_members);
-        w.usize(self.dht_replicas.len());
-        for (key, holders) in &self.dht_replicas {
-            w.u64(*key);
-            write_u32_vec(w, holders);
-        }
         w.usize(self.ledger.len());
         for record in &self.ledger {
             w.f64(record.sharing);
@@ -818,14 +791,6 @@ impl WorldState {
         }
         let held = read_rows(r)?;
         let offered = read_rows(r)?;
-        let dht_replication = r.u64()?;
-        let dht_members = read_u32_vec(r)?;
-        let replica_count = r.len()?;
-        let mut dht_replicas = Vec::with_capacity(replica_count);
-        for _ in 0..replica_count {
-            let key = r.u64()?;
-            dht_replicas.push((key, read_u32_vec(r)?));
-        }
         let ledger_count = r.len()?;
         let mut ledger = Vec::with_capacity(ledger_count);
         for _ in 0..ledger_count {
@@ -1011,9 +976,6 @@ impl WorldState {
             edits,
             held,
             offered,
-            dht_replication,
-            dht_members,
-            dht_replicas,
             ledger,
             transfers,
             q,
@@ -1234,13 +1196,16 @@ mod tests {
     fn version_mismatch_is_typed() {
         let spec = quick_spec();
         let sim = Simulation::from_spec(&spec).unwrap();
-        let mut bytes = sim.snapshot(&spec).encode();
-        bytes[8] = 0x63; // version 0x??63
-        bytes[9] = 0x00;
-        assert!(matches!(
-            Snapshot::decode(&bytes),
-            Err(SnapshotError::VersionMismatch { found: 0x63 })
-        ));
+        let bytes = sim.snapshot(&spec).encode();
+        // 2 is the retired layout that still carried the DHT state.
+        for version in [0x63u16, 2] {
+            let mut bytes = bytes.clone();
+            bytes[8..10].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                Snapshot::decode(&bytes),
+                Err(SnapshotError::VersionMismatch { found }) if found == version
+            ));
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use collabsim_gametheory::behavior::BehaviorType;
 use collabsim_netsim::article::{ArticleId, ArticleRegistry, EditOutcomeCounts};
 use collabsim_netsim::bandwidth::BandwidthAllocator;
 use collabsim_netsim::clock::SimClock;
-use collabsim_netsim::dht::{Dht, DhtKey};
+use collabsim_netsim::dht::{self, DhtKey};
 use collabsim_netsim::peer::{PeerId, PeerRegistry};
 use collabsim_netsim::storage::ArticleStore;
 use collabsim_netsim::transfer::TransferManager;
@@ -141,6 +141,22 @@ impl AccumulatorTable {
             destructive_edits: self.destructive_edits[p],
             votes: self.votes[p],
             steps: self.steps[p],
+        }
+    }
+
+    /// The whole table as one mutable shard: the utility phase's
+    /// single-worker path, which allocates nothing.
+    pub(crate) fn as_shard_mut(&mut self) -> AccumulatorShardMut<'_> {
+        AccumulatorShardMut {
+            start: 0,
+            shared_bandwidth_sum: &mut self.shared_bandwidth_sum,
+            shared_articles_sum: &mut self.shared_articles_sum,
+            downloaded_sum: &mut self.downloaded_sum,
+            utility_sum: &mut self.utility_sum,
+            constructive_edits: &mut self.constructive_edits,
+            destructive_edits: &mut self.destructive_edits,
+            votes: &mut self.votes,
+            steps: &mut self.steps,
         }
     }
 
@@ -467,8 +483,6 @@ pub struct SimWorld {
     pub articles: ArticleRegistry,
     /// Which peer holds/offers which article replica.
     pub store: ArticleStore,
-    /// DHT overlay locating article replicas.
-    pub dht: Dht,
     /// Dual-reputation ledger (`R_S`, `R_E`) of every peer, sharded by
     /// peer-id range so the sharing/edit-vote phases can apply contribution
     /// deltas from parallel workers.
@@ -630,17 +644,20 @@ impl SimWorld {
         let allocator = BandwidthAllocator::new(config.incentive.allocation_policy());
 
         // Seed the article base: initial articles created by random peers,
-        // replicated onto the DHT-closest peers.
+        // replicated onto the 3 peers whose keys are XOR-closest to the
+        // article's key (the DHT placement rule).
         let mut articles = ArticleRegistry::new();
         let mut store = ArticleStore::new();
-        let mut dht = Dht::new(3);
-        dht.join_many((0..population).map(|p| PeerId(p as u32)));
+        let members: Vec<(PeerId, DhtKey)> = (0..population as u32)
+            .map(|p| (PeerId(p), DhtKey::for_peer(PeerId(p))))
+            .collect();
+        let mut nearest = [(0, PeerId(0)); 3];
         for _ in 0..config.initial_articles {
             let creator = PeerId(rng.gen_range(0..population as u32));
             let id = articles.create_article(creator, 0);
             store.add_replica(creator, id);
             let key = DhtKey::for_article(id.0);
-            for holder in dht.store(key) {
+            for &(_, holder) in dht::closest_into(key, &members, &mut nearest) {
                 store.add_replica(holder, id);
             }
         }
@@ -661,7 +678,6 @@ impl SimWorld {
             peers,
             articles,
             store,
-            dht,
             ledger,
             service,
             allocator,

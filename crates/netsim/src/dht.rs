@@ -54,6 +54,32 @@ pub struct LookupResult {
     pub hops: usize,
 }
 
+/// The placement rule: keeps the `nearest.len()` members closest to `key`
+/// in `nearest` as `(distance, peer)` pairs, nearest first, and returns
+/// the filled prefix (every member when there are fewer). This is the
+/// head of a full sort of the `(distance, peer)` pairs, found in one pass
+/// by insertion into `nearest`, without allocating.
+pub fn closest_into<'a>(
+    key: DhtKey,
+    members: &[(PeerId, DhtKey)],
+    nearest: &'a mut [(u64, PeerId)],
+) -> &'a [(u64, PeerId)] {
+    let mut filled = 0;
+    for &(peer, peer_key) in members {
+        let candidate = (key.distance(peer_key), peer);
+        if filled < nearest.len() {
+            filled += 1;
+        } else if nearest.last().is_none_or(|&farthest| candidate >= farthest) {
+            continue;
+        }
+        // The last filled slot is free (new) or evicted (farthest).
+        let at = nearest[..filled - 1].partition_point(|&kept| kept <= candidate);
+        nearest[at..filled].rotate_right(1);
+        nearest[at] = candidate;
+    }
+    &nearest[..filled]
+}
+
 /// The DHT: key space membership, replica registry, and routing tables.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Dht {
@@ -89,62 +115,6 @@ impl Dht {
     /// Whether the DHT has no members.
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
-    }
-
-    /// The replication factor.
-    pub fn replication(&self) -> usize {
-        self.replication
-    }
-
-    /// The member peers in join order, for checkpointing (keys are a pure
-    /// function of the peer id and are not exported).
-    pub fn member_peers(&self) -> Vec<PeerId> {
-        self.members.iter().map(|&(p, _)| p).collect()
-    }
-
-    /// The replica registry as `(key, holders)` pairs with both levels
-    /// sorted, for checkpointing (the in-memory hash containers carry no
-    /// meaningful order).
-    pub fn replica_entries(&self) -> Vec<(DhtKey, Vec<PeerId>)> {
-        let mut entries: Vec<(DhtKey, Vec<PeerId>)> = self
-            .replicas
-            .iter()
-            .map(|(&key, set)| {
-                let mut holders: Vec<PeerId> = set.iter().copied().collect();
-                holders.sort_unstable();
-                (key, holders)
-            })
-            .collect();
-        entries.sort_unstable_by_key(|&(key, _)| key);
-        entries
-    }
-
-    /// Rebuilds a DHT from checkpointed members and replicas. Routing
-    /// tables are a pure function of the membership and are recomputed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replication` is zero.
-    pub fn from_parts(
-        replication: usize,
-        members: Vec<PeerId>,
-        replicas: Vec<(DhtKey, Vec<PeerId>)>,
-    ) -> Self {
-        assert!(replication > 0, "replication factor must be positive");
-        let mut dht = Self {
-            members: members
-                .into_iter()
-                .map(|p| (p, DhtKey::for_peer(p)))
-                .collect(),
-            routing: HashMap::new(),
-            replicas: replicas
-                .into_iter()
-                .map(|(key, holders)| (key, holders.into_iter().collect()))
-                .collect(),
-            replication,
-        };
-        dht.rebuild_routing();
-        dht
     }
 
     /// Adds a peer to the DHT and (re)builds its routing table: each peer
@@ -258,18 +228,12 @@ impl Dht {
     }
 
     /// The peers whose keys are closest to `key`, up to the replication
-    /// factor.
+    /// factor, nearest first.
     pub fn closest_peers(&self, key: DhtKey) -> Vec<PeerId> {
-        let mut members: Vec<(u64, PeerId)> = self
-            .members
+        let mut nearest = vec![(0, PeerId(0)); self.replication];
+        closest_into(key, &self.members, &mut nearest)
             .iter()
-            .map(|&(p, k)| (key.distance(k), p))
-            .collect();
-        members.sort_unstable();
-        members
-            .into_iter()
-            .take(self.replication)
-            .map(|(_, p)| p)
+            .map(|&(_, p)| p)
             .collect()
     }
 
@@ -282,12 +246,6 @@ impl Dht {
             .or_default()
             .extend(holders.iter().copied());
         holders
-    }
-
-    /// Registers an explicit additional holder for a key (e.g. a peer that
-    /// downloaded the article and now seeds it).
-    pub fn add_holder(&mut self, key: DhtKey, peer: PeerId) {
-        self.replicas.entry(key).or_default().insert(peer);
     }
 
     /// Current holders of a key, unordered.
@@ -396,13 +354,40 @@ mod tests {
         assert_eq!(holders.len(), 2);
     }
 
+    /// The ranking `closest_peers` computed before the top-k scan: every
+    /// member sorted by `(distance, peer)`, then the first `replication`.
+    fn sort_and_take(d: &Dht, key: DhtKey) -> Vec<PeerId> {
+        let mut ranked: Vec<(u64, PeerId)> = d
+            .members
+            .iter()
+            .map(|&(p, k)| (key.distance(k), p))
+            .collect();
+        ranked.sort_unstable();
+        ranked
+            .into_iter()
+            .take(d.replication)
+            .map(|(_, p)| p)
+            .collect()
+    }
+
     #[test]
-    fn add_holder_registers_seeders() {
-        let mut d = dht_with(5, 2);
-        let key = DhtKey::for_article(3);
-        d.store(key);
-        d.add_holder(key, PeerId(4));
-        assert!(d.holders(key).contains(&PeerId(4)));
+    fn top_k_scan_matches_the_sort_and_take_ranking() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xD47);
+        for members in (0..=5).chain([3000]) {
+            for replication in [1, 3, 6] {
+                let mut d = Dht::new(replication);
+                d.join_many((0..members).map(|_| PeerId(rng.gen())));
+                for _ in 0..32 {
+                    let key = DhtKey(rng.gen());
+                    let closest = d.closest_peers(key);
+                    assert_eq!(closest, sort_and_take(&d, key));
+                    // k > n returns every member.
+                    assert_eq!(closest.len(), replication.min(d.len()));
+                }
+            }
+        }
     }
 
     #[test]

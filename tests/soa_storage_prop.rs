@@ -13,13 +13,15 @@
 //! * **Active sets** — after every step of a churned, attacked simulation
 //!   (departures, re-entries, whitewashes, scheduled adversary rejoins),
 //!   the incrementally maintained [`ActiveSets`] must equal a
-//!   from-scratch recomputation against the peer registry.
+//!   from-scratch recomputation against the peer registry, and
+//!   [`WorldView::online_count`] (a popcount of the online bitset) must
+//!   equal the registry's online count.
 
 use collabsim_workspace::collabsim::adversary::AdversarySpec;
 use collabsim_workspace::collabsim::config::PhaseConfig;
 use collabsim_workspace::collabsim::{
     AccumulatorTable, ActiveSets, AgentState, AgentTable, BehaviorMix, BehaviorType, CollabAgent,
-    Simulation, SimulationConfig,
+    Simulation, SimulationConfig, WorldView,
 };
 use collabsim_workspace::netsim::churn::ChurnModel;
 use collabsim_workspace::rl::qlearning::QLearningParams;
@@ -258,7 +260,9 @@ proptest! {
     /// The incrementally maintained active sets equal a from-scratch
     /// recomputation after **every** step of a run whose churn phase
     /// departs, re-enters and whitewashes peers and whose timed
-    /// whitewashing adversary departs and rejoins on its own schedule.
+    /// whitewashing adversary departs and rejoins on its own schedule;
+    /// the observer-facing [`WorldView::online_count`] agrees with the
+    /// registry throughout.
     #[test]
     fn active_sets_match_recomputation_under_churn_and_attack(
         seed in 0u64..1_000_000,
@@ -298,6 +302,12 @@ proptest! {
                 world.active.iter_online().count(),
                 world.peers.online().count(),
                 "online cardinality drifted at step {}",
+                step
+            );
+            prop_assert_eq!(
+                WorldView::new(world).online_count(),
+                world.peers.online().count(),
+                "observer online count drifted at step {}",
                 step
             );
         }
