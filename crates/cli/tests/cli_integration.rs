@@ -618,8 +618,9 @@ fn cli_checkpoint_then_resume_reproduces_the_golden_report() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A truncated snapshot file is refused with the typed `error[snapshot]`
-/// and the dedicated exit code 3, not a panic or a generic failure.
+/// A truncated, bit-flipped or old-format snapshot file is refused with
+/// the typed `error[snapshot]` and the dedicated exit code 3, not a panic
+/// or a generic failure.
 #[test]
 fn truncated_snapshot_is_a_typed_snapshot_error_with_exit_code_3() {
     let dir = scratch("truncated-snapshot");
@@ -637,6 +638,25 @@ fn truncated_snapshot_is_a_typed_snapshot_error_with_exit_code_3() {
     let err = stderr_of(&output);
     assert!(err.contains("error[snapshot]"), "stderr: {err}");
     assert!(err.contains("torn.snap"), "stderr: {err}");
+
+    // One flipped payload byte, and a version-3 header (the layout under
+    // the previous content hash).
+    let mut rotted = bytes.clone();
+    rotted[bytes.len() / 2] ^= 0x01;
+    let mut old = bytes.clone();
+    old[8..10].copy_from_slice(&3u16.to_le_bytes());
+    for (name, contents, needle) in [
+        ("rotted.snap", rotted, "content hash mismatch"),
+        ("old.snap", old, "version 3"),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, contents).unwrap();
+        let output = run_cli(&["resume", path.to_str().unwrap()]);
+        let err = stderr_of(&output);
+        assert_eq!(output.status.code(), Some(3), "{name}: {err}");
+        assert!(err.contains("error[snapshot]"), "{name}: {err}");
+        assert!(err.contains(needle), "{name}: {err}");
+    }
 
     // A missing snapshot takes the same typed path.
     let output = run_cli(&["resume", dir.join("absent.snap").to_str().unwrap()]);

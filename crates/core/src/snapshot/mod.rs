@@ -16,7 +16,7 @@
 //! workspace's serde is a no-op offline stub) framed as
 //!
 //! ```text
-//! magic "COLLBSNP" | version u16 | payload length u64 | payload | FNV-1a64(payload)
+//! magic "COLLBSNP" | version u16 | payload length u64 | payload | XXH64(payload)
 //! ```
 //!
 //! so every consumer detects truncation, bit rot and foreign files before
@@ -37,7 +37,7 @@ use crate::adversary::{AttackStats, PeerPolicyState, PolicyState};
 use crate::spec::ScenarioSpec;
 use crate::world::{AccumulatorTable, ChurnStats, NetStats, SimWorld, UploadMatrix};
 use crate::ActiveSets;
-use codec::{fnv1a64, Reader, Writer};
+use codec::{xxh64, Reader, Writer};
 use collabsim_gametheory::behavior::BehaviorType;
 use collabsim_netsim::article::{
     Article, ArticleId, ArticleRegistry, Edit, EditId, EditKind, EditOutcomeCounts, EditStatus,
@@ -57,10 +57,16 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"COLLBSNP";
 /// The format version this build writes and reads. Version 2 appended the
 /// per-unit learned adversary policies and the per-peer offline-since
 /// markers to the payload; version 3 dropped the DHT membership and
-/// replica sets, which no phase reads. Files of any other version are
-/// refused with a typed [`SnapshotError::VersionMismatch`] rather than
-/// misparsed.
-pub const SNAPSHOT_VERSION: u16 = 3;
+/// replica sets, which no phase reads; version 4 kept the payload and
+/// switched the trailing content hash to XXH64. Files of any other
+/// version are refused with a typed [`SnapshotError::VersionMismatch`]
+/// rather than misparsed.
+pub const SNAPSHOT_VERSION: u16 = 4;
+
+/// Magic, version and payload length.
+const HEADER_LEN: usize = 8 + 2 + 8;
+/// The trailing content hash.
+const TRAILER_LEN: usize = 8;
 
 /// Typed failure of snapshot encoding, decoding, storage or restoration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -265,46 +271,10 @@ fn read_rng(r: &mut Reader<'_>) -> Result<[u64; 4], SnapshotError> {
     Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
 }
 
-fn write_f64_vec(w: &mut Writer, values: &[f64]) {
-    w.usize(values.len());
-    for &v in values {
-        w.f64(v);
-    }
-}
-
-fn read_f64_vec(r: &mut Reader<'_>) -> Result<Vec<f64>, SnapshotError> {
-    let len = r.len()?;
-    (0..len).map(|_| r.f64()).collect()
-}
-
-fn write_u64_vec(w: &mut Writer, values: &[u64]) {
-    w.usize(values.len());
-    for &v in values {
-        w.u64(v);
-    }
-}
-
-fn read_u64_vec(r: &mut Reader<'_>) -> Result<Vec<u64>, SnapshotError> {
-    let len = r.len()?;
-    (0..len).map(|_| r.u64()).collect()
-}
-
-fn write_u32_vec(w: &mut Writer, values: &[u32]) {
-    w.usize(values.len());
-    for &v in values {
-        w.u32(v);
-    }
-}
-
-fn read_u32_vec(r: &mut Reader<'_>) -> Result<Vec<u32>, SnapshotError> {
-    let len = r.len()?;
-    (0..len).map(|_| r.u32()).collect()
-}
-
 fn write_policy(w: &mut Writer, policy: &PolicyState) {
     w.u32(policy.states);
     w.u32(policy.actions);
-    write_f64_vec(w, &policy.q);
+    w.f64s(&policy.q);
     w.u64(policy.updates);
     w.usize(policy.per_peer.len());
     for peer in &policy.per_peer {
@@ -319,7 +289,7 @@ fn write_policy(w: &mut Writer, policy: &PolicyState) {
 fn read_policy(r: &mut Reader<'_>) -> Result<PolicyState, SnapshotError> {
     let states = r.u32()?;
     let actions = r.u32()?;
-    let q = read_f64_vec(r)?;
+    let q = r.f64s()?;
     let updates = r.u64()?;
     let peer_count = r.len()?;
     let mut per_peer = Vec::with_capacity(peer_count);
@@ -344,13 +314,13 @@ fn read_policy(r: &mut Reader<'_>) -> Result<PolicyState, SnapshotError> {
 fn write_rows(w: &mut Writer, rows: &[Vec<u32>]) {
     w.usize(rows.len());
     for row in rows {
-        write_u32_vec(w, row);
+        w.u32s(row);
     }
 }
 
 fn read_rows(r: &mut Reader<'_>) -> Result<Vec<Vec<u32>>, SnapshotError> {
     let len = r.len()?;
-    (0..len).map(|_| read_u32_vec(r)).collect()
+    (0..len).map(|_| r.u32s()).collect()
 }
 
 impl WorldState {
@@ -553,14 +523,10 @@ impl WorldState {
             w.u32(article.id.0);
             w.u32(article.creator.0);
             w.u64(article.created_at);
-            write_u32_vec(
-                w,
-                &article
-                    .revision_authors
-                    .iter()
-                    .map(|p| p.0)
-                    .collect::<Vec<_>>(),
-            );
+            w.usize(article.revision_authors.len());
+            for author in &article.revision_authors {
+                w.u32(author.0);
+            }
             w.u32(article.accepted_destructive);
             w.opt_u64(article.pending_edit.map(|e| e.0));
         }
@@ -615,18 +581,15 @@ impl WorldState {
         for &b in &self.transfers.in_use {
             w.bool(b);
         }
-        write_u32_vec(w, &self.transfers.free);
+        w.u32s(&self.transfers.free);
         w.u64(self.transfers.completed);
         w.u64(self.transfers.completed_duration_sum);
-        write_f64_vec(w, &self.transfers.retired_received);
-        write_f64_vec(w, &self.transfers.retired_served);
-        write_f64_vec(w, &self.q);
-        write_u64_vec(w, &self.updates);
-        write_u32_vec(w, &self.last_state);
-        w.usize(self.last_action.len());
-        for &a in &self.last_action {
-            w.u8(a);
-        }
+        w.f64s(&self.transfers.retired_received);
+        w.f64s(&self.transfers.retired_served);
+        w.f64s(&self.q);
+        w.u64s(&self.updates);
+        w.u32s(&self.last_state);
+        w.u8s(&self.last_action);
         w.usize(self.behaviors.len());
         for &b in &self.behaviors {
             w.u8(behavior_tag(b));
@@ -643,15 +606,15 @@ impl WorldState {
         for &slot in &self.active_transfer {
             w.opt_u64(slot);
         }
-        write_u32_vec(w, &self.accepted_since_punishment);
-        write_f64_vec(w, &self.accumulators.shared_bandwidth_sum);
-        write_f64_vec(w, &self.accumulators.shared_articles_sum);
-        write_f64_vec(w, &self.accumulators.downloaded_sum);
-        write_f64_vec(w, &self.accumulators.utility_sum);
-        write_u64_vec(w, &self.accumulators.constructive_edits);
-        write_u64_vec(w, &self.accumulators.destructive_edits);
-        write_u64_vec(w, &self.accumulators.votes);
-        write_u64_vec(w, &self.accumulators.steps);
+        w.u32s(&self.accepted_since_punishment);
+        w.f64s(&self.accumulators.shared_bandwidth_sum);
+        w.f64s(&self.accumulators.shared_articles_sum);
+        w.f64s(&self.accumulators.downloaded_sum);
+        w.f64s(&self.accumulators.utility_sum);
+        w.u64s(&self.accumulators.constructive_edits);
+        w.u64s(&self.accumulators.destructive_edits);
+        w.u64s(&self.accumulators.votes);
+        w.u64s(&self.accumulators.steps);
         w.bool(self.measuring);
         w.u64(self.evaluation_steps_run);
         w.u64(self.downloads_completed_in_evaluation);
@@ -668,7 +631,7 @@ impl WorldState {
         match &self.global_reputation {
             Some(global) => {
                 w.u8(1);
-                write_f64_vec(w, &global.values);
+                w.f64s(&global.values);
                 w.usize(global.iterations);
                 w.bool(global.converged);
             }
@@ -678,7 +641,7 @@ impl WorldState {
         match &self.propagated_service_reputation {
             Some(values) => {
                 w.u8(1);
-                write_f64_vec(w, values);
+                w.f64s(values);
             }
             None => w.u8(0),
         }
@@ -747,7 +710,7 @@ impl WorldState {
             let id = ArticleId(r.u32()?);
             let creator = PeerId(r.u32()?);
             let created_at = r.u64()?;
-            let revision_authors = read_u32_vec(r)?.into_iter().map(PeerId).collect();
+            let revision_authors = r.u32s()?.into_iter().map(PeerId).collect();
             let accepted_destructive = r.u32()?;
             let pending_edit = r.opt_u64()?.map(EditId);
             articles.push(Article::from_parts(
@@ -833,20 +796,16 @@ impl WorldState {
         let transfers = TransferArenaState {
             transfers: transfer_slots,
             in_use,
-            free: read_u32_vec(r)?,
+            free: r.u32s()?,
             completed: r.u64()?,
             completed_duration_sum: r.u64()?,
-            retired_received: read_f64_vec(r)?,
-            retired_served: read_f64_vec(r)?,
+            retired_received: r.f64s()?,
+            retired_served: r.f64s()?,
         };
-        let q = read_f64_vec(r)?;
-        let updates = read_u64_vec(r)?;
-        let last_state = read_u32_vec(r)?;
-        let action_count = r.len()?;
-        let mut last_action = Vec::with_capacity(action_count);
-        for _ in 0..action_count {
-            last_action.push(r.u8()?);
-        }
+        let q = r.f64s()?;
+        let updates = r.u64s()?;
+        let last_state = r.u32s()?;
+        let last_action = r.u8s()?;
         let behavior_count = r.len()?;
         let mut behaviors = Vec::with_capacity(behavior_count);
         for _ in 0..behavior_count {
@@ -868,16 +827,16 @@ impl WorldState {
         for _ in 0..slot_count {
             active_transfer.push(r.opt_u64()?);
         }
-        let accepted_since_punishment = read_u32_vec(r)?;
+        let accepted_since_punishment = r.u32s()?;
         let accumulators = AccumulatorTable {
-            shared_bandwidth_sum: read_f64_vec(r)?,
-            shared_articles_sum: read_f64_vec(r)?,
-            downloaded_sum: read_f64_vec(r)?,
-            utility_sum: read_f64_vec(r)?,
-            constructive_edits: read_u64_vec(r)?,
-            destructive_edits: read_u64_vec(r)?,
-            votes: read_u64_vec(r)?,
-            steps: read_u64_vec(r)?,
+            shared_bandwidth_sum: r.f64s()?,
+            shared_articles_sum: r.f64s()?,
+            downloaded_sum: r.f64s()?,
+            utility_sum: r.f64s()?,
+            constructive_edits: r.u64s()?,
+            destructive_edits: r.u64s()?,
+            votes: r.u64s()?,
+            steps: r.u64s()?,
         };
         let measuring = r.bool()?;
         let evaluation_steps_run = r.u64()?;
@@ -899,7 +858,7 @@ impl WorldState {
         let global_reputation = match r.u8()? {
             0 => None,
             1 => Some(GlobalReputation {
-                values: read_f64_vec(r)?,
+                values: r.f64s()?,
                 iterations: r.u64()? as usize,
                 converged: r.bool()?,
             }),
@@ -912,7 +871,7 @@ impl WorldState {
         let propagation_runs = r.u64()?;
         let propagated_service_reputation = match r.u8()? {
             0 => None,
-            1 => Some(read_f64_vec(r)?),
+            1 => Some(r.f64s()?),
             other => {
                 return Err(SnapshotError::Corrupt(format!(
                     "invalid option tag {other}"
@@ -1025,30 +984,47 @@ impl Snapshot {
         self.state.apply(world)
     }
 
+    fn encode_payload(&self, w: &mut Writer) {
+        w.str(&self.spec_text);
+        self.state.encode(w);
+    }
+
     /// Encodes the snapshot into its framed binary form:
-    /// magic, version, payload length, payload, FNV-1a64 content hash.
+    /// magic, version, payload length, payload, XXH64 content hash.
     /// Encoding is deterministic — equal snapshots produce equal bytes.
+    ///
+    /// A counting pass over the same payload encoder sizes the frame
+    /// first, so the payload is written once, straight into a buffer of
+    /// exactly the frame's size.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Writer::new();
-        payload.str(&self.spec_text);
-        self.state.encode(&mut payload);
-        let payload = payload.into_bytes();
-        let mut bytes = Vec::with_capacity(payload.len() + 26);
-        bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        let hash = fnv1a64(&payload);
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&hash.to_le_bytes());
-        bytes
+        let mut counter = Writer::Count(0);
+        self.encode_payload(&mut counter);
+        let frame_len = HEADER_LEN + counter.len() + TRAILER_LEN;
+        let mut frame = Vec::with_capacity(frame_len);
+        frame.extend_from_slice(&SNAPSHOT_MAGIC);
+        frame.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        // The payload length, patched in once the payload is written.
+        frame.extend_from_slice(&[0; 8]);
+        let mut w = Writer::Bytes(frame);
+        self.encode_payload(&mut w);
+        let mut frame = w.into_bytes();
+        let payload_len = frame.len() - HEADER_LEN;
+        frame[10..HEADER_LEN].copy_from_slice(&(payload_len as u64).to_le_bytes());
+        let hash = xxh64(&frame[HEADER_LEN..]);
+        frame.extend_from_slice(&hash.to_le_bytes());
+        debug_assert_eq!(
+            frame.len(),
+            frame_len,
+            "the counting pass must size the frame exactly"
+        );
+        frame
     }
 
     /// Decodes a framed snapshot, verifying magic, version, length and
     /// content hash before parsing the payload. Every malformation is a
     /// typed [`SnapshotError`], never a panic.
     pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        const HEADER: usize = 8 + 2 + 8;
-        if bytes.len() < HEADER + 8 {
+        if bytes.len() < HEADER_LEN + TRAILER_LEN {
             return Err(SnapshotError::Corrupt(format!(
                 "{} bytes is shorter than the minimal frame",
                 bytes.len()
@@ -1063,19 +1039,20 @@ impl Snapshot {
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::VersionMismatch { found: version });
         }
-        let payload_len = u64::from_le_bytes(bytes[10..HEADER].try_into().unwrap()) as usize;
-        let expected_total = HEADER
+        let announced = u64::from_le_bytes(bytes[10..HEADER_LEN].try_into().expect("8 bytes"));
+        let payload_len = usize::try_from(announced).unwrap_or(usize::MAX);
+        let expected_total = HEADER_LEN
             .checked_add(payload_len)
-            .and_then(|n| n.checked_add(8));
+            .and_then(|n| n.checked_add(TRAILER_LEN));
         if expected_total != Some(bytes.len()) {
             return Err(SnapshotError::Corrupt(format!(
-                "frame length mismatch: header announces a {payload_len}-byte payload, file has {} bytes",
+                "frame length mismatch: header announces a {announced}-byte payload, file has {} bytes",
                 bytes.len()
             )));
         }
-        let payload = &bytes[HEADER..HEADER + payload_len];
-        let stored_hash = u64::from_le_bytes(bytes[HEADER + payload_len..].try_into().unwrap());
-        let actual_hash = fnv1a64(payload);
+        let payload = &bytes[HEADER_LEN..HEADER_LEN + payload_len];
+        let stored_hash = trailer_hash(bytes);
+        let actual_hash = xxh64(payload);
         if stored_hash != actual_hash {
             return Err(SnapshotError::Corrupt(format!(
                 "content hash mismatch (stored {stored_hash:016x}, computed {actual_hash:016x})"
@@ -1122,12 +1099,26 @@ impl Snapshot {
     }
 
     /// The content-derived store key of this snapshot:
-    /// `step<step>-<hash>` — lexicographic order is chronological order,
-    /// and the hash makes distinct states at the same step distinct keys.
+    /// `step<step>-<hash>`, where the hash is the frame's content hash —
+    /// lexicographic order is chronological order, and the hash makes
+    /// distinct states at the same step distinct keys.
     pub fn key(&self) -> String {
-        let bytes = self.encode();
-        format!("step{:010}-{:016x}", self.state.step, fnv1a64(&bytes))
+        frame_key(self.state.step, &self.encode())
     }
+}
+
+/// The store key of an encoded frame taken at `step`: the hash is the
+/// frame's trailing content hash, so a store that already holds the frame
+/// derives the key without hashing again.
+pub(crate) fn frame_key(step: u64, frame: &[u8]) -> String {
+    format!("step{step:010}-{:016x}", trailer_hash(frame))
+}
+
+/// The content hash stored in the trailer of a frame at least
+/// `TRAILER_LEN` bytes long.
+fn trailer_hash(frame: &[u8]) -> u64 {
+    let trailer = &frame[frame.len() - TRAILER_LEN..];
+    u64::from_le_bytes(trailer.try_into().expect("an 8-byte trailer"))
 }
 
 #[cfg(test)]
@@ -1183,13 +1174,22 @@ mod tests {
                 "truncation at {cut} must be detected"
             );
         }
-        let mut flipped = bytes.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x40;
-        assert!(matches!(
-            Snapshot::decode(&flipped),
-            Err(SnapshotError::Corrupt(_))
-        ));
+        // One flipped bit anywhere in the magic, version, length, payload
+        // or trailer is caught before the payload is parsed.
+        let len = bytes.len();
+        let header = [0, 7, 8, 9, 10, 17];
+        let payload_and_trailer = [18, 19, len / 3, len / 2, len - 9, len - 8, len - 1];
+        for offset in header.into_iter().chain(payload_and_trailer) {
+            let mut flipped = bytes.clone();
+            flipped[offset] ^= 0x40;
+            assert!(
+                matches!(
+                    Snapshot::decode(&flipped),
+                    Err(SnapshotError::Corrupt(_) | SnapshotError::VersionMismatch { .. })
+                ),
+                "bit flip at {offset} must be detected"
+            );
+        }
     }
 
     #[test]
@@ -1197,8 +1197,9 @@ mod tests {
         let spec = quick_spec();
         let sim = Simulation::from_spec(&spec).unwrap();
         let bytes = sim.snapshot(&spec).encode();
-        // 2 is the retired layout that still carried the DHT state.
-        for version in [0x63u16, 2] {
+        // 2 is the retired layout that still carried the DHT state; 3 is
+        // the current layout under the previous content hash.
+        for version in [0x63u16, 2, 3] {
             let mut bytes = bytes.clone();
             bytes[8..10].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(

@@ -10,7 +10,7 @@
 //! never leaves a half-snapshot under a valid name; every read re-verifies
 //! the frame's magic, version and content hash.
 
-use super::{Snapshot, SnapshotError};
+use super::{frame_key, Snapshot, SnapshotError};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -67,7 +67,7 @@ impl MemStore {
 impl RunStore for MemStore {
     fn put(&mut self, snapshot: &Snapshot) -> Result<String, SnapshotError> {
         let bytes = snapshot.encode();
-        let key = snapshot.key();
+        let key = frame_key(snapshot.step(), &bytes);
         self.entries.insert(key.clone(), bytes);
         Ok(key)
     }
@@ -117,7 +117,7 @@ impl DirStore {
 impl RunStore for DirStore {
     fn put(&mut self, snapshot: &Snapshot) -> Result<String, SnapshotError> {
         let bytes = snapshot.encode();
-        let key = snapshot.key();
+        let key = frame_key(snapshot.step(), &bytes);
         let path = self.path_of(&key);
         let tmp = self.dir.join(format!(".{key}.tmp"));
         std::fs::write(&tmp, &bytes).map_err(|e| io_err("writing", &tmp, e))?;
@@ -239,6 +239,14 @@ mod tests {
             vec![early_key.clone(), late_key.clone()]
         );
         assert_eq!(store.latest().unwrap(), Some(late_key.clone()));
+        // The key's hash is the stored frame's trailing content hash.
+        let frame = &store.entries[&late_key];
+        let trailer = u64::from_le_bytes(frame[frame.len() - 8..].try_into().unwrap());
+        assert_eq!(
+            late_key.rsplit('-').next(),
+            Some(&*format!("{trailer:016x}"))
+        );
+        assert_eq!(late.key(), late_key);
         assert_eq!(store.get(&early_key).unwrap().encode(), early.encode());
         assert_eq!(store.get(&late_key).unwrap().encode(), late.encode());
         assert!(matches!(
