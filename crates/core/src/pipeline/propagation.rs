@@ -1,7 +1,7 @@
 //! Optional phase — reputation propagation over the trust graph.
 
 use super::{StepContext, StepPhase};
-use crate::world::SimWorld;
+use crate::world::{SimWorld, UploadMatrix};
 use collabsim_reputation::propagation::eigentrust::EigenTrust;
 use collabsim_reputation::propagation::{PropagationBackend, TrustGraph};
 
@@ -38,15 +38,7 @@ impl StepPhase for PropagationPhase {
         if ctx.now % world.config.propagation.interval != 0 {
             return;
         }
-        let population = world.population();
-        let mut graph = TrustGraph::new(population);
-        for truster in 0..population {
-            for trustee in 0..population {
-                if truster != trustee {
-                    graph.set_trust(truster, trustee, world.uploads.get(trustee, truster));
-                }
-            }
-        }
+        let graph = trust_graph(&world.uploads, world.population());
         // With a configured pre-trusted set, anchor the EigenTrust restart
         // distribution on the K lowest peer ids (honest by construction:
         // adversary units claim peers from the *top* of the id range), so a
@@ -69,5 +61,105 @@ impl StepPhase for PropagationPhase {
         // this backend's output instead of the ledger; refresh the mapped
         // cache (a no-op under the default ledger source).
         world.refresh_service_reputation();
+    }
+}
+
+/// The local-trust graph over `population` peers: trust `i → j` is the
+/// bandwidth `j` has uploaded to `i`, self-trust stays zero. It visits
+/// only the relations the matrix stores, one `set_trust` each; every
+/// relation owns its cell, so the rows' iteration order cannot matter.
+fn trust_graph(uploads: &UploadMatrix, population: usize) -> TrustGraph {
+    let mut graph = TrustGraph::new(population);
+    for uploader in 0..population {
+        for (downloader, amount) in uploads.row(uploader) {
+            if downloader != uploader {
+                graph.set_trust(downloader, uploader, amount);
+            }
+        }
+    }
+    graph
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::adversary::AdversarySpec;
+    use crate::config::PhaseConfig;
+    use crate::engine::Simulation;
+    use crate::spec::ScenarioSpec;
+    use crate::BehaviorMix;
+    use collabsim_netsim::churn::ChurnModel;
+    use collabsim_reputation::propagation::PropagationScheme;
+
+    /// The N² build [`trust_graph`] replaced, kept as its reference: one
+    /// `get` per ordered pair of distinct peers.
+    fn dense_trust_graph(uploads: &UploadMatrix, population: usize) -> TrustGraph {
+        let mut graph = TrustGraph::new(population);
+        for truster in 0..population {
+            for trustee in 0..population {
+                if truster != trustee {
+                    graph.set_trust(truster, trustee, uploads.get(trustee, truster));
+                }
+            }
+        }
+        graph
+    }
+
+    #[test]
+    fn relation_built_graph_matches_the_dense_build_under_churn_and_whitewash() {
+        // Downloads add relations; departures leave them; whitewashes
+        // (background churn and an adaptive whitewasher) drop a peer's
+        // row and column through `clear_peer`.
+        let population = 40;
+        let spec = ScenarioSpec::builder()
+            .population(population)
+            .initial_articles(20)
+            .mix(BehaviorMix::new(0.5, 0.25, 0.25))
+            .phase_config(PhaseConfig {
+                training_steps: 150,
+                evaluation_steps: 50,
+                ..Default::default()
+            })
+            .churn(ChurnModel {
+                join_probability: 0.2,
+                leave_probability: 0.02,
+                whitewash_probability: 0.01,
+            })
+            .adversary(AdversarySpec::new("adaptive-whitewash", 3))
+            .propagation(PropagationScheme::EigenTrust, 25)
+            .propagated_reputation()
+            .seed(0x7A57)
+            .build()
+            .expect("valid spec");
+        let mut sim = Simulation::from_spec(&spec).expect("standard phases resolve");
+        let temperature = spec.config().phases.training_temperature;
+        let mut whitewashes = 0;
+        let mut compared_after_whitewash = 0;
+        for _ in 0..200 {
+            sim.step(temperature);
+            let world = sim.world();
+            let fresh_whitewash = world.churn_stats.whitewashes > whitewashes;
+            whitewashes = world.churn_stats.whitewashes;
+            if fresh_whitewash || world.clock.now() % 10 == 0 {
+                let built = trust_graph(&world.uploads, population);
+                let dense = dense_trust_graph(&world.uploads, population);
+                for i in 0..population {
+                    for j in 0..population {
+                        assert_eq!(
+                            built.trust(i, j).to_bits(),
+                            dense.trust(i, j).to_bits(),
+                            "step {}: trust {i} -> {j}",
+                            world.clock.now()
+                        );
+                    }
+                }
+                compared_after_whitewash += usize::from(fresh_whitewash);
+            }
+        }
+        assert!(
+            compared_after_whitewash >= 3,
+            "only {compared_after_whitewash} whitewash steps compared"
+        );
+        assert!(sim.world().churn_stats.leaves > 0, "no departures");
     }
 }

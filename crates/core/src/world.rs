@@ -243,11 +243,14 @@ pub struct AccumulatorShardMut<'a> {
 /// the 10⁵-peer tier — while actual upload relations are bounded by the
 /// number of transfers, so rows are kept as hash maps keyed by the
 /// counterparty. Reads of absent pairs return 0.0, exactly like the dense
-/// matrix's untouched cells, and no code path iterates a row, so the map's
-/// ordering never influences results — which is also why the rows can use
-/// [`PeerKeyHasher`] (a multiplicative hash over the dense `u32` peer id)
-/// instead of the DoS-resistant default: the download phase performs one
-/// lookup per request and one insert per granted transfer per step.
+/// matrix's untouched cells. A row iterates in the map's order, which
+/// depends on insertion history; that order cannot matter, because every
+/// reader of a whole row writes each relation to its own cell once (the
+/// propagation phase's trust graph) or sorts it (the checkpoint export).
+/// The rows use [`PeerKeyHasher`] (a multiplicative hash over the dense
+/// `u32` peer id) instead of the DoS-resistant default: the download phase
+/// performs one lookup per request and one insert per granted transfer
+/// per step.
 #[derive(Debug, Clone, Default)]
 pub struct UploadMatrix {
     rows: Vec<HashMap<u32, f64, PeerKeyHashBuilder>>,
@@ -334,6 +337,14 @@ impl UploadMatrix {
         }
     }
 
+    /// The relations `from` has uploaded over, as `(to, total)` pairs in
+    /// the row map's unspecified order.
+    pub(crate) fn row(&self, from: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.rows[from]
+            .iter()
+            .map(|(&to, &amount)| (to as usize, amount))
+    }
+
     /// Number of non-zero upload relations stored.
     pub fn relation_count(&self) -> usize {
         self.rows.iter().map(HashMap::len).sum()
@@ -354,8 +365,8 @@ impl UploadMatrix {
     }
 
     /// Rebuilds a matrix from a [`UploadMatrix::sorted_rows`] export,
-    /// including the reverse index. No code path iterates a row, so the
-    /// changed insertion order never influences results.
+    /// including the reverse index. The rows' iteration order may differ
+    /// from the original's; see the type docs for why that cannot matter.
     pub fn from_sorted_rows(rows: Vec<Vec<(u32, f64)>>) -> Self {
         let mut matrix = Self::new(rows.len());
         for (from, row) in rows.iter().enumerate() {
@@ -788,11 +799,11 @@ impl SimWorld {
     pub fn pick_article_to_download(&mut self, downloader: PeerId, source: PeerId) -> ArticleId {
         let offered = self.store.offered_by(source);
         self.article_scratch.clear();
-        for &a in offered {
-            if !self.store.holds(downloader, a) {
-                self.article_scratch.push(a);
-            }
-        }
+        push_not_held(
+            offered,
+            self.store.held_by(downloader),
+            &mut self.article_scratch,
+        );
         if let Some(&a) = self.article_scratch.choose(&mut self.rng) {
             return a;
         }
@@ -1006,6 +1017,76 @@ impl SimWorld {
                 - self.downloads_completed_in_evaluation,
             evaluation_steps: self.evaluation_steps_run,
             seed: self.config.seed,
+        }
+    }
+}
+
+/// Appends to `out` every article of `offered` that `held` lacks, in
+/// `offered`'s order. Both lists are sorted by id, so one forward merge
+/// replaces a binary search of `held` per offered article.
+fn push_not_held(offered: &[ArticleId], held: &[ArticleId], out: &mut Vec<ArticleId>) {
+    let mut h = 0;
+    for &article in offered {
+        while h < held.len() && held[h] < article {
+            h += 1;
+        }
+        if held.get(h) != Some(&article) {
+            out.push(article);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// A sorted, duplicate-free list: each id in `0..universe` kept with
+    /// probability `density`.
+    fn sorted_ids(universe: u32, density: f64, rng: &mut StdRng) -> Vec<ArticleId> {
+        (0..universe)
+            .filter(|_| rng.gen_bool(density))
+            .map(ArticleId)
+            .collect()
+    }
+
+    #[test]
+    fn merge_filter_matches_the_binary_search_filter() {
+        let mut rng = StdRng::seed_from_u64(0x4E7D);
+        for case in 0..2_000 {
+            let universe = rng.gen_range(0..80u32);
+            let offered = sorted_ids(universe, rng.gen_range(0.0..1.0), &mut rng);
+            let held = match case % 5 {
+                // Empty.
+                0 => Vec::new(),
+                // Disjoint: everything the source offers is new.
+                1 => (0..universe)
+                    .map(ArticleId)
+                    .filter(|a| offered.binary_search(a).is_err())
+                    .filter(|_| rng.gen_bool(0.5))
+                    .collect(),
+                // Equal: nothing is new.
+                2 => offered.clone(),
+                // A subset of the offered list.
+                3 => offered
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.gen_bool(0.5))
+                    .collect(),
+                // Interleaved: an independent draw over the same ids.
+                _ => sorted_ids(universe, rng.gen_range(0.0..1.0), &mut rng),
+            };
+            for (offered, held) in [(&offered, &held), (&held, &offered)] {
+                let expected: Vec<ArticleId> = offered
+                    .iter()
+                    .copied()
+                    .filter(|a| held.binary_search(a).is_err())
+                    .collect();
+                let mut merged = Vec::new();
+                push_not_held(offered, held, &mut merged);
+                assert_eq!(merged, expected, "case {case}");
+            }
         }
     }
 }

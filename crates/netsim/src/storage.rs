@@ -18,10 +18,9 @@
 //! All three indexes are **dense vectors** addressed by the identifier:
 //! peer and article ids are small dense integers, so hashing them (the
 //! store's former `HashMap` representation) only paid SipHash on every
-//! `holds`/`offered_by`/`set_offered_count` call of the download and
-//! sharing hot loops. Rows grow on demand; a missing row reads as empty,
-//! exactly like an absent map entry did. The holder sets are kept sorted,
-//! so [`ArticleStore::holding_peers`] and
+//! lookup of the download and sharing hot loops. Rows grow on demand; a
+//! missing row reads as empty, exactly like an absent map entry did. The
+//! holder sets are kept sorted, so [`ArticleStore::holding_peers`] and
 //! [`ArticleStore::offering_peers`] return identifier order without a
 //! sort, matching the ordering the hash-set representation produced by
 //! sorting after collection.
@@ -150,13 +149,6 @@ impl ArticleStore {
         row(&self.offered, peer.index()).len()
     }
 
-    /// Whether `peer` holds `article`.
-    pub fn holds(&self, peer: PeerId, article: ArticleId) -> bool {
-        row(&self.held, peer.index())
-            .binary_search(&article)
-            .is_ok()
-    }
-
     /// Whether `peer` currently offers `article`.
     pub fn offers(&self, peer: PeerId, article: ArticleId) -> bool {
         row(&self.offered, peer.index())
@@ -185,6 +177,11 @@ impl ArticleStore {
     /// Articles currently offered by `peer`, sorted by identifier.
     pub fn offered_by(&self, peer: PeerId) -> &[ArticleId] {
         row(&self.offered, peer.index())
+    }
+
+    /// Articles `peer` holds (offered or not), sorted by identifier.
+    pub fn held_by(&self, peer: PeerId) -> &[ArticleId] {
+        row(&self.held, peer.index())
     }
 
     /// Peers currently offering `article`, sorted.
@@ -245,8 +242,7 @@ mod tests {
         s.add_replica(PeerId(0), ArticleId(2));
         s.add_replica(PeerId(1), ArticleId(1));
         assert_eq!(s.held_count(PeerId(0)), 2);
-        assert!(s.holds(PeerId(1), ArticleId(1)));
-        assert!(!s.holds(PeerId(1), ArticleId(2)));
+        assert_eq!(s.held_by(PeerId(1)), &[ArticleId(1)]);
         assert_eq!(s.replication(ArticleId(1)), 2);
         assert_eq!(s.holding_peers(ArticleId(1)), vec![PeerId(0), PeerId(1)]);
         assert_eq!(s.total_held(), 3);
@@ -285,6 +281,11 @@ mod tests {
         s.set_offered_count(PeerId(0), 2);
         assert_eq!(s.offered_by(PeerId(0)), &[ArticleId(2), ArticleId(5)]);
         assert_eq!(s.offered_by(PeerId(7)), &[] as &[ArticleId]);
+        assert_eq!(
+            s.held_by(PeerId(0)),
+            &[ArticleId(2), ArticleId(5), ArticleId(9)]
+        );
+        assert_eq!(s.held_by(PeerId(7)), &[] as &[ArticleId]);
     }
 
     #[test]

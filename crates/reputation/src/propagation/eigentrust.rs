@@ -70,11 +70,17 @@ impl EigenTrust {
     }
 
     /// Computes global trust values for every peer of the graph.
+    ///
+    /// Each power iteration visits only the non-zero entries of the
+    /// row-normalised matrix, collected once per call, so it costs
+    /// O(non-zeros) rather than O(n²). Skipping a zero `c_ij`
+    /// only skips adding `+0 · t_i` to a non-negative `next_j`, and the
+    /// kept terms are added in the dense order (ascending `i`, then `j`),
+    /// so every value is bit-identical to the dense iteration.
     pub fn compute(&self, graph: &TrustGraph) -> GlobalReputation {
         let n = graph.len();
         let p = self.pre_trusted_distribution(n);
-        // Pre-compute the normalised rows once; the iteration applies Cᵀ.
-        let rows: Vec<Vec<f64>> = (0..n).map(|i| graph.normalized_row(i)).collect();
+        let c = NormalizedRows::new(graph);
 
         let mut t = p.clone();
         let mut next = vec![0.0; n];
@@ -84,13 +90,13 @@ impl EigenTrust {
             iterations += 1;
             next.iter_mut().for_each(|v| *v = 0.0);
             // next_j = Σ_i c_ij · t_i  (left eigenvector / Cᵀ t).
-            for (i, row) in rows.iter().enumerate() {
-                let weight = t[i];
+            for (i, &weight) in t.iter().enumerate() {
                 if weight == 0.0 {
                     continue;
                 }
-                for (j, &c) in row.iter().enumerate() {
-                    next[j] += c * weight;
+                let (columns, values) = c.row(i);
+                for (&j, &c_ij) in columns.iter().zip(values) {
+                    next[j] += c_ij * weight;
                 }
             }
             // Damping towards the pre-trusted distribution.
@@ -118,9 +124,158 @@ impl EigenTrust {
     }
 }
 
+/// The non-zero entries of [`TrustGraph::normalized_row`] for every peer,
+/// in compressed sparse row form: row `i` holds the columns
+/// `columns[starts[i]..starts[i + 1]]` (ascending) and their values.
+/// A dangling row keeps its uniform `1 / (n − 1)` entries.
+struct NormalizedRows {
+    starts: Vec<usize>,
+    columns: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl NormalizedRows {
+    /// Reads each row of the graph once for its total and once for its
+    /// entries; values are computed exactly as `normalized_row` does.
+    fn new(graph: &TrustGraph) -> Self {
+        let n = graph.len();
+        let mut rows = Self {
+            starts: Vec::with_capacity(n + 1),
+            columns: Vec::new(),
+            values: Vec::new(),
+        };
+        rows.starts.push(0);
+        for i in 0..n {
+            let total = graph.out_trust(i);
+            if total <= 0.0 {
+                if n > 1 {
+                    let share = 1.0 / (n - 1) as f64;
+                    rows.columns.extend((0..n).filter(|&j| j != i));
+                    rows.values.resize(rows.columns.len(), share);
+                }
+            } else {
+                for (j, &trust) in graph.row(i).iter().enumerate() {
+                    if trust != 0.0 {
+                        rows.columns.push(j);
+                        rows.values.push(trust / total);
+                    }
+                }
+            }
+            rows.starts.push(rows.columns.len());
+        }
+        rows
+    }
+
+    /// The columns and values of row `i`'s non-zero entries.
+    fn row(&self, i: usize) -> (&[usize], &[f64]) {
+        let range = self.starts[i]..self.starts[i + 1];
+        (&self.columns[range.clone()], &self.values[range])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The dense power iteration `compute` replaced, kept as its bitwise
+    /// reference: every normalised row as a full `Vec`, every entry visited.
+    fn compute_dense(et: &EigenTrust, graph: &TrustGraph) -> GlobalReputation {
+        let n = graph.len();
+        let p = et.pre_trusted_distribution(n);
+        let rows: Vec<Vec<f64>> = (0..n).map(|i| graph.normalized_row(i)).collect();
+        let mut t = p.clone();
+        let mut next = vec![0.0; n];
+        let mut iterations = 0;
+        let mut converged = false;
+        while iterations < et.max_iterations {
+            iterations += 1;
+            next.iter_mut().for_each(|v| *v = 0.0);
+            for (i, row) in rows.iter().enumerate() {
+                let weight = t[i];
+                if weight == 0.0 {
+                    continue;
+                }
+                for (j, &c) in row.iter().enumerate() {
+                    next[j] += c * weight;
+                }
+            }
+            for j in 0..n {
+                next[j] = (1.0 - et.damping) * next[j] + et.damping * p[j];
+            }
+            let delta: f64 = t.iter().zip(next.iter()).map(|(a, b)| (a - b).abs()).sum();
+            std::mem::swap(&mut t, &mut next);
+            if delta < et.tolerance {
+                converged = true;
+                break;
+            }
+        }
+        let sum: f64 = t.iter().sum();
+        if sum > 0.0 {
+            t.iter_mut().for_each(|v| *v /= sum);
+        }
+        GlobalReputation {
+            values: t,
+            iterations,
+            converged,
+        }
+    }
+
+    /// A random graph of random density with some rows left dangling
+    /// (no outgoing trust), some columns left untrusted and self-trust
+    /// entries (they count in a row's total).
+    fn random_graph(n: usize, rng: &mut StdRng) -> TrustGraph {
+        let mut g = TrustGraph::new(n);
+        let density = rng.gen_range(0.0..1.0);
+        let dangling: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.2)).collect();
+        let untrusted: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.2)).collect();
+        for i in (0..n).filter(|&i| !dangling[i]) {
+            for j in (0..n).filter(|&j| !untrusted[j]) {
+                if rng.gen_bool(density) {
+                    g.set_trust(i, j, rng.gen_range(0.0..10.0));
+                }
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn sparse_iteration_matches_the_dense_reference_bitwise() {
+        let mut rng = StdRng::seed_from_u64(0xE16E_7A57);
+        for case in 0..300 {
+            let n = match case {
+                0..=19 => 1,
+                20..=39 => 2,
+                _ => rng.gen_range(3..60),
+            };
+            let graph = random_graph(n, &mut rng);
+            let pre_trusted = if rng.gen_bool(0.5) {
+                Vec::new()
+            } else {
+                (0..rng.gen_range(1..n + 1))
+                    .map(|_| rng.gen_range(0..n))
+                    .collect()
+            };
+            let et = EigenTrust {
+                damping: if rng.gen_bool(0.2) {
+                    0.0
+                } else {
+                    rng.gen_range(0.0..1.0)
+                },
+                pre_trusted,
+                max_iterations: rng.gen_range(1..200),
+                ..Default::default()
+            };
+            let sparse = et.compute(&graph);
+            let dense = compute_dense(&et, &graph);
+            assert_eq!(sparse.iterations, dense.iterations, "case {case}");
+            assert_eq!(sparse.converged, dense.converged, "case {case}");
+            let bits =
+                |r: &GlobalReputation| r.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&sparse), bits(&dense), "case {case}: n = {n}, {et:?}");
+        }
+    }
 
     /// A graph where everyone trusts peer 0 strongly and each other weakly.
     fn star_graph(n: usize) -> TrustGraph {

@@ -79,7 +79,7 @@ impl GossipAveraging {
                     *b = avg;
                 }
             }
-            if self.max_disagreement(&estimates) < self.tolerance {
+            if self.agrees_within_tolerance(&estimates) {
                 converged = true;
                 break;
             }
@@ -103,7 +103,60 @@ impl GossipAveraging {
         }
     }
 
-    fn max_disagreement(&self, estimates: &[Vec<f64>]) -> f64 {
+    /// Whether the maximum disagreement is below `tolerance`: every
+    /// column of the estimates (all peers' views of one peer) spreads by
+    /// less than it, `max − min` over the rows with NaN entries ignored.
+    ///
+    /// It reads the rows one block of [`AGREEMENT_BLOCK`] columns at a
+    /// time, so each read is contiguous, and stops at the first block
+    /// with a column at or above the tolerance: before convergence that
+    /// is usually the first block.
+    fn agrees_within_tolerance(&self, estimates: &[Vec<f64>]) -> bool {
+        // The disagreement is never negative, so a tolerance that is not
+        // positive (or NaN) is never met.
+        if self.tolerance.is_nan() || self.tolerance <= 0.0 {
+            return false;
+        }
+        let n = estimates.len();
+        let mut lo = [f64::INFINITY; AGREEMENT_BLOCK];
+        let mut hi = [f64::NEG_INFINITY; AGREEMENT_BLOCK];
+        for start in (0..n).step_by(AGREEMENT_BLOCK) {
+            let width = AGREEMENT_BLOCK.min(n - start);
+            let (lo, hi) = (&mut lo[..width], &mut hi[..width]);
+            lo.fill(f64::INFINITY);
+            hi.fill(f64::NEG_INFINITY);
+            for est in estimates {
+                let block = &est[start..start + width];
+                for ((l, h), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(block) {
+                    *l = l.min(v);
+                    *h = h.max(v);
+                }
+            }
+            if lo
+                .iter()
+                .zip(hi.iter())
+                .any(|(l, h)| h - l >= self.tolerance)
+            {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// Columns per block of [`GossipAveraging::agrees_within_tolerance`]: the
+/// running minima and maxima of one block stay in registers or L1.
+const AGREEMENT_BLOCK: usize = 64;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The column-major scan the convergence check replaced, kept as its
+    /// reference: the largest `max − min` over every column.
+    fn max_disagreement(estimates: &[Vec<f64>]) -> f64 {
         let n = estimates.len();
         let mut max = 0.0f64;
         for k in 0..n {
@@ -117,13 +170,69 @@ impl GossipAveraging {
         }
         max
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    #[test]
+    fn agreement_check_matches_the_column_scan() {
+        let mut rng = rng();
+        let tolerances = [
+            1e-9,
+            0.05,
+            0.5,
+            1.0,
+            2.0,
+            f64::INFINITY,
+            0.0,
+            -0.0,
+            -1.0,
+            f64::NAN,
+        ];
+        // Sizes on both sides of the block width and multiples of it.
+        let sizes: [usize; 11] = [0, 1, 2, 3, 63, 64, 65, 127, 128, 130, 200];
+        for &n in &sizes {
+            for case in 0..24 {
+                // Rows drawn around a common value: spreads from exact
+                // agreement up to well past every finite tolerance.
+                let spread = [0.0, 1e-12, 1e-3, 0.04, 0.3, 3.0][case % 6];
+                let mut estimates: Vec<Vec<f64>> = (0..n)
+                    .map(|_| {
+                        (0..n)
+                            .map(|_| 0.5 + spread * rng.gen_range(0.0..1.0))
+                            .collect()
+                    })
+                    .collect();
+                // A single disagreeing entry, in the last block only.
+                if case % 4 == 1 && n > 0 {
+                    estimates[rng.gen_range(0..n)][n - 1] += 0.7;
+                }
+                // NaN and infinite entries, which min and max ignore or
+                // propagate exactly as the reference does.
+                if case % 4 == 2 && n > 0 {
+                    for _ in 0..3 {
+                        let special =
+                            [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)];
+                        estimates[rng.gen_range(0..n)][rng.gen_range(0..n)] = special;
+                    }
+                }
+                // A whole column of NaN (no comparable entries at all).
+                if case % 4 == 3 && n > 0 {
+                    let k = rng.gen_range(0..n);
+                    estimates.iter_mut().for_each(|est| est[k] = f64::NAN);
+                }
+                let reference = max_disagreement(&estimates);
+                for &tolerance in &tolerances {
+                    let gossip = GossipAveraging {
+                        rounds: 1,
+                        tolerance,
+                    };
+                    assert_eq!(
+                        gossip.agrees_within_tolerance(&estimates),
+                        reference < tolerance,
+                        "n = {n}, case {case}, tolerance {tolerance}, disagreement {reference}"
+                    );
+                }
+            }
+        }
+    }
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(2024)

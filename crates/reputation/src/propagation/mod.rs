@@ -94,9 +94,14 @@ impl TrustGraph {
         self.values[i] = (self.values[i] + delta).max(0.0);
     }
 
+    /// Local trust `from → k` for every peer `k`, in peer order.
+    pub(crate) fn row(&self, from: usize) -> &[f64] {
+        &self.values[from * self.peers..(from + 1) * self.peers]
+    }
+
     /// Sum of outgoing local trust of a peer (used for normalisation).
     pub fn out_trust(&self, from: usize) -> f64 {
-        (0..self.peers).map(|to| self.trust(from, to)).sum()
+        self.row(from).iter().sum()
     }
 
     /// Row-normalised local trust `c_ij = trust(i, j) / Σ_k trust(i, k)`,

@@ -1,6 +1,6 @@
 //! Determinism and golden-report regression tests.
 //!
-//! Two guarantees are pinned here:
+//! Three guarantees are pinned here:
 //!
 //! 1. **Seed determinism** — two simulations built from the same
 //!    [`SimulationConfig`] produce bit-identical [`SimulationReport`]s, and
@@ -10,12 +10,20 @@
 //!    at the commit that first made the workspace build), so engine
 //!    refactors that accidentally reorder RNG draws or phase effects fail
 //!    loudly instead of silently shifting every figure.
+//! 3. **Propagated trajectories** — one run per propagation backend with
+//!    `reputation_source = propagated`, so the backend's output steers
+//!    service differentiation; each pins the report and the last global
+//!    reputation vector, recorded before the sparse propagation rewrite.
 
+use collabsim_workspace::collabsim::adversary::AdversarySpec;
 use collabsim_workspace::collabsim::experiment::{ScenarioGrid, ScenarioRunner};
 use collabsim_workspace::collabsim::spec::ScenarioSpec;
 use collabsim_workspace::collabsim::{
-    BehaviorMix, BehaviorType, IncentiveScheme, PhaseConfig, Simulation, SimulationConfig,
+    apply_defence, BehaviorMix, BehaviorType, IncentiveScheme, PhaseConfig, Simulation,
+    SimulationConfig,
 };
+use collabsim_workspace::netsim::churn::ChurnModel;
+use collabsim_workspace::reputation::propagation::PropagationScheme;
 
 /// The pinned configuration behind the golden values below. Do not change
 /// it — add a new pin instead if another scenario needs coverage.
@@ -163,6 +171,65 @@ fn behavior_breakdown_is_deterministic_too() {
         assert_eq!(a.breakdown(behavior), b.breakdown(behavior));
     }
 }
+
+/// The golden configuration under a propagated defence (`apply_defence`,
+/// or MaxFlow set directly since no defence value names it), with churn
+/// and an adaptive whitewasher so identities lose their upload relations
+/// mid-run: several rounds see a peer nobody has uploaded to (a dangling
+/// trust row). A 20-step interval gives 10 propagation rounds.
+fn propagated_run(defence: &str) -> String {
+    let mut config = golden_config();
+    if defence == "maxflow" {
+        config = config
+            .with_propagation(PropagationScheme::MaxFlow, 20)
+            .with_propagated_reputation();
+    } else {
+        apply_defence(&mut config, defence).expect("known defence");
+        config.propagation.interval = 20;
+    }
+    config.churn = ChurnModel {
+        join_probability: 0.2,
+        leave_probability: 0.02,
+        whitewash_probability: 0.01,
+    };
+    config.adversaries = vec![AdversarySpec::new("adaptive-whitewash", 2)];
+    let spec = ScenarioSpec::from_config(config).expect("propagated config is valid");
+    let mut sim = Simulation::from_spec(&spec).expect("standard phases resolve");
+    let report = sim.run();
+    assert_eq!(sim.world().propagation_runs, 10, "{defence}");
+    format!("{report:?}\n{:?}", sim.global_reputation())
+}
+
+#[test]
+fn propagated_eigentrust_run_is_pinned() {
+    assert_eq!(propagated_run("eigentrust"), PROPAGATED_EIGENTRUST);
+}
+
+#[test]
+fn propagated_pretrusted_eigentrust_run_is_pinned() {
+    assert_eq!(
+        propagated_run("eigentrust-pretrusted=4"),
+        PROPAGATED_EIGENTRUST_PRETRUSTED
+    );
+}
+
+#[test]
+fn propagated_gossip_run_is_pinned() {
+    assert_eq!(propagated_run("gossip"), PROPAGATED_GOSSIP);
+}
+
+#[test]
+fn propagated_maxflow_run_is_pinned() {
+    assert_eq!(propagated_run("maxflow"), PROPAGATED_MAXFLOW);
+}
+
+/// `format!("{report:?}\n{:?}", sim.global_reputation())` of each
+/// [`propagated_run`], recorded before the sparse propagation rewrite
+/// (relation-built trust graph, CSR EigenTrust, early-exit gossip check).
+const PROPAGATED_EIGENTRUST: &str = "SimulationReport { shared_bandwidth: 0.49748743718592964, shared_articles: 0.47738693467336685, by_behavior: {\"altruistic\": BehaviorBreakdown { peers: 5, shared_bandwidth: 0.9251336898395722, shared_articles: 0.9251336898395722, downloaded: 0.4360285141600521, final_sharing_reputation: 0.6022983392613477, final_editing_reputation: 0.23887845575130226, constructive_edits: 41, destructive_edits: 6, votes: 28, mean_utility: 3.551461612188756 }, \"irrational\": BehaviorBreakdown { peers: 5, shared_bandwidth: 0.0, shared_articles: 0.0, downloaded: 0.15326400526260126, final_sharing_reputation: 0.05000000000000001, final_editing_reputation: 0.42219697463025085, constructive_edits: 0, destructive_edits: 0, votes: 87, mean_utility: 1.6843741566722559 }, \"rational\": BehaviorBreakdown { peers: 10, shared_bandwidth: 0.5114678899082569, shared_articles: 0.47477064220183485, downloaded: 0.3427706306000924, final_sharing_reputation: 0.3466866595126155, final_editing_reputation: 0.1373254394595696, constructive_edits: 23, destructive_edits: 32, votes: 122, mean_utility: 3.124954012422941 }}, edit_outcomes: EditOutcomeCounts { accepted_constructive: 3, accepted_destructive: 32, declined_constructive: 61, declined_destructive: 6, pending: 0 }, mean_article_quality: 0.5253339447329217, completed_downloads: 186, evaluation_steps: 80, seed: 12648430 }\nSome(GlobalReputation { values: [0.04885421492612983, 0.0922897993078071, 0.02299063550442157, 0.004999999999999997, 0.02902852409052023, 0.005236842105263154, 0.031959807388639974, 0.005236842105263154, 0.0821243175337195, 0.18761478689793928, 0.09017275807981795, 0.005236842105263154, 0.11370530706649122, 0.11395403989344265, 0.029905611895475043, 0.005236842105263154, 0.06114200781279658, 0.005236842105263154, 0.05676543759253835, 0.008308541483944776], iterations: 25, converged: true })";
+const PROPAGATED_EIGENTRUST_PRETRUSTED: &str = "SimulationReport { shared_bandwidth: 0.5131909547738693, shared_articles: 0.49874371859296485, by_behavior: {\"altruistic\": BehaviorBreakdown { peers: 5, shared_bandwidth: 0.9251336898395722, shared_articles: 0.9251336898395722, downloaded: 0.4191160646758068, final_sharing_reputation: 0.43934259738187686, final_editing_reputation: 0.24061765999800538, constructive_edits: 30, destructive_edits: 9, votes: 27, mean_utility: 3.390358507720635 }, \"irrational\": BehaviorBreakdown { peers: 5, shared_bandwidth: 0.0, shared_articles: 0.0, downloaded: 0.16701532554789178, final_sharing_reputation: 0.05000000000000001, final_editing_reputation: 0.6113966266085278, constructive_edits: 0, destructive_edits: 0, votes: 109, mean_utility: 1.8854711745540627 }, \"rational\": BehaviorBreakdown { peers: 10, shared_bandwidth: 0.5401376146788991, shared_articles: 0.5137614678899083, downloaded: 0.3319533132702726, final_sharing_reputation: 0.37790204097437796, final_editing_reputation: 0.340721060345759, constructive_edits: 32, destructive_edits: 43, votes: 136, mean_utility: 3.046597352886212 }}, edit_outcomes: EditOutcomeCounts { accepted_constructive: 2, accepted_destructive: 48, declined_constructive: 60, declined_destructive: 4, pending: 0 }, mean_article_quality: 0.521412676085851, completed_downloads: 185, evaluation_steps: 80, seed: 12648430 }\nSome(GlobalReputation { values: [0.11435305906687902, 0.09703672126351455, 0.03562534324316812, 0.024999999999999984, 0.03787694846816675, 0.0011842105263157887, 0.017458978853321643, 0.0011842105263157887, 0.06553859592009927, 0.13094280671962336, 0.06939624250659576, 0.0011842105263157887, 0.12412264121074996, 0.0723111601927011, 0.014004097625034191, 0.0011842105263157887, 0.09343056662219876, 0.0011842105263157887, 0.08818118949546316, 0.008800596180905439], iterations: 29, converged: true })";
+const PROPAGATED_GOSSIP: &str = "SimulationReport { shared_bandwidth: 0.49183417085427134, shared_articles: 0.48932160804020103, by_behavior: {\"altruistic\": BehaviorBreakdown { peers: 5, shared_bandwidth: 0.9251336898395722, shared_articles: 0.9251336898395722, downloaded: 0.4109636016133061, final_sharing_reputation: 0.6022983392613477, final_editing_reputation: 0.2509937434298032, constructive_edits: 38, destructive_edits: 6, votes: 40, mean_utility: 3.3355718450100658 }, \"irrational\": BehaviorBreakdown { peers: 5, shared_bandwidth: 0.0, shared_articles: 0.0, downloaded: 0.1352455228240961, final_sharing_reputation: 0.05000000000000001, final_editing_reputation: 0.5044509385884229, constructive_edits: 0, destructive_edits: 0, votes: 90, mean_utility: 1.5056344189924062 }, \"rational\": BehaviorBreakdown { peers: 10, shared_bandwidth: 0.5011467889908257, shared_articles: 0.49655963302752293, downloaded: 0.3537897501140898, final_sharing_reputation: 0.3376100423704608, final_editing_reputation: 0.2939414808575547, constructive_edits: 30, destructive_edits: 31, votes: 129, mean_utility: 3.2271176846271366 }}, edit_outcomes: EditOutcomeCounts { accepted_constructive: 8, accepted_destructive: 29, declined_constructive: 60, declined_destructive: 8, pending: 0 }, mean_article_quality: 0.5324682005525322, completed_downloads: 178, evaluation_steps: 80, seed: 12648430 }\nSome(GlobalReputation { values: [0.08217777515434527, 0.04820339192306916, 0.026859766232999027, 0.0, 0.06114075082647981, 0.0, 0.009201453907902063, 0.0, 0.05275397116251022, 0.258836508325314, 0.05392786837876326, 0.0, 0.18851950193841727, 0.07594904551345322, 0.06774773446634462, 0.0, 0.03193218436727695, 0.0, 0.0388082668632668, 0.003941780939858257], iterations: 33, converged: true })";
+const PROPAGATED_MAXFLOW: &str = "SimulationReport { shared_bandwidth: 0.507537688442211, shared_articles: 0.4824120603015075, by_behavior: {\"altruistic\": BehaviorBreakdown { peers: 5, shared_bandwidth: 0.9251336898395722, shared_articles: 0.9251336898395722, downloaded: 0.4430911676188648, final_sharing_reputation: 0.6022983392613477, final_editing_reputation: 0.22850947009551037, constructive_edits: 30, destructive_edits: 5, votes: 27, mean_utility: 3.6180774515897194 }, \"irrational\": BehaviorBreakdown { peers: 5, shared_bandwidth: 0.0, shared_articles: 0.0, downloaded: 0.16253672990231857, final_sharing_reputation: 0.05000000000000001, final_editing_reputation: 0.5360363759504507, constructive_edits: 0, destructive_edits: 0, votes: 97, mean_utility: 1.8045580504682723 }, \"rational\": BehaviorBreakdown { peers: 10, shared_bandwidth: 0.5298165137614679, shared_articles: 0.48394495412844035, downloaded: 0.3784933426196586, final_sharing_reputation: 0.34152120760139026, final_editing_reputation: 0.2336794802615493, constructive_edits: 30, destructive_edits: 33, votes: 113, mean_utility: 3.4793141601415405 }}, edit_outcomes: EditOutcomeCounts { accepted_constructive: 5, accepted_destructive: 35, declined_constructive: 55, declined_destructive: 3, pending: 0 }, mean_article_quality: 0.5266023936329495, completed_downloads: 203, evaluation_steps: 80, seed: 12648430 }\nSome(GlobalReputation { values: [1.0, 0.7084663472489483, 0.1754603437013495, 0.014321466961132052, 0.3757485191678288, 0.0, 0.03701207926610025, 0.0, 0.3094583485532776, 1.0, 0.2928059701275033, 0.0, 0.9999999999999999, 0.7185222469688827, 0.43972605681058563, 0.0, 0.4512977456155152, 0.0, 0.526528093183776, 0.03641415011978565], iterations: 1, converged: true })";
 
 /// `format!("{report:?}")` of the golden run, recorded from the monolithic
 /// pre-pipeline engine. Bitwise-exact: every f64 must match.
