@@ -84,7 +84,7 @@ impl<'a> WorldView<'a> {
         self.world.active.online().count()
     }
 
-    /// The article registry (quality, edit history).
+    /// The article registry (quality, voter sets, edit outcome tallies).
     pub fn articles(&self) -> &'a ArticleRegistry {
         &self.world.articles
     }

@@ -33,42 +33,41 @@ impl StepPhase for ChurnPhase {
             return;
         }
         let now = ctx.now;
-        // Online peers ascending by id (the bitset iterates ascending):
-        // `sample_step` emits events in input order, so the whole event
-        // stream is a pure function of the churn RNG stream and the online
-        // set.
-        let online: Vec<PeerId> = world
-            .active
-            .iter_online()
-            .map(|p| PeerId(p as u32))
-            .collect();
-        let mut online_count = online.len();
-        let events = model.sample_step(&online, &mut world.churn_rng);
-        for event in events {
+        // Online peers ascending by id, straight off the bitset:
+        // `sample_step_into` emits events in input order, so the whole
+        // event stream is a pure function of the churn RNG stream and the
+        // online set.
+        model.sample_step_into(
+            world.active.iter_online().map(|p| PeerId(p as u32)),
+            &mut world.churn_rng,
+            &mut ctx.churn_events,
+        );
+        for &event in &ctx.churn_events {
             match event {
                 ChurnEvent::Join => {
                     // The arena is fixed-size, so a join is the re-entry of
                     // a departed identity, drawn uniformly from the offline
-                    // set (ascending id order keeps the draw deterministic).
-                    let offline: Vec<PeerId> = (0..world.population())
-                        .filter(|&p| !world.active.is_online(p))
-                        .map(|p| PeerId(p as u32))
-                        .collect();
-                    if offline.is_empty() {
+                    // set in ascending id order: the k-th peer missing from
+                    // the online bitset.
+                    let population = world.population();
+                    let offline = population - world.active.online().count();
+                    if offline == 0 {
                         continue;
                     }
-                    let index = world.churn_rng.gen_range(0..offline.len());
-                    world.rejoin_peer(offline[index], now);
-                    online_count += 1;
+                    let index = world.churn_rng.gen_range(0..offline);
+                    let peer = (0..population)
+                        .filter(|&p| !world.active.is_online(p))
+                        .nth(index)
+                        .expect("`offline` peers are missing from the online bitset");
+                    world.rejoin_peer(PeerId(peer as u32), now);
                 }
                 ChurnEvent::Leave(peer) => {
                     // Keep a functioning network: never drop below 2 online
                     // peers (the smallest population the model supports).
-                    if online_count <= 2 {
+                    if world.active.online().count() <= 2 {
                         continue;
                     }
                     world.depart_peer(peer, now);
-                    online_count -= 1;
                 }
                 ChurnEvent::Whitewash(peer) => {
                     // Leave + instant rejoin under a fresh identity: the

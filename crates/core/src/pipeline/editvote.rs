@@ -47,7 +47,6 @@ impl StepPhase for EditVotePhase {
 
     fn execute(&self, world: &mut SimWorld, ctx: &mut StepContext) {
         let population = world.population();
-        let now = ctx.now;
         for p in 0..population {
             let behavior = ctx.actions[p].edit;
             if !behavior.participates() {
@@ -86,7 +85,7 @@ impl StepPhase for EditVotePhase {
                 EditBehavior::Destructive => EditKind::Destructive,
                 EditBehavior::Abstain => unreachable!("abstainers skipped above"),
             };
-            let Some(edit_id) = world.articles.submit_edit(article_id, editor, kind, now) else {
+            let Some(edit_id) = world.articles.submit_edit(article_id, editor, kind) else {
                 continue;
             };
             ctx.attempted_editing[p] = true;
@@ -196,7 +195,7 @@ impl StepPhase for EditVotePhase {
             } else {
                 in_favor + against > 0.0 && in_favor >= against
             };
-            world.articles.resolve_edit(edit_id, accepted, now);
+            world.articles.resolve_edit(edit_id, accepted);
 
             // Editor outcome.
             if accepted {

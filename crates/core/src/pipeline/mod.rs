@@ -82,6 +82,7 @@ use crate::agent::AgentState;
 use crate::config::SimulationConfig;
 use crate::observer::{StepObserver, WorldView};
 use crate::world::SimWorld;
+use collabsim_netsim::churn::ChurnEvent;
 use collabsim_netsim::peer::PeerId;
 use collabsim_reputation::sharded::DeltaBatch;
 use std::time::{Duration, Instant};
@@ -196,12 +197,11 @@ pub struct StepContext {
     /// The reusable per-edit voter-pool buffers of [`EditVotePhase`]
     /// (fully rewritten for every edit).
     pub vote_scratch: VoteScratch,
-    /// The selection phase's per-state Boltzmann distribution cache.
-    /// Purely a memoisation of `boltzmann_distribution` results — it
-    /// survives [`StepContext::reset`] (entries are invalidated by
-    /// temperature or Q-row changes, not by step boundaries) and can never
-    /// change simulation results.
+    /// The selection phase's reusable Boltzmann probability buffers
+    /// (rewritten for every draw; they can never change results).
     pub boltzmann: BoltzmannCache,
+    /// The churn phase's reusable event buffer (rewritten every step).
+    pub churn_events: Vec<ChurnEvent>,
     /// Optional per-phase wall-clock instrumentation; accumulates across
     /// steps and survives [`StepContext::reset`].
     pub timings: PhaseTimings,
@@ -229,6 +229,7 @@ impl StepContext {
             transfers: TransferTables::default(),
             vote_scratch: VoteScratch::default(),
             boltzmann: BoltzmannCache::default(),
+            churn_events: Vec::new(),
             timings: PhaseTimings::default(),
         }
     }

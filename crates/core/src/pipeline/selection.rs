@@ -22,55 +22,32 @@ use collabsim_rl::boltzmann::{boltzmann_distribution_into, sample_probs};
 /// place (no per-step allocation in steady state).
 pub struct SelectionPhase;
 
-/// Memoises Boltzmann distributions per state bucket for the selection
-/// phase.
+/// The selection phase's Boltzmann sampling buffers.
 ///
-/// Rational peers in the same state bucket with bit-identical Q-rows (all
-/// of them during training, cohorts of never-updated rows during
-/// evaluation) share one distribution instead of recomputing 27
-/// exponentials each. Correctness does not depend on hit rate: an entry is
-/// only reused when the stored temperature bits *and* the full Q-row bits
-/// match, and the cached vector is exactly what
-/// [`boltzmann_distribution_into`] would produce, so the sampled stream is
-/// bit-identical to the uncached policy.
+/// Under the training phase's `T = f64::MAX` the distribution is `1/n` for
+/// *any* Q-row, so one shared vector serves every draw of the step. At a
+/// finite temperature each draw computes its distribution into one reused
+/// buffer: rational peers' Q-rows differ once learning has moved them, so
+/// a per-bucket memo of the last row almost never hits in evaluation.
+/// Either way the probabilities are exactly what
+/// [`boltzmann_distribution_into`] produces, so the sampled stream is
+/// bit-identical to the unbuffered policy.
 #[derive(Debug, Clone, Default)]
 pub struct BoltzmannCache {
     temperature: f64,
-    temperature_bits: u64,
     /// Whether the temperature takes `boltzmann_distribution`'s uniform
-    /// shortcut (the training phase's `T = f64::MAX`), where the
-    /// distribution is `1/n` for *any* Q-row.
+    /// shortcut.
     uniform: bool,
     uniform_probs: Vec<f64>,
-    entries: Vec<CacheEntry>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct CacheEntry {
-    valid: bool,
-    row: Vec<f64>,
     probs: Vec<f64>,
 }
 
 impl BoltzmannCache {
-    /// Prepares the cache for one step over `buckets` state buckets and
-    /// `actions` actions at the step temperature; a temperature change
-    /// invalidates every entry.
-    pub fn begin_step(&mut self, buckets: usize, actions: usize, temperature: f64) {
-        if self.entries.len() != buckets {
-            self.entries.clear();
-            self.entries.resize_with(buckets, CacheEntry::default);
-        }
-        if temperature.to_bits() != self.temperature_bits {
-            self.temperature = temperature;
-            self.temperature_bits = temperature.to_bits();
-            for entry in &mut self.entries {
-                entry.valid = false;
-            }
-        }
-        // Mirror of the uniform shortcut inside `boltzmann_distribution`:
-        // under it the distribution is exactly `1/n` regardless of the
-        // Q-row, so one shared vector serves every draw of the step.
+    /// Prepares the buffers for one step over `actions` actions at the
+    /// step temperature.
+    pub fn begin_step(&mut self, actions: usize, temperature: f64) {
+        self.temperature = temperature;
+        // Mirror of the uniform shortcut inside `boltzmann_distribution`.
         self.uniform = !temperature.is_finite() || temperature >= 1e300;
         if self.uniform && self.uniform_probs.len() != actions {
             self.uniform_probs.clear();
@@ -84,25 +61,12 @@ impl BoltzmannCache {
     ///
     /// [`BoltzmannPolicy::select_action`]: collabsim_rl::boltzmann::BoltzmannPolicy
     #[inline]
-    pub fn sample(&mut self, bucket: usize, row: &[f64], rng: &mut dyn rand::RngCore) -> usize {
+    pub fn sample(&mut self, row: &[f64], rng: &mut dyn rand::RngCore) -> usize {
         if self.uniform {
             return sample_probs(&self.uniform_probs, rng);
         }
-        let entry = &mut self.entries[bucket];
-        let hit = entry.valid
-            && entry.row.len() == row.len()
-            && entry
-                .row
-                .iter()
-                .zip(row)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !hit {
-            boltzmann_distribution_into(row, self.temperature, &mut entry.probs);
-            entry.row.clear();
-            entry.row.extend_from_slice(row);
-            entry.valid = true;
-        }
-        sample_probs(&entry.probs, rng)
+        boltzmann_distribution_into(row, self.temperature, &mut self.probs);
+        sample_probs(&self.probs, rng)
     }
 }
 
@@ -121,11 +85,8 @@ impl StepPhase for SelectionPhase {
         ctx.current_states.clear();
         ctx.current_states
             .resize(population, AgentState { bucket: 0 });
-        ctx.boltzmann.begin_step(
-            world.agents.state_count(),
-            world.agents.action_count(),
-            ctx.temperature,
-        );
+        ctx.boltzmann
+            .begin_step(world.agents.action_count(), ctx.temperature);
 
         // Split the world borrow: the loop reads the ledger/propagation
         // state, streams the agent table and draws from the step RNG.
@@ -172,7 +133,7 @@ impl StepPhase for SelectionPhase {
                     }
                     BehaviorType::Rational => {
                         let row = agents.q_row(p, state.bucket);
-                        let index = ctx.boltzmann.sample(state.bucket, row, rng);
+                        let index = ctx.boltzmann.sample(row, rng);
                         agents.record_choice(p, state.bucket, index);
                         CollabAction::from_index(index)
                     }

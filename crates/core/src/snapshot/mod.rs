@@ -2,7 +2,7 @@
 //! simulation, behind a pluggable [`RunStore`].
 //!
 //! A [`Snapshot`] captures *everything* a [`SimWorld`] owns at a step
-//! boundary — every peer, article, edit, transfer slot, ledger record,
+//! boundary — every peer, article, pending edit, transfer slot, ledger record,
 //! Q-value, accumulator and all five named RNG streams — plus the
 //! originating [`ScenarioSpec`] as its exact text form. Restoring builds a
 //! fresh world from the embedded spec (which reconstructs all the derived
@@ -40,7 +40,7 @@ use crate::ActiveSets;
 use codec::{xxh64, Reader, Writer};
 use collabsim_gametheory::behavior::BehaviorType;
 use collabsim_netsim::article::{
-    Article, ArticleId, ArticleRegistry, Edit, EditId, EditKind, EditOutcomeCounts, EditStatus,
+    Article, ArticleId, ArticleRegistry, Edit, EditId, EditKind, EditOutcomeCounts,
 };
 use collabsim_netsim::clock::SimClock;
 use collabsim_netsim::fault::ConnectionState;
@@ -58,10 +58,12 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"COLLBSNP";
 /// per-unit learned adversary policies and the per-peer offline-since
 /// markers to the payload; version 3 dropped the DHT membership and
 /// replica sets, which no phase reads; version 4 kept the payload and
-/// switched the trailing content hash to XXH64. Files of any other
+/// switched the trailing content hash to XXH64; version 5 replaced the
+/// edit log and the revision histories with decided-edit tallies, the
+/// pending edits, revision counts and voter sets. Files of any other
 /// version are refused with a typed [`SnapshotError::VersionMismatch`]
 /// rather than misparsed.
-pub const SNAPSHOT_VERSION: u16 = 4;
+pub const SNAPSHOT_VERSION: u16 = 5;
 
 /// Magic, version and payload length.
 const HEADER_LEN: usize = 8 + 2 + 8;
@@ -131,10 +133,16 @@ pub struct WorldState {
     pub net_rng: [u64; 4],
     /// Every peer record, dense by id.
     pub peers: Vec<Peer>,
-    /// Every article (revision history, pending edit, damage counter).
+    /// Every article (revision count, voter set, pending edit, damage
+    /// counter).
     pub articles: Vec<Article>,
-    /// Every edit ever submitted, dense by id.
-    pub edits: Vec<Edit>,
+    /// The edits awaiting a vote, sorted by id.
+    pub pending_edits: Vec<Edit>,
+    /// Outcome tallies of every edit submitted so far; `pending` is
+    /// `pending_edits.len()`.
+    pub edit_outcomes: EditOutcomeCounts,
+    /// Identifier of the next submitted edit.
+    pub next_edit_id: u64,
     /// Held article replicas per peer (row index = peer id).
     pub held: Vec<Vec<u32>>,
     /// Offered article replicas per peer (row index = peer id).
@@ -338,7 +346,9 @@ impl WorldState {
             net_rng: world.net_rng.to_state(),
             peers: world.peers.iter().cloned().collect(),
             articles: world.articles.articles().cloned().collect(),
-            edits: world.articles.edits().cloned().collect(),
+            pending_edits: world.articles.pending_edits().to_vec(),
+            edit_outcomes: world.articles.edit_outcome_counts(),
+            next_edit_id: world.articles.edit_count(),
             held: world
                 .store
                 .held_rows()
@@ -440,6 +450,8 @@ impl WorldState {
         if self.offline_since.len() != population {
             return Err(mismatch("the offline-since table's length"));
         }
+        self.check_articles(population)
+            .map_err(SnapshotError::Mismatch)?;
 
         world.clock = SimClock::starting_at(self.step);
         world.rng = StdRng::from_state(self.rng);
@@ -448,7 +460,12 @@ impl WorldState {
         world.adversary_rng = StdRng::from_state(self.adversary_rng);
         world.net_rng = StdRng::from_state(self.net_rng);
         world.peers = PeerRegistry::from_peers(self.peers.clone());
-        world.articles = ArticleRegistry::from_parts(self.articles.clone(), self.edits.clone());
+        world.articles = ArticleRegistry::from_parts(
+            self.articles.clone(),
+            self.pending_edits.clone(),
+            self.edit_outcomes,
+            self.next_edit_id,
+        );
         world.store = ArticleStore::from_rows(
             self.held
                 .iter()
@@ -499,6 +516,59 @@ impl WorldState {
         Ok(())
     }
 
+    /// Checks the article state against a population of `population`
+    /// peers: dense article ids, voter sets that are sorted, free of
+    /// duplicates and inside the population, and pending edits that are
+    /// exactly the ones their articles name. A state failing any of these
+    /// would panic or misbehave in a later edit vote.
+    fn check_articles(&self, population: usize) -> Result<(), String> {
+        for (index, article) in self.articles.iter().enumerate() {
+            if article.id.index() != index {
+                return Err(format!("article {index} carries id {}", article.id.0));
+            }
+            let voters = article.voters();
+            if voters.windows(2).any(|pair| pair[0] >= pair[1]) {
+                return Err(format!(
+                    "the voter set of {} is not sorted and duplicate-free",
+                    article.id
+                ));
+            }
+            if let Some(voter) = voters.last().filter(|v| v.index() >= population) {
+                return Err(format!(
+                    "{voter} votes on {} but the population has {population} peers",
+                    article.id
+                ));
+            }
+        }
+        for edit in &self.pending_edits {
+            let article = self.articles.get(edit.article.index());
+            if article.and_then(|article| article.pending_edit) != Some(edit.id) {
+                return Err(format!(
+                    "pending edit {} is not the edit {} names",
+                    edit.id.0, edit.article
+                ));
+            }
+            if edit.author.index() >= population || edit.id.0 >= self.next_edit_id {
+                return Err(format!(
+                    "pending edit {} has an author or id out of range",
+                    edit.id.0
+                ));
+            }
+        }
+        let naming = self
+            .articles
+            .iter()
+            .filter(|article| article.pending_edit.is_some())
+            .count();
+        if naming != self.pending_edits.len() {
+            return Err(format!(
+                "{naming} articles name a pending edit, but {} edits are pending",
+                self.pending_edits.len()
+            ));
+        }
+        Ok(())
+    }
+
     fn encode(&self, w: &mut Writer) {
         w.u64(self.step);
         write_rng(w, &self.rng);
@@ -523,15 +593,16 @@ impl WorldState {
             w.u32(article.id.0);
             w.u32(article.creator.0);
             w.u64(article.created_at);
-            w.usize(article.revision_authors.len());
-            for author in &article.revision_authors {
-                w.u32(author.0);
+            w.u64(article.revision_count() as u64);
+            w.usize(article.voters().len());
+            for voter in article.voters() {
+                w.u32(voter.0);
             }
             w.u32(article.accepted_destructive);
             w.opt_u64(article.pending_edit.map(|e| e.0));
         }
-        w.usize(self.edits.len());
-        for edit in &self.edits {
+        w.usize(self.pending_edits.len());
+        for edit in &self.pending_edits {
             w.u64(edit.id.0);
             w.u32(edit.article.0);
             w.u32(edit.author.0);
@@ -539,14 +610,12 @@ impl WorldState {
                 EditKind::Constructive => 0,
                 EditKind::Destructive => 1,
             });
-            w.u8(match edit.status {
-                EditStatus::Pending => 0,
-                EditStatus::Accepted => 1,
-                EditStatus::Declined => 2,
-            });
-            w.u64(edit.submitted_at);
-            w.opt_u64(edit.decided_at);
         }
+        w.u64(self.edit_outcomes.accepted_constructive);
+        w.u64(self.edit_outcomes.accepted_destructive);
+        w.u64(self.edit_outcomes.declined_constructive);
+        w.u64(self.edit_outcomes.declined_destructive);
+        w.u64(self.next_edit_id);
         write_rows(w, &self.held);
         write_rows(w, &self.offered);
         w.usize(self.ledger.len());
@@ -710,22 +779,24 @@ impl WorldState {
             let id = ArticleId(r.u32()?);
             let creator = PeerId(r.u32()?);
             let created_at = r.u64()?;
-            let revision_authors = r.u32s()?.into_iter().map(PeerId).collect();
+            let revisions = r.u64()?;
+            let voters = r.u32s()?.into_iter().map(PeerId).collect();
             let accepted_destructive = r.u32()?;
             let pending_edit = r.opt_u64()?.map(EditId);
             articles.push(Article::from_parts(
                 id,
                 creator,
                 created_at,
-                revision_authors,
+                revisions,
+                voters,
                 accepted_destructive,
                 pending_edit,
             ));
         }
-        let edit_count = r.len()?;
-        let mut edits = Vec::with_capacity(edit_count);
-        for _ in 0..edit_count {
-            edits.push(Edit {
+        let pending_count = r.len()?;
+        let mut pending_edits = Vec::with_capacity(pending_count);
+        for _ in 0..pending_count {
+            pending_edits.push(Edit {
                 id: EditId(r.u64()?),
                 article: ArticleId(r.u32()?),
                 author: PeerId(r.u32()?),
@@ -738,20 +809,16 @@ impl WorldState {
                         )))
                     }
                 },
-                status: match r.u8()? {
-                    0 => EditStatus::Pending,
-                    1 => EditStatus::Accepted,
-                    2 => EditStatus::Declined,
-                    other => {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "invalid edit-status tag {other}"
-                        )))
-                    }
-                },
-                submitted_at: r.u64()?,
-                decided_at: r.opt_u64()?,
             });
         }
+        let edit_outcomes = EditOutcomeCounts {
+            accepted_constructive: r.u64()?,
+            accepted_destructive: r.u64()?,
+            declined_constructive: r.u64()?,
+            declined_destructive: r.u64()?,
+            pending: pending_edits.len() as u64,
+        };
+        let next_edit_id = r.u64()?;
         let held = read_rows(r)?;
         let offered = read_rows(r)?;
         let ledger_count = r.len()?;
@@ -923,7 +990,7 @@ impl WorldState {
         for _ in 0..since_count {
             offline_since.push(r.opt_u64()?);
         }
-        Ok(Self {
+        let state = Self {
             step,
             rng,
             propagation_rng,
@@ -932,7 +999,9 @@ impl WorldState {
             net_rng,
             peers,
             articles,
-            edits,
+            pending_edits,
+            edit_outcomes,
+            next_edit_id,
             held,
             offered,
             ledger,
@@ -959,7 +1028,11 @@ impl WorldState {
             net_stats,
             adversary_policies,
             offline_since,
-        })
+        };
+        state
+            .check_articles(state.peers.len())
+            .map_err(SnapshotError::Corrupt)?;
+        Ok(state)
     }
 }
 
@@ -1197,9 +1270,10 @@ mod tests {
         let spec = quick_spec();
         let sim = Simulation::from_spec(&spec).unwrap();
         let bytes = sim.snapshot(&spec).encode();
-        // 2 is the retired layout that still carried the DHT state; 3 is
-        // the current layout under the previous content hash.
-        for version in [0x63u16, 2, 3] {
+        // 2 is the retired layout that still carried the DHT state, 3 the
+        // next one under the previous content hash, 4 the last layout that
+        // carried the full edit log.
+        for version in [0x63u16, 2, 3, 4] {
             let mut bytes = bytes.clone();
             bytes[8..10].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
@@ -1397,6 +1471,141 @@ mod tests {
         let bare_spec = ScenarioSpec::from_config(bare_config).expect("valid config");
         let dropped = snapshot.with_spec(&bare_spec);
         assert!(dropped.state.adversary_policies.is_empty());
+    }
+
+    #[test]
+    fn pending_edits_round_trip_and_resolve_after_restore() {
+        let spec = quick_spec();
+        let mut sim = Simulation::from_spec(&spec).unwrap();
+        for _ in 0..10 {
+            sim.step(10_000.0);
+        }
+        let edit = sim
+            .world_mut()
+            .articles
+            .submit_edit(ArticleId(3), PeerId(5), EditKind::Destructive)
+            .expect("no edit is pending at a step boundary");
+        let snapshot = sim.snapshot(&spec);
+        assert_eq!(snapshot.state.pending_edits.len(), 1);
+        let decoded = Snapshot::decode(&snapshot.encode()).expect("decodes");
+        assert_eq!(decoded.state.articles, snapshot.state.articles);
+        assert_eq!(decoded.state.pending_edits, snapshot.state.pending_edits);
+        assert_eq!(decoded.state.edit_outcomes, snapshot.state.edit_outcomes);
+        assert_eq!(decoded.state.next_edit_id, snapshot.state.next_edit_id);
+
+        let mut resumed = Simulation::resume_from(&decoded).unwrap();
+        assert_eq!(resumed.articles(), sim.articles());
+        let damage = resumed
+            .articles()
+            .article(ArticleId(3))
+            .accepted_destructive;
+        resumed.world_mut().articles.resolve_edit(edit, true);
+        let article = resumed.articles().article(ArticleId(3));
+        assert!(article.is_successful_editor(PeerId(5)));
+        assert_eq!(article.accepted_destructive, damage + 1);
+    }
+
+    /// `article` with its voter set replaced.
+    fn with_voters(article: &Article, voters: Vec<PeerId>) -> Article {
+        Article::from_parts(
+            article.id,
+            article.creator,
+            article.created_at,
+            article.revision_count() as u64,
+            voters,
+            article.accepted_destructive,
+            article.pending_edit,
+        )
+    }
+
+    /// Article state that contradicts itself or its population is refused
+    /// as a typed error, at decode (`Corrupt`) and at apply (`Mismatch`),
+    /// instead of panicking in a later edit vote.
+    #[test]
+    fn malformed_article_state_is_a_typed_error_at_decode_and_apply() {
+        const POPULATION: u32 = 60;
+        // Editor-restricted voting (the large-population preset), so every
+        // edit vote reads its article's voter set.
+        let config = SimulationConfig::large_population(POPULATION as usize).with_seed(11);
+        let spec = ScenarioSpec::from_config(config).expect("valid config");
+        let mut sim = Simulation::from_spec(&spec).unwrap();
+        for _ in 0..5 {
+            sim.step(spec.config().phases.training_temperature);
+        }
+        let snapshot = sim.snapshot(&spec);
+        assert!(Simulation::resume_from(&Snapshot::decode(&snapshot.encode()).unwrap()).is_ok());
+
+        type Tamper = fn(&mut WorldState);
+        let tampers: [(&str, Tamper); 5] = [
+            ("unsorted voter set", |state| {
+                state.articles[0] = with_voters(&state.articles[0], vec![PeerId(2), PeerId(1)]);
+            }),
+            ("duplicate voters", |state| {
+                state.articles[0] = with_voters(&state.articles[0], vec![PeerId(1), PeerId(1)]);
+            }),
+            // Restored unchecked, the next vote on any article read this
+            // voter's editing reputation out of bounds.
+            ("voter outside the population", |state| {
+                for article in &mut state.articles {
+                    let mut voters = article.voters().to_vec();
+                    voters.push(PeerId(POPULATION));
+                    *article = with_voters(article, voters);
+                }
+            }),
+            ("pending edit its article does not name", |state| {
+                state.pending_edits.push(Edit {
+                    id: EditId(state.next_edit_id),
+                    article: ArticleId(1),
+                    author: PeerId(0),
+                    kind: EditKind::Constructive,
+                });
+                state.next_edit_id += 1;
+            }),
+            ("article naming an edit that is not pending", |state| {
+                state.articles[1].pending_edit = Some(EditId(0));
+            }),
+        ];
+        for (case, tamper) in tampers {
+            let mut bad = snapshot.clone();
+            tamper(&mut bad.state);
+            assert!(
+                matches!(
+                    Snapshot::decode(&bad.encode()),
+                    Err(SnapshotError::Corrupt(_))
+                ),
+                "{case}: decode"
+            );
+            assert!(
+                matches!(
+                    Simulation::resume_from(&bad),
+                    Err(SnapshotError::Mismatch(_))
+                ),
+                "{case}: apply"
+            );
+        }
+    }
+
+    /// The checkpoint of the default 100-peer configuration stays the
+    /// same size as the run grows: article state is sized by the
+    /// population, not by the number of edits so far.
+    #[test]
+    fn checkpoint_size_does_not_grow_with_run_length() {
+        let spec = ScenarioSpec::from_config(SimulationConfig::default()).expect("valid config");
+        let temperature = spec.config().phases.training_temperature;
+        let mut sim = Simulation::from_spec(&spec).unwrap();
+        let mut sizes = Vec::new();
+        for _ in 0..2 {
+            for _ in 0..2_000 {
+                sim.step(temperature);
+            }
+            sizes.push(sim.snapshot(&spec).encode().len());
+        }
+        assert!(
+            sizes[1] as f64 <= sizes[0] as f64 * 1.02,
+            "checkpoint grew from {} B at step 2000 to {} B at step 4000",
+            sizes[0],
+            sizes[1]
+        );
     }
 
     #[test]

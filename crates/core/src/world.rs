@@ -254,11 +254,10 @@ pub struct AccumulatorShardMut<'a> {
 #[derive(Debug, Clone, Default)]
 pub struct UploadMatrix {
     rows: Vec<HashMap<u32, f64, PeerKeyHashBuilder>>,
-    /// Reverse index: for each peer, the uploaders with a (once-)recorded
-    /// relation *to* it — what lets [`UploadMatrix::clear_peer`] drop a
-    /// whitewashed identity's column in O(degree) instead of scanning
-    /// every row. May hold stale or duplicate entries after a clear
-    /// (removals are idempotent), never misses a live one.
+    /// Reverse index: for each peer, the uploaders with a live relation
+    /// *to* it, in unspecified order — what lets
+    /// [`UploadMatrix::clear_peer`] drop a whitewashed identity's column in
+    /// O(degree) instead of scanning every row.
     incoming: Vec<Vec<u32>>,
 }
 
@@ -383,8 +382,14 @@ impl UploadMatrix {
     /// has no direct-relation history, so tit-for-tat and the trust graph
     /// must see a stranger.
     pub fn clear_peer(&mut self, peer: usize) {
-        self.rows[peer].clear();
         let key = peer as u32;
+        for &to in self.rows[peer].keys() {
+            let uploaders = &mut self.incoming[to as usize];
+            if let Some(pos) = uploaders.iter().position(|&from| from == key) {
+                uploaders.swap_remove(pos);
+            }
+        }
+        self.rows[peer].clear();
         let uploaders = std::mem::take(&mut self.incoming[peer]);
         for from in uploaders {
             self.rows[from as usize].remove(&key);
@@ -490,7 +495,7 @@ pub struct SimWorld {
     pub clock: SimClock,
     /// Peer registry (shared upload fractions, capacities).
     pub peers: PeerRegistry,
-    /// Article registry (edit history, quality).
+    /// Article registry (voter sets, pending edits, outcome tallies, quality).
     pub articles: ArticleRegistry,
     /// Which peer holds/offers which article replica.
     pub store: ArticleStore,
@@ -1049,6 +1054,35 @@ mod tests {
             .filter(|_| rng.gen_bool(density))
             .map(ArticleId)
             .collect()
+    }
+
+    /// Each peer's uploaders, sorted, so indexes built in different orders
+    /// compare equal.
+    fn sorted_incoming(matrix: &UploadMatrix) -> Vec<Vec<u32>> {
+        let mut incoming = matrix.incoming.clone();
+        for uploaders in &mut incoming {
+            uploaders.sort_unstable();
+        }
+        incoming
+    }
+
+    #[test]
+    fn reverse_index_holds_exactly_the_live_relations_after_whitewashes() {
+        let mut rng = StdRng::seed_from_u64(0x0B1D);
+        for _ in 0..300 {
+            let peers = rng.gen_range(1..16);
+            let mut matrix = UploadMatrix::new(peers);
+            for _ in 0..rng.gen_range(0..300) {
+                if rng.gen_bool(0.1) {
+                    matrix.clear_peer(rng.gen_range(0..peers));
+                } else {
+                    let (from, to) = (rng.gen_range(0..peers), rng.gen_range(0..peers));
+                    matrix.add(from, to, rng.gen_range(0.0..1.0));
+                }
+            }
+            let rebuilt = UploadMatrix::from_sorted_rows(matrix.sorted_rows());
+            assert_eq!(sorted_incoming(&matrix), sorted_incoming(&rebuilt));
+        }
     }
 
     #[test]

@@ -3,18 +3,19 @@
 //! The collaboration network's shared objects are articles (the paper's
 //! running example is a decentralized wiki, following the authors' earlier
 //! AIMS 2007 work on "peer-to-peer large-scale collaborative storage
-//! networks"). An article carries a revision history; peers propose *edits*
-//! which are either constructive (improve the article) or destructive
-//! (vandalism), and the voting mechanism decides whether a pending edit is
-//! accepted into a new revision or declined.
+//! networks"). Peers propose *edits* to articles, which are either
+//! constructive (improve the article) or destructive (vandalism), and the
+//! voting mechanism decides whether a pending edit is accepted into a new
+//! revision or declined.
 //!
-//! The netsim layer records only the mechanics (who authored what, which
-//! edit is pending, which revision is current); whether an edit *should* be
-//! accepted is policy and lives in the incentive layer.
+//! The netsim layer records only the mechanics, and only what the
+//! evaluation reads: each article's revision count and voter set, the
+//! edits awaiting a vote, and running outcome tallies of the decided ones.
+//! Whether an edit *should* be accepted is policy and lives in the
+//! incentive layer.
 
 use crate::peer::PeerId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of an article.
@@ -63,19 +64,10 @@ impl EditKind {
     }
 }
 
-/// Life-cycle state of an edit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum EditStatus {
-    /// Submitted, waiting for the vote to conclude.
-    Pending,
-    /// Accepted by the (weighted) majority and merged into a new revision.
-    Accepted,
-    /// Declined by the vote.
-    Declined,
-}
-
-/// A proposed change to an article.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// An edit awaiting its vote. Decided edits are not kept: the registry
+/// folds each into its outcome tallies and, if accepted, into the article's
+/// revision count and voter set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Edit {
     /// Unique identifier.
     pub id: EditId,
@@ -85,15 +77,11 @@ pub struct Edit {
     pub author: PeerId,
     /// Constructive or destructive intent.
     pub kind: EditKind,
-    /// Current status.
-    pub status: EditStatus,
-    /// Time step at which the edit was submitted.
-    pub submitted_at: u64,
-    /// Time step at which the vote concluded (if it has).
-    pub decided_at: Option<u64>,
 }
 
-/// An article with its revision history and pending edit.
+/// An article: its revision count, the peers holding voting rights on it
+/// and its pending edit. Its size is bounded by the population: the voter
+/// set holds each peer at most once, however long the run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Article {
     /// Identifier.
@@ -102,15 +90,12 @@ pub struct Article {
     pub creator: PeerId,
     /// Time step of creation.
     pub created_at: u64,
-    /// Authors of accepted revisions, in acceptance order (the creator is
-    /// revision 0). Successful editors gain the right to vote on future
-    /// changes of this article (Section III-C2).
-    pub revision_authors: Vec<PeerId>,
-    /// The distinct revision authors, sorted — `revision_authors` as a set,
-    /// maintained incrementally so the per-edit voter-pool build
-    /// ([`Article::eligible_voters_into`]) is a filtered copy instead of a
-    /// sort + dedup of the full revision history on every vote.
-    voter_set: Vec<PeerId>,
+    /// Number of accepted revisions, the creator's initial one included.
+    revisions: u64,
+    /// The distinct authors of accepted revisions (the creator included),
+    /// sorted. Successful editors gain the right to vote on future changes
+    /// of this article (Section III-C2).
+    voters: Vec<PeerId>,
     /// Number of accepted destructive edits (quality damage that slipped
     /// through the vote).
     pub accepted_destructive: u32,
@@ -127,71 +112,67 @@ impl Article {
             id,
             creator,
             created_at,
-            revision_authors: vec![creator],
-            voter_set: vec![creator],
+            revisions: 1,
+            voters: vec![creator],
             accepted_destructive: 0,
             pending_edit: None,
         }
     }
 
-    /// Rebuilds an article from its checkpointed parts. The derived voter
-    /// set is recomputed from the revision history (sorted, de-duplicated),
-    /// exactly as the incremental maintenance would have left it.
+    /// Rebuilds an article from its checkpointed parts. `voters` must be
+    /// sorted and duplicate-free, as [`Article::voters`] returns it.
     pub fn from_parts(
         id: ArticleId,
         creator: PeerId,
         created_at: u64,
-        revision_authors: Vec<PeerId>,
+        revisions: u64,
+        voters: Vec<PeerId>,
         accepted_destructive: u32,
         pending_edit: Option<EditId>,
     ) -> Self {
-        let mut voter_set = revision_authors.clone();
-        voter_set.sort_unstable();
-        voter_set.dedup();
         Self {
             id,
             creator,
             created_at,
-            revision_authors,
-            voter_set,
+            revisions,
+            voters,
             accepted_destructive,
             pending_edit,
         }
     }
 
-    /// Records an accepted revision by `author` (history plus voter set).
+    /// Records an accepted revision by `author`.
     fn record_revision(&mut self, author: PeerId) {
-        self.revision_authors.push(author);
-        if let Err(pos) = self.voter_set.binary_search(&author) {
-            self.voter_set.insert(pos, author);
+        self.revisions += 1;
+        if let Err(pos) = self.voters.binary_search(&author) {
+            self.voters.insert(pos, author);
         }
     }
 
     /// Number of accepted revisions (including the initial one).
     pub fn revision_count(&self) -> usize {
-        self.revision_authors.len()
+        self.revisions as usize
+    }
+
+    /// The peers holding voting rights on this article: every author of
+    /// an accepted revision, sorted by identifier.
+    pub fn voters(&self) -> &[PeerId] {
+        &self.voters
     }
 
     /// Whether `peer` has successfully edited (or created) this article and
     /// therefore holds voting rights on its changes.
     pub fn is_successful_editor(&self, peer: PeerId) -> bool {
-        self.voter_set.binary_search(&peer).is_ok()
+        self.voters.binary_search(&peer).is_ok()
     }
 
-    /// The set of peers eligible to vote on changes of this article,
-    /// de-duplicated, excluding the author of the edit under vote.
-    pub fn eligible_voters(&self, edit_author: PeerId) -> Vec<PeerId> {
-        let mut voters = Vec::new();
-        self.eligible_voters_into(edit_author, &mut voters);
-        voters
-    }
-
-    /// [`Article::eligible_voters`] into a caller-owned buffer (cleared
-    /// first), so per-edit hot loops reuse one allocation. Identical
-    /// contents and order.
+    /// The peers eligible to vote on a change of this article by
+    /// `edit_author`: the voter set without the author, written into a
+    /// caller-owned buffer (cleared first) so per-edit hot loops reuse one
+    /// allocation.
     pub fn eligible_voters_into(&self, edit_author: PeerId, out: &mut Vec<PeerId>) {
         out.clear();
-        out.extend(self.voter_set.iter().copied().filter(|&p| p != edit_author));
+        out.extend(self.voters.iter().copied().filter(|&p| p != edit_author));
     }
 
     /// A simple quality score in `[0, 1]`: the fraction of accepted
@@ -202,14 +183,17 @@ impl Article {
     }
 }
 
-/// The registry of all articles and edits in the network.
+/// The registry of all articles and of the edits awaiting a vote.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ArticleRegistry {
     articles: Vec<Article>,
-    edits: Vec<Edit>,
-    /// Pending edits per author, to let the policy layer limit concurrent
-    /// edits per peer cheaply.
-    pending_by_author: HashMap<PeerId, Vec<EditId>>,
+    /// Edits awaiting a vote, sorted by identifier (at most one per
+    /// article).
+    pending: Vec<Edit>,
+    /// Outcome tallies of every decided edit (`pending` stays 0 here).
+    decided: EditOutcomeCounts,
+    /// Identifier of the next submitted edit: the number submitted so far.
+    next_edit: u64,
     /// Articles without a pending edit, sorted by identifier. Maintained
     /// incrementally on every status change (article creation, edit
     /// submission, edit resolution), so the edit-vote phase's per-peer
@@ -224,21 +208,17 @@ impl ArticleRegistry {
         Self::default()
     }
 
-    /// Rebuilds a registry from checkpointed articles and edits. The
-    /// derived caches (pending edits per author, editable articles) are
-    /// recomputed: iterating edits in id order reproduces the per-author
-    /// push order, and article ids are dense so the editable filter is
-    /// already sorted.
-    pub fn from_parts(articles: Vec<Article>, edits: Vec<Edit>) -> Self {
-        let mut pending_by_author: HashMap<PeerId, Vec<EditId>> = HashMap::new();
-        for edit in &edits {
-            if edit.status == EditStatus::Pending {
-                pending_by_author
-                    .entry(edit.author)
-                    .or_default()
-                    .push(edit.id);
-            }
-        }
+    /// Rebuilds a registry from checkpointed parts: the articles, the
+    /// pending edits, the decided-edit tallies and the next edit id. The
+    /// editable cache is recomputed (article ids are dense, so the filter
+    /// is already sorted).
+    pub fn from_parts(
+        articles: Vec<Article>,
+        mut pending: Vec<Edit>,
+        decided: EditOutcomeCounts,
+        next_edit: u64,
+    ) -> Self {
+        pending.sort_unstable_by_key(|edit| edit.id);
         let editable = articles
             .iter()
             .filter(|article| article.pending_edit.is_none())
@@ -246,8 +226,12 @@ impl ArticleRegistry {
             .collect();
         Self {
             articles,
-            edits,
-            pending_by_author,
+            pending,
+            decided: EditOutcomeCounts {
+                pending: 0,
+                ..decided
+            },
+            next_edit,
             editable,
         }
     }
@@ -257,9 +241,9 @@ impl ArticleRegistry {
         self.articles.len()
     }
 
-    /// Number of edits ever submitted.
-    pub fn edit_count(&self) -> usize {
-        self.edits.len()
+    /// Number of edits ever submitted, which is also the next edit's id.
+    pub fn edit_count(&self) -> u64 {
+        self.next_edit
     }
 
     /// Creates a new article and returns its identifier.
@@ -277,24 +261,14 @@ impl ArticleRegistry {
         &self.articles[id.index()]
     }
 
-    /// Mutable access to an article.
-    pub fn article_mut(&mut self, id: ArticleId) -> &mut Article {
-        &mut self.articles[id.index()]
-    }
-
-    /// Immutable access to an edit.
-    pub fn edit(&self, id: EditId) -> &Edit {
-        &self.edits[id.0 as usize]
-    }
-
     /// Iterator over all articles.
     pub fn articles(&self) -> impl Iterator<Item = &Article> {
         self.articles.iter()
     }
 
-    /// Iterator over all edits.
-    pub fn edits(&self) -> impl Iterator<Item = &Edit> {
-        self.edits.iter()
+    /// The edits awaiting a vote, sorted by identifier.
+    pub fn pending_edits(&self) -> &[Edit] {
+        &self.pending
     }
 
     /// Submits an edit to an article. Returns `None` (and records nothing)
@@ -304,71 +278,64 @@ impl ArticleRegistry {
         article: ArticleId,
         author: PeerId,
         kind: EditKind,
-        now: u64,
     ) -> Option<EditId> {
         if self.articles[article.index()].pending_edit.is_some() {
             return None;
         }
-        let id = EditId(self.edits.len() as u64);
-        self.edits.push(Edit {
+        let id = EditId(self.next_edit);
+        self.next_edit += 1;
+        // Ids only grow, so a push keeps `pending` sorted.
+        self.pending.push(Edit {
             id,
             article,
             author,
             kind,
-            status: EditStatus::Pending,
-            submitted_at: now,
-            decided_at: None,
         });
         self.articles[article.index()].pending_edit = Some(id);
-        self.pending_by_author.entry(author).or_default().push(id);
         if let Ok(pos) = self.editable.binary_search(&article) {
             self.editable.remove(pos);
         }
         Some(id)
     }
 
-    /// Resolves a pending edit: accepted edits append their author to the
-    /// article's revision history (and count quality damage if they were
-    /// destructive); declined edits simply close.
+    /// Resolves a pending edit: an accepted edit adds a revision by its
+    /// author (and counts quality damage if it was destructive); a
+    /// declined edit simply closes. Either way the outcome is tallied.
     ///
     /// # Panics
     ///
     /// Panics if the edit is not pending.
-    pub fn resolve_edit(&mut self, id: EditId, accepted: bool, now: u64) {
-        let edit = &mut self.edits[id.0 as usize];
-        assert_eq!(edit.status, EditStatus::Pending, "edit already resolved");
-        edit.status = if accepted {
-            EditStatus::Accepted
-        } else {
-            EditStatus::Declined
-        };
-        edit.decided_at = Some(now);
-        let author = edit.author;
-        let kind = edit.kind;
-        let article_id = edit.article;
+    pub fn resolve_edit(&mut self, id: EditId, accepted: bool) {
+        let pos = self
+            .pending
+            .binary_search_by_key(&id, |edit| edit.id)
+            .expect("edit already resolved (or never submitted)");
+        let Edit {
+            article: article_id,
+            author,
+            kind,
+            ..
+        } = self.pending.remove(pos);
 
         let article = &mut self.articles[article_id.index()];
         debug_assert_eq!(article.pending_edit, Some(id));
         article.pending_edit = None;
+        let tally = match (accepted, kind) {
+            (true, EditKind::Constructive) => &mut self.decided.accepted_constructive,
+            (true, EditKind::Destructive) => &mut self.decided.accepted_destructive,
+            (false, EditKind::Constructive) => &mut self.decided.declined_constructive,
+            (false, EditKind::Destructive) => &mut self.decided.declined_destructive,
+        };
+        *tally += 1;
         if accepted {
             article.record_revision(author);
             if kind == EditKind::Destructive {
                 article.accepted_destructive += 1;
             }
         }
-        if let Some(pending) = self.pending_by_author.get_mut(&author) {
-            pending.retain(|&e| e != id);
-        }
         if let Err(pos) = self.editable.binary_search(&article_id) {
             self.editable.insert(pos, article_id);
         }
-    }
-
-    /// Number of edits a peer currently has pending across all articles.
-    pub fn pending_edits_by(&self, author: PeerId) -> usize {
-        self.pending_by_author
-            .get(&author)
-            .map_or(0, |pending| pending.len())
     }
 
     /// Articles without a pending edit (candidates for a new edit), sorted
@@ -380,20 +347,13 @@ impl ArticleRegistry {
     }
 
     /// Counts of (accepted constructive, accepted destructive, declined
-    /// constructive, declined destructive) edits — the raw numbers behind
-    /// Figures 6 and 7.
+    /// constructive, declined destructive, pending) edits — the raw numbers
+    /// behind Figures 6 and 7.
     pub fn edit_outcome_counts(&self) -> EditOutcomeCounts {
-        let mut counts = EditOutcomeCounts::default();
-        for edit in &self.edits {
-            match (edit.status, edit.kind) {
-                (EditStatus::Accepted, EditKind::Constructive) => counts.accepted_constructive += 1,
-                (EditStatus::Accepted, EditKind::Destructive) => counts.accepted_destructive += 1,
-                (EditStatus::Declined, EditKind::Constructive) => counts.declined_constructive += 1,
-                (EditStatus::Declined, EditKind::Destructive) => counts.declined_destructive += 1,
-                (EditStatus::Pending, _) => counts.pending += 1,
-            }
+        EditOutcomeCounts {
+            pending: self.pending.len() as u64,
+            ..self.decided
         }
-        counts
     }
 
     /// Mean quality over all articles.
@@ -453,6 +413,8 @@ impl EditOutcomeCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn create_article_registers_creator_as_revision_author() {
@@ -467,46 +429,53 @@ mod tests {
     }
 
     #[test]
-    fn submit_and_accept_edit_extends_revision_history() {
+    fn submit_and_accept_edit_adds_a_revision() {
         let mut reg = ArticleRegistry::new();
         let a = reg.create_article(PeerId(0), 0);
         let e = reg
-            .submit_edit(a, PeerId(1), EditKind::Constructive, 1)
+            .submit_edit(a, PeerId(1), EditKind::Constructive)
             .unwrap();
-        assert_eq!(reg.pending_edits_by(PeerId(1)), 1);
-        reg.resolve_edit(e, true, 2);
+        assert_eq!(
+            reg.pending_edits(),
+            &[Edit {
+                id: e,
+                article: a,
+                author: PeerId(1),
+                kind: EditKind::Constructive,
+            }]
+        );
+        reg.resolve_edit(e, true);
         let article = reg.article(a);
         assert_eq!(article.revision_count(), 2);
         assert!(article.is_successful_editor(PeerId(1)));
-        assert_eq!(reg.edit(e).status, EditStatus::Accepted);
-        assert_eq!(reg.edit(e).decided_at, Some(2));
-        assert_eq!(reg.pending_edits_by(PeerId(1)), 0);
+        assert!(reg.pending_edits().is_empty());
+        assert_eq!(reg.edit_outcome_counts().accepted_constructive, 1);
     }
 
     #[test]
-    fn declined_edit_does_not_extend_history() {
+    fn declined_edit_adds_no_revision() {
         let mut reg = ArticleRegistry::new();
         let a = reg.create_article(PeerId(0), 0);
         let e = reg
-            .submit_edit(a, PeerId(1), EditKind::Constructive, 1)
+            .submit_edit(a, PeerId(1), EditKind::Constructive)
             .unwrap();
-        reg.resolve_edit(e, false, 2);
+        reg.resolve_edit(e, false);
         assert_eq!(reg.article(a).revision_count(), 1);
         assert!(!reg.article(a).is_successful_editor(PeerId(1)));
-        assert_eq!(reg.edit(e).status, EditStatus::Declined);
+        assert_eq!(reg.edit_outcome_counts().declined_constructive, 1);
     }
 
     #[test]
     fn only_one_pending_edit_per_article() {
         let mut reg = ArticleRegistry::new();
         let a = reg.create_article(PeerId(0), 0);
-        let first = reg.submit_edit(a, PeerId(1), EditKind::Constructive, 1);
+        let first = reg.submit_edit(a, PeerId(1), EditKind::Constructive);
         assert!(first.is_some());
-        let second = reg.submit_edit(a, PeerId(2), EditKind::Destructive, 1);
+        let second = reg.submit_edit(a, PeerId(2), EditKind::Destructive);
         assert!(second.is_none());
-        reg.resolve_edit(first.unwrap(), true, 2);
+        reg.resolve_edit(first.unwrap(), true);
         assert!(reg
-            .submit_edit(a, PeerId(2), EditKind::Destructive, 3)
+            .submit_edit(a, PeerId(2), EditKind::Destructive)
             .is_some());
     }
 
@@ -515,9 +484,9 @@ mod tests {
         let mut reg = ArticleRegistry::new();
         let a = reg.create_article(PeerId(0), 0);
         let e = reg
-            .submit_edit(a, PeerId(1), EditKind::Destructive, 1)
+            .submit_edit(a, PeerId(1), EditKind::Destructive)
             .unwrap();
-        reg.resolve_edit(e, true, 2);
+        reg.resolve_edit(e, true);
         let article = reg.article(a);
         assert_eq!(article.accepted_destructive, 1);
         assert!(article.quality() < 1.0);
@@ -530,13 +499,15 @@ mod tests {
         let a = reg.create_article(PeerId(0), 0);
         for peer in [1u32, 2, 1] {
             let e = reg
-                .submit_edit(a, PeerId(peer), EditKind::Constructive, 1)
+                .submit_edit(a, PeerId(peer), EditKind::Constructive)
                 .unwrap();
-            reg.resolve_edit(e, true, 2);
+            reg.resolve_edit(e, true);
         }
-        let voters = reg.article(a).eligible_voters(PeerId(1));
+        assert_eq!(reg.article(a).revision_count(), 4);
+        let mut voters = vec![PeerId(7)];
+        reg.article(a).eligible_voters_into(PeerId(1), &mut voters);
         assert_eq!(voters, vec![PeerId(0), PeerId(2)]);
-        let voters = reg.article(a).eligible_voters(PeerId(9));
+        reg.article(a).eligible_voters_into(PeerId(9), &mut voters);
         assert_eq!(voters, vec![PeerId(0), PeerId(1), PeerId(2)]);
     }
 
@@ -546,19 +517,12 @@ mod tests {
         let a = reg.create_article(PeerId(0), 0);
         let b = reg.create_article(PeerId(0), 0);
         let e = reg
-            .submit_edit(a, PeerId(1), EditKind::Constructive, 1)
+            .submit_edit(a, PeerId(1), EditKind::Constructive)
             .unwrap();
         assert_eq!(reg.editable_articles(), &[b][..]);
         // Resolution re-inserts the article at its sorted position.
-        reg.resolve_edit(e, false, 2);
+        reg.resolve_edit(e, false);
         assert_eq!(reg.editable_articles(), &[a, b][..]);
-        // The cache always matches a fresh scan of the registry.
-        let scanned: Vec<ArticleId> = reg
-            .articles()
-            .filter(|article| article.pending_edit.is_none())
-            .map(|article| article.id)
-            .collect();
-        assert_eq!(reg.editable_articles(), &scanned[..]);
     }
 
     #[test]
@@ -566,19 +530,19 @@ mod tests {
         let mut reg = ArticleRegistry::new();
         let a = reg.create_article(PeerId(0), 0);
         let e1 = reg
-            .submit_edit(a, PeerId(1), EditKind::Constructive, 1)
+            .submit_edit(a, PeerId(1), EditKind::Constructive)
             .unwrap();
-        reg.resolve_edit(e1, true, 2);
+        reg.resolve_edit(e1, true);
         let e2 = reg
-            .submit_edit(a, PeerId(2), EditKind::Destructive, 3)
+            .submit_edit(a, PeerId(2), EditKind::Destructive)
             .unwrap();
-        reg.resolve_edit(e2, false, 4);
+        reg.resolve_edit(e2, false);
         let e3 = reg
-            .submit_edit(a, PeerId(3), EditKind::Constructive, 5)
+            .submit_edit(a, PeerId(3), EditKind::Constructive)
             .unwrap();
-        reg.resolve_edit(e3, false, 6);
+        reg.resolve_edit(e3, false);
         let b = reg.create_article(PeerId(0), 7);
-        reg.submit_edit(b, PeerId(4), EditKind::Destructive, 8);
+        reg.submit_edit(b, PeerId(4), EditKind::Destructive);
 
         let counts = reg.edit_outcome_counts();
         assert_eq!(counts.accepted_constructive, 1);
@@ -603,10 +567,119 @@ mod tests {
         let mut reg = ArticleRegistry::new();
         let a = reg.create_article(PeerId(0), 0);
         let e = reg
-            .submit_edit(a, PeerId(1), EditKind::Constructive, 1)
+            .submit_edit(a, PeerId(1), EditKind::Constructive)
             .unwrap();
-        reg.resolve_edit(e, true, 2);
-        reg.resolve_edit(e, true, 3);
+        reg.resolve_edit(e, true);
+        reg.resolve_edit(e, true);
+    }
+
+    /// The registry against a reference that keeps the full edit log and
+    /// every revision author, under random submit/resolve sequences: the
+    /// tallies, revision counts, voter sets, editable cache, pending edits
+    /// and next id must all be what the log implies, also after a rebuild
+    /// from the registry's own parts.
+    #[test]
+    fn matches_a_full_edit_log_under_random_sequences() {
+        let mut rng = StdRng::seed_from_u64(0xED17);
+        let mut resolved = None;
+        for _ in 0..200 {
+            let peers = rng.gen_range(1..12u32);
+            let mut reg = ArticleRegistry::new();
+            // (article, author, kind, outcome): `None` while pending.
+            let mut log: Vec<(ArticleId, PeerId, EditKind, Option<bool>)> = Vec::new();
+            let mut authors: Vec<Vec<PeerId>> = Vec::new();
+            for _ in 0..rng.gen_range(0..120) {
+                let roll = rng.gen_range(0..10);
+                if roll == 0 || reg.article_count() == 0 {
+                    let creator = PeerId(rng.gen_range(0..peers));
+                    reg.create_article(creator, 0);
+                    authors.push(vec![creator]);
+                } else if roll < 6 {
+                    let article = ArticleId(rng.gen_range(0..reg.article_count() as u32));
+                    let author = PeerId(rng.gen_range(0..peers));
+                    let kind = if rng.gen_bool(0.5) {
+                        EditKind::Constructive
+                    } else {
+                        EditKind::Destructive
+                    };
+                    let busy = log.iter().any(|e| e.0 == article && e.3.is_none());
+                    let submitted = reg.submit_edit(article, author, kind);
+                    assert_eq!(submitted.is_none(), busy);
+                    if let Some(id) = submitted {
+                        assert_eq!(id, EditId(log.len() as u64));
+                        log.push((article, author, kind, None));
+                    }
+                } else {
+                    let open: Vec<usize> = (0..log.len()).filter(|&i| log[i].3.is_none()).collect();
+                    if open.is_empty() {
+                        continue;
+                    }
+                    let id = open[rng.gen_range(0..open.len())];
+                    let accepted = rng.gen_bool(0.6);
+                    reg.resolve_edit(EditId(id as u64), accepted);
+                    log[id].3 = Some(accepted);
+                    if accepted {
+                        authors[log[id].0.index()].push(log[id].1);
+                    }
+                }
+            }
+
+            let mut expected = EditOutcomeCounts::default();
+            for &(_, _, kind, outcome) in &log {
+                let tally = match (outcome, kind) {
+                    (None, _) => &mut expected.pending,
+                    (Some(true), EditKind::Constructive) => &mut expected.accepted_constructive,
+                    (Some(true), EditKind::Destructive) => &mut expected.accepted_destructive,
+                    (Some(false), EditKind::Constructive) => &mut expected.declined_constructive,
+                    (Some(false), EditKind::Destructive) => &mut expected.declined_destructive,
+                };
+                *tally += 1;
+            }
+            let pending: Vec<Edit> = (0..log.len())
+                .filter(|&i| log[i].3.is_none())
+                .map(|i| Edit {
+                    id: EditId(i as u64),
+                    article: log[i].0,
+                    author: log[i].1,
+                    kind: log[i].2,
+                })
+                .collect();
+            let rebuilt = ArticleRegistry::from_parts(
+                reg.articles().cloned().collect(),
+                reg.pending_edits().iter().rev().copied().collect(),
+                reg.edit_outcome_counts(),
+                reg.edit_count(),
+            );
+            for reg in [&reg, &rebuilt] {
+                assert_eq!(reg.edit_outcome_counts(), expected);
+                assert_eq!(reg.edit_count(), log.len() as u64);
+                assert_eq!(reg.pending_edits(), &pending[..]);
+                for (article, history) in reg.articles().zip(&authors) {
+                    assert_eq!(article.revision_count(), history.len());
+                    let mut set = history.clone();
+                    set.sort_unstable();
+                    set.dedup();
+                    assert_eq!(article.voters(), &set[..]);
+                    let pending_here = pending.iter().find(|e| e.article == article.id);
+                    assert_eq!(article.pending_edit, pending_here.map(|e| e.id));
+                }
+                let editable: Vec<ArticleId> = reg
+                    .articles()
+                    .filter(|article| article.pending_edit.is_none())
+                    .map(|article| article.id)
+                    .collect();
+                assert_eq!(reg.editable_articles(), &editable[..]);
+            }
+            if let Some(done) = log.iter().position(|e| e.3.is_some()) {
+                resolved = Some((reg, EditId(done as u64)));
+            }
+        }
+        // A resolved edit stays resolved: resolving it again panics.
+        let (mut reg, done) = resolved.expect("some sequence resolves an edit");
+        let repeat = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            reg.resolve_edit(done, true)
+        }));
+        assert!(repeat.is_err(), "double resolution must panic");
     }
 
     #[test]

@@ -105,30 +105,31 @@ impl ChurnModel {
             && self.whitewash_probability == 0.0
     }
 
-    /// Samples the churn events for one time step given the currently
-    /// online peers. At most one event per online peer plus at most one
-    /// join is generated per step.
-    pub fn sample_step<R: Rng + ?Sized>(
+    /// Samples the churn events for one time step over the currently
+    /// online peers into `events` (cleared first). Events follow the order
+    /// of `online_peers`; at most one event per online peer plus at most
+    /// one join is generated per step.
+    pub fn sample_step_into<R: Rng + ?Sized>(
         &self,
-        online_peers: &[PeerId],
+        online_peers: impl IntoIterator<Item = PeerId>,
         rng: &mut R,
-    ) -> Vec<ChurnEvent> {
+        events: &mut Vec<ChurnEvent>,
+    ) {
         self.validate();
-        let mut events = Vec::new();
+        events.clear();
         if self.is_stable() {
-            return events;
+            return;
         }
         if rng.gen_bool(self.join_probability) {
             events.push(ChurnEvent::Join);
         }
-        for &peer in online_peers {
+        for peer in online_peers {
             if self.whitewash_probability > 0.0 && rng.gen_bool(self.whitewash_probability) {
                 events.push(ChurnEvent::Whitewash(peer));
             } else if self.leave_probability > 0.0 && rng.gen_bool(self.leave_probability) {
                 events.push(ChurnEvent::Leave(peer));
             }
         }
-        events
     }
 }
 
@@ -211,8 +212,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn peers(n: u32) -> Vec<PeerId> {
-        (0..n).map(PeerId).collect()
+    /// One step's events over the online peers `0..n`.
+    fn sample(model: &ChurnModel, n: u32, rng: &mut StdRng) -> Vec<ChurnEvent> {
+        let mut events = Vec::new();
+        model.sample_step_into((0..n).map(PeerId), rng, &mut events);
+        events
     }
 
     #[test]
@@ -220,7 +224,7 @@ mod tests {
         let model = ChurnModel::stable();
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
-            assert!(model.sample_step(&peers(50), &mut rng).is_empty());
+            assert!(sample(&model, 50, &mut rng).is_empty());
         }
         assert!(model.is_stable());
     }
@@ -233,7 +237,7 @@ mod tests {
             whitewash_probability: 0.0,
         };
         let mut rng = StdRng::seed_from_u64(2);
-        let events = model.sample_step(&peers(5), &mut rng);
+        let events = sample(&model, 5, &mut rng);
         assert_eq!(events.len(), 5);
         assert!(events.iter().all(|e| matches!(e, ChurnEvent::Leave(_))));
     }
@@ -246,7 +250,7 @@ mod tests {
             whitewash_probability: 1.0,
         };
         let mut rng = StdRng::seed_from_u64(3);
-        let events = model.sample_step(&peers(4), &mut rng);
+        let events = sample(&model, 4, &mut rng);
         assert!(events.iter().all(|e| matches!(e, ChurnEvent::Whitewash(_))));
     }
 
@@ -258,7 +262,7 @@ mod tests {
             whitewash_probability: 0.0,
         };
         let mut rng = StdRng::seed_from_u64(4);
-        let events = model.sample_step(&peers(10), &mut rng);
+        let events = sample(&model, 10, &mut rng);
         assert_eq!(events, vec![ChurnEvent::Join]);
     }
 
@@ -268,7 +272,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut total = 0usize;
         for _ in 0..200 {
-            total += model.sample_step(&peers(100), &mut rng).len();
+            total += sample(&model, 100, &mut rng).len();
         }
         // Expected ≈ 200 * (0.05 + 100*0.002) = 50; allow generous slack.
         assert!(total > 10 && total < 120, "total events {total}");
@@ -285,7 +289,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut stream = Vec::new();
             for _ in 0..300 {
-                stream.extend(model.sample_step(&peers(40), &mut rng));
+                stream.extend(sample(&model, 40, &mut rng));
             }
             stream
         };
@@ -302,10 +306,11 @@ mod tests {
         };
         let online: Vec<PeerId> = [3u32, 7, 11, 19].map(PeerId).to_vec();
         let mut rng = StdRng::seed_from_u64(9);
+        let mut events = Vec::new();
         for _ in 0..50 {
-            let events = model.sample_step(&online, &mut rng);
+            model.sample_step_into(online.iter().copied(), &mut rng, &mut events);
             let mut last_index = 0usize;
-            for event in events {
+            for &event in &events {
                 let peer = match event {
                     ChurnEvent::Leave(p) | ChurnEvent::Whitewash(p) => p,
                     ChurnEvent::Join => panic!("join probability is zero"),
@@ -326,9 +331,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(11);
         let steps = 4000;
-        let joins: usize = (0..steps)
-            .map(|_| model.sample_step(&peers(10), &mut rng).len())
-            .sum();
+        let joins: usize = (0..steps).map(|_| sample(&model, 10, &mut rng).len()).sum();
         let rate = joins as f64 / steps as f64;
         assert!(
             (rate - 0.25).abs() < 0.03,
@@ -349,7 +352,7 @@ mod tests {
         let mut leaves = 0usize;
         let mut whitewashes = 0usize;
         for _ in 0..steps {
-            for event in model.sample_step(&peers(population), &mut rng) {
+            for event in sample(&model, population, &mut rng) {
                 match event {
                     ChurnEvent::Leave(_) => leaves += 1,
                     ChurnEvent::Whitewash(_) => whitewashes += 1,
@@ -390,7 +393,7 @@ mod tests {
             whitewash_probability: 0.0,
         };
         let mut rng = StdRng::seed_from_u64(6);
-        model.sample_step(&peers(1), &mut rng);
+        sample(&model, 1, &mut rng);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod peer;
 pub mod storage;
 pub mod transfer;
 
-pub use article::{Article, ArticleId, ArticleRegistry, Edit, EditId, EditKind, EditStatus};
+pub use article::{Article, ArticleId, ArticleRegistry, Edit, EditId, EditKind};
 pub use bandwidth::{
     AllocScratch, Allocation, AllocationPolicy, BandwidthAllocator, DownloadRequest,
 };

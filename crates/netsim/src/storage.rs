@@ -15,15 +15,16 @@
 //! into a reused buffer instead of a fresh hash set per peer per step —
 //! the former allocation hot spot of the sharing phase.
 //!
-//! All three indexes are **dense vectors** addressed by the identifier:
-//! peer and article ids are small dense integers, so hashing them (the
-//! store's former `HashMap` representation) only paid SipHash on every
-//! lookup of the download and sharing hot loops. Rows grow on demand; a
-//! missing row reads as empty, exactly like an absent map entry did. The
-//! holder sets are kept sorted, so [`ArticleStore::holding_peers`] and
-//! [`ArticleStore::offering_peers`] return identifier order without a
-//! sort, matching the ordering the hash-set representation produced by
-//! sorting after collection.
+//! Both tables are **dense vectors** addressed by the peer id: peer ids
+//! are small dense integers, so hashing them (the store's former `HashMap`
+//! representation) only paid SipHash on every lookup of the download and
+//! sharing hot loops. Rows grow on demand; a missing row reads as empty,
+//! exactly like an absent map entry did. No phase asks which peers hold an
+//! article, so the store keeps no article → holders index: the per-article
+//! queries ([`ArticleStore::holding_peers`],
+//! [`ArticleStore::offering_peers`], [`ArticleStore::replication`],
+//! [`ArticleStore::availability`]) scan the peer rows instead, which
+//! yields peers in identifier order.
 
 use crate::article::ArticleId;
 use crate::peer::PeerId;
@@ -39,13 +40,19 @@ pub struct ArticleStore {
     /// [`ArticleStore::set_offered_count`], so steady-state re-offering
     /// performs no allocation.
     offered: Vec<Vec<ArticleId>>,
-    /// article index → peers holding it (inverse index, sorted).
-    holders: Vec<Vec<PeerId>>,
 }
 
 /// The row at `index`, or the empty slice when the table has no such row.
 fn row<T>(rows: &[Vec<T>], index: usize) -> &[T] {
     rows.get(index).map_or(&[], Vec::as_slice)
+}
+
+/// The peers whose row of `rows` contains `article`, ascending.
+fn peers_with(rows: &[Vec<ArticleId>], article: ArticleId) -> impl Iterator<Item = PeerId> + '_ {
+    rows.iter()
+        .enumerate()
+        .filter(move |(_, row)| row.binary_search(&article).is_ok())
+        .map(|(peer, _)| PeerId(u32::try_from(peer).expect("too many peers")))
 }
 
 /// The growable row at `index`, extending the table with empty rows as
@@ -74,22 +81,9 @@ impl ArticleStore {
         &self.offered
     }
 
-    /// Rebuilds a store from checkpointed held/offered tables. The inverse
-    /// holder index is recomputed from the held rows (iterating peers in
-    /// ascending order keeps every holder row sorted).
+    /// Rebuilds a store from checkpointed held/offered tables.
     pub fn from_rows(held: Vec<Vec<ArticleId>>, offered: Vec<Vec<ArticleId>>) -> Self {
-        let mut holders: Vec<Vec<PeerId>> = Vec::new();
-        for (peer, articles) in held.iter().enumerate() {
-            for article in articles {
-                row_mut(&mut holders, article.index())
-                    .push(PeerId(u32::try_from(peer).expect("too many peers")));
-            }
-        }
-        Self {
-            held,
-            offered,
-            holders,
-        }
+        Self { held, offered }
     }
 
     /// Records that `peer` holds a replica of `article`.
@@ -98,44 +92,25 @@ impl ArticleStore {
         if let Err(pos) = held.binary_search(&article) {
             held.insert(pos, article);
         }
-        let holders = row_mut(&mut self.holders, article.index());
-        if let Err(pos) = holders.binary_search(&peer) {
-            holders.insert(pos, peer);
-        }
     }
 
     /// Removes `peer`'s replica of `article` (also stops offering it).
     pub fn remove_replica(&mut self, peer: PeerId, article: ArticleId) {
-        if let Some(held) = self.held.get_mut(peer.index()) {
-            if let Ok(pos) = held.binary_search(&article) {
-                held.remove(pos);
-            }
-        }
-        if let Some(offered) = self.offered.get_mut(peer.index()) {
-            if let Ok(pos) = offered.binary_search(&article) {
-                offered.remove(pos);
-            }
-        }
-        if let Some(holders) = self.holders.get_mut(article.index()) {
-            if let Ok(pos) = holders.binary_search(&peer) {
-                holders.remove(pos);
+        for rows in [&mut self.held, &mut self.offered] {
+            if let Some(row) = rows.get_mut(peer.index()) {
+                if let Ok(pos) = row.binary_search(&article) {
+                    row.remove(pos);
+                }
             }
         }
     }
 
     /// Drops every replica held by `peer` (the peer left the network).
     pub fn drop_peer(&mut self, peer: PeerId) {
-        if let Some(articles) = self.held.get_mut(peer.index()) {
-            for article in std::mem::take(articles) {
-                if let Some(holders) = self.holders.get_mut(article.index()) {
-                    if let Ok(pos) = holders.binary_search(&peer) {
-                        holders.remove(pos);
-                    }
-                }
+        for rows in [&mut self.held, &mut self.offered] {
+            if let Some(row) = rows.get_mut(peer.index()) {
+                row.clear();
             }
-        }
-        if let Some(offered) = self.offered.get_mut(peer.index()) {
-            offered.clear();
         }
     }
 
@@ -186,21 +161,17 @@ impl ArticleStore {
 
     /// Peers currently offering `article`, sorted.
     pub fn offering_peers(&self, article: ArticleId) -> Vec<PeerId> {
-        row(&self.holders, article.index())
-            .iter()
-            .copied()
-            .filter(|&p| self.offers(p, article))
-            .collect()
+        peers_with(&self.offered, article).collect()
     }
 
     /// Peers holding `article` (offering or not), sorted.
     pub fn holding_peers(&self, article: ArticleId) -> Vec<PeerId> {
-        row(&self.holders, article.index()).to_vec()
+        peers_with(&self.held, article).collect()
     }
 
     /// Replication factor of an article (number of holders).
     pub fn replication(&self, article: ArticleId) -> usize {
-        row(&self.holders, article.index()).len()
+        peers_with(&self.held, article).count()
     }
 
     /// Fraction of the given articles that have at least one *offering*
@@ -211,7 +182,7 @@ impl ArticleStore {
         }
         let available = articles
             .iter()
-            .filter(|&&a| !self.offering_peers(a).is_empty())
+            .filter(|&&a| peers_with(&self.offered, a).next().is_some())
             .count();
         available as f64 / articles.len() as f64
     }

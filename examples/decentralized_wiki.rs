@@ -98,7 +98,7 @@ fn main() {
     // --- a constructive edit goes through a weighted vote -------------------
     let editor = PeerId(1);
     let edit = articles
-        .submit_edit(article, editor, EditKind::Constructive, 1)
+        .submit_edit(article, editor, EditKind::Constructive)
         .expect("no pending edit");
     let voters = [PeerId(0), PeerId(2), PeerId(7)];
     let reputations: Vec<f64> = voters
@@ -111,7 +111,7 @@ fn main() {
     let against = powers[2];
     let accepted =
         service.edit_accepted(ledger.editing_reputation(editor.index()), in_favor, against);
-    articles.resolve_edit(edit, accepted, 2);
+    articles.resolve_edit(edit, accepted);
     println!(
         "constructive edit by {editor}: in-favour power {:.2}, against {:.2} → {}",
         in_favor,
@@ -122,10 +122,8 @@ fn main() {
 
     // --- a vandal is punished ------------------------------------------------
     for round in 0..4 {
-        if let Some(bad_edit) =
-            articles.submit_edit(article, PeerId(7), EditKind::Destructive, 3 + round)
-        {
-            articles.resolve_edit(bad_edit, false, 3 + round);
+        if let Some(bad_edit) = articles.submit_edit(article, PeerId(7), EditKind::Destructive) {
+            articles.resolve_edit(bad_edit, false);
             let outcome = punishment.on_declined_edit(&mut ledger, 7);
             println!("vandal edit #{round} declined → punishment outcome: {outcome:?}");
         }
