@@ -1,10 +1,9 @@
 //! Criterion benches for the substrates the ablations exercise (ABL2's
 //! propagation algorithms and the bandwidth allocator every figure depends
-//! on): EigenTrust power iteration, MaxFlow trust, gossip averaging, DHT
-//! lookups and the reputation-weighted bandwidth allocation.
+//! on): EigenTrust power iteration, MaxFlow trust, gossip averaging and the
+//! reputation-weighted bandwidth allocation.
 
 use collabsim_netsim::bandwidth::{AllocationPolicy, BandwidthAllocator, DownloadRequest};
-use collabsim_netsim::dht::{Dht, DhtKey};
 use collabsim_netsim::peer::PeerId;
 use collabsim_reputation::attack::collusion_clique;
 use collabsim_reputation::propagation::eigentrust::EigenTrust;
@@ -36,16 +35,6 @@ fn bench_propagation(c: &mut Criterion) {
 
 fn bench_network_substrate(c: &mut Criterion) {
     let mut group = c.benchmark_group("network_substrate");
-
-    let mut dht = Dht::new(3);
-    for i in 0..256 {
-        dht.join(PeerId(i));
-    }
-    let key = DhtKey::for_article(1234);
-    dht.store(key);
-    group.bench_function("dht_lookup_256_peers", |b| {
-        b.iter(|| black_box(dht.lookup(PeerId(7), key)))
-    });
 
     let requests: Vec<DownloadRequest> = (0..50)
         .map(|i| DownloadRequest {

@@ -6,9 +6,8 @@
 //!    2 000 evaluation) at the default download rate of one attempted
 //!    download per peer per step, i.e. the download/bandwidth-competition-
 //!    dominated configuration. Runs single-cell through the shared
-//!    [`collabsim_cli::runner`] core with per-phase
-//!    [`PhaseTimings`](collabsim::pipeline::PhaseTimings) enabled; its
-//!    steps/sec is the CI-gated number.
+//!    [`collabsim_cli::runner`] core, which times every phase with a
+//!    [`TimingObserver`]; its steps/sec is the CI-gated number.
 //! 2. **The 18-cell grid** — the Section IV-B mix sweeps behind Figures 4
 //!    and 5 (9 altruistic-share points + 9 irrational-share points),
 //!    executed through the parallel [`ScenarioRunner`]; reported as grid
@@ -36,6 +35,7 @@
 
 use collabsim::experiment::ScenarioRunner;
 use collabsim::pipeline::PhaseRegistry;
+use collabsim::TimingObserver;
 use collabsim_bench::{arg_value, extract_number, has_flag};
 use collabsim_cli::runner::{gate_floor, run_spec_instrumented};
 use collabsim_cli::scenarios::{
@@ -66,8 +66,11 @@ fn run_paper_cell(quick: bool) -> PaperCellResult {
     let spec = paper_cell_spec(paper_cell_phases(quick));
     let (outcome, sim) = run_spec_instrumented(&spec, &PhaseRegistry::standard(), |_| {})
         .expect("paper cell resolves against the standard registry");
-    let phases = sim
-        .phase_timings()
+    let timings: &TimingObserver = sim
+        .observer(sim.observer_count() - 1)
+        .expect("the runner attaches a timing observer last");
+    let phases = timings
+        .timings()
         .totals()
         .iter()
         .map(|(name, duration, _)| ((*name).to_string(), duration.as_secs_f64()))

@@ -32,7 +32,7 @@
 
 use collabsim::experiment::LARGE_POPULATION_TIERS;
 use collabsim::pipeline::PhaseRegistry;
-use collabsim::Simulation;
+use collabsim::{Simulation, TimingObserver};
 use collabsim_bench::{arg_value, extract_number, has_flag, peak_rss_mb};
 use collabsim_cli::runner::{gate_floor, gate_rss_ceiling, run_spec_instrumented};
 use collabsim_cli::scenarios::scale_tier_spec;
@@ -111,8 +111,11 @@ fn run_tier(peers: usize, train: Option<u64>, eval: Option<u64>) -> TierResult {
         outcome.report.evaluation_steps, expected_eval,
         "evaluation length"
     );
-    let phases = sim
-        .phase_timings()
+    let timings: &TimingObserver = sim
+        .observer(sim.observer_count() - 1)
+        .expect("the runner attaches a timing observer last");
+    let phases = timings
+        .timings()
         .totals()
         .iter()
         .map(|(name, duration, _)| ((*name).to_string(), duration.as_secs_f64()))

@@ -55,6 +55,11 @@ mod tests {
     fn chaos_spec_resolves_only_in_the_cli_registry() {
         let spec = crate::scenarios::chaos_panic_spec();
         assert!(collabsim::Simulation::from_spec(&spec).is_err());
-        assert!(collabsim::Simulation::from_spec_with_registry(&spec, &cli_registry()).is_ok());
+        assert!(collabsim::Simulation::from_spec_with_registries(
+            &spec,
+            &cli_registry(),
+            &collabsim::AdversaryRegistry::standard()
+        )
+        .is_ok());
     }
 }

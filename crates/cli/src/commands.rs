@@ -5,7 +5,9 @@ use crate::coordinator::{CellStatus, GridOptions};
 use crate::error::CliError;
 use crate::jsonl::{JsonlObserver, JsonlSink};
 use crate::{args, chaos, coordinator, profile, runner, scenarios, training};
+use collabsim::pipeline::PhaseTimings;
 use collabsim::snapshot::{read_snapshot_file, write_snapshot_file};
+use collabsim::{Simulation, TimingObserver};
 use std::path::{Path, PathBuf};
 
 /// Parses and executes one command line, returning the process exit code.
@@ -25,6 +27,14 @@ pub fn dispatch(argv: &[String]) -> Result<i32, CliError> {
         Command::Scaffold(scaffold) => cmd_scaffold(scaffold),
         Command::Train(train) => cmd_train(train),
     }
+}
+
+/// The phase totals of a run made through [`runner`], which attaches its
+/// [`TimingObserver`] last.
+fn phase_timings(sim: &Simulation) -> &PhaseTimings {
+    sim.observer::<TimingObserver>(sim.observer_count() - 1)
+        .expect("the runner attaches a timing observer last")
+        .timings()
 }
 
 fn set_scenario_threads(threads: Option<usize>) {
@@ -95,7 +105,7 @@ fn cmd_run(run: RunArgs) -> Result<i32, CliError> {
     for line in profile::render_profile(
         outcome.total_steps,
         outcome.run_seconds,
-        sim.phase_timings(),
+        phase_timings(&sim),
     )
     .lines()
     {
@@ -144,7 +154,7 @@ fn cmd_resume(resume: ResumeArgs) -> Result<i32, CliError> {
     for line in profile::render_profile(
         outcome.total_steps,
         outcome.run_seconds,
-        sim.phase_timings(),
+        phase_timings(&sim),
     )
     .lines()
     {

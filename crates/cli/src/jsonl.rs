@@ -11,10 +11,9 @@
 //! ```
 //!
 //! `step` events are emitted every `every` steps (and always for the final
-//! step), so a 12 000-step run does not have to produce 12 000 lines. The
-//! offline build has no serde, so serialization is hand-rolled; every
-//! line is nonetheless strict JSON (CI parses the stream with a real
-//! parser).
+//! step), so a 12 000-step run does not have to produce 12 000 lines.
+//! Serialization is hand-rolled; every line is nonetheless strict JSON
+//! (CI parses the stream with a real parser).
 
 use crate::error::CliError;
 use collabsim::observer::WorldView;

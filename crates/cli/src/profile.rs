@@ -1,6 +1,6 @@
 //! The profiling summary printed after a run: throughput plus the
-//! per-phase wall-clock breakdown recorded by
-//! [`PhaseTimings`].
+//! per-phase wall-clock breakdown a
+//! [`TimingObserver`](collabsim::TimingObserver) recorded.
 
 use collabsim::pipeline::PhaseTimings;
 use std::fmt::Write as _;

@@ -7,13 +7,14 @@
 //! so a single run is timed, phase-profiled and reported the same way
 //! everywhere. Baseline files are the benches' own self-describing JSON
 //! reports; [`extract_number`] pulls a gated metric out without a JSON
-//! parser crate (the offline build has no serde).
+//! parser crate.
 
 use crate::error::CliError;
 use collabsim::pipeline::PhaseRegistry;
 use collabsim::snapshot::Snapshot;
 use collabsim::{
     AdversaryRegistry, DirStore, ScenarioSpec, Simulation, SimulationReport, SnapshotError,
+    TimingObserver,
 };
 use std::path::Path;
 use std::time::Instant;
@@ -76,34 +77,24 @@ pub fn load_spec_with_overrides(
     })
 }
 
-/// Builds and runs one spec with phase timings enabled, resolving phases
-/// against `registry`. `configure` runs after construction and before the
-/// run — attach observers there. Returns the outcome together with the
-/// finished [`Simulation`] so callers can query timings, observers and
-/// world state.
+/// Builds and runs one spec, resolving phases against `registry`.
+/// `configure` runs after construction and before the run — attach
+/// observers there; they keep indices `0..`. A [`TimingObserver`] is
+/// attached after them (the last observer), so the phase totals are
+/// read from `sim.observer::<TimingObserver>(sim.observer_count() - 1)`.
+/// Returns the outcome together with the finished [`Simulation`] so
+/// callers can query timings, observers and world state.
 pub fn run_spec_instrumented(
     spec: &ScenarioSpec,
     registry: &PhaseRegistry,
     configure: impl FnOnce(&mut Simulation),
 ) -> Result<(RunOutcome, Simulation), CliError> {
-    let total_steps = spec.config().phases.total_steps();
-    let building = Instant::now();
-    let mut sim = Simulation::from_spec_with_registry(spec, registry)
-        .map_err(|error| CliError::Spec { path: None, error })?;
-    let build_seconds = building.elapsed().as_secs_f64();
-    sim.enable_phase_timings();
-    configure(&mut sim);
-    let running = Instant::now();
-    let report = sim.run();
-    let run_seconds = running.elapsed().as_secs_f64();
-    let outcome = RunOutcome {
-        label: spec.label().to_string(),
-        total_steps,
-        build_seconds,
-        run_seconds,
-        steps_per_sec: total_steps as f64 / run_seconds,
-        report,
-    };
+    let (outcome, sim, ()) = run_timed(
+        spec.label().to_string(),
+        || build_from_spec(spec, registry),
+        configure,
+        |sim| Ok((sim.run(), ())),
+    )?;
     Ok((outcome, sim))
 }
 
@@ -130,27 +121,15 @@ pub fn run_spec_checkpointed(
 ) -> Result<(RunOutcome, Simulation, Vec<String>), CliError> {
     let mut store =
         DirStore::open(store_dir).map_err(|error| snapshot_err(Some(store_dir), error))?;
-    let total_steps = spec.config().phases.total_steps();
-    let building = Instant::now();
-    let mut sim = Simulation::from_spec_with_registry(spec, registry)
-        .map_err(|error| CliError::Spec { path: None, error })?;
-    let build_seconds = building.elapsed().as_secs_f64();
-    sim.enable_phase_timings();
-    configure(&mut sim);
-    let running = Instant::now();
-    let (report, keys) = sim
-        .run_with_checkpoints(spec, every, &mut store)
-        .map_err(|error| snapshot_err(Some(store_dir), error))?;
-    let run_seconds = running.elapsed().as_secs_f64();
-    let outcome = RunOutcome {
-        label: spec.label().to_string(),
-        total_steps,
-        build_seconds,
-        run_seconds,
-        steps_per_sec: total_steps as f64 / run_seconds,
-        report,
-    };
-    Ok((outcome, sim, keys))
+    run_timed(
+        spec.label().to_string(),
+        || build_from_spec(spec, registry),
+        configure,
+        |sim| {
+            sim.run_with_checkpoints(spec, every, &mut store)
+                .map_err(|error| snapshot_err(Some(store_dir), error))
+        },
+    )
 }
 
 /// Resumes a snapshot through the shared instrumented path: rebuilds the
@@ -158,25 +137,49 @@ pub fn run_spec_checkpointed(
 /// remaining protocol with [`Simulation::finish`]. `total_steps` (and the
 /// throughput derived from it) count only the steps *this* process
 /// executed — the remainder the resume paid for, not the checkpointed
-/// prefix.
+/// prefix. Observers are attached as in [`run_spec_instrumented`].
 pub fn resume_snapshot_instrumented(
     snapshot: &Snapshot,
     registry: &PhaseRegistry,
     configure: impl FnOnce(&mut Simulation),
 ) -> Result<(RunOutcome, Simulation), CliError> {
-    let building = Instant::now();
-    let mut sim =
-        Simulation::resume_with_registries(snapshot, registry, &AdversaryRegistry::standard())
-            .map_err(|error| snapshot_err(None, error))?;
-    let build_seconds = building.elapsed().as_secs_f64();
     let label = ScenarioSpec::parse(&snapshot.spec_text)
         .map(|spec| spec.label().to_string())
         .unwrap_or_else(|_| "resumed".to_string());
-    sim.enable_phase_timings();
+    let (outcome, sim, ()) = run_timed(
+        label,
+        || {
+            Simulation::resume_with_registries(snapshot, registry, &AdversaryRegistry::standard())
+                .map_err(|error| snapshot_err(None, error))
+        },
+        configure,
+        |sim| Ok((sim.finish(), ())),
+    )?;
+    Ok((outcome, sim))
+}
+
+fn build_from_spec(spec: &ScenarioSpec, registry: &PhaseRegistry) -> Result<Simulation, CliError> {
+    Simulation::from_spec_with_registries(spec, registry, &AdversaryRegistry::standard())
+        .map_err(|error| CliError::Spec { path: None, error })
+}
+
+/// The instrumented run behind the three entry points above: times
+/// `build`, lets `configure` attach the caller's observers, attaches the
+/// [`TimingObserver`] last, and times `run` over the steps still to go.
+fn run_timed<T>(
+    label: String,
+    build: impl FnOnce() -> Result<Simulation, CliError>,
+    configure: impl FnOnce(&mut Simulation),
+    run: impl FnOnce(&mut Simulation) -> Result<(SimulationReport, T), CliError>,
+) -> Result<(RunOutcome, Simulation, T), CliError> {
+    let building = Instant::now();
+    let mut sim = build()?;
+    let build_seconds = building.elapsed().as_secs_f64();
     configure(&mut sim);
+    sim.add_observer(TimingObserver::new());
     let total_steps = sim.remaining_steps();
     let running = Instant::now();
-    let report = sim.finish();
+    let (report, extra) = run(&mut sim)?;
     let run_seconds = running.elapsed().as_secs_f64();
     let outcome = RunOutcome {
         label,
@@ -186,7 +189,7 @@ pub fn resume_snapshot_instrumented(
         steps_per_sec: total_steps as f64 / run_seconds,
         report,
     };
-    Ok((outcome, sim))
+    Ok((outcome, sim, extra))
 }
 
 /// Extracts `"key": <number>` from a line of self-describing bench JSON

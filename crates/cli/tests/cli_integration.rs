@@ -25,6 +25,8 @@
 //! * `run --checkpoint-every --store` + `resume` reproduces the
 //!   uninterrupted report byte-for-byte; a truncated or missing snapshot
 //!   exits with `error[snapshot]` and code 3,
+//! * `run` (plain and checkpointed) and `resume` print one profile row per
+//!   phase of the spec, in pipeline order,
 //! * `grid --warm-start` workers fork from a shared equilibrated snapshot
 //!   bit-identically to in-process forks, and `grid --resume` skips
 //!   manifest-ok cells while re-dispatching failed ones.
@@ -615,6 +617,76 @@ fn cli_checkpoint_then_resume_reproduces_the_golden_report() {
         expected,
         "resumed run drifted from the uninterrupted one"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The phase names of the profile table in a `run` or `resume` stdout, in
+/// row order.
+fn profile_rows(stdout: &str) -> Vec<String> {
+    let mut lines = stdout
+        .lines()
+        .skip_while(|line| !line.starts_with("profile:"));
+    assert!(lines.next().is_some(), "no profile in stdout: {stdout}");
+    let header = lines.next().unwrap_or_default();
+    assert!(
+        header.trim_start().starts_with("phase"),
+        "no phase table under the profile line: {stdout}"
+    );
+    lines
+        .take_while(|line| line.starts_with("  "))
+        .map(|line| line.split_whitespace().next().unwrap().to_string())
+        .collect()
+}
+
+/// Every run entry point times every phase of its spec: the profile table
+/// lists each phase once, in pipeline order, and never falls back to
+/// "(no phase timings recorded)".
+#[test]
+fn run_and_resume_profile_every_phase_of_the_spec() {
+    let dir = scratch("profile-rows");
+    let store = dir.join("store");
+    let golden = repo_root().join("scenarios/golden.spec");
+    let plain = run_cli(&["run", golden.to_str().unwrap()]);
+    let checkpointed = run_cli(&[
+        "run",
+        golden.to_str().unwrap(),
+        "--checkpoint-every",
+        "100",
+        "--store",
+        store.to_str().unwrap(),
+    ]);
+    let mut snaps: Vec<PathBuf> = std::fs::read_dir(&store)
+        .unwrap()
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|ext| ext == "snap"))
+        .collect();
+    snaps.sort();
+    let resumed = run_cli(&["resume", snaps[0].to_str().unwrap()]);
+
+    let phases = golden_spec().phases().to_vec();
+    assert_eq!(
+        phases.len(),
+        6,
+        "the golden spec runs the six protocol phases"
+    );
+    for (entry_point, output) in [
+        ("run", &plain),
+        ("checkpointed run", &checkpointed),
+        ("resume", &resumed),
+    ] {
+        assert_eq!(
+            output.status.code(),
+            Some(0),
+            "{entry_point}: {}",
+            stderr_of(output)
+        );
+        let stdout = stdout_of(output);
+        assert!(
+            !stdout.contains("no phase timings recorded"),
+            "{entry_point}: {stdout}"
+        );
+        assert_eq!(profile_rows(&stdout), phases, "{entry_point}: {stdout}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

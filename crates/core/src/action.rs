@@ -13,14 +13,13 @@
 //! the mixed-radix encoding of [`collabsim_rl::space`].
 
 use collabsim_rl::space::{flatten_action, unflatten_action_into, ActionSpace};
-use serde::{Deserialize, Serialize};
 
 /// Per-dimension cardinalities of the composite action space:
 /// 3 bandwidth levels × 3 article levels × 3 edit behaviours.
 pub const ACTION_DIMS: [usize; 3] = [3, 3, 3];
 
 /// A sharing participation level (applies to bandwidth and to articles).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShareLevel {
     /// Share nothing.
     None,
@@ -72,7 +71,7 @@ impl ShareLevel {
 }
 
 /// The editing/voting behaviour chosen for a time step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EditBehavior {
     /// Neither edit nor vote this step.
     Abstain,
@@ -116,7 +115,7 @@ impl EditBehavior {
 }
 
 /// One agent's complete action for one time step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CollabAction {
     /// How much upload bandwidth to share.
     pub bandwidth: ShareLevel,

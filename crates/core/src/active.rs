@@ -27,14 +27,13 @@
 
 use collabsim_gametheory::behavior::BehaviorType;
 use collabsim_netsim::peer::PeerRegistry;
-use serde::{Deserialize, Serialize};
 
 /// A fixed-capacity packed bitset over peer indices.
 ///
 /// Iteration yields members in ascending order — the order every
 /// deterministic per-peer loop in the pipeline uses — and costs
 /// `O(population / 64 + members)` rather than `O(population)` struct loads.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PeerBitset {
     words: Vec<u64>,
     len: usize,
@@ -252,7 +251,7 @@ impl Iterator for RangeIter<'_> {
 }
 
 /// The incremental active sets the pipeline iterates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActiveSets {
     online: PeerBitset,
     learners: PeerBitset,

@@ -54,7 +54,6 @@ use collabsim_netsim::churn::ReentrySchedule;
 use collabsim_netsim::peer::PeerId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Declarative description of one adversary unit: which strategy controls
 /// how many peers, with one strategy-specific parameter.
@@ -65,7 +64,7 @@ use serde::{Deserialize, Serialize};
 /// assigned deterministically from the **top of the id range**, in list
 /// order (the first unit controls the highest ids), so the assignment is a
 /// pure function of the spec and the population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdversarySpec {
     strategy: String,
     count: usize,
@@ -1150,7 +1149,12 @@ mod tests {
             ])
             .build()
             .unwrap();
-        let mut sim = crate::engine::Simulation::from_spec_with_registry(&spec, &registry).unwrap();
+        let mut sim = crate::engine::Simulation::from_spec_with_registries(
+            &spec,
+            &registry,
+            &AdversaryRegistry::standard(),
+        )
+        .unwrap();
         sim.run();
         let unit = &sim.world().adversaries.units()[0];
         assert!(

@@ -13,11 +13,10 @@ use collabsim_rl::boltzmann::BoltzmannPolicy;
 use collabsim_rl::qlearning::{QLearningAgent, QLearningParams};
 use collabsim_rl::space::{ActionSpace, StateSpace};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// The observable state an agent conditions its policy on: its reputation
 /// bucket (the paper uses 10 buckets over `[R_min, 1]`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AgentState {
     /// The reputation bucket index in `0..reputation_states`.
     pub bucket: usize,

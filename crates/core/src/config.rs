@@ -19,7 +19,6 @@ use collabsim_reputation::propagation::PropagationScheme;
 use collabsim_reputation::punishment::PunishmentPolicy;
 use collabsim_reputation::service::ServiceParams;
 use collabsim_rl::qlearning::QLearningParams;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the optional reputation-propagation phase.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// running a concrete backend over the upload-derived trust graph. Disabled
 /// by default so the standard pipeline matches the paper's model (and the
 /// golden report) exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PropagationConfig {
     /// Which backend to run; `None` disables the phase entirely.
     pub scheme: Option<PropagationScheme>,
@@ -65,7 +64,7 @@ impl Default for PropagationConfig {
 /// propagation backend's latest output (mapped onto the `[R_min, 1]`
 /// service scale) instead of the ledger — quantifying what realistic
 /// propagation costs, especially under attack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReputationSource {
     /// Globally visible ledger reputation (the paper's assumption; the
     /// default, bit-identical to the pre-switch engine).
@@ -98,7 +97,7 @@ impl ReputationSource {
 }
 
 /// Lengths and temperatures of the two simulation phases.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseConfig {
     /// Number of training steps (paper: 10 000).
     pub training_steps: u64,
@@ -140,7 +139,7 @@ impl PhaseConfig {
 }
 
 /// Full configuration of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationConfig {
     /// Number of peers (paper: 100).
     pub population: usize,
@@ -243,7 +242,7 @@ pub struct SimulationConfig {
 }
 
 /// How the per-step download probability is derived.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DownloadRate {
     /// A fixed probability per peer per step.
     Fixed(f64),

@@ -21,12 +21,13 @@
 //! editing and voting (gated, weighted and punished by the scheme) →
 //! utility computation → Q-learning updates — plus the optional
 //! reputation-propagation phase when a backend is configured. Custom phases
-//! plug in through [`Simulation::with_pipeline`].
+//! plug in through a [`PhaseRegistry`] and a spec naming them
+//! ([`Simulation::from_spec_with_registries`]).
 
 use crate::adversary::AdversaryRegistry;
 use crate::config::SimulationConfig;
 use crate::observer::{StepObserver, WorldView};
-use crate::pipeline::{PhaseRegistry, PhaseTimings, StepContext, StepPipeline};
+use crate::pipeline::{PhaseRegistry, StepContext, StepPipeline};
 use crate::report::SimulationReport;
 use crate::snapshot::{RunStore, Snapshot, SnapshotError};
 use crate::spec::{ScenarioSpec, SpecError};
@@ -35,6 +36,7 @@ use collabsim_gametheory::behavior::BehaviorType;
 use collabsim_netsim::article::ArticleRegistry;
 use collabsim_reputation::propagation::GlobalReputation;
 use collabsim_reputation::sharded::ShardedLedger;
+use std::convert::Infallible;
 
 pub use crate::world::{ARTICLE_CONTRIBUTION_UNITS, BANDWIDTH_CONTRIBUTION_UNITS};
 
@@ -54,30 +56,28 @@ pub struct Simulation {
 
 impl Simulation {
     /// Builds the initial network state from a configuration, with the
-    /// standard Section-IV pipeline.
+    /// standard Section-IV pipeline: the configuration becomes a spec
+    /// ([`ScenarioSpec::from_config`]) built by [`Simulation::from_spec`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`SpecError`] text on an invalid configuration or
+    /// an adversary strategy the standard registry does not know.
     pub fn new(config: SimulationConfig) -> Self {
-        let pipeline = StepPipeline::standard(&config);
-        Self::with_pipeline(config, pipeline)
+        ScenarioSpec::from_config(config)
+            .and_then(|spec| Self::from_spec(&spec))
+            .unwrap_or_else(|error| panic!("{error}"))
     }
 
     /// Builds a simulation from a [`ScenarioSpec`]: the spec's phase list
-    /// is resolved against the standard [`PhaseRegistry`]. A spec whose
-    /// phase list is the default order for its configuration behaves
-    /// exactly like [`Simulation::new`] on the same configuration.
+    /// and adversary strategies are resolved against the standard
+    /// registries.
     pub fn from_spec(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        Self::from_spec_with_registry(spec, &PhaseRegistry::standard())
-    }
-
-    /// Builds a simulation from a spec, resolving phase names against a
-    /// caller-supplied registry (which may contain custom phases).
-    /// Adversary specs resolve against the standard
-    /// [`AdversaryRegistry`]; use
-    /// [`Simulation::from_spec_with_registries`] for custom strategies.
-    pub fn from_spec_with_registry(
-        spec: &ScenarioSpec,
-        registry: &PhaseRegistry,
-    ) -> Result<Self, SpecError> {
-        Self::from_spec_with_registries(spec, registry, &AdversaryRegistry::standard())
+        Self::from_spec_with_registries(
+            spec,
+            &PhaseRegistry::standard(),
+            &AdversaryRegistry::standard(),
+        )
     }
 
     /// Builds a simulation from a spec, resolving phase names *and*
@@ -99,23 +99,6 @@ impl Simulation {
             ctx,
             observers: Vec::new(),
         })
-    }
-
-    /// Builds a simulation with a custom step pipeline (e.g. extra
-    /// instrumentation phases, or a reordered protocol for ablations).
-    ///
-    /// Note that the golden determinism guarantees only cover the standard
-    /// pipeline: phases drawing from the step RNG in a different order
-    /// produce a different (still seed-deterministic) trajectory.
-    pub fn with_pipeline(config: SimulationConfig, pipeline: StepPipeline) -> Self {
-        let world = SimWorld::new(config);
-        let ctx = StepContext::new(world.population(), 0.0, 0);
-        Self {
-            world,
-            pipeline,
-            ctx,
-            observers: Vec::new(),
-        }
     }
 
     /// Attaches a [`StepObserver`]; observers fire in attachment order at
@@ -166,19 +149,6 @@ impl Simulation {
         &self.world.ledger
     }
 
-    /// Turns on per-phase wall-clock instrumentation; totals accumulate
-    /// over every subsequent step and are read via
-    /// [`Simulation::phase_timings`]. Pure observation — results are
-    /// unaffected.
-    pub fn enable_phase_timings(&mut self) {
-        self.ctx.timings.enable();
-    }
-
-    /// The per-phase wall-clock totals recorded so far.
-    pub fn phase_timings(&self) -> &PhaseTimings {
-        &self.ctx.timings
-    }
-
     /// Read access to the article registry.
     pub fn articles(&self) -> &ArticleRegistry {
         &self.world.articles
@@ -206,18 +176,9 @@ impl Simulation {
     }
 
     /// Runs the full protocol (training, reset, measured evaluation) and
-    /// returns the report.
+    /// returns the report: [`Simulation::finish`] on a fresh simulation.
     pub fn run(&mut self) -> SimulationReport {
-        for observer in &mut self.observers {
-            observer.on_run_start(WorldView::new(&self.world));
-        }
-        self.run_training();
-        self.reset_for_evaluation();
-        let report = self.run_evaluation();
-        for observer in &mut self.observers {
-            observer.on_run_end(WorldView::new(&self.world), &report);
-        }
-        report
+        self.finish()
     }
 
     /// Runs only the training phase (uniform exploration, unmeasured).
@@ -231,16 +192,6 @@ impl Simulation {
     /// The phase switch: reputation values are reset, Q-matrices are kept.
     pub fn reset_for_evaluation(&mut self) {
         self.world.reset_for_evaluation();
-    }
-
-    /// Runs the measured evaluation phase and builds the report.
-    pub fn run_evaluation(&mut self) -> SimulationReport {
-        let temperature = self.world.config.phases.evaluation_temperature;
-        for _ in 0..self.world.config.phases.evaluation_steps {
-            self.step(temperature);
-            self.world.evaluation_steps_run += 1;
-        }
-        self.world.build_report()
     }
 
     /// Advances the simulation by a single step at the given Boltzmann
@@ -295,10 +246,24 @@ impl Simulation {
 
     /// Runs the rest of the protocol from the current position — however
     /// far a resumed checkpoint got — and returns the report. On a fresh
-    /// simulation this is exactly [`Simulation::run`]; on a resumed one it
-    /// finishes the remaining training steps, performs the reputation reset
-    /// if it has not happened yet, and runs the remaining evaluation steps.
+    /// simulation this is the full protocol; on a resumed one it finishes
+    /// the remaining training steps, performs the reputation reset if it
+    /// has not happened yet, and runs the remaining evaluation steps.
     pub fn finish(&mut self) -> SimulationReport {
+        let Ok(report) = self.run_from_here(|_| Ok::<(), Infallible>(()));
+        report
+    }
+
+    /// The protocol loop behind [`Simulation::finish`] and
+    /// [`Simulation::run_with_checkpoints`]: the rest of the training
+    /// phase, the reputation reset (unless measurement has begun), the rest
+    /// of the evaluation phase, then the report. `after_step` runs after
+    /// every step (and after the evaluation counter moves); its first error
+    /// ends the run.
+    fn run_from_here<E>(
+        &mut self,
+        mut after_step: impl FnMut(&Self) -> Result<(), E>,
+    ) -> Result<SimulationReport, E> {
         for observer in &mut self.observers {
             observer.on_run_start(WorldView::new(&self.world));
         }
@@ -306,6 +271,7 @@ impl Simulation {
             let temperature = self.world.config.phases.training_temperature;
             while self.world.clock.now() < self.world.config.phases.training_steps {
                 self.step(temperature);
+                after_step(self)?;
             }
             self.reset_for_evaluation();
         }
@@ -313,12 +279,13 @@ impl Simulation {
         while self.world.evaluation_steps_run < self.world.config.phases.evaluation_steps {
             self.step(temperature);
             self.world.evaluation_steps_run += 1;
+            after_step(self)?;
         }
         let report = self.world.build_report();
         for observer in &mut self.observers {
             observer.on_run_end(WorldView::new(&self.world), &report);
         }
-        report
+        Ok(report)
     }
 
     /// Steps left before [`Simulation::finish`] would return: the
@@ -339,11 +306,11 @@ impl Simulation {
                 .saturating_sub(self.world.evaluation_steps_run)
     }
 
-    /// [`Simulation::run`] with a checkpoint written to `store` every
+    /// [`Simulation::finish`] with a checkpoint written to `store` every
     /// `every` global steps (training and evaluation alike, always at step
     /// boundaries). Returns the report and the store keys written, in
     /// chronological order. Checkpointing is pure observation — the report
-    /// is bit-identical to an uncheckpointed [`Simulation::run`].
+    /// is bit-identical to an uncheckpointed [`Simulation::finish`].
     ///
     /// # Panics
     ///
@@ -356,29 +323,12 @@ impl Simulation {
     ) -> Result<(SimulationReport, Vec<String>), SnapshotError> {
         assert!(every > 0, "checkpoint interval must be at least 1 step");
         let mut keys = Vec::new();
-        for observer in &mut self.observers {
-            observer.on_run_start(WorldView::new(&self.world));
-        }
-        let temperature = self.world.config.phases.training_temperature;
-        while self.world.clock.now() < self.world.config.phases.training_steps {
-            self.step(temperature);
-            if self.world.clock.now() % every == 0 {
-                keys.push(store.put(&self.snapshot(spec))?);
+        let report = self.run_from_here(|sim| {
+            if sim.now() % every == 0 {
+                keys.push(store.put(&sim.snapshot(spec))?);
             }
-        }
-        self.reset_for_evaluation();
-        let temperature = self.world.config.phases.evaluation_temperature;
-        while self.world.evaluation_steps_run < self.world.config.phases.evaluation_steps {
-            self.step(temperature);
-            self.world.evaluation_steps_run += 1;
-            if self.world.clock.now() % every == 0 {
-                keys.push(store.put(&self.snapshot(spec))?);
-            }
-        }
-        let report = self.world.build_report();
-        for observer in &mut self.observers {
-            observer.on_run_end(WorldView::new(&self.world), &report);
-        }
+            Ok(())
+        })?;
         Ok((report, keys))
     }
 }
@@ -388,6 +338,7 @@ mod tests {
     use super::*;
     use crate::config::PhaseConfig;
     use crate::incentive::IncentiveScheme;
+    use crate::observer::TimingObserver;
     use collabsim_gametheory::behavior::BehaviorMix;
     use collabsim_reputation::propagation::PropagationScheme;
 
@@ -605,19 +556,19 @@ mod tests {
     }
 
     #[test]
-    fn phase_timings_accumulate_across_steps_when_enabled() {
+    fn timing_observer_accumulates_across_steps_once_attached() {
         let mut sim = Simulation::new(quick_config());
         sim.step(1.0);
-        assert!(
-            sim.phase_timings().totals().is_empty(),
-            "off by default — timing is opt-in"
-        );
-        sim.enable_phase_timings();
+        sim.add_observer(TimingObserver::new());
         sim.step(1.0);
         sim.step(1.0);
-        let totals = sim.phase_timings().totals();
+        let timings: &TimingObserver = sim.observer(0).expect("attached above");
+        let totals = timings.timings().totals();
         assert_eq!(totals.len(), sim.pipeline().len());
-        assert!(totals.iter().all(|&(_, _, count)| count == 2));
+        assert!(
+            totals.iter().all(|&(_, _, count)| count == 2),
+            "steps before the observer was attached are not recorded"
+        );
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!    [`SimulationReport`]s). `Parallelism::Sequential` forces in-order
 //!    single-threaded execution for debugging and for the
 //!    parallel-equals-sequential regression tests;
-//!    [`ScenarioRunner::run_specs_with_registry`] resolves custom phases.
+//!    [`ScenarioRunner::run_specs_with_registries`] resolves custom phases
+//!    and strategies.
 //! 3. The figure helpers (`mix_sweep`, `figure3_*`, `ablation_*`) — each of
 //!    the paper's Figures 3–7 and the DESIGN.md ablations reduced to a grid
 //!    declaration plus a [`run_batch`] call, printed by the
@@ -29,7 +30,6 @@ use crate::pipeline::PhaseRegistry;
 use crate::report::SimulationReport;
 use crate::spec::{ScenarioSpec, SpecError};
 use collabsim_gametheory::behavior::{BehaviorMix, BehaviorType};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -43,7 +43,7 @@ pub const MIX_SWEEP_PERCENTAGES: [u32; 9] = [10, 20, 30, 40, 50, 60, 70, 80, 90]
 pub const LARGE_POPULATION_TIERS: [usize; 3] = [10_000, 50_000, 100_000];
 
 /// One labelled simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabelledReport {
     /// Human-readable label of the configuration (e.g. "altruistic=40%").
     pub label: String,
@@ -296,28 +296,21 @@ impl ScenarioRunner {
     }
 
     /// Runs labelled [`ScenarioSpec`]s against the standard
-    /// [`PhaseRegistry`], returning reports in input order regardless of
-    /// completion order.
+    /// [`PhaseRegistry`] and [`AdversaryRegistry`], returning reports in
+    /// input order regardless of completion order.
     pub fn run_specs(&self, specs: Vec<ScenarioSpec>) -> Result<Vec<LabelledReport>, SpecError> {
-        self.run_specs_with_registry(specs, &PhaseRegistry::standard())
-    }
-
-    /// Runs labelled [`ScenarioSpec`]s, resolving phase names against a
-    /// caller-supplied registry (which may contain custom phases) and
-    /// adversary strategies against the standard
-    /// [`AdversaryRegistry`]. Every spec is resolved up front, so an
-    /// unknown phase name fails before any simulation starts.
-    pub fn run_specs_with_registry(
-        &self,
-        specs: Vec<ScenarioSpec>,
-        registry: &PhaseRegistry,
-    ) -> Result<Vec<LabelledReport>, SpecError> {
-        self.run_specs_with_registries(specs, registry, &AdversaryRegistry::standard())
+        self.run_specs_with_registries(
+            specs,
+            &PhaseRegistry::standard(),
+            &AdversaryRegistry::standard(),
+        )
     }
 
     /// Runs labelled [`ScenarioSpec`]s, resolving phase names *and*
-    /// adversary strategy names against caller-supplied registries — the
-    /// fully pluggable runner entry point.
+    /// adversary strategy names against caller-supplied registries (which
+    /// may contain custom phases and strategies). Every spec is resolved
+    /// up front, so an unknown phase name fails before any simulation
+    /// starts.
     pub fn run_specs_with_registries(
         &self,
         specs: Vec<ScenarioSpec>,

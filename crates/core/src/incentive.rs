@@ -9,10 +9,9 @@
 //! serves the incentive run, the baseline and the TFT comparison.
 
 use collabsim_netsim::bandwidth::AllocationPolicy;
-use serde::{Deserialize, Serialize};
 
 /// Which incentive scheme governs the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IncentiveScheme {
     /// No incentives: equal bandwidth split, unweighted simple-majority
     /// voting, no editing threshold, no punishments.
@@ -93,7 +92,7 @@ impl IncentiveScheme {
 
 /// Toggles for the `abl3_service_differentiation` ablation: the full
 /// reputation-based scheme with individual mechanisms switched off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchemeAblation {
     /// Keep reputation-proportional bandwidth allocation.
     pub differentiate_bandwidth: bool,

@@ -11,8 +11,8 @@
 //!
 //! Observation is passive by construction: callbacks get `&`-references
 //! only, so attaching any number of observers can never change simulation
-//! results. The built-in [`TimingObserver`] subsumes the older
-//! [`PhaseTimings`] instrumentation through this interface.
+//! results. The built-in [`TimingObserver`] is how a run is timed per
+//! phase.
 
 use crate::pipeline::{PhaseTimings, StepContext};
 use crate::report::SimulationReport;
@@ -145,10 +145,9 @@ pub trait StepObserver: Send + std::any::Any {
     fn on_run_end(&mut self, _world: WorldView<'_>, _report: &SimulationReport) {}
 }
 
-/// An observer accumulating per-phase wall-clock totals — the
-/// [`PhaseTimings`] instrumentation expressed through the observer
-/// interface, for callers that want timings without touching the engine's
-/// built-in context instrumentation.
+/// An observer accumulating per-phase wall-clock totals into
+/// [`PhaseTimings`]: one entry per phase, in execution order, counting
+/// every step after the observer was attached.
 #[derive(Debug, Default)]
 pub struct TimingObserver {
     timings: PhaseTimings,
@@ -159,14 +158,9 @@ pub struct TimingObserver {
 }
 
 impl TimingObserver {
-    /// A fresh (enabled) timing observer.
+    /// A fresh timing observer.
     pub fn new() -> Self {
-        let mut timings = PhaseTimings::default();
-        timings.enable();
-        Self {
-            timings,
-            interned: Vec::new(),
-        }
+        Self::default()
     }
 
     /// The accumulated totals.
@@ -346,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn timing_observer_subsumes_phase_timings() {
+    fn timing_observer_records_every_phase_once_per_step() {
         let mut sim = Simulation::new(quick_config());
         sim.add_observer(TimingObserver::new());
         sim.run();

@@ -49,12 +49,11 @@
 //! behaviour.
 //!
 //! Pipelines are assembled by resolving an ordered list of phase *names*
-//! against a [`PhaseRegistry`] — [`StepPipeline::standard`] is the default
-//! name list of a configuration resolved against
-//! [`PhaseRegistry::standard`], and a
-//! [`ScenarioSpec`](crate::spec::ScenarioSpec) carries its own list, so
-//! custom phases plug in by [`PhaseRegistry::register`] + a spec naming
-//! them (or imperatively via [`StepPipeline::push`] /
+//! against a [`PhaseRegistry`]. A [`ScenarioSpec`](crate::spec::ScenarioSpec)
+//! carries its own list (by default the
+//! [`default_phase_names`](crate::spec::default_phase_names) of its
+//! configuration), so custom phases plug in by [`PhaseRegistry::register`]
+//! plus a spec naming them (or imperatively via [`StepPipeline::push`] /
 //! [`StepPipeline::insert`]) without touching the step loop.
 
 mod churn;
@@ -79,7 +78,6 @@ pub use utility::UtilityPhase;
 
 use crate::action::CollabAction;
 use crate::agent::AgentState;
-use crate::config::SimulationConfig;
 use crate::observer::{StepObserver, WorldView};
 use crate::world::SimWorld;
 use collabsim_netsim::churn::ChurnEvent;
@@ -93,31 +91,19 @@ use std::time::{Duration, Instant};
 /// by [`SharingPhase`], drained sequentially in its apply stage.
 pub type OfferPlan = (PeerId, usize);
 
-/// Cumulative per-phase wall-clock totals, recorded by
-/// [`StepPipeline::run_step_into`] when enabled.
+/// Cumulative per-phase wall-clock totals, as the
+/// [`TimingObserver`](crate::observer::TimingObserver) records them.
 ///
-/// Timing is pure observation: enabling it cannot change simulation
-/// results. Totals accumulate across steps (they survive
-/// [`StepContext::reset`]) so a whole run can be profiled with one enable
-/// call — `collabsim-bench`'s `scale_population` binary reports them per
-/// population tier.
+/// Timing is pure observation: it cannot change simulation results.
+/// Totals accumulate across steps, so a whole run is profiled by one
+/// attached observer — `collabsim-bench`'s `scale_population` binary
+/// reports them per population tier.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseTimings {
-    enabled: bool,
     entries: Vec<(&'static str, Duration, u64)>,
 }
 
 impl PhaseTimings {
-    /// Turns recording on.
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
-    /// Whether recording is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Adds `elapsed` to the phase's total.
     pub fn record(&mut self, phase: &'static str, elapsed: Duration) {
         if let Some(entry) = self.entries.iter_mut().find(|(name, _, _)| *name == phase) {
@@ -138,7 +124,7 @@ impl PhaseTimings {
         self.entries.iter().map(|(_, d, _)| *d).sum()
     }
 
-    /// Drops all recorded totals (keeps the enabled flag).
+    /// Drops all recorded totals.
     pub fn clear(&mut self) {
         self.entries.clear();
     }
@@ -202,9 +188,6 @@ pub struct StepContext {
     pub boltzmann: BoltzmannCache,
     /// The churn phase's reusable event buffer (rewritten every step).
     pub churn_events: Vec<ChurnEvent>,
-    /// Optional per-phase wall-clock instrumentation; accumulates across
-    /// steps and survives [`StepContext::reset`].
-    pub timings: PhaseTimings,
 }
 
 impl StepContext {
@@ -230,16 +213,15 @@ impl StepContext {
             vote_scratch: VoteScratch::default(),
             boltzmann: BoltzmannCache::default(),
             churn_events: Vec::new(),
-            timings: PhaseTimings::default(),
         }
     }
 
     /// Re-initialises the context for the next step without giving up any
     /// allocation: every per-peer vector is cleared and refilled in place,
     /// and the delta batches keep their bucket capacity. After a reset the
-    /// observable state is exactly that of a fresh
-    /// [`StepContext::new`] (timings excepted — they accumulate), which is
-    /// what lets the engine reuse one context across all steps of a run.
+    /// observable state is exactly that of a fresh [`StepContext::new`],
+    /// which is what lets the engine reuse one context across all steps of
+    /// a run.
     pub fn reset(&mut self, population: usize, temperature: f64, now: u64) {
         self.temperature = temperature;
         self.now = now;
@@ -299,6 +281,8 @@ pub trait StepPhase: Send + Sync {
 }
 
 /// An ordered sequence of [`StepPhase`]s constituting one simulation step.
+/// The default pipeline is empty, like [`StepPipeline::new`].
+#[derive(Default)]
 pub struct StepPipeline {
     phases: Vec<Box<dyn StepPhase>>,
 }
@@ -306,18 +290,7 @@ pub struct StepPipeline {
 impl StepPipeline {
     /// An empty pipeline (compose with [`StepPipeline::push`]).
     pub fn new() -> Self {
-        Self { phases: Vec::new() }
-    }
-
-    /// The standard pipeline for a configuration: the default phase-name
-    /// order of [`crate::spec::default_phase_names`] (the six Section-IV
-    /// protocol phases, preceded by churn and followed by propagation when
-    /// the configuration enables them) resolved against
-    /// [`PhaseRegistry::standard`].
-    pub fn standard(config: &SimulationConfig) -> Self {
-        PhaseRegistry::standard()
-            .build_pipeline(&crate::spec::default_phase_names(config), config)
-            .expect("standard phases are always registered")
+        Self::default()
     }
 
     /// Appends a phase.
@@ -369,8 +342,7 @@ impl StepPipeline {
     }
 
     /// Runs one full step into a caller-owned (reusable) context: ticks
-    /// the clock, resets `ctx` in place and executes every phase in order,
-    /// recording per-phase wall-clock when `ctx.timings` is enabled.
+    /// the clock, resets `ctx` in place and executes every phase in order.
     pub fn run_step_into(&self, world: &mut SimWorld, temperature: f64, ctx: &mut StepContext) {
         self.run_step_observed(world, temperature, ctx, &mut []);
     }
@@ -389,14 +361,11 @@ impl StepPipeline {
     ) {
         let now = world.clock.tick();
         ctx.reset(world.population(), temperature, now);
-        if ctx.timings.enabled() || !observers.is_empty() {
+        if !observers.is_empty() {
             for phase in &self.phases {
                 let started = Instant::now();
                 phase.execute(world, ctx);
                 let elapsed = started.elapsed();
-                if ctx.timings.enabled() {
-                    ctx.timings.record(phase.name(), elapsed);
-                }
                 for observer in observers.iter_mut() {
                     observer.on_phase(phase.name(), elapsed, WorldView::new(world), ctx);
                 }
@@ -412,12 +381,6 @@ impl StepPipeline {
     }
 }
 
-impl Default for StepPipeline {
-    fn default() -> Self {
-        Self::standard(&SimulationConfig::default())
-    }
-}
-
 impl std::fmt::Debug for StepPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StepPipeline")
@@ -429,7 +392,10 @@ impl std::fmt::Debug for StepPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PhaseConfig;
+    use crate::adversary::AdversaryRegistry;
+    use crate::config::{PhaseConfig, SimulationConfig};
+    use crate::observer::TimingObserver;
+    use crate::spec::ScenarioSpec;
     use collabsim_reputation::propagation::PropagationScheme;
 
     fn quick_config() -> SimulationConfig {
@@ -445,9 +411,21 @@ mod tests {
         }
     }
 
+    /// The pipeline of `config`'s default phase list.
+    fn standard_pipeline(config: &SimulationConfig) -> StepPipeline {
+        ScenarioSpec::from_config(config.clone())
+            .and_then(|spec| spec.build_pipeline())
+            .expect("default phases resolve")
+    }
+
+    fn standard_world(config: SimulationConfig) -> SimWorld {
+        SimWorld::with_adversary_registry(config, &AdversaryRegistry::standard())
+            .expect("valid configuration")
+    }
+
     #[test]
     fn standard_pipeline_has_the_six_protocol_phases() {
-        let pipeline = StepPipeline::standard(&quick_config());
+        let pipeline = standard_pipeline(&quick_config());
         assert_eq!(
             pipeline.phase_names(),
             vec![
@@ -465,7 +443,7 @@ mod tests {
     fn propagation_phase_is_added_when_configured() {
         let mut config = quick_config();
         config.propagation.scheme = Some(PropagationScheme::EigenTrust);
-        let pipeline = StepPipeline::standard(&config);
+        let pipeline = standard_pipeline(&config);
         assert_eq!(pipeline.len(), 7);
         assert_eq!(pipeline.phase_names().last(), Some(&"propagation"));
     }
@@ -482,10 +460,10 @@ mod tests {
                 world.propagation_runs += 1;
             }
         }
-        let mut pipeline = StepPipeline::standard(&quick_config());
+        let mut pipeline = standard_pipeline(&quick_config());
         pipeline.insert(0, CountingPhase);
         assert_eq!(pipeline.phase_names()[0], "counting");
-        let mut world = SimWorld::new(quick_config());
+        let mut world = standard_world(quick_config());
         pipeline.run_step(&mut world, 1.0);
         pipeline.run_step(&mut world, 1.0);
         assert_eq!(world.propagation_runs, 2);
@@ -532,9 +510,9 @@ mod tests {
     #[test]
     fn reused_context_reproduces_fresh_context_stepping() {
         let config = quick_config();
-        let pipeline = StepPipeline::standard(&config);
-        let mut world_fresh = SimWorld::new(config.clone());
-        let mut world_reused = SimWorld::new(config);
+        let pipeline = standard_pipeline(&config);
+        let mut world_fresh = standard_world(config.clone());
+        let mut world_reused = standard_world(config);
         let mut ctx = StepContext::new(world_reused.population(), 0.0, 0);
         for _ in 0..20 {
             pipeline.run_step(&mut world_fresh, 1.0);
@@ -556,28 +534,28 @@ mod tests {
     #[test]
     fn phase_timings_record_every_phase_once_per_step() {
         let config = quick_config();
-        let pipeline = StepPipeline::standard(&config);
-        let mut world = SimWorld::new(config);
+        let pipeline = standard_pipeline(&config);
+        let mut world = standard_world(config);
         let mut ctx = StepContext::new(world.population(), 0.0, 0);
-        assert!(!ctx.timings.enabled());
-        ctx.timings.enable();
-        pipeline.run_step_into(&mut world, 1.0, &mut ctx);
-        pipeline.run_step_into(&mut world, 1.0, &mut ctx);
-        let totals = ctx.timings.totals();
+        let mut observers: Vec<Box<dyn StepObserver>> = vec![Box::new(TimingObserver::new())];
+        pipeline.run_step_observed(&mut world, 1.0, &mut ctx, &mut observers);
+        pipeline.run_step_observed(&mut world, 1.0, &mut ctx, &mut observers);
+        let observer = observers[0].as_any().downcast_ref::<TimingObserver>();
+        let mut timings = observer.expect("a timing observer").timings().clone();
+        let totals = timings.totals();
         let names: Vec<&str> = totals.iter().map(|&(name, _, _)| name).collect();
         assert_eq!(names, pipeline.phase_names(), "one entry per phase");
         assert!(totals.iter().all(|&(_, _, count)| count == 2));
-        assert!(ctx.timings.total() >= totals[0].1);
-        ctx.timings.clear();
-        assert!(ctx.timings.totals().is_empty());
-        assert!(ctx.timings.enabled(), "clear keeps the flag");
+        assert!(timings.total() >= totals[0].1);
+        timings.clear();
+        assert!(timings.totals().is_empty());
     }
 
     #[test]
     fn empty_pipeline_still_ticks_the_clock() {
         let pipeline = StepPipeline::new();
         assert!(pipeline.is_empty());
-        let mut world = SimWorld::new(quick_config());
+        let mut world = standard_world(quick_config());
         pipeline.run_step(&mut world, 1.0);
         assert_eq!(world.clock.now(), 1);
     }

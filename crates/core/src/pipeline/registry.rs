@@ -213,7 +213,11 @@ mod tests {
             ..Default::default()
         };
         let pipeline = registry.build_pipeline(&["marker"], &config).unwrap();
-        let mut world = SimWorld::new(config);
+        let mut world = SimWorld::with_adversary_registry(
+            config,
+            &crate::adversary::AdversaryRegistry::standard(),
+        )
+        .unwrap();
         pipeline.run_step(&mut world, 1.0);
         assert_eq!(world.propagation_runs, 100);
     }

@@ -18,11 +18,10 @@
 
 use collabsim_gametheory::behavior::BehaviorType;
 use collabsim_netsim::article::EditOutcomeCounts;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Per-behaviour-type aggregates over the measured evaluation phase.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BehaviorBreakdown {
     /// Number of peers of this type.
     pub peers: usize,
@@ -65,7 +64,7 @@ impl BehaviorBreakdown {
 }
 
 /// The complete result of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationReport {
     /// Mean fraction of bandwidth shared per peer-step, over all peers —
     /// Figure 3/4's "percentage of shared bandwidth".

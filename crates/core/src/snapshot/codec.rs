@@ -1,10 +1,9 @@
 //! The hand-rolled binary codec behind the snapshot format.
 //!
-//! The serde façade of this workspace is a no-op offline stub, so the
-//! snapshot format writes its own bytes: little-endian fixed-width
-//! integers, `f64` via [`f64::to_bits`] (bit-exact round-trip, NaN
-//! payloads included), length-prefixed sequences and strings, and
-//! one-byte `Option` tags. Numeric columns (`f64`, `u64`, `u32` and `u8`
+//! The workspace has no serialization library, so the snapshot format
+//! writes its own bytes: little-endian fixed-width integers, `f64` via
+//! [`f64::to_bits`] (bit-exact round-trip, NaN payloads included),
+//! length-prefixed sequences and strings, and one-byte `Option` tags. Numeric columns (`f64`, `u64`, `u32` and `u8`
 //! slices) are copied as one block after their length prefix. Every read
 //! is bounds-checked and reports a typed [`SnapshotError::Corrupt`]
 //! instead of panicking, so a truncated or bit-flipped snapshot surfaces

@@ -12,8 +12,7 @@
 //! tests pin `full run ≡ half run + snapshot + restore + half run` bit for
 //! bit.
 //!
-//! The wire format is a hand-rolled little-endian binary layout (the
-//! workspace's serde is a no-op offline stub) framed as
+//! The wire format is a hand-rolled little-endian binary layout framed as
 //!
 //! ```text
 //! magic "COLLBSNP" | version u16 | payload length u64 | payload | XXH64(payload)

@@ -26,7 +26,7 @@
 //! [`ScenarioSpec::to_text`] renders the spec as a `key = value` document
 //! and [`ScenarioSpec::parse`] reads it back; the round trip is exact
 //! (floating-point values use Rust's shortest round-trippable display
-//! form). The offline build environment has no real `serde`, so the format
+//! form). The workspace has no serialization library, so the format
 //! is hand-rolled and deliberately boring:
 //!
 //! ```text

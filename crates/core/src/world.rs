@@ -603,28 +603,11 @@ pub struct SimWorld {
 
 impl SimWorld {
     /// Builds the initial network state from a configuration, resolving
-    /// adversary specs against the standard
-    /// [`AdversaryRegistry`].
+    /// adversary specs against `adversary_registry` (which may contain
+    /// custom strategies).
     ///
     /// RNG draw order (behaviour shuffle, then article seeding) is part of
     /// the determinism contract pinned by the golden-report test.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid configuration or an adversary strategy the
-    /// standard registry does not know (use
-    /// [`SimWorld::with_adversary_registry`] for custom strategies and a
-    /// typed error).
-    pub fn new(config: SimulationConfig) -> Self {
-        match Self::with_adversary_registry(config, &AdversaryRegistry::standard()) {
-            Ok(world) => world,
-            Err(error) => panic!("{error}"),
-        }
-    }
-
-    /// [`SimWorld::new`] with adversary specs resolved against a
-    /// caller-supplied registry (which may contain custom strategies),
-    /// returning a typed error instead of panicking.
     pub fn with_adversary_registry(
         config: SimulationConfig,
         adversary_registry: &AdversaryRegistry,

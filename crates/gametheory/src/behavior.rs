@@ -10,12 +10,10 @@
 //! that convention so the experiment harness and the figures use one shared
 //! definition.
 
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three standard behaviour types of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BehaviorType {
     /// Learns (via Q-learning in the simulation) to maximise its own utility.
     Rational,
@@ -53,7 +51,7 @@ impl fmt::Display for BehaviorType {
 ///
 /// Fractions always sum to 1 (within floating-point tolerance); the
 /// constructors enforce it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BehaviorMix {
     rational: f64,
     altruistic: f64,
@@ -170,31 +168,6 @@ impl BehaviorMix {
         debug_assert_eq!(out.len(), population);
         out
     }
-
-    /// Samples a behaviour type at random according to the mix.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> BehaviorType {
-        let draw: f64 = rng.gen();
-        if draw < self.rational {
-            BehaviorType::Rational
-        } else if draw < self.rational + self.altruistic {
-            BehaviorType::Altruistic
-        } else {
-            BehaviorType::Irrational
-        }
-    }
-
-    /// Which behaviour type holds the (strict) majority among altruistic and
-    /// irrational peers, if any — the quantity the paper's Figure 7 analysis
-    /// hinges on ("rational peers behave according to the majority").
-    pub fn non_rational_majority(&self) -> Option<BehaviorType> {
-        if self.altruistic > self.irrational {
-            Some(BehaviorType::Altruistic)
-        } else if self.irrational > self.altruistic {
-            Some(BehaviorType::Irrational)
-        } else {
-            None
-        }
-    }
 }
 
 impl Default for BehaviorMix {
@@ -218,8 +191,6 @@ impl fmt::Display for BehaviorMix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn sweep_splits_remainder_equally() {
@@ -288,31 +259,6 @@ mod tests {
     fn assign_all_rational() {
         let assigned = BehaviorMix::all_rational().assign(7);
         assert!(assigned.iter().all(|&b| b == BehaviorType::Rational));
-    }
-
-    #[test]
-    fn sample_respects_extreme_mix() {
-        let mix = BehaviorMix::new(0.0, 1.0, 0.0);
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..50 {
-            assert_eq!(mix.sample(&mut rng), BehaviorType::Altruistic);
-        }
-    }
-
-    #[test]
-    fn non_rational_majority_detection() {
-        assert_eq!(
-            BehaviorMix::sweep(BehaviorType::Altruistic, 0.6).non_rational_majority(),
-            Some(BehaviorType::Altruistic)
-        );
-        assert_eq!(
-            BehaviorMix::sweep(BehaviorType::Irrational, 0.6).non_rational_majority(),
-            Some(BehaviorType::Irrational)
-        );
-        assert_eq!(
-            BehaviorMix::sweep(BehaviorType::Rational, 0.5).non_rational_majority(),
-            None
-        );
     }
 
     #[test]

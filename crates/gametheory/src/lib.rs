@@ -5,48 +5,24 @@
 //! Decentralized Collaboration Networks"* (Bocek, Shann, Hausheer, Stiller —
 //! IPDPS 2008).
 //!
-//! The paper analyses its incentive scheme against the classical
-//! game-theoretic background: peers are modelled as players of a repeated
-//! game whose utility is the difference between benefit and cost of their
-//! actions, and the tit-for-tat strategy in the repeated Prisoner's Dilemma
-//! is the baseline incentive mechanism (Section II-A of the paper). This
-//! crate provides that background machinery:
+//! The paper models peers as players of a repeated game whose utility is
+//! the difference between benefit and cost of their actions (Section II-A).
+//! This crate provides the two pieces of that model the simulation uses:
 //!
-//! * [`payoff`] — normal-form games and payoff matrices,
-//! * [`prisoners`] — the (repeated) Prisoner's Dilemma,
-//! * [`strategy`] — classical repeated-game strategies (Tit-for-Tat,
-//!   Always-Cooperate, Always-Defect, Grim Trigger, Pavlov, probabilistic),
-//! * [`tournament`] — an Axelrod-style round-robin tournament runner,
-//! * [`equilibrium`] — best-response and pure Nash-equilibrium detection for
-//!   small bimatrix games,
 //! * [`utility`] — the paper's utility functions `U_S` (sharing) and `U_E`
 //!   (editing/voting), Section III-D,
 //! * [`behavior`] — the three standard behaviour types used throughout the
 //!   paper: *altruistic*, *rational* and *irrational* peers (Section II-A,
 //!   citing Shneidman & Parkes).
 //!
-//! All types are deterministic given an explicit RNG; nothing in this crate
-//! touches global state, so tournaments and utility sweeps can be evaluated
-//! from many threads at once.
+//! Nothing in this crate draws random numbers or touches global state, so
+//! utility sweeps can be evaluated from many threads at once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod behavior;
-pub mod equilibrium;
-pub mod payoff;
-pub mod prisoners;
-pub mod strategy;
-pub mod tournament;
 pub mod utility;
 
 pub use behavior::{BehaviorMix, BehaviorType};
-pub use equilibrium::{best_response_row, pure_nash_equilibria};
-pub use payoff::{BimatrixGame, PayoffMatrix};
-pub use prisoners::{PdAction, PdOutcome, PrisonersDilemma, RepeatedGame};
-pub use strategy::{
-    AlwaysCooperate, AlwaysDefect, GrimTrigger, Pavlov, RandomStrategy, Strategy, TitForTat,
-    TitForTwoTats,
-};
-pub use tournament::{Tournament, TournamentResult};
 pub use utility::{EditingUtilityParams, SharingUtilityParams, UtilityModel};

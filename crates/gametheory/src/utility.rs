@@ -17,10 +17,8 @@
 //! These utilities are the per-step rewards fed into the Q-learning agents
 //! of the simulation model.
 
-use serde::{Deserialize, Serialize};
-
 /// Coefficients of the sharing utility `U_S` (Section III-D1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SharingUtilityParams {
     /// `α`: benefit weight on the bandwidth actually received.
     pub alpha: f64,
@@ -46,7 +44,7 @@ impl Default for SharingUtilityParams {
 }
 
 /// Coefficients of the editing/voting utility `U_E` (Section III-D2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EditingUtilityParams {
     /// `δ`: reward weight per successful (accepted) edit.
     pub delta: f64,
@@ -67,7 +65,7 @@ impl Default for EditingUtilityParams {
 }
 
 /// Inputs to the sharing utility for one peer and one time step.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SharingObservation {
     /// `UP_source`: fraction of upload bandwidth shared by the source peer
     /// the observing peer downloads from (0 if it did not download).
@@ -83,7 +81,7 @@ pub struct SharingObservation {
 }
 
 /// Inputs to the editing/voting utility for one peer and one time step.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EditingObservation {
     /// `E_succ`: number of successful (accepted) edits this step.
     pub successful_edits: u32,
@@ -92,7 +90,7 @@ pub struct EditingObservation {
 }
 
 /// The complete utility model combining both resource classes.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct UtilityModel {
     /// Parameters of `U_S`.
     pub sharing: SharingUtilityParams,

@@ -15,11 +15,10 @@
 //! incentive layer.
 
 use crate::peer::PeerId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an article.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ArticleId(pub u32);
 
 impl ArticleId {
@@ -36,7 +35,7 @@ impl fmt::Display for ArticleId {
 }
 
 /// Identifier of an edit (unique across all articles).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EditId(pub u64);
 
 /// Whether an edit improves or damages the article.
@@ -46,7 +45,7 @@ pub struct EditId(pub u64);
 /// intent of the acting peer (altruistic/rational peers acting
 /// constructively vs. irrational peers vandalising) so the evaluation can
 /// report the constructive/destructive ratios of Figures 6 and 7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EditKind {
     /// The edit improves the article's quality.
     Constructive,
@@ -54,20 +53,10 @@ pub enum EditKind {
     Destructive,
 }
 
-impl EditKind {
-    /// Short label used in CSV output.
-    pub fn label(self) -> &'static str {
-        match self {
-            EditKind::Constructive => "constructive",
-            EditKind::Destructive => "destructive",
-        }
-    }
-}
-
 /// An edit awaiting its vote. Decided edits are not kept: the registry
 /// folds each into its outcome tallies and, if accepted, into the article's
 /// revision count and voter set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edit {
     /// Unique identifier.
     pub id: EditId,
@@ -82,7 +71,7 @@ pub struct Edit {
 /// An article: its revision count, the peers holding voting rights on it
 /// and its pending edit. Its size is bounded by the population: the voter
 /// set holds each peer at most once, however long the run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Article {
     /// Identifier.
     pub id: ArticleId,
@@ -184,7 +173,7 @@ impl Article {
 }
 
 /// The registry of all articles and of the edits awaiting a vote.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ArticleRegistry {
     articles: Vec<Article>,
     /// Edits awaiting a vote, sorted by identifier (at most one per
@@ -366,7 +355,7 @@ impl ArticleRegistry {
 }
 
 /// Aggregated edit outcomes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EditOutcomeCounts {
     /// Constructive edits accepted by the vote.
     pub accepted_constructive: u64,
@@ -685,7 +674,5 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(format!("{}", ArticleId(4)), "article#4");
-        assert_eq!(EditKind::Constructive.label(), "constructive");
-        assert_eq!(EditKind::Destructive.label(), "destructive");
     }
 }

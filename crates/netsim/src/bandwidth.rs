@@ -20,11 +20,9 @@
 //! while any downloader could still use it.
 
 use crate::peer::PeerId;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A request by `downloader` to download from a source during one step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DownloadRequest {
     /// The requesting peer.
     pub downloader: PeerId,
@@ -39,7 +37,7 @@ pub struct DownloadRequest {
 }
 
 /// How a source's upload bandwidth is divided among its downloaders.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocationPolicy {
     /// Every downloader gets an equal share (no incentive).
     EqualSplit,
@@ -51,7 +49,7 @@ pub enum AllocationPolicy {
 }
 
 /// One downloader's allocation result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Allocation {
     /// The downloader.
     pub downloader: PeerId,
@@ -78,7 +76,7 @@ pub struct AllocScratch {
 }
 
 /// The bandwidth allocator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BandwidthAllocator {
     policy: AllocationPolicy,
 }
@@ -87,11 +85,6 @@ impl BandwidthAllocator {
     /// Creates an allocator with the given policy.
     pub fn new(policy: AllocationPolicy) -> Self {
         Self { policy }
-    }
-
-    /// The policy in use.
-    pub fn policy(&self) -> AllocationPolicy {
-        self.policy
     }
 
     /// Raw (pre-capacity) shares for a request set according to the
@@ -211,18 +204,6 @@ impl BandwidthAllocator {
             &mut out,
         );
         out
-    }
-
-    /// Convenience: allocation results keyed by downloader.
-    pub fn allocate_map(
-        &self,
-        offered_upload: f64,
-        requests: &[DownloadRequest],
-    ) -> HashMap<PeerId, Allocation> {
-        self.allocate(offered_upload, requests)
-            .into_iter()
-            .map(|a| (a.downloader, a))
-            .collect()
     }
 }
 
@@ -403,16 +384,6 @@ mod tests {
                 assert_eq!(got.bandwidth.to_bits(), want.bandwidth.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn allocate_map_keys_by_downloader() {
-        let alloc = BandwidthAllocator::new(AllocationPolicy::EqualSplit);
-        let reqs = [request(7, 0.5), request(9, 0.5)];
-        let map = alloc.allocate_map(1.0, &reqs);
-        assert_eq!(map.len(), 2);
-        assert!(map.contains_key(&PeerId(7)));
-        assert!((map[&PeerId(9)].bandwidth - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -10,10 +10,9 @@
 
 use crate::peer::PeerId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One churn event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnEvent {
     /// A brand-new peer joins the network.
     Join,
@@ -25,7 +24,7 @@ pub enum ChurnEvent {
 }
 
 /// Per-step churn probabilities.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnModel {
     /// Probability that a new peer joins in a given step.
     pub join_probability: f64,
@@ -174,16 +173,6 @@ impl ReentrySchedule {
         self.entries.truncate(kept);
     }
 
-    /// The earliest step any queued entry is due at.
-    pub fn next_due(&self) -> Option<u64> {
-        self.entries.iter().map(|&(at, _)| at).min()
-    }
-
-    /// Whether `peer` has at least one queued entry.
-    pub fn is_scheduled(&self, peer: PeerId) -> bool {
-        self.entries.iter().any(|&(_, p)| p == peer)
-    }
-
     /// The queued `(due step, peer)` entries in scheduling order, for
     /// checkpointing.
     pub fn entries(&self) -> &[(u64, PeerId)] {
@@ -193,16 +182,6 @@ impl ReentrySchedule {
     /// Rebuilds a schedule from checkpointed entries, preserving order.
     pub fn from_entries(entries: Vec<(u64, PeerId)>) -> Self {
         Self { entries }
-    }
-
-    /// Number of queued entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no entries are queued.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -399,15 +378,14 @@ mod tests {
     #[test]
     fn reentry_schedule_drains_due_entries_in_scheduling_order() {
         let mut schedule = ReentrySchedule::new();
-        assert!(schedule.is_empty());
-        assert_eq!(schedule.next_due(), None);
+        assert!(schedule.entries().is_empty());
         schedule.schedule(10, PeerId(3));
         schedule.schedule(5, PeerId(1));
         schedule.schedule(10, PeerId(2));
-        assert_eq!(schedule.len(), 3);
-        assert_eq!(schedule.next_due(), Some(5));
-        assert!(schedule.is_scheduled(PeerId(1)));
-        assert!(!schedule.is_scheduled(PeerId(9)));
+        assert_eq!(
+            schedule.entries(),
+            &[(10, PeerId(3)), (5, PeerId(1)), (10, PeerId(2))]
+        );
 
         let mut due = Vec::new();
         schedule.drain_due(4, &mut due);
@@ -418,7 +396,7 @@ mod tests {
         // Both step-10 entries fire together, in the order they were queued.
         schedule.drain_due(11, &mut due);
         assert_eq!(due, vec![PeerId(3), PeerId(2)]);
-        assert!(schedule.is_empty());
+        assert!(schedule.entries().is_empty());
     }
 
     #[test]
@@ -429,8 +407,9 @@ mod tests {
         let mut due = Vec::new();
         schedule.drain_due(2, &mut due);
         assert_eq!(due, vec![PeerId(7)]);
-        assert!(
-            schedule.is_scheduled(PeerId(7)),
+        assert_eq!(
+            schedule.entries(),
+            &[(4, PeerId(7))],
             "second entry still queued"
         );
         due.clear();

@@ -4,10 +4,8 @@
 //! substrate and the incentive layer share one [`SimClock`] so step counts,
 //! phase boundaries (training vs. evaluation) and decay bookkeeping agree.
 
-use serde::{Deserialize, Serialize};
-
 /// A monotonically advancing discrete clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimClock {
     now: u64,
 }
@@ -33,17 +31,6 @@ impl SimClock {
         self.now += 1;
         self.now
     }
-
-    /// Advances the clock by `steps`.
-    pub fn advance(&mut self, steps: u64) -> u64 {
-        self.now += steps;
-        self.now
-    }
-
-    /// Number of steps elapsed since `earlier` (saturating).
-    pub fn elapsed_since(&self, earlier: u64) -> u64 {
-        self.now.saturating_sub(earlier)
-    }
 }
 
 #[cfg(test)]
@@ -60,11 +47,9 @@ mod tests {
     }
 
     #[test]
-    fn advance_and_elapsed() {
+    fn starting_at_resumes_the_count() {
         let mut c = SimClock::starting_at(10);
-        c.advance(5);
-        assert_eq!(c.now(), 15);
-        assert_eq!(c.elapsed_since(12), 3);
-        assert_eq!(c.elapsed_since(100), 0);
+        assert_eq!(c.now(), 10);
+        assert_eq!(c.tick(), 11);
     }
 }

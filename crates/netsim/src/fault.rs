@@ -22,7 +22,6 @@
 
 use crate::peer::{PeerId, PeerRegistry};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Bounded retry budget per transfer: a transfer whose grant is lost more
@@ -77,7 +76,7 @@ impl std::error::Error for LinkModelError {}
 /// Per-step connection-state transition probabilities of a non-ideal link
 /// model, drawn from the dedicated `net_rng` stream (one draw per peer per
 /// step, online or not, so the draw count never depends on network state).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConnectionRates {
     /// P(Connected → Degraded) per step.
     pub degrade: f64,
@@ -97,7 +96,7 @@ pub struct ConnectionRates {
 /// `Disconnected` removes the peer from the upload-source pool entirely
 /// (its downloaders re-draw from the remaining sources instead of
 /// stalling).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConnectionState {
     /// Fully reachable (the only state under `network = ideal`).
     #[default]
@@ -115,7 +114,7 @@ pub enum ConnectionState {
 /// The text form is `<model>[,param…]` (see [`LinkModel::label`] /
 /// [`LinkModel::from_label`]); `ideal` is the default and is guaranteed to
 /// be bit-identical to the engine without any fault layer.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LinkModel {
     /// No latency, no loss, no connection churn — the paper's network.
     #[default]
@@ -287,17 +286,6 @@ impl LinkModel {
         }
     }
 
-    /// Panicking shim around [`LinkModel::check`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range parameters.
-    pub fn validate(&self) {
-        if let Err(message) = self.check() {
-            panic!("{message}");
-        }
-    }
-
     /// Per-link latency in steps: how long after a transfer starts its
     /// grants begin to arrive. A pure function of `(seed, downloader,
     /// source)` — no RNG stream is consumed, so the latency of a link is
@@ -451,7 +439,7 @@ mod tests {
         for model in models {
             let label = model.label();
             assert_eq!(LinkModel::from_label(&label), Ok(model), "label: {label}");
-            model.validate();
+            assert!(model.check().is_ok(), "label: {label}");
         }
     }
 

@@ -10,11 +10,8 @@
 //! * [`peer`] — peer identities and per-peer resource state (bandwidth,
 //!   storage, online status),
 //! * [`article`] — articles, revisions, pending edits and their life cycle,
-//! * [`overlay`] — the unstructured overlay graph connecting the peers
-//!   (random and Watts–Strogatz small-world topologies),
-//! * [`dht`] — a structured key-based article-location layer (XOR-metric
-//!   lookup à la Kademlia) realizing the "fully decentralized" storage of
-//!   article replicas,
+//! * [`dht`] — the key-based article placement (Kademlia's XOR metric)
+//!   realizing the "fully decentralized" storage of article replicas,
 //! * [`bandwidth`] — upload-bandwidth allocation among concurrent
 //!   downloaders (the resource the incentive scheme differentiates),
 //! * [`transfer`] — multi-step download sessions driven by the allocator,
@@ -23,9 +20,7 @@
 //! * [`churn`] — peer join/leave/whitewash dynamics,
 //! * [`fault`] — fault injection: spec-selectable link models (latency,
 //!   loss, regional clusters) and the peer connection-state lifecycle,
-//! * [`clock`] — the discrete time-step clock shared by all components,
-//! * [`metrics`] — network-level counters (shared articles, shared
-//!   bandwidth, transfer completions) the evaluation reads out.
+//! * [`clock`] — the discrete time-step clock shared by all components.
 //!
 //! The substrate is deliberately independent of the reputation/incentive
 //! layer: it exposes *mechanism* (who can upload how much to whom), while
@@ -41,8 +36,6 @@ pub mod churn;
 pub mod clock;
 pub mod dht;
 pub mod fault;
-pub mod metrics;
-pub mod overlay;
 pub mod peer;
 pub mod storage;
 pub mod transfer;
@@ -53,13 +46,11 @@ pub use bandwidth::{
 };
 pub use churn::{ChurnEvent, ChurnModel};
 pub use clock::SimClock;
-pub use dht::{Dht, DhtKey};
+pub use dht::DhtKey;
 pub use fault::{
     step_connections, ConnectionRates, ConnectionState, LinkModel, LinkModelError,
     BACKOFF_BASE_STEPS, MAX_TRANSFER_RETRIES, TRANSFER_TIMEOUT_STEPS,
 };
-pub use metrics::NetworkMetrics;
-pub use overlay::{Overlay, Topology};
 pub use peer::{Peer, PeerId, PeerRegistry};
 pub use storage::ArticleStore;
 pub use transfer::{Transfer, TransferManager, TransferStatus};

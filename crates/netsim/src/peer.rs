@@ -8,7 +8,6 @@
 //! and hands out dense [`PeerId`]s.
 
 use crate::fault::ConnectionState;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense peer identifier.
@@ -16,7 +15,7 @@ use std::fmt;
 /// `PeerId`s are indices into the [`PeerRegistry`]; they stay stable for the
 /// lifetime of a simulation (whitewashing creates a *new* identity rather
 /// than reusing an old one, matching how real P2P identities work).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PeerId(pub u32);
 
 impl PeerId {
@@ -33,7 +32,7 @@ impl fmt::Display for PeerId {
 }
 
 /// Per-peer resource state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Peer {
     /// The peer's identifier.
     pub id: PeerId,
@@ -74,30 +73,6 @@ impl Peer {
         }
     }
 
-    /// Creates a peer with explicit capacities (heterogeneous-population
-    /// extension; the paper itself uses homogeneous peers).
-    pub fn with_capacities(
-        id: PeerId,
-        joined_at: u64,
-        upload_capacity: f64,
-        download_capacity: f64,
-        storage_capacity: u32,
-    ) -> Self {
-        assert!(upload_capacity >= 0.0, "upload capacity must be >= 0");
-        assert!(download_capacity >= 0.0, "download capacity must be >= 0");
-        Self {
-            id,
-            upload_capacity,
-            download_capacity,
-            storage_capacity,
-            shared_upload_fraction: 0.0,
-            shared_articles: 0,
-            online: true,
-            connection: ConnectionState::Connected,
-            joined_at,
-        }
-    }
-
     /// The absolute upload bandwidth the peer currently offers:
     /// `shared_upload_fraction · upload_capacity`.
     pub fn offered_upload(&self) -> f64 {
@@ -105,15 +80,6 @@ impl Peer {
             self.shared_upload_fraction * self.upload_capacity
         } else {
             0.0
-        }
-    }
-
-    /// Fraction of storage currently used for shared articles.
-    pub fn storage_utilisation(&self) -> f64 {
-        if self.storage_capacity == 0 {
-            0.0
-        } else {
-            f64::from(self.shared_articles) / f64::from(self.storage_capacity)
         }
     }
 
@@ -134,7 +100,7 @@ impl Peer {
 }
 
 /// The population of peers.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PeerRegistry {
     peers: Vec<Peer>,
 }
@@ -185,25 +151,6 @@ impl PeerRegistry {
         id
     }
 
-    /// Adds a new peer with explicit capacities.
-    pub fn join_with_capacities(
-        &mut self,
-        now: u64,
-        upload_capacity: f64,
-        download_capacity: f64,
-        storage_capacity: u32,
-    ) -> PeerId {
-        let id = PeerId(u32::try_from(self.peers.len()).expect("too many peers"));
-        self.peers.push(Peer::with_capacities(
-            id,
-            now,
-            upload_capacity,
-            download_capacity,
-            storage_capacity,
-        ));
-        id
-    }
-
     /// Immutable access to a peer.
     ///
     /// # Panics
@@ -228,39 +175,9 @@ impl PeerRegistry {
         self.peers.iter().filter(|p| p.online)
     }
 
-    /// Identifiers of all peers currently offering at least one article or
-    /// some upload bandwidth — the set `N_S` whose size determines the
-    /// per-step download probability `P = 1 / N_S` in the simulation model.
-    pub fn sharing_peers(&self) -> Vec<PeerId> {
-        self.peers
-            .iter()
-            .filter(|p| p.is_sharing())
-            .map(|p| p.id)
-            .collect()
-    }
-
     /// Marks a peer offline (churn).
     pub fn set_online(&mut self, id: PeerId, online: bool) {
         self.peers[id.index()].online = online;
-    }
-
-    /// Average shared upload fraction over online peers (a headline metric
-    /// of the paper's Figures 3–5).
-    pub fn mean_shared_upload_fraction(&self) -> f64 {
-        let online: Vec<_> = self.online().collect();
-        if online.is_empty() {
-            return 0.0;
-        }
-        online.iter().map(|p| p.shared_upload_fraction).sum::<f64>() / online.len() as f64
-    }
-
-    /// Average storage utilisation over online peers.
-    pub fn mean_storage_utilisation(&self) -> f64 {
-        let online: Vec<_> = self.online().collect();
-        if online.is_empty() {
-            return 0.0;
-        }
-        online.iter().map(|p| p.storage_utilisation()).sum::<f64>() / online.len() as f64
     }
 }
 
@@ -314,47 +231,8 @@ mod tests {
         let mut p = Peer::new(PeerId(0), 0);
         p.set_shared_articles(250);
         assert_eq!(p.shared_articles, 100);
-        assert_eq!(p.storage_utilisation(), 1.0);
         p.set_shared_articles(50);
-        assert_eq!(p.storage_utilisation(), 0.5);
-    }
-
-    #[test]
-    fn sharing_peers_listed_correctly() {
-        let mut r = PeerRegistry::with_population(4);
-        r.peer_mut(PeerId(1)).set_shared_articles(10);
-        r.peer_mut(PeerId(2)).set_shared_upload_fraction(0.5);
-        r.peer_mut(PeerId(3)).set_shared_articles(10);
-        r.set_online(PeerId(3), false);
-        let sharing = r.sharing_peers();
-        assert_eq!(sharing, vec![PeerId(1), PeerId(2)]);
-    }
-
-    #[test]
-    fn mean_metrics_ignore_offline_peers() {
-        let mut r = PeerRegistry::with_population(3);
-        r.peer_mut(PeerId(0)).set_shared_upload_fraction(1.0);
-        r.peer_mut(PeerId(1)).set_shared_upload_fraction(0.0);
-        r.peer_mut(PeerId(2)).set_shared_upload_fraction(1.0);
-        r.set_online(PeerId(2), false);
-        assert!((r.mean_shared_upload_fraction() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_metrics_empty_registry() {
-        let r = PeerRegistry::new();
-        assert_eq!(r.mean_shared_upload_fraction(), 0.0);
-        assert_eq!(r.mean_storage_utilisation(), 0.0);
-    }
-
-    #[test]
-    fn heterogeneous_capacities() {
-        let mut r = PeerRegistry::new();
-        let id = r.join_with_capacities(0, 2.0, 4.0, 10);
-        let p = r.peer(id);
-        assert_eq!(p.upload_capacity, 2.0);
-        assert_eq!(p.download_capacity, 4.0);
-        assert_eq!(p.storage_capacity, 10);
+        assert_eq!(p.shared_articles, 50);
     }
 
     #[test]

@@ -5,33 +5,29 @@
 //! articles it holds to offer for download, and the network as a whole needs
 //! every article to stay available even though individual peers churn.
 //! [`ArticleStore`] tracks which peer holds which article replicas and how
-//! many it currently *offers*, and computes the availability metrics the
-//! experiments report.
+//! many it currently *offers*.
 //!
 //! Held and offered sets are stored as **sorted vectors**: every consumer
 //! (the sharing phase's offered-prefix rule, the download phase's article
-//! pick, the availability metrics) wants identifier order anyway, and the
-//! sorted representation makes the per-step re-offer a prefix `memcpy`
-//! into a reused buffer instead of a fresh hash set per peer per step —
-//! the former allocation hot spot of the sharing phase.
+//! pick) wants identifier order anyway, and the sorted representation makes
+//! the per-step re-offer a prefix `memcpy` into a reused buffer instead of
+//! a fresh hash set per peer per step — the former allocation hot spot of
+//! the sharing phase.
 //!
 //! Both tables are **dense vectors** addressed by the peer id: peer ids
 //! are small dense integers, so hashing them (the store's former `HashMap`
 //! representation) only paid SipHash on every lookup of the download and
 //! sharing hot loops. Rows grow on demand; a missing row reads as empty,
 //! exactly like an absent map entry did. No phase asks which peers hold an
-//! article, so the store keeps no article → holders index: the per-article
-//! queries ([`ArticleStore::holding_peers`],
-//! [`ArticleStore::offering_peers`], [`ArticleStore::replication`],
-//! [`ArticleStore::availability`]) scan the peer rows instead, which
+//! article, so the store keeps no article → holders index:
+//! [`ArticleStore::holding_peers`] scans the peer rows instead, which
 //! yields peers in identifier order.
 
 use crate::article::ArticleId;
 use crate::peer::PeerId;
-use serde::{Deserialize, Serialize};
 
 /// Replica placement and offering state across the population.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ArticleStore {
     /// peer index → articles it physically holds, sorted by identifier.
     held: Vec<Vec<ArticleId>>,
@@ -45,14 +41,6 @@ pub struct ArticleStore {
 /// The row at `index`, or the empty slice when the table has no such row.
 fn row<T>(rows: &[Vec<T>], index: usize) -> &[T] {
     rows.get(index).map_or(&[], Vec::as_slice)
-}
-
-/// The peers whose row of `rows` contains `article`, ascending.
-fn peers_with(rows: &[Vec<ArticleId>], article: ArticleId) -> impl Iterator<Item = PeerId> + '_ {
-    rows.iter()
-        .enumerate()
-        .filter(move |(_, row)| row.binary_search(&article).is_ok())
-        .map(|(peer, _)| PeerId(u32::try_from(peer).expect("too many peers")))
 }
 
 /// The growable row at `index`, extending the table with empty rows as
@@ -94,41 +82,9 @@ impl ArticleStore {
         }
     }
 
-    /// Removes `peer`'s replica of `article` (also stops offering it).
-    pub fn remove_replica(&mut self, peer: PeerId, article: ArticleId) {
-        for rows in [&mut self.held, &mut self.offered] {
-            if let Some(row) = rows.get_mut(peer.index()) {
-                if let Ok(pos) = row.binary_search(&article) {
-                    row.remove(pos);
-                }
-            }
-        }
-    }
-
-    /// Drops every replica held by `peer` (the peer left the network).
-    pub fn drop_peer(&mut self, peer: PeerId) {
-        for rows in [&mut self.held, &mut self.offered] {
-            if let Some(row) = rows.get_mut(peer.index()) {
-                row.clear();
-            }
-        }
-    }
-
     /// Number of replicas `peer` holds.
     pub fn held_count(&self, peer: PeerId) -> usize {
         row(&self.held, peer.index()).len()
-    }
-
-    /// Number of replicas `peer` currently offers.
-    pub fn offered_count(&self, peer: PeerId) -> usize {
-        row(&self.offered, peer.index()).len()
-    }
-
-    /// Whether `peer` currently offers `article`.
-    pub fn offers(&self, peer: PeerId, article: ArticleId) -> bool {
-        row(&self.offered, peer.index())
-            .binary_search(&article)
-            .is_ok()
     }
 
     /// Sets how many of its held articles `peer` offers: the first
@@ -159,42 +115,14 @@ impl ArticleStore {
         row(&self.held, peer.index())
     }
 
-    /// Peers currently offering `article`, sorted.
-    pub fn offering_peers(&self, article: ArticleId) -> Vec<PeerId> {
-        peers_with(&self.offered, article).collect()
-    }
-
     /// Peers holding `article` (offering or not), sorted.
     pub fn holding_peers(&self, article: ArticleId) -> Vec<PeerId> {
-        peers_with(&self.held, article).collect()
-    }
-
-    /// Replication factor of an article (number of holders).
-    pub fn replication(&self, article: ArticleId) -> usize {
-        peers_with(&self.held, article).count()
-    }
-
-    /// Fraction of the given articles that have at least one *offering*
-    /// holder — the availability metric.
-    pub fn availability(&self, articles: &[ArticleId]) -> f64 {
-        if articles.is_empty() {
-            return 1.0;
-        }
-        let available = articles
+        self.held
             .iter()
-            .filter(|&&a| peers_with(&self.offered, a).next().is_some())
-            .count();
-        available as f64 / articles.len() as f64
-    }
-
-    /// Total number of offered replicas across the network.
-    pub fn total_offered(&self) -> usize {
-        self.offered.iter().map(Vec::len).sum()
-    }
-
-    /// Total number of held replicas across the network.
-    pub fn total_held(&self) -> usize {
-        self.held.iter().map(Vec::len).sum()
+            .enumerate()
+            .filter(|(_, row)| row.binary_search(&article).is_ok())
+            .map(|(peer, _)| PeerId(u32::try_from(peer).expect("too many peers")))
+            .collect()
     }
 }
 
@@ -214,9 +142,7 @@ mod tests {
         s.add_replica(PeerId(1), ArticleId(1));
         assert_eq!(s.held_count(PeerId(0)), 2);
         assert_eq!(s.held_by(PeerId(1)), &[ArticleId(1)]);
-        assert_eq!(s.replication(ArticleId(1)), 2);
         assert_eq!(s.holding_peers(ArticleId(1)), vec![PeerId(0), PeerId(1)]);
-        assert_eq!(s.total_held(), 3);
     }
 
     #[test]
@@ -225,7 +151,6 @@ mod tests {
         s.add_replica(PeerId(0), ArticleId(3));
         s.add_replica(PeerId(0), ArticleId(3));
         assert_eq!(s.held_count(PeerId(0)), 1);
-        assert_eq!(s.total_held(), 1);
     }
 
     #[test]
@@ -236,9 +161,7 @@ mod tests {
         }
         let offered = s.set_offered_count(PeerId(0), 3);
         assert_eq!(offered, 3);
-        assert_eq!(s.offered_count(PeerId(0)), 3);
-        assert!(s.offers(PeerId(0), ArticleId(0)));
-        assert!(!s.offers(PeerId(0), ArticleId(4)));
+        assert_eq!(s.offered_by(PeerId(0)), &ids(3)[..]);
         // Requesting more than held clamps.
         assert_eq!(s.set_offered_count(PeerId(0), 99), 5);
     }
@@ -264,58 +187,8 @@ mod tests {
         let mut s = ArticleStore::new();
         s.add_replica(PeerId(0), ArticleId(0));
         s.set_offered_count(PeerId(0), 1);
-        assert_eq!(s.total_offered(), 1);
+        assert_eq!(s.offered_by(PeerId(0)), &[ArticleId(0)]);
         s.set_offered_count(PeerId(0), 0);
-        assert_eq!(s.total_offered(), 0);
-        assert_eq!(s.offering_peers(ArticleId(0)), Vec::<PeerId>::new());
-    }
-
-    #[test]
-    fn remove_replica_updates_both_indexes() {
-        let mut s = ArticleStore::new();
-        s.add_replica(PeerId(0), ArticleId(0));
-        s.set_offered_count(PeerId(0), 1);
-        s.remove_replica(PeerId(0), ArticleId(0));
-        assert_eq!(s.held_count(PeerId(0)), 0);
-        assert_eq!(s.replication(ArticleId(0)), 0);
-        assert!(!s.offers(PeerId(0), ArticleId(0)));
-    }
-
-    #[test]
-    fn drop_peer_removes_all_its_replicas() {
-        let mut s = ArticleStore::new();
-        for a in ids(3) {
-            s.add_replica(PeerId(0), a);
-            s.add_replica(PeerId(1), a);
-        }
-        s.drop_peer(PeerId(0));
-        assert_eq!(s.held_count(PeerId(0)), 0);
-        for a in ids(3) {
-            assert_eq!(s.replication(a), 1);
-        }
-    }
-
-    #[test]
-    fn availability_counts_only_offered_articles() {
-        let mut s = ArticleStore::new();
-        let articles = ids(4);
-        s.add_replica(PeerId(0), articles[0]);
-        s.add_replica(PeerId(0), articles[1]);
-        s.add_replica(PeerId(1), articles[2]);
-        s.set_offered_count(PeerId(0), 2);
-        // articles[2] held but not offered; articles[3] nowhere at all.
-        assert!((s.availability(&articles) - 0.5).abs() < 1e-12);
-        assert_eq!(s.availability(&[]), 1.0);
-    }
-
-    #[test]
-    fn offering_peers_sorted_and_filtered() {
-        let mut s = ArticleStore::new();
-        s.add_replica(PeerId(2), ArticleId(7));
-        s.add_replica(PeerId(0), ArticleId(7));
-        s.add_replica(PeerId(1), ArticleId(7));
-        s.set_offered_count(PeerId(2), 1);
-        s.set_offered_count(PeerId(0), 1);
-        assert_eq!(s.offering_peers(ArticleId(7)), vec![PeerId(0), PeerId(2)]);
+        assert!(s.offered_by(PeerId(0)).is_empty());
     }
 }

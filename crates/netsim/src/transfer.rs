@@ -20,7 +20,6 @@
 
 use crate::article::ArticleId;
 use crate::peer::PeerId;
-use serde::{Deserialize, Serialize};
 /// The growable accumulator slot at `index`, zero-extending as needed.
 fn grow_slot(totals: &mut Vec<f64>, index: usize) -> &mut f64 {
     if totals.len() <= index {
@@ -30,7 +29,7 @@ fn grow_slot(totals: &mut Vec<f64>, index: usize) -> &mut f64 {
 }
 
 /// Status of a transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransferStatus {
     /// Still transferring.
     InProgress,
@@ -41,7 +40,7 @@ pub enum TransferStatus {
 }
 
 /// A single article download by one peer from one source.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transfer {
     /// Slot identifier. Unique among *live* transfers; slots of released
     /// (finished and drained) transfers are reused.
@@ -73,26 +72,9 @@ pub struct Transfer {
     pub last_progress_at: u64,
 }
 
-impl Transfer {
-    /// Fraction of the article received so far.
-    pub fn progress(&self) -> f64 {
-        if self.size <= 0.0 {
-            1.0
-        } else {
-            (self.received / self.size).min(1.0)
-        }
-    }
-
-    /// Number of steps the transfer took (only meaningful once finished).
-    pub fn duration(&self) -> Option<u64> {
-        self.finished_at
-            .map(|end| end.saturating_sub(self.started_at))
-    }
-}
-
 /// Manager for all in-flight transfers plus the aggregate statistics of
 /// every transfer that ever ran.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TransferManager {
     transfers: Vec<Transfer>,
     /// Whether each slot currently holds a live (not yet released)
@@ -232,11 +214,6 @@ impl TransferManager {
         id
     }
 
-    /// Whether the given slot currently holds a live transfer.
-    pub fn is_live(&self, id: u64) -> bool {
-        self.in_use.get(id as usize).copied().unwrap_or(false)
-    }
-
     /// Access to a live transfer by id.
     ///
     /// # Panics
@@ -266,20 +243,6 @@ impl TransferManager {
     /// total number ever started.
     pub fn slot_count(&self) -> usize {
         self.transfers.len()
-    }
-
-    /// Number of released slots awaiting reuse.
-    pub fn free_count(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Identifiers of in-progress transfers, optionally filtered by source.
-    pub fn in_progress(&self, source: Option<PeerId>) -> Vec<u64> {
-        self.live()
-            .filter(|t| t.status == TransferStatus::InProgress)
-            .filter(|t| source.is_none_or(|s| t.source == s))
-            .map(|t| t.id)
-            .collect()
     }
 
     /// Applies a bandwidth grant to a transfer for the current step; marks
@@ -372,12 +335,6 @@ impl TransferManager {
         now.saturating_sub(self.transfers[id as usize].last_progress_at) >= timeout
     }
 
-    /// Lost-grant count of a live transfer.
-    pub fn failures(&self, id: u64) -> u32 {
-        assert!(self.in_use[id as usize], "transfer slot has been released");
-        self.transfers[id as usize].failures
-    }
-
     /// Releases a finished transfer's slot for reuse. Its contribution to
     /// the aggregate statistics (completion counts and durations, per-peer
     /// byte totals) is retained.
@@ -455,10 +412,10 @@ mod tests {
     fn unit_transfer_completes_with_full_bandwidth() {
         let mut m = TransferManager::new();
         let id = m.start(PeerId(0), PeerId(1), ArticleId(0), 10);
-        assert_eq!(m.transfer(id).progress(), 0.0);
+        assert_eq!(m.transfer(id).received, 0.0);
         let status = m.apply_grant(id, 1.0, 10);
         assert_eq!(status, TransferStatus::Completed);
-        assert_eq!(m.transfer(id).duration(), Some(0));
+        assert_eq!(m.transfer(id).finished_at, Some(10));
         assert_eq!(m.completed_count(), 1);
     }
 
@@ -468,9 +425,9 @@ mod tests {
         let id = m.start(PeerId(0), PeerId(1), ArticleId(0), 0);
         assert_eq!(m.apply_grant(id, 0.3, 0), TransferStatus::InProgress);
         assert_eq!(m.apply_grant(id, 0.3, 1), TransferStatus::InProgress);
-        assert!((m.transfer(id).progress() - 0.6).abs() < 1e-12);
+        assert!((m.transfer(id).received - 0.6).abs() < 1e-12);
         assert_eq!(m.apply_grant(id, 0.4, 2), TransferStatus::Completed);
-        assert_eq!(m.transfer(id).duration(), Some(2));
+        assert_eq!(m.transfer(id).finished_at, Some(2));
         assert!((m.mean_completion_steps() - 2.0).abs() < 1e-12);
     }
 
@@ -491,7 +448,8 @@ mod tests {
             m.apply_grant(slow, 0.1, now);
             now += 1;
         }
-        assert!(m.transfer(slow).duration().unwrap() > m.transfer(fast).duration().unwrap());
+        // Both started at step 0.
+        assert!(m.transfer(slow).finished_at > m.transfer(fast).finished_at);
     }
 
     #[test]
@@ -506,17 +464,6 @@ mod tests {
         m.apply_grant(done, 1.0, 4);
         m.cancel(done, 5);
         assert_eq!(m.transfer(done).status, TransferStatus::Completed);
-    }
-
-    #[test]
-    fn in_progress_filter_by_source() {
-        let mut m = TransferManager::new();
-        let a = m.start(PeerId(0), PeerId(1), ArticleId(0), 0);
-        let b = m.start(PeerId(0), PeerId(2), ArticleId(1), 0);
-        let c = m.start(PeerId(3), PeerId(1), ArticleId(2), 0);
-        m.apply_grant(a, 1.0, 0);
-        assert_eq!(m.in_progress(None), vec![b, c]);
-        assert_eq!(m.in_progress(Some(PeerId(1))), vec![c]);
     }
 
     #[test]
@@ -551,7 +498,6 @@ mod tests {
         m.apply_grant(a, 1.0, 2);
         m.release(a);
         assert_eq!(m.slot_count(), 1);
-        assert_eq!(m.free_count(), 1);
         assert_eq!(m.live_count(), 0);
         // The slot comes back with a brand-new transfer: nothing of the
         // completed predecessor (status, bytes, timestamps) survives.
@@ -595,7 +541,6 @@ mod tests {
         m.release(a);
         let live: Vec<u64> = m.live().map(|t| t.id).collect();
         assert_eq!(live, vec![b]);
-        assert_eq!(m.in_progress(None), vec![b]);
     }
 
     #[test]
@@ -646,7 +591,7 @@ mod tests {
     fn lost_grants_back_off_exponentially() {
         let mut m = TransferManager::new();
         let id = m.start(PeerId(0), PeerId(1), ArticleId(0), 0);
-        assert_eq!(m.failures(id), 0);
+        assert_eq!(m.transfer(id).failures, 0);
         assert!(!m.in_backoff(id, 0));
         // First loss: 2-step window.
         assert_eq!(m.fail_grant(id, 0, 2), 1);
@@ -684,7 +629,7 @@ mod tests {
         m.release(a);
         let b = m.start(PeerId(2), PeerId(3), ArticleId(1), 5);
         assert_eq!(b, a, "released slot must be reused");
-        assert_eq!(m.failures(b), 0);
+        assert_eq!(m.transfer(b).failures, 0);
         assert!(!m.in_backoff(b, 5));
         assert_eq!(m.transfer(b).last_progress_at, 5);
     }

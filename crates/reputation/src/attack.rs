@@ -11,10 +11,9 @@
 
 use crate::propagation::TrustGraph;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Description of a synthetic attack scenario over a peer population.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttackScenario {
     /// Total number of peers.
     pub peers: usize,
@@ -31,28 +30,6 @@ impl AttackScenario {
             .filter(|i| !self.attackers.contains(i))
             .collect()
     }
-
-    /// Whether a peer is an attacker.
-    pub fn is_attacker(&self, peer: usize) -> bool {
-        self.attackers.contains(&peer)
-    }
-}
-
-/// Builds an honest baseline trust graph: every peer has transacted with a
-/// random subset of others and assigned them trust proportional to the
-/// (synthetic) volume of successful transactions.
-pub fn honest_graph<R: Rng + ?Sized>(peers: usize, density: f64, rng: &mut R) -> TrustGraph {
-    assert!(peers > 1, "need at least two peers");
-    assert!((0.0..=1.0).contains(&density), "density must lie in [0, 1]");
-    let mut graph = TrustGraph::new(peers);
-    for i in 0..peers {
-        for j in 0..peers {
-            if i != j && rng.gen_bool(density) {
-                graph.set_trust(i, j, rng.gen_range(1.0..10.0));
-            }
-        }
-    }
-    graph
 }
 
 /// **Collusion clique**: the last `clique_size` peers assign each other
@@ -105,16 +82,6 @@ pub fn collusion_clique<R: Rng + ?Sized>(
     )
 }
 
-/// **Whitewashing**: a free-rider repeatedly discards its identity. In ledger
-/// terms the attacker's contribution history is reset every `lifetime`
-/// steps; in trust-graph terms it never accumulates incoming trust. Returns
-/// the step indices at which the attacker re-joins with a fresh identity
-/// over a horizon of `total_steps`.
-pub fn whitewashing_schedule(total_steps: usize, lifetime: usize) -> Vec<usize> {
-    assert!(lifetime > 0, "lifetime must be positive");
-    (0..total_steps).step_by(lifetime).collect()
-}
-
 /// Expected advantage of whitewashing: with newcomer reputation `r_min` and
 /// a reputation function that would have decayed a free-rider's reputation
 /// to `r_decayed` by the end of its identity lifetime, whitewashing pays off
@@ -122,23 +89,6 @@ pub fn whitewashing_schedule(total_steps: usize, lifetime: usize) -> Vec<usize> 
 /// to keep this margin small.
 pub fn whitewashing_gain(r_min: f64, r_decayed: f64) -> f64 {
     r_min - r_decayed
-}
-
-/// **Reputation milking**: an attacker behaves well until it reaches a target
-/// reputation, then free-rides until its reputation decays back to the
-/// newcomer level, and repeats. Returns the synthetic contribution sequence
-/// (one entry per step: `true` = contribute, `false` = free-ride).
-pub fn milking_schedule(total_steps: usize, build_steps: usize, milk_steps: usize) -> Vec<bool> {
-    assert!(
-        build_steps > 0 && milk_steps > 0,
-        "phases must be non-empty"
-    );
-    let mut out = Vec::with_capacity(total_steps);
-    let cycle = build_steps + milk_steps;
-    for t in 0..total_steps {
-        out.push(t % cycle < build_steps);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -154,20 +104,10 @@ mod tests {
     }
 
     #[test]
-    fn honest_graph_density_zero_and_one() {
-        let empty = honest_graph(5, 0.0, &mut rng());
-        assert_eq!(empty.edge_count(), 0);
-        let full = honest_graph(5, 1.0, &mut rng());
-        assert_eq!(full.edge_count(), 20);
-    }
-
-    #[test]
     fn collusion_scenario_classifies_peers() {
         let (graph, scenario) = collusion_clique(10, 3, 100.0, 0.5, &mut rng());
         assert_eq!(scenario.attackers, vec![7, 8, 9]);
         assert_eq!(scenario.honest().len(), 7);
-        assert!(scenario.is_attacker(8));
-        assert!(!scenario.is_attacker(0));
         assert!(graph.trust(7, 8) > graph.trust(0, 7));
     }
 
@@ -205,27 +145,12 @@ mod tests {
     }
 
     #[test]
-    fn whitewashing_schedule_steps() {
-        assert_eq!(whitewashing_schedule(10, 3), vec![0, 3, 6, 9]);
-        assert_eq!(whitewashing_schedule(5, 10), vec![0]);
-    }
-
-    #[test]
     fn whitewashing_gain_is_small_with_paper_rmin() {
         // With R_min = 0.05 and an idle reputation that decays to the same
         // minimum, whitewashing provides no advantage.
         assert_eq!(whitewashing_gain(0.05, 0.05), 0.0);
         // With a generous R_min it would.
         assert!(whitewashing_gain(0.5, 0.05) > 0.0);
-    }
-
-    #[test]
-    fn milking_schedule_alternates_phases() {
-        let s = milking_schedule(10, 3, 2);
-        assert_eq!(
-            s,
-            vec![true, true, true, false, false, true, true, true, false, false]
-        );
     }
 
     #[test]

@@ -14,10 +14,8 @@
 //! resource class; contribution values never drop below zero (the paper
 //! defines `C ≥ 0`).
 
-use serde::{Deserialize, Serialize};
-
 /// Weights and decay constants of the two contribution values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContributionParams {
     /// `α_S`: weight of shared articles.
     pub alpha_s: f64,
@@ -85,7 +83,7 @@ impl ContributionParams {
 }
 
 /// One time step's worth of sharing activity for a peer.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SharingAction {
     /// Number of articles the peer offers for download this step.
     pub shared_articles: f64,
@@ -102,7 +100,7 @@ impl SharingAction {
 }
 
 /// One time step's worth of editing/voting outcomes for a peer.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EditingAction {
     /// Number of votes cast with the eventual majority this step.
     pub successful_votes: u32,
@@ -129,7 +127,7 @@ impl EditingAction {
 /// per-peer independent, applying a batch of deltas shard-by-shard is
 /// bit-identical to recording them inline, regardless of how many workers
 /// collected or applied them.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ContributionDelta {
     /// Dense index of the peer the delta belongs to.
     pub peer: usize,
@@ -165,7 +163,7 @@ impl ContributionDelta {
 /// peer currently shares and decays only while the peer is inactive. The
 /// editing contribution is cumulative (successful votes and accepted edits
 /// are events, not a holding), also decaying while inactive.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContributionTracker {
     params: ContributionParams,
     sharing: f64,
@@ -220,11 +218,6 @@ impl ContributionTracker {
     /// Cumulative accepted edits.
     pub fn total_edits(&self) -> u64 {
         self.total_edits
-    }
-
-    /// The parameters in use.
-    pub fn params(&self) -> &ContributionParams {
-        &self.params
     }
 
     /// Records one time step of sharing activity.
@@ -287,12 +280,6 @@ impl ContributionTracker {
         self.editing = 0.0;
     }
 
-    /// Resets only the sharing contribution (malicious-editor punishment
-    /// sets `R_S = R_S^min`, i.e. `C_S = 0`).
-    pub fn reset_sharing(&mut self) {
-        self.sharing = 0.0;
-    }
-
     /// Scales the sharing contribution by `factor` (the uptime discount
     /// applied when a peer rejoins after an absence: the logistic
     /// reputation function is monotone in `C_S`, so scaling the
@@ -303,11 +290,6 @@ impl ContributionTracker {
         if factor < 1.0 {
             self.sharing = (self.sharing * factor).max(0.0);
         }
-    }
-
-    /// Resets only the editing contribution.
-    pub fn reset_editing(&mut self) {
-        self.editing = 0.0;
     }
 }
 
@@ -412,25 +394,6 @@ mod tests {
         assert_eq!(t.editing(), 0.0);
         assert_eq!(t.total_articles(), 10.0);
         assert_eq!(t.total_edits(), 1);
-    }
-
-    #[test]
-    fn partial_resets_target_one_class() {
-        let mut t = tracker();
-        t.record_sharing(&SharingAction {
-            shared_articles: 10.0,
-            shared_bandwidth: 0.0,
-        });
-        t.record_editing(&EditingAction {
-            successful_votes: 2,
-            accepted_edits: 0,
-            attempted: true,
-        });
-        t.reset_sharing();
-        assert_eq!(t.sharing(), 0.0);
-        assert!(t.editing() > 0.0);
-        t.reset_editing();
-        assert_eq!(t.editing(), 0.0);
     }
 
     #[test]

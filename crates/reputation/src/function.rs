@@ -15,8 +15,6 @@
 //! additional monotone functions with the same `[R_min, 1]` range so the
 //! ablation bench (`abl1_reputation_functions`) can compare them.
 
-use serde::{Deserialize, Serialize};
-
 /// A monotone map from contribution values to reputation values.
 ///
 /// Implementations must guarantee `reputation(0) >= minimum()`,
@@ -42,7 +40,7 @@ pub trait ReputationFunction: Send + Sync {
 
 /// The paper's logistic reputation function
 /// `R(C) = 1 / (1 + g · exp(−β · C))`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogisticReputation {
     /// `g`: controls the initial reputation `R(0) = 1 / (1 + g)`.
     pub g: f64,
@@ -67,14 +65,6 @@ impl LogisticReputation {
     /// which is exactly the `R_min = 0.05` used in the simulation model.
     pub fn paper(beta: f64) -> Self {
         Self::new(19.0, beta)
-    }
-
-    /// The contribution value at the inflection point `C* = ln(g) / β`,
-    /// where the reputation equals 0.5 and growth starts to flatten — the
-    /// paper's discussion of Figure 3 attributes the moderate sharing gain
-    /// to how quickly the curve flattens beyond this point.
-    pub fn inflection_point(&self) -> f64 {
-        self.g.ln() / self.beta
     }
 }
 
@@ -102,7 +92,7 @@ impl ReputationFunction for LogisticReputation {
 /// Linear reputation `R(C) = min(R_min + slope · C, 1)` — the simplest
 /// alternative; its linear growth means the marginal return on contribution
 /// never drops until the cap is hit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearReputation {
     /// Newcomer reputation `R_min`.
     pub minimum: f64,
@@ -140,7 +130,7 @@ impl ReputationFunction for LinearReputation {
 /// Step reputation: `R_min` below the threshold, `1` at or above it. The
 /// harshest possible differentiation; useful as an extreme point in the
 /// ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepReputation {
     /// Newcomer reputation `R_min`.
     pub minimum: f64,
@@ -183,7 +173,7 @@ impl ReputationFunction for StepReputation {
 /// concave everywhere, i.e. the *fastest* initial growth of the family —
 /// the shape the paper's requirement 4 ("increase quite fast at the
 /// beginning") asks for most literally.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExponentialSaturation {
     /// Newcomer reputation `R_min`.
     pub minimum: f64,
@@ -273,9 +263,12 @@ mod tests {
 
     #[test]
     fn logistic_inflection_point_has_reputation_half() {
+        // At C* = ln(g) / β the reputation is 0.5 and growth starts to
+        // flatten — the paper's discussion of Figure 3 attributes the
+        // moderate sharing gain to how quickly the curve flattens there.
         for &beta in &FIGURE1_BETAS {
             let f = LogisticReputation::paper(beta);
-            let c_star = f.inflection_point();
+            let c_star = f.g.ln() / f.beta;
             assert!((f.reputation(c_star) - 0.5).abs() < 1e-12, "beta={beta}");
         }
     }

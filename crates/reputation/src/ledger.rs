@@ -13,11 +13,10 @@
 
 use crate::contribution::{ContributionParams, ContributionTracker, EditingAction, SharingAction};
 use crate::function::{LogisticReputation, ReputationFunction};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A snapshot of one peer's reputation-related state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeerReputation {
     /// Sharing reputation `R_S`.
     pub sharing: f64,
@@ -218,11 +217,6 @@ impl ReputationLedger {
             can_edit: self.records[peer].can_edit,
             can_vote: self.records[peer].can_vote,
         }
-    }
-
-    /// Read access to a peer's contribution tracker.
-    pub fn contributions(&self, peer: usize) -> &ContributionTracker {
-        &self.records[peer].contributions
     }
 
     /// Records one time step of sharing activity for a peer.

@@ -11,10 +11,9 @@
 //! other).
 
 use super::{GlobalReputation, TrustGraph};
-use serde::{Deserialize, Serialize};
 
 /// EigenTrust configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EigenTrust {
     /// Damping weight `a` towards the pre-trusted distribution (0 = pure
     /// power iteration, 1 = ignore local trust entirely).

@@ -12,10 +12,9 @@
 use super::{GlobalReputation, TrustGraph};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Gossip-averaging configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GossipAveraging {
     /// Number of gossip rounds; in each round every peer contacts one random
     /// partner and both replace their estimates by the pairwise average.

@@ -13,11 +13,10 @@
 //! aggregated per-peer reputation vector as seen from a given source.
 
 use super::{GlobalReputation, TrustGraph};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Max-flow based trust computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MaxFlowTrust;
 
 impl MaxFlowTrust {

@@ -23,7 +23,6 @@ pub mod gossip;
 pub mod maxflow;
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// A dense directed graph of local trust values.
 ///
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// `j` has uploaded to `i` or how often `j`'s edits were accepted from `i`'s
 /// point of view. Values are non-negative; self-trust is ignored by all
 /// algorithms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrustGraph {
     peers: usize,
     values: Vec<f64>,
@@ -87,13 +86,6 @@ impl TrustGraph {
         self.values[i] = value;
     }
 
-    /// Adds to the local trust `from → to` (e.g. one unit per satisfactory
-    /// transaction), saturating at zero from below.
-    pub fn add_trust(&mut self, from: usize, to: usize, delta: f64) {
-        let i = self.index(from, to);
-        self.values[i] = (self.values[i] + delta).max(0.0);
-    }
-
     /// Local trust `from → k` for every peer `k`, in peer order.
     pub(crate) fn row(&self, from: usize) -> &[f64] {
         &self.values[from * self.peers..(from + 1) * self.peers]
@@ -130,7 +122,7 @@ impl TrustGraph {
 }
 
 /// A computed global reputation vector, index-aligned with peers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GlobalReputation {
     /// Reputation value per peer. EigenTrust and gossip produce a
     /// probability-like vector summing to 1; MaxFlow produces per-pair
@@ -151,17 +143,6 @@ impl GlobalReputation {
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
             .map(|(i, _)| i)
             .unwrap_or(0)
-    }
-
-    /// Ranking of peers by descending reputation.
-    pub fn ranking(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.values.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.values[b]
-                .partial_cmp(&self.values[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        order
     }
 }
 
@@ -214,7 +195,7 @@ impl PropagationBackend for maxflow::MaxFlowTrust {
 }
 
 /// Configuration-level selector for a [`PropagationBackend`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PropagationScheme {
     /// EigenTrust power iteration with default damping.
     EigenTrust,
@@ -272,14 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn add_trust_saturates_at_zero() {
-        let mut g = TrustGraph::new(2);
-        g.add_trust(0, 1, 3.0);
-        g.add_trust(0, 1, -5.0);
-        assert_eq!(g.trust(0, 1), 0.0);
-    }
-
-    #[test]
     fn normalized_row_sums_to_one() {
         let mut g = TrustGraph::new(3);
         g.set_trust(0, 1, 1.0);
@@ -321,14 +294,13 @@ mod tests {
     }
 
     #[test]
-    fn global_reputation_ranking() {
+    fn global_reputation_top_peer() {
         let rep = GlobalReputation {
             values: vec![0.2, 0.5, 0.3],
             iterations: 1,
             converged: true,
         };
         assert_eq!(rep.top_peer(), 1);
-        assert_eq!(rep.ranking(), vec![1, 2, 0]);
     }
 
     fn chain_graph() -> TrustGraph {

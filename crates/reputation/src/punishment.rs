@@ -17,10 +17,9 @@
 //! [`ShardedLedger`](crate::sharded::ShardedLedger).
 
 use crate::ledger::ReputationStore;
-use serde::{Deserialize, Serialize};
 
 /// What (if anything) a punishment check did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PunishmentOutcome {
     /// No threshold was exceeded.
     None,
@@ -31,7 +30,7 @@ pub enum PunishmentOutcome {
 }
 
 /// Thresholds of the punishment mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PunishmentPolicy {
     /// Number of unsuccessful (against-majority) votes after which voting
     /// rights are revoked.
@@ -55,18 +54,6 @@ impl Default for PunishmentPolicy {
 }
 
 impl PunishmentPolicy {
-    /// Validates the thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any threshold is zero (a zero threshold would punish peers
-    /// before they acted at all).
-    pub fn validate(&self) {
-        if let Err(message) = self.check() {
-            panic!("{message}");
-        }
-    }
-
     /// Validates the thresholds, naming the offending field in the error
     /// message.
     pub fn check(&self) -> Result<(), String> {
@@ -252,12 +239,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "vote threshold")]
     fn zero_threshold_rejected() {
-        PunishmentPolicy {
+        let policy = PunishmentPolicy {
             max_unsuccessful_votes: 0,
             ..Default::default()
-        }
-        .validate();
+        };
+        assert_eq!(
+            policy.check(),
+            Err("vote threshold must be positive".to_string())
+        );
     }
 }

@@ -15,10 +15,8 @@
 //!   inversely proportional to the editor's reputation, and editors with too
 //!   many declined edits are punished by a reputation reset.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the service-differentiation rules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceParams {
     /// `θ`: minimum sharing reputation required to edit articles. Must
     /// exceed the newcomer reputation `R_S^min` so editing always has an
@@ -75,7 +73,7 @@ impl ServiceParams {
 }
 
 /// The service-differentiation rule set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceDifferentiation {
     params: ServiceParams,
     /// Newcomer sharing reputation `R_S^min`; needed to validate `θ > R_S^min`
@@ -108,11 +106,6 @@ impl ServiceDifferentiation {
         Self::new(ServiceParams::default(), 0.05)
     }
 
-    /// The parameters in use.
-    pub fn params(&self) -> &ServiceParams {
-        &self.params
-    }
-
     /// **Downloading.** Splits a source's upload bandwidth among the
     /// downloaders proportionally to their sharing reputations:
     /// `B_i = R_S^i / Σ_k R_S^k`.
@@ -137,8 +130,10 @@ impl ServiceDifferentiation {
         proportional_shares_into(voter_editing_reputations, out);
     }
 
-    /// [`ServiceDifferentiation::equal_shares`] into a caller-owned buffer
-    /// (cleared first).
+    /// The "no incentive" baseline used for Figure 3: every downloader gets
+    /// an equal share of the source's bandwidth regardless of reputation.
+    /// Writes the `count` shares into a caller-owned buffer (cleared
+    /// first).
     pub fn equal_shares_into(count: usize, out: &mut Vec<f64>) {
         out.clear();
         if count > 0 {
@@ -185,16 +180,6 @@ impl ServiceDifferentiation {
         }
         let fraction = in_favor_power / total;
         fraction >= self.required_majority(editor_editing_reputation)
-    }
-
-    /// The "no incentive" baseline used for Figure 3: every downloader gets
-    /// an equal share of the source's bandwidth regardless of reputation.
-    pub fn equal_shares(count: usize) -> Vec<f64> {
-        if count == 0 {
-            Vec::new()
-        } else {
-            vec![1.0 / count as f64; count]
-        }
     }
 
     /// The newcomer sharing reputation this rule set was configured with.
@@ -255,7 +240,9 @@ mod tests {
     #[test]
     fn empty_downloader_set_is_empty() {
         assert!(rules().bandwidth_shares(&[]).is_empty());
-        assert!(ServiceDifferentiation::equal_shares(0).is_empty());
+        let mut shares = vec![1.0];
+        ServiceDifferentiation::equal_shares_into(0, &mut shares);
+        assert!(shares.is_empty());
     }
 
     #[test]
@@ -312,7 +299,8 @@ mod tests {
 
     #[test]
     fn equal_shares_baseline_is_uniform() {
-        let shares = ServiceDifferentiation::equal_shares(4);
+        let mut shares = Vec::new();
+        ServiceDifferentiation::equal_shares_into(4, &mut shares);
         assert_eq!(shares, vec![0.25; 4]);
     }
 
@@ -322,7 +310,8 @@ mod tests {
         // a contributor is better off and a free-rider worse off.
         let reputations = [0.05, 0.05, 0.05, 0.85];
         let with = rules().bandwidth_shares(&reputations);
-        let without = ServiceDifferentiation::equal_shares(4);
+        let mut without = Vec::new();
+        ServiceDifferentiation::equal_shares_into(4, &mut without);
         assert!(with[3] > without[3]);
         assert!(with[0] < without[0]);
     }

@@ -29,9 +29,7 @@
 //! to mutate records. The current sharing/edit-vote collect stages read
 //! only actions and the article store, so they do not take a view.
 
-use crate::contribution::{
-    ContributionDelta, ContributionParams, ContributionTracker, EditingAction, SharingAction,
-};
+use crate::contribution::{ContributionDelta, ContributionParams, EditingAction, SharingAction};
 use crate::function::{LogisticReputation, ReputationFunction};
 use crate::ledger::{PeerRecord, PeerReputation, ReputationStore};
 use std::ops::Range;
@@ -340,11 +338,6 @@ impl ShardedLedger {
         self.shard_size
     }
 
-    /// The shard index a peer belongs to.
-    pub fn shard_of(&self, peer: usize) -> usize {
-        peer / self.shard_size
-    }
-
     /// Read access to a shard.
     pub fn shard(&self, index: usize) -> &LedgerShard {
         &self.shards[index]
@@ -396,11 +389,6 @@ impl ShardedLedger {
         }
     }
 
-    /// Read access to a peer's contribution tracker.
-    pub fn contributions(&self, peer: usize) -> &ContributionTracker {
-        &self.record(peer).contributions
-    }
-
     /// Records one time step of sharing activity for a peer.
     pub fn record_sharing(&mut self, peer: usize, action: &SharingAction) {
         self.record_mut(peer).contributions.record_sharing(action);
@@ -412,8 +400,8 @@ impl ShardedLedger {
     }
 
     /// Scales a peer's sharing contribution by `factor` (see
-    /// [`ContributionTracker::scale_sharing`]) — the uptime-discount hook
-    /// applied at churn re-entry.
+    /// [`scale_sharing`](crate::contribution::ContributionTracker::scale_sharing))
+    /// — the uptime-discount hook applied at churn re-entry.
     pub fn scale_sharing_contribution(&mut self, peer: usize, factor: f64) {
         self.record_mut(peer).contributions.scale_sharing(factor);
     }
@@ -748,7 +736,7 @@ mod tests {
         let covered: usize = (0..l.shard_count()).map(|s| l.shard(s).len()).sum();
         assert_eq!(covered, 10);
         for p in 0..10 {
-            assert!(l.shard(l.shard_of(p)).range().contains(&p));
+            assert!(l.shard(p / l.shard_size()).range().contains(&p));
         }
     }
 

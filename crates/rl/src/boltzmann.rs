@@ -15,9 +15,7 @@
 //! `fig2_boltzmann` bench binary regenerates exactly that series from
 //! [`boltzmann_distribution`].
 
-use crate::policy::Policy;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Computes the Boltzmann distribution over a slice of Q-values at
 /// temperature `t`.
@@ -119,10 +117,11 @@ pub fn boltzmann_sample<R: Rng + ?Sized>(values: &[f64], t: f64, rng: &mut R) ->
     sample_distribution(&probs, rng)
 }
 
-/// A [`Policy`] that samples from the Boltzmann distribution at a fixed
-/// temperature. The temperature is mutable so schedules can anneal it
-/// between steps (the paper switches from `T = f64::MAX` to `T = 1`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// An action-selection policy that samples from the Boltzmann distribution
+/// at a fixed temperature. The temperature is a public field so the caller
+/// can change it between steps (the paper switches from `T = f64::MAX` to
+/// `T = 1`).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoltzmannPolicy {
     /// Current temperature `T`.
     pub temperature: f64,
@@ -147,22 +146,15 @@ impl BoltzmannPolicy {
         }
     }
 
-    /// The paper's evaluation-phase policy: `T = 1`.
-    pub fn evaluation_phase() -> Self {
-        Self { temperature: 1.0 }
-    }
-}
-
-impl Policy for BoltzmannPolicy {
-    fn select_action(&self, q_row: &[f64], rng: &mut dyn rand::RngCore) -> usize {
+    /// Selects an action index given the Q-values of the current state.
+    ///
+    /// Randomness comes in through a `dyn RngCore` so the draw stays
+    /// deterministic under seeding whatever the caller's RNG type.
+    pub fn select_action(&self, q_row: &[f64], rng: &mut dyn rand::RngCore) -> usize {
         let probs = boltzmann_distribution(q_row, self.temperature);
         // RngCore only gives raw integers; `sample_probs` derives a uniform
         // double manually so this works through the trait object.
         sample_probs(&probs, rng)
-    }
-
-    fn name(&self) -> &'static str {
-        "boltzmann"
     }
 }
 
@@ -277,8 +269,8 @@ mod tests {
     }
 
     #[test]
-    fn policy_evaluation_phase_prefers_greedy() {
-        let policy = BoltzmannPolicy::evaluation_phase();
+    fn policy_at_unit_temperature_prefers_greedy() {
+        let policy = BoltzmannPolicy::new(1.0);
         let q = [0.0, 10.0];
         let mut rng = StdRng::seed_from_u64(6);
         let greedy = (0..1_000)

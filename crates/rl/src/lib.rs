@@ -13,14 +13,8 @@
 //! * [`qlearning`] — the Q-learning update rule
 //!   `Q(s,a) ← (1−α)·Q(s,a) + α·(r + γ·max_b Q(s′,b))`,
 //! * [`boltzmann`] — the Boltzmann exploration distribution
-//!   `p_s(a) = exp(Q(s,a)/T) / Σ_b exp(Q(s,b)/T)` (Figure 2 of the paper),
-//! * [`policy`] — pluggable action-selection policies (Boltzmann, ε-greedy,
-//!   greedy, uniform-random),
-//! * [`schedule`] — temperature and learning-rate schedules, including the
-//!   paper's two-phase schedule (effectively infinite temperature during the
-//!   10 000-step training phase, `T = 1` afterwards),
-//! * [`multi`] — a container managing one independent learner per agent of a
-//!   population.
+//!   `p_s(a) = exp(Q(s,a)/T) / Σ_b exp(Q(s,b)/T)` (Figure 2 of the paper)
+//!   and the [`BoltzmannPolicy`] that samples from it.
 //!
 //! Everything is deterministic given an explicit RNG and fully `Send + Sync`
 //! (no interior mutability, no globals) so whole populations of learners can
@@ -30,17 +24,11 @@
 #![warn(missing_docs)]
 
 pub mod boltzmann;
-pub mod multi;
-pub mod policy;
 pub mod qlearning;
 pub mod qtable;
-pub mod schedule;
 pub mod space;
 
 pub use boltzmann::{boltzmann_distribution, boltzmann_sample, BoltzmannPolicy};
-pub use multi::MultiAgentLearner;
-pub use policy::{EpsilonGreedyPolicy, GreedyPolicy, Policy, UniformRandomPolicy};
 pub use qlearning::{QLearningAgent, QLearningParams};
 pub use qtable::QTable;
-pub use schedule::{ConstantSchedule, ExponentialDecay, LinearDecay, Schedule, TwoPhaseSchedule};
 pub use space::{ActionSpace, StateSpace};

@@ -8,17 +8,16 @@
 //! ```
 //!
 //! with learning rate `α`, discount factor `γ` and Boltzmann action
-//! selection. The agent itself is policy-agnostic: the caller supplies any
-//! [`Policy`] (the simulation switches from uniform exploration during the
-//! training phase to a `T = 1` Boltzmann policy afterwards).
+//! selection. The caller supplies the [`BoltzmannPolicy`] (the simulation
+//! switches from uniform exploration during the training phase to a `T = 1`
+//! policy afterwards).
 
-use crate::policy::Policy;
+use crate::boltzmann::BoltzmannPolicy;
 use crate::qtable::QTable;
 use crate::space::{ActionSpace, StateSpace};
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of the Q-learning update.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QLearningParams {
     /// Learning rate `α ∈ (0, 1]`.
     pub learning_rate: f64,
@@ -67,7 +66,7 @@ impl QLearningParams {
 }
 
 /// A tabular Q-learning agent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QLearningAgent {
     params: QLearningParams,
     table: QTable,
@@ -85,20 +84,6 @@ impl QLearningAgent {
         }
     }
 
-    /// The agent's hyper-parameters.
-    pub fn params(&self) -> &QLearningParams {
-        &self.params
-    }
-
-    /// Adjusts the learning rate mid-run (used by annealing schedules).
-    pub fn set_learning_rate(&mut self, learning_rate: f64) {
-        assert!(
-            learning_rate > 0.0 && learning_rate <= 1.0,
-            "learning rate must lie in (0, 1]"
-        );
-        self.params.learning_rate = learning_rate;
-    }
-
     /// Read access to the Q-table.
     pub fn table(&self) -> &QTable {
         &self.table
@@ -113,7 +98,7 @@ impl QLearningAgent {
     pub fn select_action(
         &self,
         state: usize,
-        policy: &dyn Policy,
+        policy: &BoltzmannPolicy,
         rng: &mut dyn rand::RngCore,
     ) -> usize {
         policy.select_action(self.table.row(state), rng)
@@ -132,28 +117,9 @@ impl QLearningAgent {
         self.updates += 1;
     }
 
-    /// Applies a terminal update (no future value): the paper's simulation
-    /// has no terminal states, but the library supports episodic tasks.
-    pub fn update_terminal(&mut self, state: usize, action: usize, reward: f64) {
-        let alpha = self.params.learning_rate;
-        let old = self.table.get(state, action);
-        let new = (1.0 - alpha) * old + alpha * reward;
-        self.table.set(state, action, new);
-        self.updates += 1;
-    }
-
     /// The greedy action for a state.
     pub fn greedy_action(&self, state: usize) -> usize {
         self.table.greedy_action(state)
-    }
-
-    /// Resets every Q-value to the configured initial value while keeping
-    /// the hyper-parameters. The paper *resets reputation values but keeps
-    /// the Q-matrices* between phases; this method exists for the opposite
-    /// ablation (forgetting agents).
-    pub fn reset_table(&mut self) {
-        self.table.fill(self.params.initial_q);
-        self.updates = 0;
     }
 
     /// Greatest absolute Q-value, used as a convergence diagnostic.
@@ -175,8 +141,6 @@ pub fn q_value_bound(max_abs_reward: f64, discount: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::boltzmann::BoltzmannPolicy;
-    use crate::policy::GreedyPolicy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -199,17 +163,6 @@ mod tests {
         let expected = 0.9 * 0.0 + 0.1 * (2.0 + 0.9 * 1.0);
         assert!((a.table().get(0, 1) - expected).abs() < 1e-12);
         assert_eq!(a.updates(), 2);
-    }
-
-    #[test]
-    fn terminal_update_ignores_future() {
-        let mut a = agent();
-        a.update(2, 1, 100.0, 2);
-        let mut b = agent();
-        b.update_terminal(2, 1, 100.0);
-        // Terminal update should equal the non-terminal one only when the
-        // future value is zero, which it is here.
-        assert_eq!(a.table().get(2, 1), b.table().get(2, 1));
     }
 
     #[test]
@@ -273,24 +226,6 @@ mod tests {
             a.update(0, action, reward, 0);
         }
         assert_eq!(a.greedy_action(0), 1);
-        // And the greedy policy then exploits it.
-        assert_eq!(a.select_action(0, &GreedyPolicy, &mut rng), 1);
-    }
-
-    #[test]
-    fn reset_clears_table_and_counter() {
-        let mut a = agent();
-        a.update(0, 0, 5.0, 1);
-        a.reset_table();
-        assert_eq!(a.updates(), 0);
-        assert_eq!(a.table().get(0, 0), 0.0);
-    }
-
-    #[test]
-    fn set_learning_rate_changes_params() {
-        let mut a = agent();
-        a.set_learning_rate(0.5);
-        assert_eq!(a.params().learning_rate, 0.5);
     }
 
     #[test]

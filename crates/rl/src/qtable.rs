@@ -7,10 +7,9 @@
 //! row maxima the Q-learning update needs.
 
 use crate::space::{ActionSpace, StateSpace};
-use serde::{Deserialize, Serialize};
 
 /// A dense table of Q-values indexed by `(state, action)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QTable {
     states: usize,
     actions: usize,
@@ -41,16 +40,6 @@ impl QTable {
         }
     }
 
-    /// Number of states.
-    pub fn states(&self) -> usize {
-        self.states
-    }
-
-    /// Number of actions.
-    pub fn actions(&self) -> usize {
-        self.actions
-    }
-
     #[inline]
     fn index(&self, state: usize, action: usize) -> usize {
         debug_assert!(state < self.states, "state out of range");
@@ -69,13 +58,6 @@ impl QTable {
     pub fn set(&mut self, state: usize, action: usize, value: f64) {
         let i = self.index(state, action);
         self.values[i] = value;
-    }
-
-    /// Adds `delta` to the Q-value of a state/action pair.
-    #[inline]
-    pub fn add(&mut self, state: usize, action: usize, delta: f64) {
-        let i = self.index(state, action);
-        self.values[i] += delta;
     }
 
     /// The full row of Q-values for a state.
@@ -109,21 +91,10 @@ impl QTable {
         best
     }
 
-    /// Resets every entry to `value`.
-    pub fn fill(&mut self, value: f64) {
-        self.values.iter_mut().for_each(|v| *v = value);
-    }
-
     /// Whether every Q-value is finite (no NaN / infinity crept in through a
     /// divergent reward signal). Used by property tests and debug assertions.
     pub fn is_finite(&self) -> bool {
         self.values.iter().all(|v| v.is_finite())
-    }
-
-    /// Mean of all Q-values — a cheap scalar summary used in convergence
-    /// diagnostics.
-    pub fn mean(&self) -> f64 {
-        self.values.iter().sum::<f64>() / self.values.len() as f64
     }
 
     /// Iterator over `(state, action, value)` triples.
@@ -161,12 +132,10 @@ mod tests {
     }
 
     #[test]
-    fn set_get_add() {
+    fn set_and_get() {
         let mut t = table();
         t.set(1, 2, 3.0);
         assert_eq!(t.get(1, 2), 3.0);
-        t.add(1, 2, -1.0);
-        assert_eq!(t.get(1, 2), 2.0);
         assert_eq!(t.get(0, 0), 0.0);
     }
 
@@ -197,26 +166,11 @@ mod tests {
     }
 
     #[test]
-    fn fill_resets_everything() {
-        let mut t = table();
-        t.set(0, 0, 9.0);
-        t.fill(0.5);
-        assert!(t.iter().all(|(_, _, v)| v == 0.5));
-    }
-
-    #[test]
     fn finiteness_check_detects_nan() {
         let mut t = table();
         assert!(t.is_finite());
         t.set(0, 0, f64::NAN);
         assert!(!t.is_finite());
-    }
-
-    #[test]
-    fn mean_is_average() {
-        let mut t = QTable::zeroed(1, 4);
-        t.set(0, 0, 4.0);
-        assert_eq!(t.mean(), 1.0);
     }
 
     #[test]

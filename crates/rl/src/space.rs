@@ -7,10 +7,8 @@
 //! indices, and provide the mixed-radix encoding used to flatten composite
 //! actions into a single index.
 
-use serde::{Deserialize, Serialize};
-
 /// A discrete state space of `n` states indexed `0..n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateSpace {
     count: usize,
 }
@@ -36,11 +34,6 @@ impl StateSpace {
         false
     }
 
-    /// Whether `state` is a valid index.
-    pub fn contains(&self, state: usize) -> bool {
-        state < self.count
-    }
-
     /// Buckets a continuous value from `[lo, hi]` into a state index.
     ///
     /// This is how the paper maps the reputation interval `[R_min, 1]` onto
@@ -52,18 +45,10 @@ impl StateSpace {
         let fraction = (clamped - lo) / (hi - lo);
         ((fraction * self.count as f64) as usize).min(self.count - 1)
     }
-
-    /// The midpoint of a state's bucket on `[lo, hi]` — the inverse of
-    /// [`StateSpace::bucket`] up to quantisation.
-    pub fn bucket_midpoint(&self, state: usize, lo: f64, hi: f64) -> f64 {
-        assert!(self.contains(state), "state out of range");
-        let width = (hi - lo) / self.count as f64;
-        lo + (state as f64 + 0.5) * width
-    }
 }
 
 /// A discrete action space of `n` actions indexed `0..n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActionSpace {
     count: usize,
 }
@@ -103,16 +88,6 @@ impl ActionSpace {
     pub fn is_empty(&self) -> bool {
         false
     }
-
-    /// Whether `action` is a valid index.
-    pub fn contains(&self, action: usize) -> bool {
-        action < self.count
-    }
-
-    /// Iterator over all action indices.
-    pub fn iter(&self) -> std::ops::Range<usize> {
-        0..self.count
-    }
 }
 
 /// Flattens a multi-dimensional action `coords` over the per-dimension
@@ -133,17 +108,10 @@ pub fn flatten_action(coords: &[usize], dims: &[usize]) -> usize {
 }
 
 /// Inverse of [`flatten_action`]: expands a flat index into per-dimension
-/// coordinates.
-pub fn unflatten_action(index: usize, dims: &[usize]) -> Vec<usize> {
-    let mut coords = vec![0usize; dims.len()];
-    unflatten_action_into(index, dims, &mut coords);
-    coords
-}
-
-/// Allocation-free [`unflatten_action`]: writes the coordinates into a
-/// caller-provided slot array. Hot decode paths (one action decode per
-/// rational peer per step) call this through a stack-allocated fixed-size
-/// array instead of paying a heap round-trip per decode.
+/// coordinates, written into a caller-provided slot array. Hot decode paths
+/// (one action decode per rational peer per step) call this through a
+/// stack-allocated fixed-size array instead of paying a heap round-trip per
+/// decode.
 ///
 /// # Panics
 ///
@@ -163,12 +131,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn state_space_len_and_contains() {
+    fn state_space_len() {
         let s = StateSpace::new(10);
         assert_eq!(s.len(), 10);
-        assert!(s.contains(0));
-        assert!(s.contains(9));
-        assert!(!s.contains(10));
         assert!(!s.is_empty());
     }
 
@@ -191,29 +156,19 @@ mod tests {
     }
 
     #[test]
-    fn bucket_midpoint_is_consistent_with_bucket() {
-        let s = StateSpace::new(10);
-        for state in 0..10 {
-            let mid = s.bucket_midpoint(state, 0.05, 1.0);
-            assert_eq!(s.bucket(mid, 0.05, 1.0), state);
-        }
-    }
-
-    #[test]
     fn action_space_product() {
         // The paper's action space: 3 bandwidth levels × 3 file levels ×
         // 3 edit behaviours (constructive / destructive / abstain).
         let a = ActionSpace::product(&[3, 3, 3]);
         assert_eq!(a.len(), 27);
-        assert!(a.contains(26));
-        assert!(!a.contains(27));
     }
 
     #[test]
     fn flatten_and_unflatten_roundtrip() {
         let dims = [3, 3, 3];
+        let mut coords = [0usize; 3];
         for i in 0..27 {
-            let coords = unflatten_action(i, &dims);
+            unflatten_action_into(i, &dims, &mut coords);
             assert_eq!(flatten_action(&coords, &dims), i);
         }
     }
@@ -237,12 +192,5 @@ mod tests {
     #[should_panic(expected = "mismatch")]
     fn flatten_rejects_dimension_mismatch() {
         let _ = flatten_action(&[0, 0, 0], &[2, 3]);
-    }
-
-    #[test]
-    fn action_space_iter_covers_all() {
-        let a = ActionSpace::new(5);
-        let all: Vec<_> = a.iter().collect();
-        assert_eq!(all, vec![0, 1, 2, 3, 4]);
     }
 }

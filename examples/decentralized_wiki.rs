@@ -4,7 +4,7 @@
 //! which peers store articles, download them from each other, edit them and
 //! vote on edits. This example wires the substrate APIs together by hand —
 //! without the simulation engine — to show how a downstream application
-//! would use them: articles are placed via the DHT, downloads compete for a
+//! would use them: articles are placed by the DHT rule, downloads compete for a
 //! source's bandwidth under reputation-proportional allocation, an edit goes
 //! through a weighted vote, and a vandal ends up punished.
 //!
@@ -18,7 +18,7 @@ use collabsim_workspace::netsim::article::{ArticleRegistry, EditKind};
 use collabsim_workspace::netsim::bandwidth::{
     AllocationPolicy, BandwidthAllocator, DownloadRequest,
 };
-use collabsim_workspace::netsim::dht::{Dht, DhtKey};
+use collabsim_workspace::netsim::dht::{self, DhtKey};
 use collabsim_workspace::netsim::peer::{PeerId, PeerRegistry};
 use collabsim_workspace::netsim::storage::ArticleStore;
 use collabsim_workspace::reputation::contribution::SharingAction;
@@ -35,17 +35,19 @@ fn main() {
     let punishment = PunishmentPolicy::default();
     let mut articles = ArticleRegistry::new();
     let mut store = ArticleStore::new();
-    let mut dht = Dht::new(3);
-    for p in 0..population {
-        dht.join(PeerId(p as u32));
-    }
+    let members: Vec<(PeerId, DhtKey)> = (0..population as u32)
+        .map(|p| (PeerId(p), DhtKey::for_peer(PeerId(p))))
+        .collect();
 
     // --- peer 0 publishes an article ---------------------------------------
+    // Replicas go to the 3 peers whose keys are XOR-closest to the article's
+    // key, the placement rule the simulation seeds its articles with.
     let author = PeerId(0);
     let article = articles.create_article(author, 0);
     let key = DhtKey::for_article(article.0);
     store.add_replica(author, article);
-    for holder in dht.store(key) {
+    let mut nearest = [(0, PeerId(0)); 3];
+    for &(_, holder) in dht::closest_into(key, &members, &mut nearest) {
         store.add_replica(holder, article);
     }
     println!(
@@ -73,11 +75,6 @@ fn main() {
 
     // --- competing downloads: reputation-proportional bandwidth -------------
     peers.peer_mut(PeerId(0)).set_shared_upload_fraction(1.0);
-    let lookup = dht.lookup(PeerId(5), key);
-    println!(
-        "peer#5 located the article in {} hops; holders: {:?}",
-        lookup.hops, lookup.holders
-    );
     let allocator = BandwidthAllocator::new(AllocationPolicy::WeightedByReputation);
     let requests: Vec<DownloadRequest> = [1usize, 7]
         .iter()

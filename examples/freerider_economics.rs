@@ -1,12 +1,11 @@
-//! The game theory behind the incentive scheme.
+//! The economics behind the incentive scheme.
 //!
-//! This example reproduces the paper's Section-II argument with the
-//! `collabsim-gametheory` crate: (1) without service differentiation the
-//! one-shot sharing game has free-riding as its unique equilibrium, (2) the
-//! repeated Prisoner's Dilemma rewards reciprocity (which is why BitTorrent's
-//! tit-for-tat works for direct relations), and (3) with reputation-based
-//! service differentiation the paper's own utility function makes sharing
-//! pay even without direct relations.
+//! Without service differentiation, free-riding is a peer's best response:
+//! it receives the same service as a contributor without paying the cost
+//! (the paper's Section-II argument). This example evaluates the paper's
+//! own sharing utility `U_S` from the `collabsim-gametheory` crate to show
+//! that reputation-based service differentiation makes sharing pay, even
+//! without the direct repeated relations tit-for-tat needs.
 //!
 //! Run with:
 //!
@@ -14,43 +13,9 @@
 //! cargo run --release --example freerider_economics
 //! ```
 
-use collabsim_workspace::gametheory::equilibrium::analyze;
-use collabsim_workspace::gametheory::payoff::{BimatrixGame, PayoffMatrix};
-use collabsim_workspace::gametheory::prisoners::PrisonersDilemma;
-use collabsim_workspace::gametheory::tournament::{standard_factories, Tournament};
 use collabsim_workspace::gametheory::utility::{SharingObservation, UtilityModel};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
-    // --- 1. the one-shot sharing game without incentives --------------------
-    let benefit = 2.0;
-    let cost = 1.0;
-    let no_incentive = BimatrixGame::symmetric(PayoffMatrix::from_rows(
-        2,
-        2,
-        &[benefit - cost, -cost, benefit, 0.0],
-    ));
-    let report = analyze(&no_incentive);
-    println!("== sharing game without service differentiation ==");
-    println!("actions: 0 = share, 1 = free-ride");
-    println!("pure Nash equilibria: {:?}", report.equilibria);
-    println!(
-        "strictly dominant actions (row player): {:?}",
-        report.dominant_row_actions
-    );
-    println!("→ free-riding dominates; nobody shares.\n");
-
-    // --- 2. the repeated game: why tit-for-tat works for direct relations ---
-    let tournament = Tournament::new(PrisonersDilemma::axelrod(), 200, 5);
-    let mut rng = StdRng::seed_from_u64(1984);
-    let result = tournament.run(&standard_factories(), &mut rng);
-    println!("== Axelrod tournament (repeated Prisoner's Dilemma, 200 rounds) ==");
-    print!("{}", result.to_table());
-    println!("winner: {}", result.winner());
-    println!("→ reciprocal strategies dominate a mixed population, but they need *direct* repeated relations.\n");
-
-    // --- 3. the paper's utility under reputation-based differentiation ------
     let model = UtilityModel::default();
     println!("== the paper's sharing utility U_S under service differentiation ==");
     let scenarios = [

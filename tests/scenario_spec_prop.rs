@@ -14,7 +14,8 @@ use collabsim_workspace::collabsim::observer::{StepObserver, WorldView};
 use collabsim_workspace::collabsim::pipeline::{PhaseRegistry, StepContext, StepPhase};
 use collabsim_workspace::collabsim::spec::{ScenarioSpec, SpecError};
 use collabsim_workspace::collabsim::{
-    BehaviorMix, IncentiveScheme, ScenarioRunner, SimWorld, Simulation, SimulationConfig,
+    AdversaryRegistry, BehaviorMix, IncentiveScheme, ScenarioRunner, SimWorld, Simulation,
+    SimulationConfig,
 };
 use collabsim_workspace::netsim::churn::ChurnModel;
 use proptest::prelude::*;
@@ -190,7 +191,9 @@ fn user_registered_phase_runs_in_declared_order() {
         .build()
         .unwrap();
 
-    let mut sim = Simulation::from_spec_with_registry(&spec, &registry).unwrap();
+    let mut sim =
+        Simulation::from_spec_with_registries(&spec, &registry, &AdversaryRegistry::standard())
+            .unwrap();
     sim.add_observer(OrderObserver::default());
     sim.run();
 
@@ -253,10 +256,10 @@ fn runner_executes_custom_registry_specs_in_parallel() {
         })
         .collect();
     let parallel = ScenarioRunner::default()
-        .run_specs_with_registry(specs.clone(), &registry)
+        .run_specs_with_registries(specs.clone(), &registry, &AdversaryRegistry::standard())
         .unwrap();
     let sequential = ScenarioRunner::sequential()
-        .run_specs_with_registry(specs.clone(), &registry)
+        .run_specs_with_registries(specs.clone(), &registry, &AdversaryRegistry::standard())
         .unwrap();
     assert_eq!(parallel, sequential);
     assert_eq!(parallel.len(), 4);

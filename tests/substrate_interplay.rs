@@ -1,16 +1,11 @@
-//! Integration tests exercising the substrates together: DHT placement with
-//! the article store, trust propagation feeding the service differentiation,
-//! and the tit-for-tat baseline against the reputation scheme on the same
-//! request stream.
+//! Integration tests exercising the substrates together: trust propagation
+//! feeding the service differentiation, and the tit-for-tat baseline against
+//! the reputation scheme on the same request stream.
 
-use collabsim_workspace::netsim::article::ArticleRegistry;
 use collabsim_workspace::netsim::bandwidth::{
     AllocationPolicy, BandwidthAllocator, DownloadRequest,
 };
-use collabsim_workspace::netsim::dht::{Dht, DhtKey};
-use collabsim_workspace::netsim::overlay::{Overlay, Topology};
 use collabsim_workspace::netsim::peer::PeerId;
-use collabsim_workspace::netsim::storage::ArticleStore;
 use collabsim_workspace::reputation::attack::collusion_clique;
 use collabsim_workspace::reputation::contribution::SharingAction;
 use collabsim_workspace::reputation::ledger::ReputationLedger;
@@ -19,71 +14,6 @@ use collabsim_workspace::reputation::propagation::maxflow::MaxFlowTrust;
 use collabsim_workspace::reputation::service::ServiceDifferentiation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-#[test]
-fn dht_placement_keeps_articles_available_after_churn() {
-    let population = 32;
-    let mut dht = Dht::new(4);
-    let mut store = ArticleStore::new();
-    let mut articles = ArticleRegistry::new();
-    for p in 0..population {
-        dht.join(PeerId(p));
-    }
-    let mut ids = Vec::new();
-    for i in 0..20 {
-        let creator = PeerId(i % population);
-        let id = articles.create_article(creator, 0);
-        store.add_replica(creator, id);
-        for holder in dht.store(DhtKey::for_article(id.0)) {
-            store.add_replica(holder, id);
-            store.set_offered_count(holder, 100);
-        }
-        store.set_offered_count(creator, 100);
-        ids.push(id);
-    }
-    assert_eq!(store.availability(&ids), 1.0);
-
-    // A quarter of the peers leave; the replication factor of 4+creator keeps
-    // every article available.
-    for p in 0..population / 4 {
-        dht.leave(PeerId(p));
-        store.drop_peer(PeerId(p));
-    }
-    let available = store.availability(&ids);
-    assert!(
-        available >= 0.9,
-        "availability after churn should stay high, got {available}"
-    );
-
-    // Lookups from surviving peers still find holders for available articles.
-    let surviving = PeerId(population - 1);
-    let found = ids
-        .iter()
-        .filter(|id| {
-            !dht.lookup(surviving, DhtKey::for_article(id.0))
-                .holders
-                .is_empty()
-        })
-        .count();
-    assert!(found * 10 >= ids.len() * 9);
-}
-
-#[test]
-fn overlay_topologies_connect_the_population() {
-    let mut rng = StdRng::seed_from_u64(17);
-    for topology in [
-        Topology::FullMesh,
-        Topology::Random { p: 0.2 },
-        Topology::SmallWorld { k: 3, beta: 0.1 },
-    ] {
-        let overlay = Overlay::build(64, topology, &mut rng);
-        assert!(
-            overlay.is_connected() || matches!(topology, Topology::Random { .. }),
-            "{topology:?} should normally be connected"
-        );
-        assert!(overlay.mean_degree() > 1.0);
-    }
-}
 
 #[test]
 fn propagated_trust_feeds_service_differentiation_against_colluders() {
