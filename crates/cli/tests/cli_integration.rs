@@ -712,18 +712,22 @@ fn truncated_snapshot_is_a_typed_snapshot_error_with_exit_code_3() {
     assert!(err.contains("torn.snap"), "stderr: {err}");
 
     // One flipped payload byte, a version-3 header (the layout under the
-    // previous content hash) and a version-4 header (the last layout that
-    // carried the full edit log).
+    // previous content hash), a version-4 header (the last layout that
+    // carried the full edit log) and a version-5 header (the last layout
+    // that carried the article store as id lists).
     let mut rotted = bytes.clone();
     rotted[bytes.len() / 2] ^= 0x01;
     let mut old = bytes.clone();
     old[8..10].copy_from_slice(&3u16.to_le_bytes());
     let mut v4 = bytes.clone();
     v4[8..10].copy_from_slice(&4u16.to_le_bytes());
+    let mut v5 = bytes.clone();
+    v5[8..10].copy_from_slice(&5u16.to_le_bytes());
     for (name, contents, needle) in [
         ("rotted.snap", rotted, "content hash mismatch"),
         ("old.snap", old, "version 3"),
         ("v4.snap", v4, "version 4"),
+        ("v5.snap", v5, "version 5"),
     ] {
         let path = dir.join(name);
         std::fs::write(&path, contents).unwrap();

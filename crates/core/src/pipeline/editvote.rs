@@ -28,6 +28,9 @@ pub struct EditVotePhase;
 /// population-sized *per edit*).
 #[derive(Debug, Clone, Default)]
 pub struct VoteScratch {
+    /// Every peer id in order, `0..population`: the unrestricted voter
+    /// pool of an edit is this table copied around the editor.
+    ids: Vec<PeerId>,
     /// The eligible voter set of the current edit.
     eligible: Vec<PeerId>,
     /// The eligible voters' editing reputations, index-aligned.
@@ -105,12 +108,13 @@ impl StepPhase for EditVotePhase {
                     .article(article_id)
                     .eligible_voters_into(editor, &mut scratch.eligible);
             } else {
+                if scratch.ids.len() != population {
+                    scratch.ids.clear();
+                    scratch.ids.extend((0..population as u32).map(PeerId));
+                }
                 scratch.eligible.clear();
-                scratch.eligible.extend(
-                    (0..population)
-                        .map(|v| PeerId(v as u32))
-                        .filter(|&v| v != editor),
-                );
+                scratch.eligible.extend_from_slice(&scratch.ids[..p]);
+                scratch.eligible.extend_from_slice(&scratch.ids[p + 1..]);
             }
             let eligible = &mut scratch.eligible;
             if eligible.len() > world.config.max_voters_per_edit {

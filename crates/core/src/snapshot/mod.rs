@@ -59,10 +59,15 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"COLLBSNP";
 /// replica sets, which no phase reads; version 4 kept the payload and
 /// switched the trailing content hash to XXH64; version 5 replaced the
 /// edit log and the revision histories with decided-edit tallies, the
-/// pending edits, revision counts and voter sets. Files of any other
-/// version are refused with a typed [`SnapshotError::VersionMismatch`]
-/// rather than misparsed.
-pub const SNAPSHOT_VERSION: u16 = 5;
+/// pending edits, revision counts and voter sets; version 6 replaced the
+/// held and offered id lists with the article store's bitset tables.
+/// Files of any other version are refused with a typed
+/// [`SnapshotError::VersionMismatch`] rather than misparsed.
+pub const SNAPSHOT_VERSION: u16 = 6;
+
+/// The most `u64` words an article-store row can need: every article id
+/// is a `u32`, so 2³² bits cover them all.
+const MAX_ARTICLE_WORDS: usize = 1 << 26;
 
 /// Magic, version and payload length.
 const HEADER_LEN: usize = 8 + 2 + 8;
@@ -142,10 +147,13 @@ pub struct WorldState {
     pub edit_outcomes: EditOutcomeCounts,
     /// Identifier of the next submitted edit.
     pub next_edit_id: u64,
-    /// Held article replicas per peer (row index = peer id).
-    pub held: Vec<Vec<u32>>,
-    /// Offered article replicas per peer (row index = peer id).
-    pub offered: Vec<Vec<u32>>,
+    /// `u64` words per peer row of the article-store tables.
+    pub article_words: usize,
+    /// Held-article bitsets, `article_words` words per peer in peer order
+    /// (bit `a` set: the peer holds article `a`).
+    pub held: Vec<u64>,
+    /// Offered-article bitsets, row-aligned with `held`.
+    pub offered: Vec<u64>,
     /// Per-peer reputation ledger records, dense by id.
     pub ledger: Vec<PeerLedgerState>,
     /// The transfer arena: every slot, the free list and retired totals.
@@ -318,18 +326,6 @@ fn read_policy(r: &mut Reader<'_>) -> Result<PolicyState, SnapshotError> {
     })
 }
 
-fn write_rows(w: &mut Writer, rows: &[Vec<u32>]) {
-    w.usize(rows.len());
-    for row in rows {
-        w.u32s(row);
-    }
-}
-
-fn read_rows(r: &mut Reader<'_>) -> Result<Vec<Vec<u32>>, SnapshotError> {
-    let len = r.len()?;
-    (0..len).map(|_| r.u32s()).collect()
-}
-
 impl WorldState {
     /// Captures the complete mutable state of a world. Must be called at a
     /// step boundary (between [`crate::Simulation::step`] calls) — mid-step
@@ -348,18 +344,9 @@ impl WorldState {
             pending_edits: world.articles.pending_edits().to_vec(),
             edit_outcomes: world.articles.edit_outcome_counts(),
             next_edit_id: world.articles.edit_count(),
-            held: world
-                .store
-                .held_rows()
-                .iter()
-                .map(|row| row.iter().map(|a| a.0).collect())
-                .collect(),
-            offered: world
-                .store
-                .offered_rows()
-                .iter()
-                .map(|row| row.iter().map(|a| a.0).collect())
-                .collect(),
+            article_words: world.store.words_per_peer(),
+            held: world.store.held_words().to_vec(),
+            offered: world.store.offered_words().to_vec(),
             ledger: (0..population)
                 .map(|p| world.ledger.export_peer_state(p))
                 .collect(),
@@ -451,6 +438,8 @@ impl WorldState {
         }
         self.check_articles(population)
             .map_err(SnapshotError::Mismatch)?;
+        self.check_store(population, world.store.words_per_peer())
+            .map_err(SnapshotError::Mismatch)?;
 
         world.clock = SimClock::starting_at(self.step);
         world.rng = StdRng::from_state(self.rng);
@@ -465,16 +454,8 @@ impl WorldState {
             self.edit_outcomes,
             self.next_edit_id,
         );
-        world.store = ArticleStore::from_rows(
-            self.held
-                .iter()
-                .map(|row| row.iter().map(|&a| ArticleId(a)).collect())
-                .collect(),
-            self.offered
-                .iter()
-                .map(|row| row.iter().map(|&a| ArticleId(a)).collect())
-                .collect(),
-        );
+        world.store =
+            ArticleStore::from_words(self.article_words, self.held.clone(), self.offered.clone());
         for (p, record) in self.ledger.iter().enumerate() {
             world.ledger.restore_peer_state(p, record);
         }
@@ -568,6 +549,58 @@ impl WorldState {
         Ok(())
     }
 
+    /// Checks the article-store tables against a spec of `population`
+    /// peers whose store has `words` words per peer, and against the
+    /// state's own article registry: each table is `population × words`
+    /// words long, the rows can hold every article, no bit names an
+    /// article at or past `max(article count, 1)` (the registry
+    /// fallback's article 0 exists even without articles), and every
+    /// offered bit is also held — only `add_replica` and
+    /// `set_offered_count` write the store, and held bits are never
+    /// cleared. A state failing any of these would make a download pick
+    /// or a replica add misbehave.
+    fn check_store(&self, population: usize, words: usize) -> Result<(), String> {
+        if self.article_words != words {
+            return Err(format!(
+                "the article store has {} words per peer, the spec's {words}",
+                self.article_words
+            ));
+        }
+        let cells = population.checked_mul(words);
+        if cells != Some(self.held.len()) || cells != Some(self.offered.len()) {
+            return Err(format!(
+                "the article store tables hold {} and {} words, not {population} peers × {words}",
+                self.held.len(),
+                self.offered.len()
+            ));
+        }
+        let universe = self.articles.len().max(1);
+        if universe > words * 64 {
+            return Err(format!(
+                "{universe} articles do not fit {words} words per peer"
+            ));
+        }
+        let rows = self
+            .held
+            .chunks_exact(words)
+            .zip(self.offered.chunks_exact(words));
+        for (peer, (held, offered)) in rows.enumerate() {
+            for (w, (&held, &offered)) in held.iter().zip(offered).enumerate() {
+                let inside = universe.saturating_sub(w * 64);
+                let outside = if inside >= 64 { 0 } else { u64::MAX << inside };
+                if (held | offered) & outside != 0 {
+                    return Err(format!(
+                        "peer {peer} stores an article past the registry's {universe}"
+                    ));
+                }
+                if offered & !held != 0 {
+                    return Err(format!("peer {peer} offers an article it does not hold"));
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn encode(&self, w: &mut Writer) {
         w.u64(self.step);
         write_rng(w, &self.rng);
@@ -615,8 +648,9 @@ impl WorldState {
         w.u64(self.edit_outcomes.declined_constructive);
         w.u64(self.edit_outcomes.declined_destructive);
         w.u64(self.next_edit_id);
-        write_rows(w, &self.held);
-        write_rows(w, &self.offered);
+        w.usize(self.article_words);
+        w.u64s(&self.held);
+        w.u64s(&self.offered);
         w.usize(self.ledger.len());
         for record in &self.ledger {
             w.f64(record.sharing);
@@ -818,8 +852,15 @@ impl WorldState {
             pending: pending_edits.len() as u64,
         };
         let next_edit_id = r.u64()?;
-        let held = read_rows(r)?;
-        let offered = read_rows(r)?;
+        let article_words = r.u64()?;
+        if article_words == 0 || article_words > MAX_ARTICLE_WORDS as u64 {
+            return Err(SnapshotError::Corrupt(format!(
+                "{article_words} article-store words per peer"
+            )));
+        }
+        let article_words = article_words as usize;
+        let held = r.u64s()?;
+        let offered = r.u64s()?;
         let ledger_count = r.len()?;
         let mut ledger = Vec::with_capacity(ledger_count);
         for _ in 0..ledger_count {
@@ -1001,6 +1042,7 @@ impl WorldState {
             pending_edits,
             edit_outcomes,
             next_edit_id,
+            article_words,
             held,
             offered,
             ledger,
@@ -1271,8 +1313,9 @@ mod tests {
         let bytes = sim.snapshot(&spec).encode();
         // 2 is the retired layout that still carried the DHT state, 3 the
         // next one under the previous content hash, 4 the last layout that
-        // carried the full edit log.
-        for version in [0x63u16, 2, 3, 4] {
+        // carried the full edit log, 5 the last one that carried the
+        // article store as id lists.
+        for version in [0x63u16, 2, 3, 4, 5] {
             let mut bytes = bytes.clone();
             bytes[8..10].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
@@ -1519,7 +1562,10 @@ mod tests {
 
     /// Article state that contradicts itself or its population is refused
     /// as a typed error, at decode (`Corrupt`) and at apply (`Mismatch`),
-    /// instead of panicking in a later edit vote.
+    /// instead of panicking in a later edit vote. Decode refuses an
+    /// article-store word count no row can have; apply checks the store's
+    /// tables against the spec and the registry, so a tampered store
+    /// cannot misdirect a download pick or a replica add.
     #[test]
     fn malformed_article_state_is_a_typed_error_at_decode_and_apply() {
         const POPULATION: u32 = 60;
@@ -1534,46 +1580,137 @@ mod tests {
         let snapshot = sim.snapshot(&spec);
         assert!(Simulation::resume_from(&Snapshot::decode(&snapshot.encode()).unwrap()).is_ok());
 
+        // 200 articles: four words per article-store row.
+        assert_eq!(snapshot.state.article_words, 4);
         type Tamper = fn(&mut WorldState);
-        let tampers: [(&str, Tamper); 5] = [
-            ("unsorted voter set", |state| {
-                state.articles[0] = with_voters(&state.articles[0], vec![PeerId(2), PeerId(1)]);
-            }),
-            ("duplicate voters", |state| {
-                state.articles[0] = with_voters(&state.articles[0], vec![PeerId(1), PeerId(1)]);
-            }),
+        // Each tamper, and whether decode already refuses it.
+        let tampers: [(&str, Tamper, bool); 12] = [
+            (
+                "unsorted voter set",
+                |state| {
+                    state.articles[0] = with_voters(&state.articles[0], vec![PeerId(2), PeerId(1)]);
+                },
+                true,
+            ),
+            (
+                "duplicate voters",
+                |state| {
+                    state.articles[0] = with_voters(&state.articles[0], vec![PeerId(1), PeerId(1)]);
+                },
+                true,
+            ),
             // Restored unchecked, the next vote on any article read this
             // voter's editing reputation out of bounds.
-            ("voter outside the population", |state| {
-                for article in &mut state.articles {
-                    let mut voters = article.voters().to_vec();
-                    voters.push(PeerId(POPULATION));
-                    *article = with_voters(article, voters);
-                }
-            }),
-            ("pending edit its article does not name", |state| {
-                state.pending_edits.push(Edit {
-                    id: EditId(state.next_edit_id),
-                    article: ArticleId(1),
-                    author: PeerId(0),
-                    kind: EditKind::Constructive,
-                });
-                state.next_edit_id += 1;
-            }),
-            ("article naming an edit that is not pending", |state| {
-                state.articles[1].pending_edit = Some(EditId(0));
-            }),
+            (
+                "voter outside the population",
+                |state| {
+                    for article in &mut state.articles {
+                        let mut voters = article.voters().to_vec();
+                        voters.push(PeerId(POPULATION));
+                        *article = with_voters(article, voters);
+                    }
+                },
+                true,
+            ),
+            (
+                "pending edit its article does not name",
+                |state| {
+                    state.pending_edits.push(Edit {
+                        id: EditId(state.next_edit_id),
+                        article: ArticleId(1),
+                        author: PeerId(0),
+                        kind: EditKind::Constructive,
+                    });
+                    state.next_edit_id += 1;
+                },
+                true,
+            ),
+            (
+                "article naming an edit that is not pending",
+                |state| {
+                    state.articles[1].pending_edit = Some(EditId(0));
+                },
+                true,
+            ),
+            (
+                "zero article-store words",
+                |state| state.article_words = 0,
+                true,
+            ),
+            (
+                "more article-store words than u32 ids need",
+                |state| state.article_words = MAX_ARTICLE_WORDS + 1,
+                true,
+            ),
+            (
+                "a word count other than the spec's",
+                |state| {
+                    let words = state.article_words;
+                    let widen = |table: &[u64]| -> Vec<u64> {
+                        table
+                            .chunks_exact(words)
+                            .flat_map(|row| row.iter().copied().chain([0]))
+                            .collect()
+                    };
+                    state.held = widen(&state.held);
+                    state.offered = widen(&state.offered);
+                    state.article_words += 1;
+                },
+                false,
+            ),
+            (
+                "article-store tables a row short",
+                |state| {
+                    let len = state.held.len() - state.article_words;
+                    state.held.truncate(len);
+                    state.offered.truncate(len);
+                },
+                false,
+            ),
+            // Restored unchecked, the registry fallback could name an
+            // article past the store's rows.
+            (
+                "more articles than the store's rows hold",
+                |state| {
+                    let first = state.articles.len() as u32;
+                    let cover = (state.article_words * 64) as u32;
+                    state.articles.extend((first..=cover).map(|a| {
+                        Article::from_parts(ArticleId(a), PeerId(0), 0, 0, Vec::new(), 0, None)
+                    }));
+                },
+                false,
+            ),
+            (
+                "a held article past the registry",
+                |state| {
+                    let a = state.articles.len();
+                    state.held[a / 64] |= 1 << (a % 64);
+                },
+                false,
+            ),
+            (
+                "an offered article the peer does not hold",
+                |state| {
+                    let a = (0..state.articles.len())
+                        .find(|&a| state.held[a / 64] >> (a % 64) & 1 == 0)
+                        .expect("peer 0 lacks an article");
+                    state.offered[a / 64] |= 1 << (a % 64);
+                },
+                false,
+            ),
         ];
-        for (case, tamper) in tampers {
+        for (case, tamper, at_decode) in tampers {
             let mut bad = snapshot.clone();
             tamper(&mut bad.state);
-            assert!(
-                matches!(
-                    Snapshot::decode(&bad.encode()),
-                    Err(SnapshotError::Corrupt(_))
-                ),
-                "{case}: decode"
-            );
+            if at_decode {
+                assert!(
+                    matches!(
+                        Snapshot::decode(&bad.encode()),
+                        Err(SnapshotError::Corrupt(_))
+                    ),
+                    "{case}: decode"
+                );
+            }
             assert!(
                 matches!(
                     Simulation::resume_from(&bad),

@@ -594,11 +594,6 @@ pub struct SimWorld {
     /// `SCENARIO_THREADS`/hardware resolution when the config says 0) so
     /// the hot phases never touch the process environment.
     intra_step_threads: usize,
-    /// Reused candidate buffer of
-    /// [`SimWorld::pick_article_to_download`]: the filtered article list
-    /// is rebuilt in place (same contents, same order, same RNG draws as
-    /// a freshly collected vector).
-    article_scratch: Vec<ArticleId>,
 }
 
 impl SimWorld {
@@ -646,7 +641,7 @@ impl SimWorld {
         // replicated onto the 3 peers whose keys are XOR-closest to the
         // article's key (the DHT placement rule).
         let mut articles = ArticleRegistry::new();
-        let mut store = ArticleStore::new();
+        let mut store = ArticleStore::new(population, config.initial_articles);
         let members: Vec<(PeerId, DhtKey)> = (0..population as u32)
             .map(|p| (PeerId(p), DhtKey::for_peer(PeerId(p))))
             .collect();
@@ -705,7 +700,6 @@ impl SimWorld {
             net_rng,
             net_stats: NetStats::default(),
             intra_step_threads,
-            article_scratch: Vec::new(),
             rng,
             config,
         })
@@ -784,19 +778,15 @@ impl SimWorld {
     /// Picks the article a downloader will fetch from a source: preferably
     /// one offered by the source that the downloader does not yet hold,
     /// otherwise any article offered by the source, otherwise any article.
+    /// Each level makes one `gen_range` draw over its candidate count and
+    /// takes that candidate in identifier order.
     pub fn pick_article_to_download(&mut self, downloader: PeerId, source: PeerId) -> ArticleId {
-        let offered = self.store.offered_by(source);
-        self.article_scratch.clear();
-        push_not_held(
-            offered,
-            self.store.held_by(downloader),
-            &mut self.article_scratch,
-        );
-        if let Some(&a) = self.article_scratch.choose(&mut self.rng) {
-            return a;
-        }
-        if let Some(&a) = offered.choose(&mut self.rng) {
-            return a;
+        let rng = &mut self.rng;
+        if let Some(article) = self
+            .store
+            .pick_offered(source, downloader, |n| rng.gen_range(0..n))
+        {
+            return article;
         }
         // The source offers bandwidth but no specific article replica; fall
         // back to a random article of the registry (size-1 download of a
@@ -1009,35 +999,11 @@ impl SimWorld {
     }
 }
 
-/// Appends to `out` every article of `offered` that `held` lacks, in
-/// `offered`'s order. Both lists are sorted by id, so one forward merge
-/// replaces a binary search of `held` per offered article.
-fn push_not_held(offered: &[ArticleId], held: &[ArticleId], out: &mut Vec<ArticleId>) {
-    let mut h = 0;
-    for &article in offered {
-        while h < held.len() && held[h] < article {
-            h += 1;
-        }
-        if held.get(h) != Some(&article) {
-            out.push(article);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    /// A sorted, duplicate-free list: each id in `0..universe` kept with
-    /// probability `density`.
-    fn sorted_ids(universe: u32, density: f64, rng: &mut StdRng) -> Vec<ArticleId> {
-        (0..universe)
-            .filter(|_| rng.gen_bool(density))
-            .map(ArticleId)
-            .collect()
-    }
 
     /// Each peer's uploaders, sorted, so indexes built in different orders
     /// compare equal.
@@ -1065,45 +1031,6 @@ mod tests {
             }
             let rebuilt = UploadMatrix::from_sorted_rows(matrix.sorted_rows());
             assert_eq!(sorted_incoming(&matrix), sorted_incoming(&rebuilt));
-        }
-    }
-
-    #[test]
-    fn merge_filter_matches_the_binary_search_filter() {
-        let mut rng = StdRng::seed_from_u64(0x4E7D);
-        for case in 0..2_000 {
-            let universe = rng.gen_range(0..80u32);
-            let offered = sorted_ids(universe, rng.gen_range(0.0..1.0), &mut rng);
-            let held = match case % 5 {
-                // Empty.
-                0 => Vec::new(),
-                // Disjoint: everything the source offers is new.
-                1 => (0..universe)
-                    .map(ArticleId)
-                    .filter(|a| offered.binary_search(a).is_err())
-                    .filter(|_| rng.gen_bool(0.5))
-                    .collect(),
-                // Equal: nothing is new.
-                2 => offered.clone(),
-                // A subset of the offered list.
-                3 => offered
-                    .iter()
-                    .copied()
-                    .filter(|_| rng.gen_bool(0.5))
-                    .collect(),
-                // Interleaved: an independent draw over the same ids.
-                _ => sorted_ids(universe, rng.gen_range(0.0..1.0), &mut rng),
-            };
-            for (offered, held) in [(&offered, &held), (&held, &offered)] {
-                let expected: Vec<ArticleId> = offered
-                    .iter()
-                    .copied()
-                    .filter(|a| held.binary_search(a).is_err())
-                    .collect();
-                let mut merged = Vec::new();
-                push_not_held(offered, held, &mut merged);
-                assert_eq!(merged, expected, "case {case}");
-            }
         }
     }
 }

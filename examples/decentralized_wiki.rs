@@ -34,7 +34,9 @@ fn main() {
     let service = ServiceDifferentiation::paper_defaults();
     let punishment = PunishmentPolicy::default();
     let mut articles = ArticleRegistry::new();
-    let mut store = ArticleStore::new();
+    // The store is sized for its universe up front: this wiki has one
+    // article.
+    let mut store = ArticleStore::new(population, 1);
     let members: Vec<(PeerId, DhtKey)> = (0..population as u32)
         .map(|p| (PeerId(p), DhtKey::for_peer(PeerId(p))))
         .collect();

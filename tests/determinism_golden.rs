@@ -14,6 +14,10 @@
 //!    `reputation_source = propagated`, so the backend's output steers
 //!    service differentiation; each pins the report and the last global
 //!    reputation vector, recorded before the sparse propagation rewrite.
+//! 4. **Article-store shapes** — a run whose article-store rows span three
+//!    words, and a run without articles, where every download names the
+//!    registry fallback's article 0. Both were recorded on the sorted-list
+//!    store, before the bitset store replaced it.
 
 use collabsim_workspace::collabsim::adversary::AdversarySpec;
 use collabsim_workspace::collabsim::experiment::{ScenarioGrid, ScenarioRunner};
@@ -23,6 +27,7 @@ use collabsim_workspace::collabsim::{
     SimulationConfig,
 };
 use collabsim_workspace::netsim::churn::ChurnModel;
+use collabsim_workspace::netsim::peer::PeerId;
 use collabsim_workspace::reputation::propagation::PropagationScheme;
 
 /// The pinned configuration behind the golden values below. Do not change
@@ -222,6 +227,61 @@ fn propagated_gossip_run_is_pinned() {
 fn propagated_maxflow_run_is_pinned() {
     assert_eq!(propagated_run("maxflow"), PROPAGATED_MAXFLOW);
 }
+
+/// The report of `config`'s run, and the replicas every peer holds at
+/// its end.
+fn store_run(config: SimulationConfig) -> (Simulation, String) {
+    let population = config.population as u32;
+    let spec = ScenarioSpec::from_config(config).expect("store config is valid");
+    let mut sim = Simulation::from_spec(&spec).expect("standard phases resolve");
+    let report = sim.run();
+    let store = &sim.world().store;
+    let held: usize = (0..population).map(|p| store.held_count(PeerId(p))).sum();
+    let pinned = format!("{report:?}\nheld replicas: {held}");
+    (sim, pinned)
+}
+
+/// 150 peers over 130 articles, so article-store rows span three words,
+/// with unrestricted voters (149 eligible per edit, shuffled down to 10)
+/// and churn. Peers hold up to ~50 articles, so offered prefixes end in
+/// the second word as well as the first.
+#[test]
+fn multi_word_article_store_run_is_pinned() {
+    let mut config = golden_config();
+    config.population = 150;
+    config.initial_articles = 130;
+    config.restrict_voters_to_editors = false;
+    config.churn = ChurnModel {
+        join_probability: 0.2,
+        leave_probability: 0.02,
+        whitewash_probability: 0.01,
+    };
+    let (sim, pinned) = store_run(config);
+    let store = &sim.world().store;
+    let spanning = (0..150)
+        .filter(|&p| {
+            let mut words = store.offered_by(PeerId(p)).map(|a| a.index() / 64);
+            let first = words.next();
+            words.any(|w| Some(w) != first)
+        })
+        .count();
+    assert!(spanning > 0, "no offered prefix crosses a word boundary");
+    assert_eq!(pinned, MULTI_WORD_STORE);
+}
+
+/// The golden configuration without articles: downloads fall back to
+/// article 0, which peers then hold and offer.
+#[test]
+fn zero_article_run_is_pinned() {
+    let mut config = golden_config();
+    config.initial_articles = 0;
+    assert_eq!(store_run(config).1, ZERO_ARTICLES);
+}
+
+/// `store_run`'s pinned string of the two article-store runs, recorded on
+/// the sorted-list store.
+const MULTI_WORD_STORE: &str = "SimulationReport { shared_bandwidth: 0.5838901262063846, shared_articles: 0.5616184112843355, by_behavior: {\"altruistic\": BehaviorBreakdown { peers: 38, shared_bandwidth: 1.0, shared_articles: 1.0, downloaded: 0.5127825342397889, final_sharing_reputation: 0.30729853980969096, final_editing_reputation: 0.05714114845394733, constructive_edits: 77, destructive_edits: 0, votes: 46, mean_utility: 4.2739893635619115 }, \"irrational\": BehaviorBreakdown { peers: 37, shared_bandwidth: 0.0, shared_articles: 0.0, downloaded: 0.18128481410905312, final_sharing_reputation: 0.05000000000000003, final_editing_reputation: 0.06066795235271027, constructive_edits: 0, destructive_edits: 0, votes: 35, mean_utility: 1.8490183538564893 }, \"rational\": BehaviorBreakdown { peers: 75, shared_bandwidth: 0.5565395095367848, shared_articles: 0.5156675749318801, downloaded: 0.3774744832993628, final_sharing_reputation: 0.22643041359513513, final_editing_reputation: 0.057121241854859096, constructive_edits: 41, destructive_edits: 63, votes: 60, mean_utility: 3.330943743075372 }}, edit_outcomes: EditOutcomeCounts { accepted_constructive: 34, accepted_destructive: 15, declined_constructive: 84, declined_destructive: 48, pending: 0 }, mean_article_quality: 0.7553793428793433, completed_downloads: 370, evaluation_steps: 80, seed: 12648430 }\nheld replicas: 2594";
+const ZERO_ARTICLES: &str = "SimulationReport { shared_bandwidth: 0.4971875, shared_articles: 0.495, by_behavior: {\"altruistic\": BehaviorBreakdown { peers: 5, shared_bandwidth: 1.0, shared_articles: 1.0, downloaded: 0.48591609430389116, final_sharing_reputation: 0.8647787093973539, final_editing_reputation: 0.05000000000000001, constructive_edits: 0, destructive_edits: 0, votes: 0, mean_utility: 3.8591609430389138 }, \"irrational\": BehaviorBreakdown { peers: 5, shared_bandwidth: 0.0, shared_articles: 0.0, downloaded: 0.11781393148174558, final_sharing_reputation: 0.05000000000000001, final_editing_reputation: 0.05000000000000001, constructive_edits: 0, destructive_edits: 0, votes: 0, mean_utility: 1.178139314817456 }, \"rational\": BehaviorBreakdown { peers: 10, shared_bandwidth: 0.494375, shared_articles: 0.49, downloaded: 0.3625099871071816, final_sharing_reputation: 0.5813094167893122, final_editing_reputation: 0.05, constructive_edits: 0, destructive_edits: 0, votes: 0, mean_utility: 3.132912371071816 }}, edit_outcomes: EditOutcomeCounts { accepted_constructive: 0, accepted_destructive: 0, declined_constructive: 0, declined_destructive: 0, pending: 0 }, mean_article_quality: 1.0, completed_downloads: 391, evaluation_steps: 80, seed: 12648430 }\nheld replicas: 20";
 
 /// `format!("{report:?}\n{:?}", sim.global_reputation())` of each
 /// [`propagated_run`], recorded before the sparse propagation rewrite
