@@ -28,7 +28,7 @@ def rows_from_report(name, doc):
                 for key in ("peers", "cells", "total_steps"):
                     if key in node:
                         extras.append(f"{key}={node[key]}")
-                if "peak_rss_mb" in node:
+                if node.get("peak_rss_mb") is not None:
                     extras.append(f"rss={node['peak_rss_mb']:.0f}MB")
                 yield (bench, str(entry), float(sps), " ".join(extras))
             for key, value in node.items():

@@ -31,8 +31,8 @@
 //!
 //! [`ARMS_DEFENCES`]: collabsim_cli::training::ARMS_DEFENCES
 
-use collabsim_bench::{arg_value, extract_number, has_flag, maybe_write_csv};
-use collabsim_cli::runner::gate_floor;
+use collabsim::json::Json;
+use collabsim_bench::{arg_value, has_flag, maybe_write_csv, write_and_gate};
 use collabsim_cli::training::{
     arms_scale, equilibrate_base, run_defence_arm, EvalOutcome, TrainedPolicy, ARMS_DEFENCES,
 };
@@ -52,48 +52,41 @@ impl ArmResult {
     }
 }
 
-fn render_json(
+fn outcome_json(outcome: &EvalOutcome) -> Json {
+    let metrics = &outcome.metrics;
+    let retained = metrics.mean_reputation_retained();
+    Json::object([
+        ("damage", outcome.damage().into()),
+        ("damage_bandwidth", metrics.damage_bandwidth.into()),
+        ("destructive_accepted", metrics.destructive_accepted.into()),
+        ("mean_reputation_retained", retained.into()),
+        ("resets", outcome.stats.resets.into()),
+    ])
+}
+
+fn report_json(
     results: &[ArmResult],
     equilibration_seconds: f64,
     total_steps_per_sec: f64,
-) -> String {
-    let mut out = String::from("{\n  \"bench\": \"arms_race\",\n  \"defences\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let sep = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"defence\": \"{}\", \"q_updates\": {}, \"visited_cells\": {}, \
-             \"trained\": {{\"damage\": {:.3}, \"damage_bandwidth\": {:.3}, \
-             \"destructive_accepted\": {}, \"mean_reputation_retained\": {:.6}, \
-             \"resets\": {}}}, \
-             \"scripted\": {{\"damage\": {:.3}, \"damage_bandwidth\": {:.3}, \
-             \"destructive_accepted\": {}, \"mean_reputation_retained\": {:.6}, \
-             \"resets\": {}}}, \
-             \"trained_beats_scripted\": {}}}{sep}",
-            r.defence,
-            r.trained_policy.updates,
-            r.trained_policy.visited_cells,
-            r.trained.damage(),
-            r.trained.metrics.damage_bandwidth,
-            r.trained.metrics.destructive_accepted,
-            r.trained.metrics.mean_reputation_retained(),
-            r.trained.stats.resets,
-            r.scripted.damage(),
-            r.scripted.metrics.damage_bandwidth,
-            r.scripted.metrics.destructive_accepted,
-            r.scripted.metrics.mean_reputation_retained(),
-            r.scripted.stats.resets,
-            r.trained_wins(),
-        );
-    }
+) -> Json {
+    let defences = results.iter().map(|r| {
+        Json::object([
+            ("defence", r.defence.into()),
+            ("q_updates", r.trained_policy.updates.into()),
+            ("visited_cells", r.trained_policy.visited_cells.into()),
+            ("trained", outcome_json(&r.trained)),
+            ("scripted", outcome_json(&r.scripted)),
+            ("trained_beats_scripted", r.trained_wins().into()),
+        ])
+    });
     let wins = results.iter().filter(|r| r.trained_wins()).count();
-    let _ = writeln!(
-        out,
-        "  ],\n  \"trained_wins\": {wins},\n  \
-         \"base_equilibration_seconds\": {equilibration_seconds:.3},\n  \
-         \"total_steps_per_sec\": {total_steps_per_sec:.3}\n}}"
-    );
-    out
+    Json::object([
+        ("bench", "arms_race".into()),
+        ("defences", Json::Array(defences.collect())),
+        ("trained_wins", wins.into()),
+        ("base_equilibration_seconds", equilibration_seconds.into()),
+        ("total_steps_per_sec", total_steps_per_sec.into()),
+    ])
 }
 
 fn render_csv(results: &[ArmResult]) -> String {
@@ -118,30 +111,8 @@ fn render_csv(results: &[ArmResult]) -> String {
     out
 }
 
-fn check_baseline(total_steps_per_sec: f64, baseline_path: &str, max_regress_pct: f64) -> bool {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let Some(reference) = text
-        .lines()
-        .find_map(|line| extract_number(line, "total_steps_per_sec"))
-    else {
-        eprintln!("baseline {baseline_path} has no total_steps_per_sec entry");
-        return false;
-    };
-    gate_floor("aggregate", total_steps_per_sec, reference, max_regress_pct)
-}
-
 fn main() {
     let quick = has_flag("--quick");
-    let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_arms.json".to_string());
-    let max_regress: f64 = arg_value("--max-regress")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0);
     let mut scale = arms_scale(quick);
     if let Some(episodes) = arg_value("--episodes").and_then(|v| v.parse().ok()) {
         scale.episodes = episodes;
@@ -233,11 +204,8 @@ fn main() {
         }
     );
 
-    let json = render_json(&results, equilibration_seconds, total_steps_per_sec);
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("\n(report written to {out_path})"),
-        Err(e) => eprintln!("failed to write {out_path}: {e}"),
-    }
+    let report = report_json(&results, equilibration_seconds, total_steps_per_sec);
+    let gated = write_and_gate(&report, "BENCH_arms.json");
     maybe_write_csv(&render_csv(&results));
 
     if wins == 0 {
@@ -254,11 +222,7 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if let Some(baseline) = arg_value("--baseline") {
-        println!();
-        if !check_baseline(total_steps_per_sec, &baseline, max_regress) {
-            eprintln!("steps/sec regressed more than {max_regress}% against {baseline}");
-            std::process::exit(1);
-        }
+    if !gated {
+        std::process::exit(1);
     }
 }

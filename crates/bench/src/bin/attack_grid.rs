@@ -28,24 +28,33 @@
 //! `BENCH_attacks.json`), `--baseline <path>` + `--max-regress <pct>`
 //! (aggregate steps/sec gate, default 20 %).
 
-use collabsim::adversary::{AttackMetricsObserver, UnitAttackMetrics};
+use collabsim::adversary::AttackMetricsObserver;
+use collabsim::json::Json;
 use collabsim::pipeline::PhaseRegistry;
-use collabsim::{AttackStats, MemStore, RunStore, ScenarioSpec, Simulation};
-use collabsim_bench::{arg_value, extract_number, has_flag};
-use collabsim_cli::runner::{gate_floor, run_spec_instrumented};
+use collabsim::{MemStore, RunStore, ScenarioSpec, Simulation};
+use collabsim_bench::{has_flag, write_and_gate};
+use collabsim_cli::runner::run_spec_instrumented;
 use collabsim_cli::scenarios::{attack_cells, attack_scale, AttackCell, ATTACK_STRATEGIES};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-struct CellResult {
-    label: String,
-    strategy: &'static str,
-    backend: &'static str,
-    scheme: &'static str,
-    total_steps: u64,
-    steps_per_sec: f64,
-    stats: AttackStats,
-    metrics: UnitAttackMetrics,
+collabsim::json_struct! {
+    struct CellResult {
+        label: String,
+        strategy: String,
+        backend: String,
+        scheme: String,
+        total_steps: u64,
+        steps_per_sec: f64,
+        damage_bandwidth: f64,
+        destructive_accepted: u64,
+        mean_reputation_retained: f64,
+        resets: u64,
+        shed_per_reset: f64,
+        vote_revocations: u64,
+        edit_revocations: u64,
+        first_detection_step: Option<u64>,
+    }
 }
 
 fn run_cell(cell: &AttackCell) -> CellResult {
@@ -55,33 +64,38 @@ fn run_cell(cell: &AttackCell) -> CellResult {
     .expect("attack strategies are registered");
     let stats = *sim.world().adversaries.units()[0].stats();
     let observer: &AttackMetricsObserver = sim.observer(0).expect("attached above");
-    let metrics = observer.metrics()[0].clone();
+    let metrics = &observer.metrics()[0];
     CellResult {
         label: outcome.label,
-        strategy: cell.strategy,
-        backend: cell.source.label(),
-        scheme: cell.scheme.label(),
+        strategy: cell.strategy.to_string(),
+        backend: cell.source.label().to_string(),
+        scheme: cell.scheme.label().to_string(),
         total_steps: outcome.total_steps,
         steps_per_sec: outcome.steps_per_sec,
-        stats,
-        metrics,
+        damage_bandwidth: metrics.damage_bandwidth,
+        destructive_accepted: metrics.destructive_accepted,
+        mean_reputation_retained: metrics.mean_reputation_retained(),
+        resets: stats.resets,
+        shed_per_reset: stats.shed_per_reset(),
+        vote_revocations: metrics.vote_revocations,
+        edit_revocations: metrics.edit_revocations,
+        first_detection_step: metrics.first_detection,
     }
 }
 
-/// Measured outcome of the warm-start fork experiment: the shared
-/// equilibration checkpoint vs re-equilibrating every strategy cell.
-struct WarmStartReport {
-    cells: usize,
-    equilibration_seconds: f64,
-    warm_seconds: f64,
-    cold_seconds: f64,
-    identical: bool,
-}
-
-impl WarmStartReport {
-    /// Wall-clock the shared checkpoint saved over per-cell equilibration.
-    fn wall_seconds_saved(&self) -> f64 {
-        self.cold_seconds - (self.equilibration_seconds + self.warm_seconds)
+collabsim::json_struct! {
+    /// Measured outcome of the warm-start fork experiment: the shared
+    /// equilibration checkpoint vs re-equilibrating every strategy cell.
+    #[derive(Clone, Copy)]
+    struct WarmStartReport {
+        cells: usize,
+        equilibration_seconds: f64,
+        warm_seconds: f64,
+        cold_seconds: f64,
+        /// Wall-clock the shared checkpoint saved over per-cell
+        /// equilibration.
+        wall_seconds_saved: f64,
+        identical: bool,
     }
 }
 
@@ -89,9 +103,9 @@ impl WarmStartReport {
 /// ledger-source strategy cell from the shared checkpoint (routed through
 /// a [`MemStore`], so the fork pays the full encode/decode round-trip a
 /// grid coordinator would), and cross-checks each warm report against a
-/// cold run that re-equilibrates from scratch — the two must be
-/// byte-identical, and the difference in wall-clock is the saving the
-/// shared checkpoint buys.
+/// cold run that re-equilibrates from scratch — the two must be equal,
+/// and the difference in wall-clock is the saving the shared checkpoint
+/// buys.
 fn warm_start_experiment(cells: &[AttackCell]) -> WarmStartReport {
     let strategy_cells: Vec<&AttackCell> = cells
         .iter()
@@ -115,7 +129,7 @@ fn warm_start_experiment(cells: &[AttackCell]) -> WarmStartReport {
         let key = store.put(&fork).expect("mem store accepts the fork");
         let fetched = store.get(&key).expect("stored fork reads back");
         let mut sim = Simulation::resume_from(&fetched).expect("fork resumes");
-        warm_reports.push(format!("{:?}", sim.finish()));
+        warm_reports.push(sim.finish());
     }
     let warm_seconds = warming.elapsed().as_secs_f64();
 
@@ -126,11 +140,11 @@ fn warm_start_experiment(cells: &[AttackCell]) -> WarmStartReport {
         fresh.run_training();
         let fork = fresh.snapshot(&base).with_spec(&cell.spec);
         let mut sim = Simulation::resume_from(&fork).expect("fork resumes");
-        let cold = format!("{:?}", sim.finish());
+        let cold = sim.finish();
         if &cold != warm {
             identical = false;
             eprintln!(
-                "warm-start mismatch for `{}`:\n  warm: {warm}\n  cold: {cold}",
+                "warm-start mismatch for `{}`:\n  warm: {warm:?}\n  cold: {cold:?}",
                 cell.spec.label()
             );
         }
@@ -142,83 +156,13 @@ fn warm_start_experiment(cells: &[AttackCell]) -> WarmStartReport {
         equilibration_seconds,
         warm_seconds,
         cold_seconds,
+        wall_seconds_saved: cold_seconds - (equilibration_seconds + warm_seconds),
         identical,
     }
 }
 
-fn render_json(results: &[CellResult], warm: &WarmStartReport, total_steps_per_sec: f64) -> String {
-    let mut out = String::from("{\n  \"bench\": \"attack_grid\",\n  \"cells\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let sep = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"label\": \"{}\", \"strategy\": \"{}\", \"backend\": \"{}\", \
-             \"scheme\": \"{}\", \"total_steps\": {}, \"steps_per_sec\": {:.3}, \
-             \"damage_bandwidth\": {:.3}, \"destructive_accepted\": {}, \
-             \"mean_reputation_retained\": {:.6}, \"resets\": {}, \
-             \"shed_per_reset\": {:.6}, \"vote_revocations\": {}, \
-             \"edit_revocations\": {}, \"first_detection_step\": {}}}{sep}",
-            r.label,
-            r.strategy,
-            r.backend,
-            r.scheme,
-            r.total_steps,
-            r.steps_per_sec,
-            r.metrics.damage_bandwidth,
-            r.metrics.destructive_accepted,
-            r.metrics.mean_reputation_retained(),
-            r.stats.resets,
-            r.stats.shed_per_reset(),
-            r.metrics.vote_revocations,
-            r.metrics.edit_revocations,
-            r.metrics
-                .first_detection
-                .map_or("null".to_string(), |s| s.to_string()),
-        );
-    }
-    let _ = writeln!(
-        out,
-        "  ],\n  \"warm_start\": {{\"cells\": {}, \"equilibration_seconds\": {:.3}, \
-         \"warm_seconds\": {:.3}, \"cold_seconds\": {:.3}, \"wall_seconds_saved\": {:.3}, \
-         \"identical\": {}}},",
-        warm.cells,
-        warm.equilibration_seconds,
-        warm.warm_seconds,
-        warm.cold_seconds,
-        warm.wall_seconds_saved(),
-        warm.identical
-    );
-    let _ = writeln!(
-        out,
-        "  \"total_steps_per_sec\": {total_steps_per_sec:.3}\n}}"
-    );
-    out
-}
-
-fn check_baseline(total_steps_per_sec: f64, baseline_path: &str, max_regress_pct: f64) -> bool {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let Some(reference) = text
-        .lines()
-        .find_map(|line| extract_number(line, "total_steps_per_sec"))
-    else {
-        eprintln!("baseline {baseline_path} has no total_steps_per_sec entry");
-        return false;
-    };
-    gate_floor("aggregate", total_steps_per_sec, reference, max_regress_pct)
-}
-
 fn main() {
     let quick = has_flag("--quick");
-    let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_attacks.json".to_string());
-    let max_regress: f64 = arg_value("--max-regress")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0);
     let scale = attack_scale(quick);
 
     println!(
@@ -250,13 +194,12 @@ fn main() {
         println!(
             "{:<46} {:>9.1} {:>8} {:>9.4} {:>6} {:>9.4} {:>8}",
             r.label,
-            r.metrics.damage_bandwidth,
-            r.metrics.destructive_accepted,
-            r.metrics.mean_reputation_retained(),
-            r.stats.resets,
-            r.stats.shed_per_reset(),
-            r.metrics
-                .first_detection
+            r.damage_bandwidth,
+            r.destructive_accepted,
+            r.mean_reputation_retained,
+            r.resets,
+            r.shed_per_reset,
+            r.first_detection_step
                 .map_or("never".to_string(), |s| format!("@{s}")),
         );
     }
@@ -274,16 +217,15 @@ fn main() {
     println!(
         "headline: adaptive-whitewash retains {:.4} over {} resets ({} edit revocations) vs \
          naive {:.4} over {} resets ({} edit revocations)",
-        adaptive.metrics.mean_reputation_retained(),
-        adaptive.stats.resets,
-        adaptive.metrics.edit_revocations,
-        naive.metrics.mean_reputation_retained(),
-        naive.stats.resets,
-        naive.metrics.edit_revocations,
+        adaptive.mean_reputation_retained,
+        adaptive.resets,
+        adaptive.edit_revocations,
+        naive.mean_reputation_retained,
+        naive.resets,
+        naive.edit_revocations,
     );
-    let beats = adaptive.metrics.mean_reputation_retained()
-        > naive.metrics.mean_reputation_retained()
-        && adaptive.metrics.edit_revocations < naive.metrics.edit_revocations;
+    let beats = adaptive.mean_reputation_retained > naive.mean_reputation_retained
+        && adaptive.edit_revocations < naive.edit_revocations;
     println!(
         "          adaptive timing {} naive stochastic whitewashing",
         if beats { "beats" } else { "DOES NOT BEAT" }
@@ -299,11 +241,7 @@ fn main() {
             .iter()
             .filter(|r| r.strategy == strategy && r.scheme == "reputation")
         {
-            let _ = write!(
-                row,
-                " {}={:.0}",
-                cell.backend, cell.metrics.damage_bandwidth
-            );
+            let _ = write!(row, " {}={:.0}", cell.backend, cell.damage_bandwidth);
         }
         println!("{row}");
     }
@@ -320,37 +258,33 @@ fn main() {
     );
     println!(
         "            cold runs (per-cell equilibration) took {:.2}s — {:.2}s wall-clock saved",
-        warm.cold_seconds,
-        warm.wall_seconds_saved()
+        warm.cold_seconds, warm.wall_seconds_saved
     );
     println!(
         "            warm ≡ cold: cell reports {}",
         if warm.identical {
-            "byte-identical"
+            "identical"
         } else {
             "DIFFER"
         }
     );
 
-    let json = render_json(&results, &warm, total_steps_per_sec);
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("\n(report written to {out_path})"),
-        Err(e) => eprintln!("failed to write {out_path}: {e}"),
-    }
-
+    let report = Json::object([
+        ("bench", "attack_grid".into()),
+        ("cells", results.into()),
+        ("warm_start", warm.into()),
+        ("total_steps_per_sec", total_steps_per_sec.into()),
+    ]);
+    let gated = write_and_gate(&report, "BENCH_attacks.json");
     if !beats {
         eprintln!("acceptance violated: adaptive-whitewash must beat naive-whitewash");
         std::process::exit(1);
     }
     if !warm.identical {
-        eprintln!("acceptance violated: warm-started cells must match cold runs byte for byte");
+        eprintln!("acceptance violated: warm-started cells must match cold runs exactly");
         std::process::exit(1);
     }
-    if let Some(baseline) = arg_value("--baseline") {
-        println!();
-        if !check_baseline(total_steps_per_sec, &baseline, max_regress) {
-            eprintln!("steps/sec regressed more than {max_regress}% against {baseline}");
-            std::process::exit(1);
-        }
+    if !gated {
+        std::process::exit(1);
     }
 }

@@ -25,24 +25,26 @@
 //! [`ScenarioSpec`]: collabsim::ScenarioSpec
 
 use collabsim::experiment::ScenarioRunner;
+use collabsim::json::Json;
 use collabsim::observer::ChurnTimelineObserver;
 use collabsim::pipeline::PhaseRegistry;
 use collabsim::ScenarioSpec;
-use collabsim_bench::{arg_value, extract_number, has_flag};
-use collabsim_cli::runner::{gate_floor, run_spec_instrumented};
+use collabsim_bench::{has_flag, write_and_gate};
+use collabsim_cli::runner::run_spec_instrumented;
 use collabsim_cli::scenarios::{churn_phases, churn_regimes};
-use std::fmt::Write as _;
 
-struct ChurnResult {
-    label: String,
-    total_steps: u64,
-    steps_per_sec: f64,
-    joins: u64,
-    leaves: u64,
-    whitewashes: u64,
-    mean_reentry_reputation: f64,
-    mean_whitewash_shed: f64,
-    online_final: usize,
+collabsim::json_struct! {
+    struct ChurnResult {
+        label: String,
+        total_steps: u64,
+        steps_per_sec: f64,
+        joins: u64,
+        leaves: u64,
+        whitewashes: u64,
+        mean_reentry_reputation: f64,
+        mean_whitewash_shed: f64,
+        online_final: usize,
+    }
 }
 
 fn run_instrumented(spec: &ScenarioSpec) -> ChurnResult {
@@ -66,74 +68,8 @@ fn run_instrumented(spec: &ScenarioSpec) -> ChurnResult {
     }
 }
 
-fn render_json(results: &[ChurnResult]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"churn_smoke\",\n  \"cells\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let sep = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"label\": \"{}\", \"total_steps\": {}, \"steps_per_sec\": {:.3}, \
-             \"joins\": {}, \"leaves\": {}, \"whitewashes\": {}, \
-             \"mean_reentry_reputation\": {:.6}, \"mean_whitewash_shed\": {:.6}, \
-             \"online_final\": {}}}{sep}",
-            r.label,
-            r.total_steps,
-            r.steps_per_sec,
-            r.joins,
-            r.leaves,
-            r.whitewashes,
-            r.mean_reentry_reputation,
-            r.mean_whitewash_shed,
-            r.online_final,
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn check_baseline(results: &[ChurnResult], baseline_path: &str, max_regress_pct: f64) -> bool {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let mut ok = true;
-    let mut checked = 0usize;
-    for result in results {
-        let Some(reference) = text
-            .lines()
-            .find(|line| line.contains(&format!("\"label\": \"{}\"", result.label)))
-            .and_then(|line| extract_number(line, "steps_per_sec"))
-        else {
-            println!(
-                "{}: no baseline entry (skipping the regression check)",
-                result.label
-            );
-            continue;
-        };
-        checked += 1;
-        ok &= gate_floor(
-            &result.label,
-            result.steps_per_sec,
-            reference,
-            max_regress_pct,
-        );
-    }
-    if checked == 0 {
-        eprintln!("baseline {baseline_path} matched no cells");
-        return false;
-    }
-    ok
-}
-
 fn main() {
     let quick = has_flag("--quick");
-    let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_churn.json".to_string());
-    let max_regress: f64 = arg_value("--max-regress")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0);
 
     println!(
         "collabsim — churn_smoke [scale: {}]",
@@ -181,17 +117,8 @@ fn main() {
         results.push(result);
     }
 
-    let json = render_json(&results);
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("\n(report written to {out_path})"),
-        Err(e) => eprintln!("failed to write {out_path}: {e}"),
-    }
-
-    if let Some(baseline) = arg_value("--baseline") {
-        println!();
-        if !check_baseline(&results, &baseline, max_regress) {
-            eprintln!("steps/sec regressed more than {max_regress}% against {baseline}");
-            std::process::exit(1);
-        }
+    let report = Json::object([("bench", "churn_smoke".into()), ("cells", results.into())]);
+    if !write_and_gate(&report, "BENCH_churn.json") {
+        std::process::exit(1);
     }
 }

@@ -31,108 +31,53 @@
 //! [`NetStats`]: collabsim::NetStats
 
 use collabsim::experiment::ScenarioRunner;
+use collabsim::json::Json;
 use collabsim::pipeline::PhaseRegistry;
-use collabsim::{NetStats, ScenarioSpec};
-use collabsim_bench::{arg_value, extract_number, has_flag};
-use collabsim_cli::runner::{gate_floor, run_spec_instrumented};
+use collabsim::ScenarioSpec;
+use collabsim_bench::{has_flag, write_and_gate};
+use collabsim_cli::runner::run_spec_instrumented;
 use collabsim_cli::scenarios::{fault_cells, fault_phases, fault_regimes};
-use std::fmt::Write as _;
 
-struct FaultResult {
-    label: String,
-    total_steps: u64,
-    steps_per_sec: f64,
-    shared_bandwidth: f64,
-    completed_downloads: usize,
-    net: NetStats,
+collabsim::json_struct! {
+    /// One instrumented cell, with its [`NetStats`] fault accounting.
+    struct FaultResult {
+        label: String,
+        total_steps: u64,
+        steps_per_sec: f64,
+        shared_bandwidth: f64,
+        completed_downloads: usize,
+        grants_offered: f64,
+        grants_applied: f64,
+        grants_lost: f64,
+        grants_delayed: f64,
+        transfers_failed: u64,
+        transfers_timed_out: u64,
+        transfers_rerouted: u64,
+    }
 }
 
 fn run_instrumented(spec: &ScenarioSpec) -> FaultResult {
     let (outcome, sim) = run_spec_instrumented(spec, &PhaseRegistry::standard(), |_| {})
         .expect("fault cells use only standard phases");
+    let net = sim.world().net_stats;
     FaultResult {
         label: outcome.label,
         total_steps: outcome.total_steps,
         steps_per_sec: outcome.steps_per_sec,
         shared_bandwidth: outcome.report.shared_bandwidth,
         completed_downloads: outcome.report.completed_downloads,
-        net: sim.world().net_stats,
+        grants_offered: net.grants_offered,
+        grants_applied: net.grants_applied,
+        grants_lost: net.grants_lost,
+        grants_delayed: net.grants_delayed,
+        transfers_failed: net.transfers_failed,
+        transfers_timed_out: net.transfers_timed_out,
+        transfers_rerouted: net.transfers_rerouted,
     }
-}
-
-fn render_json(results: &[FaultResult]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"fault_grid\",\n  \"cells\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let sep = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"label\": \"{}\", \"total_steps\": {}, \"steps_per_sec\": {:.3}, \
-             \"shared_bandwidth\": {:.6}, \"completed_downloads\": {}, \
-             \"grants_offered\": {:.3}, \"grants_applied\": {:.3}, \
-             \"grants_lost\": {:.3}, \"grants_delayed\": {:.3}, \
-             \"transfers_failed\": {}, \"transfers_timed_out\": {}, \
-             \"transfers_rerouted\": {}}}{sep}",
-            r.label,
-            r.total_steps,
-            r.steps_per_sec,
-            r.shared_bandwidth,
-            r.completed_downloads,
-            r.net.grants_offered,
-            r.net.grants_applied,
-            r.net.grants_lost,
-            r.net.grants_delayed,
-            r.net.transfers_failed,
-            r.net.transfers_timed_out,
-            r.net.transfers_rerouted,
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn check_baseline(results: &[FaultResult], baseline_path: &str, max_regress_pct: f64) -> bool {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let mut ok = true;
-    let mut checked = 0usize;
-    for result in results {
-        let Some(reference) = text
-            .lines()
-            .find(|line| line.contains(&format!("\"label\": \"{}\"", result.label)))
-            .and_then(|line| extract_number(line, "steps_per_sec"))
-        else {
-            println!(
-                "{}: no baseline entry (skipping the regression check)",
-                result.label
-            );
-            continue;
-        };
-        checked += 1;
-        ok &= gate_floor(
-            &result.label,
-            result.steps_per_sec,
-            reference,
-            max_regress_pct,
-        );
-    }
-    if checked == 0 {
-        eprintln!("baseline {baseline_path} matched no cells");
-        return false;
-    }
-    ok
 }
 
 fn main() {
     let quick = has_flag("--quick");
-    let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_faults.json".to_string());
-    let max_regress: f64 = arg_value("--max-regress")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0);
 
     println!(
         "collabsim — fault_grid [scale: {}]",
@@ -170,13 +115,13 @@ fn main() {
              delayed={:<8.1} failed={:<3} timeouts={:<3} rerouted={}",
             result.label,
             result.steps_per_sec,
-            result.net.grants_offered,
-            result.net.grants_applied,
-            result.net.grants_lost,
-            result.net.grants_delayed,
-            result.net.transfers_failed,
-            result.net.transfers_timed_out,
-            result.net.transfers_rerouted,
+            result.grants_offered,
+            result.grants_applied,
+            result.grants_lost,
+            result.grants_delayed,
+            result.transfers_failed,
+            result.transfers_timed_out,
+            result.transfers_rerouted,
         );
         results.push(result);
     }
@@ -210,17 +155,8 @@ fn main() {
         );
     }
 
-    let json = render_json(&results);
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("\n(report written to {out_path})"),
-        Err(e) => eprintln!("failed to write {out_path}: {e}"),
-    }
-
-    if let Some(baseline) = arg_value("--baseline") {
-        println!();
-        if !check_baseline(&results, &baseline, max_regress) {
-            eprintln!("steps/sec regressed more than {max_regress}% against {baseline}");
-            std::process::exit(1);
-        }
+    let report = Json::object([("bench", "fault_grid".into()), ("cells", results.into())]);
+    if !write_and_gate(&report, "BENCH_faults.json") {
+        std::process::exit(1);
     }
 }

@@ -7,7 +7,8 @@
 //!    download per peer per step, i.e. the download/bandwidth-competition-
 //!    dominated configuration. Runs single-cell through the shared
 //!    [`collabsim_cli::runner`] core, which times every phase with a
-//!    [`TimingObserver`]; its steps/sec is the CI-gated number.
+//!    [`TimingObserver`](collabsim::TimingObserver); its steps/sec is the
+//!    CI-gated number.
 //! 2. **The 18-cell grid** — the Section IV-B mix sweeps behind Figures 4
 //!    and 5 (9 altruistic-share points + 9 irrational-share points),
 //!    executed through the parallel [`ScenarioRunner`]; reported as grid
@@ -34,55 +35,49 @@
 //! `BENCH_paper.json` as a build artifact.
 
 use collabsim::experiment::ScenarioRunner;
+use collabsim::json::Json;
 use collabsim::pipeline::PhaseRegistry;
-use collabsim::TimingObserver;
-use collabsim_bench::{arg_value, extract_number, has_flag};
-use collabsim_cli::runner::{gate_floor, run_spec_instrumented};
+use collabsim_bench::{has_flag, phase_seconds, print_phases, write_and_gate};
+use collabsim_cli::runner::run_spec_instrumented;
 use collabsim_cli::scenarios::{
     paper_cell_phases, paper_cell_spec, paper_mix_cells, paper_mix_phases,
 };
-use std::fmt::Write as _;
 use std::time::Instant;
 
-struct PaperCellResult {
-    population: usize,
-    total_steps: u64,
-    build_seconds: f64,
-    steps_per_sec: f64,
-    completed_downloads: usize,
-    transfer_slots: usize,
-    phases: Vec<(String, f64)>,
+collabsim::json_struct! {
+    struct PaperCellResult {
+        peers: usize,
+        total_steps: u64,
+        build_seconds: f64,
+        steps_per_sec: f64,
+        completed_downloads: usize,
+        transfer_slots: usize,
+        phases: Json,
+    }
 }
 
-struct GridResult {
-    cells: usize,
-    steps_per_cell: u64,
-    seconds: f64,
-    cells_per_sec: f64,
-    aggregate_steps_per_sec: f64,
+collabsim::json_struct! {
+    struct GridResult {
+        cells: usize,
+        steps_per_cell: u64,
+        seconds: f64,
+        cells_per_sec: f64,
+        aggregate_steps_per_sec: f64,
+    }
 }
 
 fn run_paper_cell(quick: bool) -> PaperCellResult {
     let spec = paper_cell_spec(paper_cell_phases(quick));
     let (outcome, sim) = run_spec_instrumented(&spec, &PhaseRegistry::standard(), |_| {})
         .expect("paper cell resolves against the standard registry");
-    let timings: &TimingObserver = sim
-        .observer(sim.observer_count() - 1)
-        .expect("the runner attaches a timing observer last");
-    let phases = timings
-        .timings()
-        .totals()
-        .iter()
-        .map(|(name, duration, _)| ((*name).to_string(), duration.as_secs_f64()))
-        .collect();
     PaperCellResult {
-        population: spec.config().population,
+        peers: spec.config().population,
         total_steps: outcome.total_steps,
         build_seconds: outcome.build_seconds,
         steps_per_sec: outcome.steps_per_sec,
         completed_downloads: outcome.report.completed_downloads,
         transfer_slots: sim.world().transfers.slot_count(),
-        phases,
+        phases: phase_seconds(&sim),
     }
 }
 
@@ -106,69 +101,9 @@ fn run_grid(quick: bool, full_grid_steps: bool) -> GridResult {
     }
 }
 
-fn render_json(cell: &PaperCellResult, grid: &GridResult) -> String {
-    let mut phases = String::new();
-    for (j, (name, seconds)) in cell.phases.iter().enumerate() {
-        let sep = if j + 1 < cell.phases.len() { ", " } else { "" };
-        let _ = write!(phases, "\"{name}\": {seconds:.4}{sep}");
-    }
-    let mut out = String::from("{\n  \"bench\": \"paper_grid\",\n");
-    let _ = writeln!(
-        out,
-        "  \"paper_cell\": {{\"peers\": {}, \"total_steps\": {}, \"build_seconds\": {:.4}, \
-         \"steps_per_sec\": {:.3}, \"completed_downloads\": {}, \"transfer_slots\": {}, \
-         \"phases\": {{{phases}}}}},",
-        cell.population,
-        cell.total_steps,
-        cell.build_seconds,
-        cell.steps_per_sec,
-        cell.completed_downloads,
-        cell.transfer_slots,
-    );
-    let _ = writeln!(
-        out,
-        "  \"grid\": {{\"cells\": {}, \"steps_per_cell\": {}, \"seconds\": {:.3}, \
-         \"cells_per_sec\": {:.3}, \"aggregate_steps_per_sec\": {:.3}}}",
-        grid.cells,
-        grid.steps_per_cell,
-        grid.seconds,
-        grid.cells_per_sec,
-        grid.aggregate_steps_per_sec,
-    );
-    out.push_str("}\n");
-    out
-}
-
-/// The baseline's paper-cell steps/sec: read from the `paper_cell` line of
-/// a previously written report.
-fn parse_baseline(text: &str) -> Option<f64> {
-    text.lines()
-        .find(|line| line.contains("\"paper_cell\""))
-        .and_then(|line| extract_number(line, "steps_per_sec"))
-}
-
-fn check_baseline(cell: &PaperCellResult, baseline_path: &str, max_regress_pct: f64) -> bool {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let Some(reference) = parse_baseline(&text) else {
-        eprintln!("baseline {baseline_path} has no paper_cell steps_per_sec");
-        return false;
-    };
-    gate_floor("paper cell", cell.steps_per_sec, reference, max_regress_pct)
-}
-
 fn main() {
     let quick = has_flag("--quick");
     let full_grid_steps = has_flag("--paper-grid-steps");
-    let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_paper.json".to_string());
-    let max_regress: f64 = arg_value("--max-regress")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0);
 
     println!(
         "collabsim — paper_grid [{}]",
@@ -180,16 +115,14 @@ fn main() {
     let cell = run_paper_cell(quick);
     println!(
         "paper cell: peers={}  steps={}  build={:.3}s  steps/sec={:.2}  downloads={}  transfer_slots={}",
-        cell.population,
+        cell.peers,
         cell.total_steps,
         cell.build_seconds,
         cell.steps_per_sec,
         cell.completed_downloads,
         cell.transfer_slots,
     );
-    for (name, seconds) in &cell.phases {
-        println!("    {name:<12} {seconds:>8.3}s");
-    }
+    print_phases(&cell.phases);
 
     let grid = run_grid(quick, full_grid_steps);
     println!(
@@ -197,17 +130,12 @@ fn main() {
         grid.cells, grid.steps_per_cell, grid.seconds, grid.cells_per_sec, grid.aggregate_steps_per_sec,
     );
 
-    let json = render_json(&cell, &grid);
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("\n(report written to {out_path})"),
-        Err(e) => eprintln!("failed to write {out_path}: {e}"),
-    }
-
-    if let Some(baseline) = arg_value("--baseline") {
-        println!();
-        if !check_baseline(&cell, &baseline, max_regress) {
-            eprintln!("paper-cell steps/sec regressed more than {max_regress}% against {baseline}");
-            std::process::exit(1);
-        }
+    let report = Json::object([
+        ("bench", "paper_grid".into()),
+        ("paper_cell", cell.into()),
+        ("grid", grid.into()),
+    ]);
+    if !write_and_gate(&report, "BENCH_paper.json") {
+        std::process::exit(1);
     }
 }

@@ -12,8 +12,17 @@
 //!
 //! Binaries also accept `--csv <path>` to write the series as CSV next to
 //! printing the human-readable table.
+//!
+//! The six perf benches (`scale_population`, `paper_grid`, `churn_smoke`,
+//! `fault_grid`, `attack_grid`, `arms_race`) build their `BENCH_*.json`
+//! report as a [`Json`] value and end in [`write_and_gate`], which writes
+//! it to `--out` and, given `--baseline`, gates every throughput the
+//! baseline (an earlier report of the same bench) holds against the same
+//! entry of the new report.
 
-use collabsim::{PhaseConfig, ScenarioSpec, SimulationConfig};
+use collabsim::json::Json;
+use collabsim::{PhaseConfig, ScenarioSpec, Simulation, SimulationConfig};
+use collabsim_cli::runner::floor_verdict;
 
 /// The scale a figure run is executed at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,12 +100,6 @@ pub fn has_flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
-/// Extracts `"key": <number>` from a JSON line written by the perf
-/// benches (the self-describing baseline format; the offline harness has
-/// no JSON parser crate). Lives in the shared runner core now — re-
-/// exported so bench code keeps its historical import path.
-pub use collabsim_cli::runner::extract_number;
-
 /// Parses an optional `--csv <path>` argument.
 pub fn csv_path_from_args() -> Option<String> {
     arg_value("--csv")
@@ -127,6 +130,135 @@ pub fn maybe_write_csv(csv: &str) {
             Err(e) => eprintln!("failed to write {path}: {e}"),
         }
     }
+}
+
+/// Per-phase wall-clock seconds of a run made through
+/// [`collabsim_cli::runner`], as a JSON object in pipeline order.
+pub fn phase_seconds(sim: &Simulation) -> Json {
+    let totals = collabsim_cli::runner::phase_timings(sim).totals();
+    let seconds = totals
+        .iter()
+        .map(|(name, duration, _)| (*name, duration.as_secs_f64().into()));
+    Json::object(seconds)
+}
+
+/// Prints one row per phase of a [`phase_seconds`] object.
+pub fn print_phases(phases: &Json) {
+    for (name, seconds) in phases.as_object().unwrap_or_default() {
+        println!(
+            "    {name:<12} {:>8.3}s",
+            seconds.number::<f64>().unwrap_or_default()
+        );
+    }
+}
+
+/// Writes `report` to `--out` (default `default_out`) and, given
+/// `--baseline <path>`, gates it against that earlier report of the same
+/// bench with the `--max-regress <pct>` tolerance (default 20 %). Returns
+/// `false` on a regression or a baseline that compares nothing.
+pub fn write_and_gate(report: &Json, default_out: &str) -> bool {
+    let out_path = arg_value("--out").unwrap_or_else(|| default_out.to_string());
+    match std::fs::write(&out_path, format!("{report}\n")) {
+        Ok(()) => println!("\n(report written to {out_path})"),
+        Err(e) => eprintln!("failed to write {out_path}: {e}"),
+    }
+    let Some(baseline_path) = arg_value("--baseline") else {
+        return true;
+    };
+    let max_regress: f64 = arg_value("--max-regress")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(20.0);
+    println!();
+    let baseline = match std::fs::read_to_string(&baseline_path) {
+        Ok(text) => Json::parse(&text).map_err(|e| format!("not JSON: {e}")),
+        Err(e) => Err(e.to_string()),
+    };
+    let mut verdicts = Vec::new();
+    match baseline {
+        Ok(baseline) => gate(
+            Some(report),
+            &baseline,
+            "aggregate",
+            max_regress,
+            &mut verdicts,
+        ),
+        Err(message) => eprintln!("baseline {baseline_path}: {message}"),
+    }
+    if verdicts.is_empty() {
+        eprintln!("baseline {baseline_path} gated nothing in this report");
+        return false;
+    }
+    let ok = verdicts.iter().all(|&ok| ok);
+    if !ok {
+        eprintln!(
+            "steps/sec or peak RSS regressed more than {max_regress}% against {baseline_path}"
+        );
+    }
+    ok
+}
+
+/// Gates every throughput in `baseline` (a `steps_per_sec` or
+/// `total_steps_per_sec` member) against the same place in `current`,
+/// reached by key through objects and by `label` or `peers` through
+/// arrays; an object carrying `peak_rss_mb` on both sides is also held
+/// under its RSS ceiling. Pushes one verdict per comparison.
+fn gate(
+    current: Option<&Json>,
+    baseline: &Json,
+    name: &str,
+    max_regress: f64,
+    verdicts: &mut Vec<bool>,
+) {
+    match baseline {
+        Json::Object(members) => {
+            for (key, reference) in members {
+                let entry = current.and_then(|c| c.get(key));
+                if key != "steps_per_sec" && key != "total_steps_per_sec" {
+                    gate(entry, reference, key, max_regress, verdicts);
+                } else if let (Some(now), Some(then)) =
+                    (entry.and_then(Json::number), reference.number())
+                {
+                    let (ok, line) = floor_verdict(name, now, then, max_regress);
+                    println!("{line}");
+                    verdicts.push(ok);
+                    let rss = |json: Option<&Json>| json?.get("peak_rss_mb")?.number();
+                    if let (Some(now), Some(then)) = (rss(current), rss(Some(baseline))) {
+                        verdicts.push(gate_rss_ceiling(name, now, then, max_regress));
+                    }
+                } else {
+                    println!("{name}: not in this run (skipping the regression check)");
+                }
+            }
+        }
+        Json::Array(references) => {
+            let entries = current.and_then(Json::as_array).unwrap_or_default();
+            for reference in references {
+                let matched = ["label", "peers"]
+                    .into_iter()
+                    .find_map(|by| Some((by, reference.get(by)?)));
+                if let Some((by, id)) = matched {
+                    let entry = entries.iter().find(|entry| entry.get(by) == Some(id));
+                    let name = id
+                        .as_str()
+                        .map_or_else(|| format!("{by} {id}"), str::to_string);
+                    gate(entry, reference, &name, max_regress, verdicts);
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Ceiling gate on peak RSS: prints the verdict line and returns whether
+/// `current` stays under `recorded × (1 + max_regress_pct/100)`.
+fn gate_rss_ceiling(name: &str, current: f64, recorded: f64, max_regress_pct: f64) -> bool {
+    let ceiling = recorded * (1.0 + max_regress_pct / 100.0);
+    let ok = current <= ceiling;
+    println!(
+        "{name}: peak RSS {current:.0} MB vs baseline {recorded:.0} MB (ceiling {ceiling:.0}) — {}",
+        if ok { "ok" } else { "REGRESSION" }
+    );
+    ok
 }
 
 /// Prints the standard run header shared by every figure binary.
@@ -162,6 +294,92 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(Scale::Quick.label(), "quick");
         assert_eq!(Scale::Paper.label(), "paper");
+    }
+
+    fn parse(text: &str) -> Json {
+        Json::parse(text).expect("test JSON parses")
+    }
+
+    #[test]
+    fn every_checked_in_baseline_parses() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines");
+        let mut parsed = 0;
+        for entry in std::fs::read_dir(&dir).expect("baselines directory") {
+            let path = entry.expect("directory entry").path();
+            let text = std::fs::read_to_string(&path).expect("baseline reads");
+            let baseline = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert!(baseline.get("bench").and_then(Json::as_str).is_some());
+            parsed += 1;
+        }
+        assert_eq!(parsed, 6, "one baseline per perf bench");
+    }
+
+    #[test]
+    fn gates_compare_against_floor_and_ceiling() {
+        assert!(floor_verdict("t", 90.0, 100.0, 20.0).0);
+        assert!(!floor_verdict("t", 70.0, 100.0, 20.0).0);
+        assert!(gate_rss_ceiling("t", 110.0, 100.0, 20.0));
+        assert!(!gate_rss_ceiling("t", 130.0, 100.0, 20.0));
+    }
+
+    /// Runs the gate on two JSON texts; `None` when nothing was compared.
+    fn check(current: &str, baseline: &str) -> Option<bool> {
+        let mut verdicts = Vec::new();
+        gate(
+            Some(&parse(current)),
+            &parse(baseline),
+            "t",
+            20.0,
+            &mut verdicts,
+        );
+        (!verdicts.is_empty()).then(|| verdicts.iter().all(|&ok| ok))
+    }
+
+    #[test]
+    fn entries_are_matched_by_label_peers_or_path() {
+        let tiers = r#"{"tiers": [{"peers": 10, "steps_per_sec": 100.0, "peak_rss_mb": 50.0},
+                                  {"peers": 20, "steps_per_sec": 1e3}]}"#;
+        let run = |current: &str| check(current, tiers);
+        assert_eq!(
+            run(r#"{"tiers": [{"peers": 10, "steps_per_sec": 85.0}]}"#),
+            Some(true)
+        );
+        assert_eq!(
+            run(r#"{"tiers": [{"peers": 20, "steps_per_sec": 700.0}]}"#),
+            Some(false),
+            "the exponent form reads as 1000"
+        );
+        assert_eq!(
+            run(r#"{"tiers": [{"peers": 10, "steps_per_sec": 85.0, "peak_rss_mb": 70.0}]}"#),
+            Some(false),
+            "RSS past the ceiling"
+        );
+        assert_eq!(
+            run(r#"{"tiers": [{"peers": 30, "steps_per_sec": 1.0}]}"#),
+            None
+        );
+
+        let cells = r#"{"_note": "x", "cells": [{"label": "a", "steps_per_sec": 8000.0}]}"#;
+        let current = r#"{"cells": [{"label": "b", "steps_per_sec": 1.0},
+                                    {"label": "a", "steps_per_sec": 6000.0}]}"#;
+        assert_eq!(check(current, cells), Some(false));
+
+        let paper = r#"{"paper_cell": {"steps_per_sec": 9400.0}}"#;
+        let current = r#"{"paper_cell": {"steps_per_sec": 7600.0}, "total_steps_per_sec": 5.0}"#;
+        assert_eq!(check(current, paper), Some(true));
+        assert_eq!(
+            check(current, r#"{"total_steps_per_sec": 6.0}"#),
+            Some(true)
+        );
+        assert_eq!(
+            check(current, r#"{"total_steps_per_sec": 7.0}"#),
+            Some(false)
+        );
+        assert_eq!(
+            check(current, r#"{"bench": "x"}"#),
+            None,
+            "nothing to compare"
+        );
     }
 
     #[test]

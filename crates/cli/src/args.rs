@@ -64,8 +64,8 @@ TRAIN OPTIONS:
 `train` equilibrates one adversary-free base population, runs episodic
 Q-learning against each defence, freezes the learned policy (α = 0), and
 evaluates the frozen and scripted attackers through the multi-process grid
-coordinator — cross-checking every worker report against the in-process
-replay byte for byte.
+coordinator — checking every decoded worker report equals the in-process
+replay.
 
 Cell crashes never abort a sweep: crashed cells are retried, then recorded
 in <out-dir>/manifest.json as failed alongside the completed results.

@@ -3,11 +3,10 @@
 use crate::args::{Command, GridArgs, ResumeArgs, RunArgs, ScaffoldArgs, TrainArgs, USAGE};
 use crate::coordinator::{CellStatus, GridOptions};
 use crate::error::CliError;
-use crate::jsonl::{JsonlObserver, JsonlSink};
+use crate::jsonl::{open_sink, JsonlObserver};
 use crate::{args, chaos, coordinator, profile, runner, scenarios, training};
-use collabsim::pipeline::PhaseTimings;
+use collabsim::json::Json;
 use collabsim::snapshot::{read_snapshot_file, write_snapshot_file};
-use collabsim::{Simulation, TimingObserver};
 use std::path::{Path, PathBuf};
 
 /// Parses and executes one command line, returning the process exit code.
@@ -27,14 +26,6 @@ pub fn dispatch(argv: &[String]) -> Result<i32, CliError> {
         Command::Scaffold(scaffold) => cmd_scaffold(scaffold),
         Command::Train(train) => cmd_train(train),
     }
-}
-
-/// The phase totals of a run made through [`runner`], which attaches its
-/// [`TimingObserver`] last.
-fn phase_timings(sim: &Simulation) -> &PhaseTimings {
-    sim.observer::<TimingObserver>(sim.observer_count() - 1)
-        .expect("the runner attaches a timing observer last")
-        .timings()
 }
 
 fn set_scenario_threads(threads: Option<usize>) {
@@ -62,7 +53,7 @@ fn cmd_run(run: RunArgs) -> Result<i32, CliError> {
     let total_steps = spec.config().phases.total_steps();
     let observer = match &run.jsonl {
         Some(target) => Some(JsonlObserver::new(
-            JsonlSink::open(target)?,
+            open_sink(target)?,
             spec.label(),
             total_steps,
             run.every,
@@ -105,7 +96,7 @@ fn cmd_run(run: RunArgs) -> Result<i32, CliError> {
     for line in profile::render_profile(
         outcome.total_steps,
         outcome.run_seconds,
-        phase_timings(&sim),
+        runner::phase_timings(&sim),
     )
     .lines()
     {
@@ -117,22 +108,35 @@ fn cmd_run(run: RunArgs) -> Result<i32, CliError> {
     }
 
     if let Some(baseline) = &run.baseline {
-        let reference = runner::baseline_number(baseline, "steps_per_sec")?;
-        let floor = reference * (1.0 - run.max_regress / 100.0);
-        let ok = outcome.steps_per_sec >= floor;
-        say(&format!(
-            "{}: {:.2} steps/sec vs baseline {:.2} (floor {:.2}) — {}",
-            outcome.label,
+        let reference = baseline_steps_per_sec(baseline)?;
+        let (ok, verdict) = runner::floor_verdict(
+            &outcome.label,
             outcome.steps_per_sec,
             reference,
-            floor,
-            if ok { "ok" } else { "REGRESSION" }
-        ));
+            run.max_regress,
+        );
+        say(&verdict);
         if !ok {
             return Ok(1);
         }
     }
     Ok(0)
+}
+
+/// The first `steps_per_sec` number, in document order, of a bench JSON
+/// report; anything else is a typed [`CliError::Baseline`].
+fn baseline_steps_per_sec(path: &Path) -> Result<f64, CliError> {
+    let reference = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| {
+            let report = Json::parse(&text).map_err(|e| format!("not JSON ({e})"))?;
+            let number = report.find("steps_per_sec").and_then(Json::number::<f64>);
+            number.ok_or_else(|| "none in the report (wrong baseline file?)".to_string())
+        });
+    reference.map_err(|why| CliError::Baseline {
+        path: path.to_path_buf(),
+        message: format!("no `\"steps_per_sec\"` number: {why}"),
+    })
 }
 
 fn cmd_resume(resume: ResumeArgs) -> Result<i32, CliError> {
@@ -154,7 +158,7 @@ fn cmd_resume(resume: ResumeArgs) -> Result<i32, CliError> {
     for line in profile::render_profile(
         outcome.total_steps,
         outcome.run_seconds,
-        phase_timings(&sim),
+        runner::phase_timings(&sim),
     )
     .lines()
     {
@@ -348,8 +352,8 @@ fn cmd_train(train: TrainArgs) -> Result<i32, CliError> {
 
         // Dispatch the frozen and scripted evaluation cells through the
         // multi-process grid coordinator, warm-started from the frozen
-        // snapshot, and cross-check every worker report byte for byte
-        // against the in-process replay of the identical fork.
+        // snapshot, and cross-check every decoded worker report against
+        // the in-process replay of the identical fork.
         let summary = coordinator::run_grid(
             &[frozen_spec.clone(), scripted_spec.clone()],
             &GridOptions {
@@ -376,7 +380,7 @@ fn cmd_train(train: TrainArgs) -> Result<i32, CliError> {
                 &scripted_spec
             };
             let expected = training::evaluate_fork(&frozen.with_spec(cell_spec))?;
-            if result.report_debug != format!("{:?}", expected.report) {
+            if result.report != expected.report {
                 return Err(CliError::Grid {
                     message: format!(
                         "worker report for `{}` diverges from the in-process replay",
@@ -386,7 +390,7 @@ fn cmd_train(train: TrainArgs) -> Result<i32, CliError> {
             }
         }
         println!(
-            "  cross-process: {} worker reports byte-identical to the in-process replay",
+            "  cross-process: {} worker reports identical to the in-process replay",
             summary.cells.len()
         );
         rows.push((defence.0, trained, trained_outcome, scripted_outcome));

@@ -10,101 +10,29 @@
 //! manifest together with the tail of the final attempt's worker log.
 //! The sweep always completes; no cell can take it down.
 //!
-//! Reports cross the process boundary as the `Debug` rendering of
-//! [`SimulationReport`](collabsim::SimulationReport) inside a
-//! `# collabsim cell result v1` record —
-//! the same rendering the determinism suite pins byte-for-byte, which
-//! makes "worker result == in-process result" a string equality.
+//! A worker's result record is its [`RunOutcome`] as one line of JSON,
+//! and the manifest is a JSON value too; both are read back with the
+//! strict parser of [`collabsim::json`], so the report a worker computed
+//! decodes to a value equal (`==`) to the in-process one.
 
 use crate::error::CliError;
-use crate::jsonl::{json_escape, json_f64};
+use crate::runner::RunOutcome;
+use collabsim::json::{FromJson, Json};
 use collabsim::observer::WorldView;
 use collabsim::pipeline::StepContext;
 use collabsim::snapshot::read_snapshot_file;
 use collabsim::{ScenarioSpec, StepObserver};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// The result record a worker writes for its cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkerResult {
-    /// Cell label.
-    pub label: String,
-    /// Swept parameter.
-    pub parameter: f64,
-    /// Steps executed.
-    pub total_steps: u64,
-    /// World-construction wall-clock.
-    pub build_seconds: f64,
-    /// Stepping wall-clock.
-    pub run_seconds: f64,
-    /// Throughput.
-    pub steps_per_sec: f64,
-    /// `format!("{:?}", report)` — the canonical cross-process report
-    /// serialization, bit-identical to an in-process run.
-    pub report_debug: String,
-}
-
-/// Header line of the cell-result record format.
-pub const CELL_RESULT_HEADER: &str = "# collabsim cell result v1";
-
-/// Renders a worker's result record (`key = value` lines under a version
-/// header; floats use the shortest round-trippable form).
-pub fn render_cell_result(result: &WorkerResult) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{CELL_RESULT_HEADER}");
-    let _ = writeln!(out, "label = {}", result.label);
-    let _ = writeln!(out, "parameter = {}", result.parameter);
-    let _ = writeln!(out, "total_steps = {}", result.total_steps);
-    let _ = writeln!(out, "build_seconds = {}", result.build_seconds);
-    let _ = writeln!(out, "run_seconds = {}", result.run_seconds);
-    let _ = writeln!(out, "steps_per_sec = {}", result.steps_per_sec);
-    let _ = writeln!(out, "report = {}", result.report_debug);
-    out
-}
-
-/// Parses a cell-result record; `None` for anything malformed or
-/// truncated (a worker killed mid-write never produces a parseable
+/// Reads a worker's result record; `None` for a missing, torn or
+/// malformed one (a worker killed mid-write never produces a parseable
 /// record, so the coordinator treats it as a crash).
-pub fn parse_cell_result(text: &str) -> Option<WorkerResult> {
-    let mut lines = text.lines();
-    if lines.next()?.trim() != CELL_RESULT_HEADER {
-        return None;
-    }
-    let mut label = None;
-    let mut parameter = None;
-    let mut total_steps = None;
-    let mut build_seconds = None;
-    let mut run_seconds = None;
-    let mut steps_per_sec = None;
-    let mut report_debug = None;
-    for line in lines {
-        let Some((key, value)) = line.split_once(" = ") else {
-            continue;
-        };
-        match key.trim() {
-            "label" => label = Some(value.to_string()),
-            "parameter" => parameter = value.parse().ok(),
-            "total_steps" => total_steps = value.parse().ok(),
-            "build_seconds" => build_seconds = value.parse().ok(),
-            "run_seconds" => run_seconds = value.parse().ok(),
-            "steps_per_sec" => steps_per_sec = value.parse().ok(),
-            "report" => report_debug = Some(value.to_string()),
-            _ => {}
-        }
-    }
-    Some(WorkerResult {
-        label: label?,
-        parameter: parameter?,
-        total_steps: total_steps?,
-        build_seconds: build_seconds?,
-        run_seconds: run_seconds?,
-        steps_per_sec: steps_per_sec?,
-        report_debug: report_debug?,
-    })
+pub fn read_result_record(path: &Path) -> Option<RunOutcome> {
+    let text = std::fs::read_to_string(path).ok()?;
+    RunOutcome::from_json(&Json::parse(&text).ok()?).ok()
 }
 
 /// Environment variable naming a marker file for the deterministic
@@ -115,8 +43,8 @@ pub const KILL_ONCE_ENV: &str = "COLLABSIM_TEST_KILL_ONCE";
 
 /// Environment variable naming a marker file for the deterministic
 /// truncation-injection test: the first worker to claim the marker writes
-/// only the front half of its result record (a torn write — the header is
-/// present but the record does not parse) and exits 0. The coordinator
+/// only the front half of its result record's bytes (a torn write that
+/// does not parse) and exits 0. The coordinator
 /// must detect the unparseable record, re-queue the cell, and the retry —
 /// which sees the marker taken — completes normally.
 pub const TRUNCATE_ONCE_ENV: &str = "COLLABSIM_TEST_TRUNCATE_ONCE";
@@ -132,29 +60,17 @@ pub const EXIT_ONCE_ENV: &str = "COLLABSIM_TEST_EXIT_ONCE";
 /// The exit code the [`EXIT_ONCE_ENV`]-injected worker dies with.
 pub const EXIT_ONCE_CODE: i32 = 41;
 
-/// Claims the nonzero-exit marker, mirroring [`kill_switch`]'s atomic
-/// `create_new` claim.
-fn exit_switch() -> bool {
-    let Ok(marker) = std::env::var(EXIT_ONCE_ENV) else {
+/// Claims the one-shot injection marker the environment variable `env`
+/// names: only the first worker to create the file (an atomic
+/// `create_new`) gets `true`, so a retry runs normally.
+fn claim_marker(env: &str) -> bool {
+    let Ok(marker) = std::env::var(env) else {
         return false;
     };
     std::fs::OpenOptions::new()
         .write(true)
         .create_new(true)
-        .open(&marker)
-        .is_ok()
-}
-
-/// Claims the truncation marker, mirroring [`kill_switch`]'s atomic
-/// `create_new` claim.
-fn truncate_switch() -> bool {
-    let Ok(marker) = std::env::var(TRUNCATE_ONCE_ENV) else {
-        return false;
-    };
-    std::fs::OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(&marker)
+        .open(marker)
         .is_ok()
 }
 
@@ -182,20 +98,6 @@ fn sigkill_self() {
     std::process::abort();
 }
 
-fn kill_switch(total_steps: u64) -> Option<KillOnceObserver> {
-    let marker = std::env::var(KILL_ONCE_ENV).ok()?;
-    match std::fs::OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(&marker)
-    {
-        Ok(_) => Some(KillOnceObserver {
-            at_step: (total_steps / 2).max(1),
-        }),
-        Err(_) => None,
-    }
-}
-
 /// The `collabsim worker` entry point: runs one spec file through the
 /// shared runner core (CLI registry, timings enabled) and writes its
 /// result record to `out_path` — atomically, via a rename, so a partial
@@ -213,7 +115,7 @@ pub fn run_worker(
     out_path: &Path,
     warm_start: Option<&Path>,
 ) -> Result<(), CliError> {
-    if exit_switch() {
+    if claim_marker(EXIT_ONCE_ENV) {
         // Nonzero-exit injection: die with a recognisable code before
         // doing any work — no result record, no torn write, just the
         // plain "worker process reported failure" path.
@@ -221,50 +123,40 @@ pub fn run_worker(
         std::process::exit(EXIT_ONCE_CODE);
     }
     let spec = crate::runner::load_spec(spec_path)?;
-    let kill = kill_switch(spec.config().phases.total_steps());
+    let kill = claim_marker(KILL_ONCE_ENV).then(|| KillOnceObserver {
+        at_step: (spec.config().phases.total_steps() / 2).max(1),
+    });
     let registry = crate::chaos::cli_registry();
     let configure = |sim: &mut collabsim::Simulation| {
         if let Some(observer) = kill {
             sim.add_observer(observer);
         }
     };
+    // A warm start forks the snapshot onto the cell's own spec, so the
+    // outcome carries the cell's label and parameter either way.
     let (outcome, _sim) = match warm_start {
         Some(snapshot_path) => {
             let base = read_snapshot_file(snapshot_path)
                 .map_err(|error| crate::runner::snapshot_err(Some(snapshot_path), error))?;
-            let forked = base.with_spec(&spec);
-            let (mut outcome, sim) =
-                crate::runner::resume_snapshot_instrumented(&forked, &registry, configure)?;
-            // The forked snapshot carries the cell's own spec, so the
-            // label is already the cell label; keep it authoritative.
-            outcome.label = spec.label().to_string();
-            (outcome, sim)
+            crate::runner::resume_snapshot_instrumented(
+                &base.with_spec(&spec),
+                &registry,
+                configure,
+            )?
         }
         None => crate::runner::run_spec_instrumented(&spec, &registry, configure)?,
     };
-    let record = render_cell_result(&WorkerResult {
-        label: outcome.label.clone(),
-        parameter: spec.parameter(),
-        total_steps: outcome.total_steps,
-        build_seconds: outcome.build_seconds,
-        run_seconds: outcome.run_seconds,
-        steps_per_sec: outcome.steps_per_sec,
-        report_debug: format!("{:?}", outcome.report),
-    });
+    let record = format!("{}\n", Json::from(outcome));
     let io_err = |e: std::io::Error| CliError::Io {
         path: out_path.to_path_buf(),
         message: e.to_string(),
     };
-    if truncate_switch() {
-        // Torn-write injection: land the front few lines of the record at
-        // the final path, bypassing the tmp+rename discipline, and report
-        // success — the worst case the atomic rename normally rules out.
-        let torn: String = record
-            .lines()
-            .take(3)
-            .map(|line| format!("{line}\n"))
-            .collect();
-        std::fs::write(out_path, torn).map_err(io_err)?;
+    if claim_marker(TRUNCATE_ONCE_ENV) {
+        // Torn-write injection: land the front half of the record's bytes
+        // at the final path, bypassing the tmp+rename discipline, and
+        // report success — the worst case the atomic rename normally
+        // rules out.
+        std::fs::write(out_path, &record.as_bytes()[..record.len() / 2]).map_err(io_err)?;
         return Ok(());
     }
     let tmp = out_path.with_extension("tmp");
@@ -316,7 +208,7 @@ pub struct CellOutcome {
     /// Terminal state.
     pub status: CellStatus,
     /// The parsed result record, when `status` is [`CellStatus::Ok`].
-    pub result: Option<WorkerResult>,
+    pub result: Option<RunOutcome>,
     /// Why the last attempt failed, when `status` is
     /// [`CellStatus::Failed`].
     pub failure: Option<String>,
@@ -333,6 +225,22 @@ pub struct CellOutcome {
     /// [`CellStatus::Failed`] — the panic message or whatever the worker
     /// said before dying, inlined so the manifest is self-diagnosing.
     pub log_tail: Vec<String>,
+}
+
+impl CellOutcome {
+    fn ok(index: usize, label: String, attempts: usize, result: RunOutcome) -> Self {
+        CellOutcome {
+            index,
+            label,
+            attempts,
+            status: CellStatus::Ok,
+            result: Some(result),
+            failure: None,
+            failure_kind: None,
+            exit_code: None,
+            log_tail: Vec::new(),
+        }
+    }
 }
 
 /// Lines of worker log kept per failed cell.
@@ -458,10 +366,7 @@ pub fn run_grid(specs: &[ScenarioSpec], options: &GridOptions) -> Result<GridSum
             if i >= total || outcomes[i].is_some() {
                 continue;
             }
-            let Some(result) = std::fs::read_to_string(&result_paths[i])
-                .ok()
-                .and_then(|text| parse_cell_result(&text))
-            else {
+            let Some(result) = read_result_record(&result_paths[i]) else {
                 continue;
             };
             if result.label != specs[i].label() {
@@ -474,17 +379,12 @@ pub fn run_grid(specs: &[ScenarioSpec], options: &GridOptions) -> Result<GridSum
                     result.label
                 );
             }
-            outcomes[i] = Some(CellOutcome {
-                index: i,
-                label: result.label.clone(),
-                attempts: prior_attempts,
-                status: CellStatus::Ok,
-                result: Some(result),
-                failure: None,
-                failure_kind: None,
-                exit_code: None,
-                log_tail: Vec::new(),
-            });
+            outcomes[i] = Some(CellOutcome::ok(
+                i,
+                result.label.clone(),
+                prior_attempts,
+                result,
+            ));
         }
     }
 
@@ -555,10 +455,7 @@ pub fn run_grid(specs: &[ScenarioSpec], options: &GridOptions) -> Result<GridSum
             let (i, _) = running.swap_remove(j);
             progressed = true;
             let label = specs[i].label().to_string();
-            let parsed = std::fs::read_to_string(&result_paths[i])
-                .ok()
-                .and_then(|text| parse_cell_result(&text));
-            match parsed.filter(|_| status.success()) {
+            match read_result_record(&result_paths[i]).filter(|_| status.success()) {
                 Some(result) => {
                     completed += 1;
                     if !options.quiet {
@@ -567,17 +464,7 @@ pub fn run_grid(specs: &[ScenarioSpec], options: &GridOptions) -> Result<GridSum
                             result.run_seconds, result.steps_per_sec, attempts[i]
                         );
                     }
-                    outcomes[i] = Some(CellOutcome {
-                        index: i,
-                        label,
-                        attempts: attempts[i],
-                        status: CellStatus::Ok,
-                        result: Some(result),
-                        failure: None,
-                        failure_kind: None,
-                        exit_code: None,
-                        log_tail: Vec::new(),
-                    });
+                    outcomes[i] = Some(CellOutcome::ok(i, label, attempts[i], result));
                 }
                 None => {
                     // A clean exit without a parseable record is a torn
@@ -653,7 +540,7 @@ pub fn run_grid(specs: &[ScenarioSpec], options: &GridOptions) -> Result<GridSum
         wall_seconds: started.elapsed().as_secs_f64(),
         cells,
     };
-    let manifest = render_manifest(&summary, options);
+    let manifest = format!("{}\n", manifest_json(&summary, options));
     std::fs::write(&summary.manifest_path, manifest).map_err(|e| CliError::Io {
         path: summary.manifest_path.clone(),
         message: e.to_string(),
@@ -661,133 +548,123 @@ pub fn run_grid(specs: &[ScenarioSpec], options: &GridOptions) -> Result<GridSum
     Ok(summary)
 }
 
-/// Scrapes `(index, attempts)` of every `"status": "ok"` cell from a
-/// previous sweep's manifest (the same line-oriented scraping the
-/// baseline gates use — the offline build has no JSON parser). A missing
-/// or unparseable manifest yields no skippable cells, which degrades
-/// `--resume` to a full re-run rather than an error.
+/// `(index, attempts)` of every `"status": "ok"` cell in a previous
+/// sweep's manifest. A missing or unparseable manifest yields no skippable
+/// cells, which degrades `--resume` to a full re-run rather than an error.
 fn manifest_ok_cells(manifest_path: &Path) -> Vec<(usize, usize)> {
-    let Ok(text) = std::fs::read_to_string(manifest_path) else {
+    let Some(manifest) = std::fs::read_to_string(manifest_path)
+        .ok()
+        .and_then(|text| Json::parse(&text).ok())
+    else {
         return Vec::new();
     };
-    text.lines()
-        .filter(|line| line.contains("\"status\": \"ok\""))
-        .filter_map(|line| {
-            let index = crate::runner::extract_number(line, "index")?;
-            let attempts = crate::runner::extract_number(line, "attempts")?;
-            if index < 0.0 || attempts < 0.0 {
-                return None;
-            }
-            Some((index as usize, attempts as usize))
-        })
+    let cells = manifest
+        .get("cells")
+        .and_then(Json::as_array)
+        .unwrap_or_default();
+    cells
+        .iter()
+        .filter(|cell| cell.get("status").and_then(Json::as_str) == Some("ok"))
+        .filter_map(|cell| Some((cell.read("index").ok()?, cell.read("attempts").ok()?)))
         .collect()
 }
 
-/// Renders the partial-results manifest as JSON.
-fn render_manifest(summary: &GridSummary, options: &GridOptions) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"grid\": {{\"cells\": {}, \"workers\": {}, \"retries\": {}}},",
-        summary.cells.len(),
-        options.workers,
-        options.retries
-    );
-    let _ = writeln!(
-        out,
-        "  \"ok\": {}, \"failed\": {}, \"attempts\": {}, \"wall_seconds\": {},",
-        summary.ok_count(),
-        summary.failed_count(),
-        summary.total_attempts(),
-        json_f64(summary.wall_seconds)
-    );
-    out.push_str("  \"cells\": [\n");
-    for (i, cell) in summary.cells.iter().enumerate() {
-        let sep = if i + 1 < summary.cells.len() { "," } else { "" };
-        let common = format!(
-            "\"index\": {}, \"label\": \"{}\", \"attempts\": {}, \"spec\": \"cells/{:03}.spec\"",
-            cell.index,
-            json_escape(&cell.label),
-            cell.attempts,
-            cell.index
-        );
-        match (&cell.result, &cell.failure) {
-            (Some(result), _) => {
-                let _ = writeln!(
-                    out,
-                    "    {{{common}, \"status\": \"ok\", \"result\": \"results/{:03}.result\", \
-                     \"total_steps\": {}, \"run_seconds\": {}, \"steps_per_sec\": {}}}{sep}",
-                    cell.index,
-                    result.total_steps,
-                    json_f64(result.run_seconds),
-                    json_f64(result.steps_per_sec)
-                );
-            }
-            (None, failure) => {
-                let error = failure.as_deref().unwrap_or("unknown failure");
-                let kind = cell.failure_kind.unwrap_or("unknown");
-                let exit_code = match cell.exit_code {
-                    Some(code) => code.to_string(),
-                    None => "null".to_string(),
-                };
-                let tail = cell
-                    .log_tail
-                    .iter()
-                    .map(|line| format!("\"{}\"", json_escape(line)))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                let _ = writeln!(
-                    out,
-                    "    {{{common}, \"status\": \"failed\", \"error\": \"{}\", \
-                     \"failure_kind\": \"{}\", \"exit_code\": {exit_code}, \
-                     \"log\": \"logs/{:03}.attempt{}.log\", \"log_tail\": [{tail}]}}{sep}",
-                    json_escape(error),
-                    json_escape(kind),
-                    cell.index,
-                    cell.attempts
-                );
+/// The partial-results manifest.
+fn manifest_json(summary: &GridSummary, options: &GridOptions) -> Json {
+    let cells = summary.cells.iter().map(|cell| {
+        let mut members: Vec<(&str, Json)> = vec![
+            ("index", cell.index.into()),
+            ("label", cell.label.as_str().into()),
+            ("attempts", cell.attempts.into()),
+            ("spec", format!("cells/{:03}.spec", cell.index).into()),
+        ];
+        match &cell.result {
+            Some(result) => members.extend([
+                ("status", "ok".into()),
+                ("result", format!("results/{:03}.result", cell.index).into()),
+                ("total_steps", result.total_steps.into()),
+                ("run_seconds", result.run_seconds.into()),
+                ("steps_per_sec", result.steps_per_sec.into()),
+            ]),
+            None => {
+                let error = cell.failure.as_deref().unwrap_or("unknown failure");
+                let log = format!("logs/{:03}.attempt{}.log", cell.index, cell.attempts);
+                members.extend([
+                    ("status", "failed".into()),
+                    ("error", error.into()),
+                    (
+                        "failure_kind",
+                        cell.failure_kind.unwrap_or("unknown").into(),
+                    ),
+                    ("exit_code", cell.exit_code.into()),
+                    ("log", log.into()),
+                    ("log_tail", cell.log_tail.clone().into()),
+                ])
             }
         }
-    }
-    out.push_str("  ]\n}\n");
-    out
+        Json::object(members)
+    });
+    Json::object([
+        (
+            "grid",
+            Json::object([
+                ("cells", summary.cells.len().into()),
+                ("workers", options.workers.into()),
+                ("retries", options.retries.into()),
+            ]),
+        ),
+        ("ok", summary.ok_count().into()),
+        ("failed", summary.failed_count().into()),
+        ("attempts", summary.total_attempts().into()),
+        ("wall_seconds", summary.wall_seconds.into()),
+        ("cells", Json::Array(cells.collect())),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use collabsim::SimulationReport;
 
-    #[test]
-    fn cell_result_records_round_trip() {
-        let result = WorkerResult {
-            label: "altruistic=40%".to_string(),
+    fn outcome() -> RunOutcome {
+        RunOutcome {
+            label: "odd \" \\ \n label".to_string(),
             parameter: 40.0,
             total_steps: 60,
             build_seconds: 0.012345678901234567,
             run_seconds: 1.5,
             steps_per_sec: 40.0,
-            report_debug: "SimulationReport { shared_bandwidth: 0.5, seed: 1 }".to_string(),
-        };
-        let text = render_cell_result(&result);
-        assert!(text.starts_with(CELL_RESULT_HEADER));
-        assert_eq!(parse_cell_result(&text), Some(result));
+            report: SimulationReport {
+                shared_bandwidth: 0.5,
+                shared_articles: 0.25,
+                by_behavior: Default::default(),
+                edit_outcomes: Default::default(),
+                mean_article_quality: 1.0,
+                completed_downloads: 7,
+                evaluation_steps: 20,
+                seed: u64::MAX,
+            },
+        }
     }
 
     #[test]
-    fn truncated_records_do_not_parse() {
-        let result = WorkerResult {
-            label: "x".into(),
-            parameter: 0.0,
-            total_steps: 1,
-            build_seconds: 0.0,
-            run_seconds: 1.0,
-            steps_per_sec: 1.0,
-            report_debug: "SimulationReport { }".into(),
-        };
-        let text = render_cell_result(&result);
-        let truncated = &text[..text.len() / 2];
-        assert_eq!(parse_cell_result(truncated), None);
-        assert_eq!(parse_cell_result("not a record"), None);
-        assert_eq!(parse_cell_result(""), None);
+    fn result_records_round_trip() {
+        let dir = std::env::temp_dir().join(format!("collabsim-record-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cell.result");
+        let record = format!("{}\n", Json::from(outcome()));
+        assert_eq!(record.lines().count(), 1, "one line: {record}");
+        std::fs::write(&path, &record).unwrap();
+        assert_eq!(read_result_record(&path), Some(outcome()));
+
+        // Torn (the injection's cut), foreign and missing records do not parse.
+        std::fs::write(&path, &record.as_bytes()[..record.len() / 2]).unwrap();
+        assert_eq!(read_result_record(&path), None);
+        std::fs::write(&path, "not a record").unwrap();
+        assert_eq!(read_result_record(&path), None);
+        std::fs::write(&path, "{}").unwrap();
+        assert_eq!(read_result_record(&path), None);
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(read_result_record(&path), None);
     }
 }

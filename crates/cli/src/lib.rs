@@ -24,13 +24,12 @@
 //!   cells already ok in a previous manifest; `--warm-start <snapshot>`
 //!   forks every cell from a shared equilibrated checkpoint instead of
 //!   paying the training phase once per cell.
-//! * **`collabsim worker`** executes one cell and emits a result record
-//!   whose report is the `Debug` rendering pinned by the determinism
-//!   suite, so cross-process results are byte-comparable with in-process
-//!   ones.
+//! * **`collabsim worker`** executes one cell and emits its
+//!   [`RunOutcome`] as a one-line JSON result record, whose report decodes
+//!   to a value equal (`==`) to the in-process one.
 //! * **`collabsim scaffold`** regenerates the checked-in `scenarios/`
 //!   tree from the canonical constructors in [`scenarios`] — the same
-//!   constructors the four perf-gated bench binaries build their grids
+//!   constructors the six perf-gated bench binaries build their grids
 //!   from.
 //!
 //! [`ScenarioSpec`]: collabsim::ScenarioSpec
@@ -51,15 +50,13 @@ pub use args::{Command, USAGE};
 pub use chaos::{cli_registry, CHAOS_PANIC_PHASE};
 pub use commands::dispatch;
 pub use coordinator::{
-    parse_cell_result, render_cell_result, run_grid, run_worker, CellOutcome, CellStatus,
-    GridOptions, GridSummary, WorkerResult, EXIT_ONCE_CODE, EXIT_ONCE_ENV, KILL_ONCE_ENV,
-    TRUNCATE_ONCE_ENV,
+    read_result_record, run_grid, run_worker, CellOutcome, CellStatus, GridOptions, GridSummary,
+    EXIT_ONCE_CODE, EXIT_ONCE_ENV, KILL_ONCE_ENV, TRUNCATE_ONCE_ENV,
 };
 pub use error::CliError;
-pub use jsonl::{json_escape, json_f64, JsonlObserver, JsonlSink};
+pub use jsonl::{open_sink, JsonlObserver};
 pub use profile::render_profile;
 pub use runner::{
-    baseline_number, extract_number, gate_floor, gate_rss_ceiling, load_spec,
-    load_spec_with_overrides, resume_snapshot_instrumented, run_spec_checkpointed,
+    load_spec, load_spec_with_overrides, resume_snapshot_instrumented, run_spec_checkpointed,
     run_spec_instrumented, snapshot_err, RunOutcome,
 };

@@ -1,16 +1,15 @@
-//! The shared runner core: loading specs, running them instrumented, and
-//! baseline gating.
+//! The shared runner core: loading specs and running them instrumented.
 //!
 //! Everything that executes a scenario — the `collabsim run` subcommand,
-//! the `collabsim worker` cell executor, and the four perf-gated bench
-//! binaries in `collabsim-bench` — goes through [`run_spec_instrumented`],
-//! so a single run is timed, phase-profiled and reported the same way
-//! everywhere. Baseline files are the benches' own self-describing JSON
-//! reports; [`extract_number`] pulls a gated metric out without a JSON
-//! parser crate.
+//! the `collabsim worker` cell executor, and the six perf-gated bench
+//! binaries in `collabsim-bench` — goes through [`run_spec_instrumented`]
+//! (or its checkpointing and resuming twins), so a single run is timed,
+//! phase-profiled and reported the same way everywhere. Its
+//! [`RunOutcome`] is also the worker's result record, which crosses the
+//! process boundary as JSON.
 
 use crate::error::CliError;
-use collabsim::pipeline::PhaseRegistry;
+use collabsim::pipeline::{PhaseRegistry, PhaseTimings};
 use collabsim::snapshot::Snapshot;
 use collabsim::{
     AdversaryRegistry, DirStore, ScenarioSpec, Simulation, SimulationReport, SnapshotError,
@@ -19,24 +18,29 @@ use collabsim::{
 use std::path::Path;
 use std::time::Instant;
 
-/// The measured outcome of one instrumented run.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// The spec's label.
-    pub label: String,
-    /// Training + evaluation steps executed.
-    pub total_steps: u64,
-    /// Wall-clock spent constructing the world (article seeding, agents,
-    /// ledger).
-    pub build_seconds: f64,
-    /// Wall-clock spent stepping.
-    pub run_seconds: f64,
-    /// `total_steps / run_seconds`.
-    pub steps_per_sec: f64,
-    /// The deterministic report (the Debug rendering of this value is the
-    /// cross-process cell-result format — see
-    /// [`crate::coordinator::render_cell_result`]).
-    pub report: SimulationReport,
+collabsim::json_struct! {
+    /// The measured outcome of one instrumented run. As JSON
+    /// (`Json::from(outcome)`, read back with
+    /// [`FromJson`](collabsim::json::FromJson)) it is the worker's result
+    /// record.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RunOutcome {
+        /// The spec's label.
+        pub label: String,
+        /// The spec's swept parameter.
+        pub parameter: f64,
+        /// Training + evaluation steps executed.
+        pub total_steps: u64,
+        /// Wall-clock spent constructing the world (article seeding, agents,
+        /// ledger).
+        pub build_seconds: f64,
+        /// Wall-clock spent stepping.
+        pub run_seconds: f64,
+        /// `total_steps / run_seconds`.
+        pub steps_per_sec: f64,
+        /// The deterministic report.
+        pub report: SimulationReport,
+    }
 }
 
 /// Loads a spec file, mapping both I/O and parse failures to [`CliError`].
@@ -90,12 +94,37 @@ pub fn run_spec_instrumented(
     configure: impl FnOnce(&mut Simulation),
 ) -> Result<(RunOutcome, Simulation), CliError> {
     let (outcome, sim, ()) = run_timed(
-        spec.label().to_string(),
+        spec,
         || build_from_spec(spec, registry),
         configure,
         |sim| Ok((sim.run(), ())),
     )?;
     Ok((outcome, sim))
+}
+
+/// The phase totals of a run made through this module, which attaches
+/// its [`TimingObserver`] last.
+pub fn phase_timings(sim: &Simulation) -> &PhaseTimings {
+    sim.observer::<TimingObserver>(sim.observer_count() - 1)
+        .expect("the runner attaches a timing observer last")
+        .timings()
+}
+
+/// The verdict of a throughput floor: whether `current` clears
+/// `reference × (1 − max_regress_pct/100)`, and the line reporting it.
+pub fn floor_verdict(
+    name: &str,
+    current: f64,
+    reference: f64,
+    max_regress_pct: f64,
+) -> (bool, String) {
+    let floor = reference * (1.0 - max_regress_pct / 100.0);
+    let ok = current >= floor;
+    let verdict = if ok { "ok" } else { "REGRESSION" };
+    let line = format!(
+        "{name}: {current:.2} steps/sec vs baseline {reference:.2} (floor {floor:.2}) — {verdict}"
+    );
+    (ok, line)
 }
 
 /// Wraps a snapshot-layer failure as the CLI's `error[snapshot]`
@@ -122,7 +151,7 @@ pub fn run_spec_checkpointed(
     let mut store =
         DirStore::open(store_dir).map_err(|error| snapshot_err(Some(store_dir), error))?;
     run_timed(
-        spec.label().to_string(),
+        spec,
         || build_from_spec(spec, registry),
         configure,
         |sim| {
@@ -143,11 +172,10 @@ pub fn resume_snapshot_instrumented(
     registry: &PhaseRegistry,
     configure: impl FnOnce(&mut Simulation),
 ) -> Result<(RunOutcome, Simulation), CliError> {
-    let label = ScenarioSpec::parse(&snapshot.spec_text)
-        .map(|spec| spec.label().to_string())
-        .unwrap_or_else(|_| "resumed".to_string());
+    let spec = ScenarioSpec::parse(&snapshot.spec_text)
+        .map_err(|error| snapshot_err(None, SnapshotError::Spec(error.to_string())))?;
     let (outcome, sim, ()) = run_timed(
-        label,
+        &spec,
         || {
             Simulation::resume_with_registries(snapshot, registry, &AdversaryRegistry::standard())
                 .map_err(|error| snapshot_err(None, error))
@@ -167,7 +195,7 @@ fn build_from_spec(spec: &ScenarioSpec, registry: &PhaseRegistry) -> Result<Simu
 /// `build`, lets `configure` attach the caller's observers, attaches the
 /// [`TimingObserver`] last, and times `run` over the steps still to go.
 fn run_timed<T>(
-    label: String,
+    spec: &ScenarioSpec,
     build: impl FnOnce() -> Result<Simulation, CliError>,
     configure: impl FnOnce(&mut Simulation),
     run: impl FnOnce(&mut Simulation) -> Result<(SimulationReport, T), CliError>,
@@ -182,7 +210,8 @@ fn run_timed<T>(
     let (report, extra) = run(&mut sim)?;
     let run_seconds = running.elapsed().as_secs_f64();
     let outcome = RunOutcome {
-        label,
+        label: spec.label().to_string(),
+        parameter: spec.parameter(),
         total_steps,
         build_seconds,
         run_seconds,
@@ -192,80 +221,9 @@ fn run_timed<T>(
     Ok((outcome, sim, extra))
 }
 
-/// Extracts `"key": <number>` from a line of self-describing bench JSON
-/// (the baseline format; the offline harness has no JSON parser crate).
-pub fn extract_number(line: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = line[start..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Reads a baseline file and extracts the first `"key": <number>` on any
-/// line. A missing file or a file without the metric (e.g. not JSON at
-/// all) is a typed [`CliError::Baseline`].
-pub fn baseline_number(path: &Path, key: &str) -> Result<f64, CliError> {
-    let text = std::fs::read_to_string(path).map_err(|e| CliError::Baseline {
-        path: path.to_path_buf(),
-        message: e.to_string(),
-    })?;
-    text.lines()
-        .find_map(|line| extract_number(line, key))
-        .ok_or_else(|| CliError::Baseline {
-            path: path.to_path_buf(),
-            message: format!("no `\"{key}\"` number found (malformed or wrong baseline file)"),
-        })
-}
-
-/// Floor gate on a throughput metric: prints the standard verdict line and
-/// returns whether the current value clears
-/// `reference × (1 − max_regress_pct/100)`.
-pub fn gate_floor(name: &str, current: f64, reference: f64, max_regress_pct: f64) -> bool {
-    let floor = reference * (1.0 - max_regress_pct / 100.0);
-    let ok = current >= floor;
-    println!(
-        "{name}: {current:.2} steps/sec vs baseline {reference:.2} (floor {floor:.2}) — {}",
-        if ok { "ok" } else { "REGRESSION" }
-    );
-    ok
-}
-
-/// Ceiling gate on peak RSS: prints the standard verdict line and returns
-/// whether the current value stays under
-/// `recorded × (1 + max_regress_pct/100)`.
-pub fn gate_rss_ceiling(name: &str, current: f64, recorded: f64, max_regress_pct: f64) -> bool {
-    let ceiling = recorded * (1.0 + max_regress_pct / 100.0);
-    let ok = current <= ceiling;
-    println!(
-        "{name}: peak RSS {current:.0} MB vs baseline {recorded:.0} MB (ceiling {ceiling:.0}) — {}",
-        if ok { "ok" } else { "REGRESSION" }
-    );
-    ok
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn extract_number_reads_bench_json_lines() {
-        let line = "    {\"peers\": 100, \"steps_per_sec\": 9517.25, \"neg\": -2e3}";
-        assert_eq!(extract_number(line, "peers"), Some(100.0));
-        assert_eq!(extract_number(line, "steps_per_sec"), Some(9517.25));
-        assert_eq!(extract_number(line, "neg"), Some(-2000.0));
-        assert_eq!(extract_number(line, "missing"), None);
-    }
-
-    #[test]
-    fn gates_compare_against_floor_and_ceiling() {
-        assert!(gate_floor("t", 90.0, 100.0, 20.0));
-        assert!(!gate_floor("t", 70.0, 100.0, 20.0));
-        assert!(gate_rss_ceiling("t", 110.0, 100.0, 20.0));
-        assert!(!gate_rss_ceiling("t", 130.0, 100.0, 20.0));
-    }
 
     #[test]
     fn overrides_append_and_later_keys_win() {

@@ -240,8 +240,7 @@ pub struct EvalOutcome {
     pub metrics: UnitAttackMetrics,
     /// The unit's attack counters at the end of the run.
     pub stats: AttackStats,
-    /// The deterministic report (its `Debug` rendering is the
-    /// cross-process comparison format).
+    /// The deterministic report.
     pub report: SimulationReport,
 }
 
@@ -362,8 +361,7 @@ mod tests {
         let a = evaluate_fork(&frozen).unwrap();
         let b = evaluate_fork(&decoded).unwrap();
         assert_eq!(
-            format!("{:?}", a.report),
-            format!("{:?}", b.report),
+            a.report, b.report,
             "frozen replay must be bit-identical across the codec"
         );
         // Trajectories were dropped; the Q-table was not.

@@ -5,14 +5,17 @@
 //!
 //! * every CLI error path exits non-zero with a typed `error[kind]`
 //!   message (unknown spec key, unreadable file, invalid `--workers`,
-//!   malformed baseline JSON),
+//!   malformed baseline JSON, a baseline without `steps_per_sec`),
+//! * `run --baseline` reads the first `steps_per_sec` of a JSON report in
+//!   document order, in any valid number form (`1.5E9`), nested or not,
 //! * `collabsim run --print-report` on the checked-in golden spec
 //!   reproduces the in-process golden report byte-for-byte, at
 //!   `SCENARIO_THREADS` 1 and 4,
-//! * a `--jsonl -` stream is structurally valid (run_start / step /
-//!   run_end envelopes on machine-owned stdout),
+//! * a `--jsonl -` stream parses line by line (run_start / step /
+//!   run_end events on machine-owned stdout),
 //! * `collabsim grid --workers 4` over the 18-cell paper mix grid yields
-//!   cell reports identical to the in-process [`ScenarioRunner`],
+//!   worker reports that decode equal to the in-process
+//!   [`ScenarioRunner`]'s,
 //! * a worker SIGKILLed mid-cell is retried and the sweep still completes
 //!   (deterministic one-shot kill injection via `COLLABSIM_TEST_KILL_ONCE`),
 //! * a worker that lands a torn half-record while exiting 0 is detected
@@ -28,13 +31,18 @@
 //! * `run` (plain and checkpointed) and `resume` print one profile row per
 //!   phase of the spec, in pipeline order,
 //! * `grid --warm-start` workers fork from a shared equilibrated snapshot
-//!   bit-identically to in-process forks, and `grid --resume` skips
-//!   manifest-ok cells while re-dispatching failed ones.
+//!   exactly as in-process forks do, and `grid --resume` skips
+//!   manifest-ok cells (whatever their label holds) while re-dispatching
+//!   failed ones.
+//!
+//! Manifests, result records and JSONL lines are read with the same
+//! strict parser the coordinator uses ([`collabsim::json`]).
 //!
 //! [`ScenarioRunner`]: collabsim::experiment::ScenarioRunner
 
 use collabsim::config::PhaseConfig;
 use collabsim::experiment::ScenarioRunner;
+use collabsim::json::Json;
 use collabsim::snapshot::write_snapshot_file;
 use collabsim::{ScenarioSpec, Simulation};
 use collabsim_cli::coordinator::{run_grid, GridOptions};
@@ -75,6 +83,37 @@ fn stderr_of(output: &Output) -> String {
 
 fn stdout_of(output: &Output) -> String {
     String::from_utf8_lossy(&output.stdout).into_owned()
+}
+
+/// Parses a sweep's `manifest.json`.
+fn read_manifest(out_dir: &Path) -> Json {
+    let text = std::fs::read_to_string(out_dir.join("manifest.json")).expect("manifest written");
+    Json::parse(&text).unwrap_or_else(|e| panic!("manifest is not JSON ({e}): {text}"))
+}
+
+/// A top-level count of a manifest (`ok`, `failed`, `attempts`).
+fn count(manifest: &Json, key: &str) -> u64 {
+    manifest
+        .read(key)
+        .unwrap_or_else(|e| panic!("{e}: {manifest}"))
+}
+
+/// Every cell's `attempts`, sorted.
+fn cell_attempts(manifest: &Json) -> Vec<u64> {
+    let mut attempts: Vec<u64> = manifest_cells(manifest)
+        .iter()
+        .map(|cell| cell.read("attempts").unwrap())
+        .collect();
+    attempts.sort_unstable();
+    attempts
+}
+
+/// The manifest's per-cell entries, in dispatch order.
+fn manifest_cells(manifest: &Json) -> &[Json] {
+    manifest
+        .get("cells")
+        .and_then(Json::as_array)
+        .expect("manifest lists its cells")
 }
 
 // ---------------------------------------------------------------- errors
@@ -156,6 +195,52 @@ fn malformed_baseline_is_a_typed_baseline_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `run --baseline` reads the first `steps_per_sec` number of a JSON
+/// report, in document order and in any valid JSON number form; a report
+/// without one is a typed baseline error.
+#[test]
+fn baseline_gate_reads_the_first_steps_per_sec_of_a_json_report() {
+    let dir = scratch("baseline-forms");
+    let golden = repo_root().join("scenarios/golden.spec");
+    let exponent = dir.join("exponent.json");
+    std::fs::write(&exponent, "{\"steps_per_sec\": 1.5E9}\n").unwrap();
+    let nameless = dir.join("nameless.json");
+    std::fs::write(
+        &nameless,
+        "{\"bench\": \"x\", \"total_steps_per_sec\": 5.0}\n",
+    )
+    .unwrap();
+    let nested = repo_root().join("crates/bench/baselines/paper_baseline.json");
+    for (baseline, max_regress, code, needle) in [
+        (
+            &exponent,
+            "20",
+            1,
+            "vs baseline 1500000000.00 (floor 1200000000.00) — REGRESSION",
+        ),
+        (&nested, "100", 0, "vs baseline 9400.00"),
+        (&nameless, "20", 1, "error[baseline]"),
+    ] {
+        let output = run_cli(&[
+            "run",
+            golden.to_str().unwrap(),
+            "--baseline",
+            baseline.to_str().unwrap(),
+            "--max-regress",
+            max_regress,
+        ]);
+        let both = format!("{}{}", stdout_of(&output), stderr_of(&output));
+        assert_eq!(
+            output.status.code(),
+            Some(code),
+            "{}: {both}",
+            baseline.display()
+        );
+        assert!(both.contains(needle), "{}: {both}", baseline.display());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ------------------------------------------------------- golden identity
 
 /// Extracts the `--print-report` line from a run's stdout.
@@ -208,28 +293,30 @@ fn jsonl_stream_on_stdout_is_structurally_valid() {
     ]);
     assert_eq!(output.status.code(), Some(0));
     let stdout = stdout_of(&output);
-    let lines: Vec<&str> = stdout.lines().collect();
-    assert!(lines.len() >= 3, "run_start + steps + run_end: {stdout}");
-    for line in &lines {
-        assert!(
-            line.starts_with('{') && line.ends_with('}'),
-            "not a JSON object line: {line}"
-        );
-        assert!(line.contains("\"event\":\""), "no event field: {line}");
-    }
-    assert!(lines[0].contains("\"event\":\"run_start\""));
-    assert!(lines[0].contains("\"label\":\"golden\""));
-    assert!(lines[0].contains("\"total_steps\":200"));
-    let last = lines.last().unwrap();
-    assert!(last.contains("\"event\":\"run_end\""));
-    assert!(last.contains("\"seed\":12648430"));
-    assert!(last.contains("\"phases\":{"));
+    let events: Vec<Json> = stdout
+        .lines()
+        .map(|line| Json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}")))
+        .collect();
+    assert!(events.len() >= 3, "run_start + steps + run_end: {stdout}");
+    let event = |json: &Json| {
+        json.read::<String>("event")
+            .expect("every line is an event")
+    };
+    let first = &events[0];
+    assert_eq!(event(first), "run_start");
+    assert_eq!(first.read::<String>("label"), Ok("golden".to_string()));
+    assert_eq!(first.read::<u64>("total_steps"), Ok(200));
+    let last = events.last().unwrap();
+    assert_eq!(event(last), "run_end");
+    assert_eq!(last.read::<u64>("seed"), Ok(0xC0FFEE));
+    assert!(last.get("phases").and_then(Json::as_object).is_some());
     // Step events at 50, 100, 150, 200.
-    let steps = lines
+    let steps: Vec<u64> = events
         .iter()
-        .filter(|l| l.contains("\"event\":\"step\""))
-        .count();
-    assert_eq!(steps, 4, "step cadence: {stdout}");
+        .filter(|e| event(e) == "step")
+        .map(|e| e.read("step").unwrap())
+        .collect();
+    assert_eq!(steps, [50, 100, 150, 200], "step cadence: {stdout}");
     // The human-readable summary must have moved to stderr.
     let err = stderr_of(&output);
     assert!(err.contains("profile:"), "stderr: {err}");
@@ -277,8 +364,7 @@ fn grid_workers_reproduce_in_process_reports_bit_for_bit() {
         assert_eq!(result.label, expected.label, "cell order");
         assert_eq!(result.parameter, expected.parameter, "cell parameter");
         assert_eq!(
-            result.report_debug,
-            format!("{:?}", expected.report),
+            result.report, expected.report,
             "worker report for `{}` differs from the in-process run",
             expected.label
         );
@@ -330,12 +416,12 @@ fn sigkilled_worker_is_retried_and_the_sweep_completes() {
     );
     assert!(marker.is_file(), "one worker claimed the kill marker");
 
-    let manifest = std::fs::read_to_string(out_dir.join("manifest.json")).unwrap();
-    assert!(manifest.contains("\"ok\": 3"), "manifest: {manifest}");
-    assert!(manifest.contains("\"failed\": 0"), "manifest: {manifest}");
+    let manifest = read_manifest(&out_dir);
+    assert_eq!(count(&manifest, "ok"), 3, "{manifest}");
+    assert_eq!(count(&manifest, "failed"), 0, "{manifest}");
     // 3 cells + 1 retry of the killed one.
-    assert!(manifest.contains("\"attempts\": 4"), "manifest: {manifest}");
-    assert!(manifest.contains("\"attempts\": 2"), "manifest: {manifest}");
+    assert_eq!(count(&manifest, "attempts"), 4, "{manifest}");
+    assert_eq!(cell_attempts(&manifest), [1, 1, 2], "{manifest}");
     let stdout = stdout_of(&output);
     assert!(stdout.contains("re-queued"), "stdout: {stdout}");
     assert!(stdout.contains("killed by signal 9"), "stdout: {stdout}");
@@ -383,12 +469,12 @@ fn truncated_result_record_is_detected_and_retried() {
     );
     assert!(marker.is_file(), "one worker claimed the truncation marker");
 
-    let manifest = std::fs::read_to_string(out_dir.join("manifest.json")).unwrap();
-    assert!(manifest.contains("\"ok\": 3"), "manifest: {manifest}");
-    assert!(manifest.contains("\"failed\": 0"), "manifest: {manifest}");
+    let manifest = read_manifest(&out_dir);
+    assert_eq!(count(&manifest, "ok"), 3, "{manifest}");
+    assert_eq!(count(&manifest, "failed"), 0, "{manifest}");
     // 3 cells + 1 retry of the torn-record one.
-    assert!(manifest.contains("\"attempts\": 4"), "manifest: {manifest}");
-    assert!(manifest.contains("\"attempts\": 2"), "manifest: {manifest}");
+    assert_eq!(count(&manifest, "attempts"), 4, "{manifest}");
+    assert_eq!(cell_attempts(&manifest), [1, 1, 2], "{manifest}");
     let stdout = stdout_of(&output);
     assert!(
         stdout.contains("without a parseable result record"),
@@ -430,16 +516,15 @@ fn torn_record_failure_is_classified_in_the_manifest() {
         "stderr: {}",
         stderr_of(&output)
     );
-    let manifest = std::fs::read_to_string(out_dir.join("manifest.json")).unwrap();
-    assert!(manifest.contains("\"failed\": 1"), "manifest: {manifest}");
-    assert!(
-        manifest.contains("\"failure_kind\": \"torn-record\""),
-        "manifest: {manifest}"
+    let manifest = read_manifest(&out_dir);
+    assert_eq!(count(&manifest, "failed"), 1, "{manifest}");
+    let cell = &manifest_cells(&manifest)[0];
+    assert_eq!(
+        cell.read::<String>("failure_kind"),
+        Ok("torn-record".to_string()),
+        "{manifest}"
     );
-    assert!(
-        manifest.contains("\"exit_code\": null"),
-        "manifest: {manifest}"
-    );
+    assert_eq!(cell.get("exit_code"), Some(&Json::Null), "{manifest}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -475,15 +560,18 @@ fn nonzero_worker_exit_is_classified_with_its_code() {
         stderr_of(&output)
     );
     assert!(marker.is_file(), "the worker claimed the exit marker");
-    let manifest = std::fs::read_to_string(out_dir.join("manifest.json")).unwrap();
-    assert!(manifest.contains("\"failed\": 1"), "manifest: {manifest}");
-    assert!(
-        manifest.contains("\"failure_kind\": \"worker-exit\""),
-        "manifest: {manifest}"
+    let manifest = read_manifest(&out_dir);
+    assert_eq!(count(&manifest, "failed"), 1, "{manifest}");
+    let cell = &manifest_cells(&manifest)[0];
+    assert_eq!(
+        cell.read::<String>("failure_kind"),
+        Ok("worker-exit".to_string()),
+        "{manifest}"
     );
-    assert!(
-        manifest.contains(&format!("\"exit_code\": {}", collabsim_cli::EXIT_ONCE_CODE)),
-        "manifest: {manifest}"
+    assert_eq!(
+        cell.get("exit_code"),
+        Some(&Json::from(collabsim_cli::EXIT_ONCE_CODE)),
+        "{manifest}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -520,18 +608,21 @@ fn panicking_phase_fails_its_cell_but_not_the_grid() {
         "stderr: {}",
         stderr_of(&output)
     );
-    let manifest = std::fs::read_to_string(out_dir.join("manifest.json")).unwrap();
-    assert!(manifest.contains("\"ok\": 1"), "manifest: {manifest}");
-    assert!(manifest.contains("\"failed\": 1"), "manifest: {manifest}");
-    assert!(
-        manifest.contains("\"status\": \"failed\""),
-        "manifest: {manifest}"
-    );
-    assert!(manifest.contains("worker crashed"), "manifest: {manifest}");
+    let manifest = read_manifest(&out_dir);
+    assert_eq!(count(&manifest, "ok"), 1, "{manifest}");
+    assert_eq!(count(&manifest, "failed"), 1, "{manifest}");
+    let failed = &manifest_cells(&manifest)[0];
+    assert_eq!(failed.read::<String>("status"), Ok("failed".to_string()));
+    let error: String = failed.read("error").unwrap();
+    assert!(error.contains("worker crashed"), "{manifest}");
     // The failed cell inlines the tail of its final attempt's worker log,
     // so the manifest alone explains *why* the worker died.
-    assert!(manifest.contains("\"log_tail\": ["), "manifest: {manifest}");
-    assert!(manifest.contains("panicked"), "manifest: {manifest}");
+    let tail = failed.get("log_tail").and_then(Json::as_array).unwrap();
+    assert!(
+        tail.iter()
+            .any(|line| line.as_str().is_some_and(|l| l.contains("panicked"))),
+        "{manifest}"
+    );
     let stdout = stdout_of(&output);
     assert!(
         stdout.contains("FAILED after 2 attempts"),
@@ -750,8 +841,8 @@ fn truncated_snapshot_is_a_typed_snapshot_error_with_exit_code_3() {
 }
 
 /// `grid --warm-start`: every worker forks from the shared equilibrated
-/// snapshot and its report is byte-identical to an in-process fork of the
-/// same snapshot onto the same cell spec.
+/// snapshot and its report equals an in-process fork of the same snapshot
+/// onto the same cell spec.
 #[test]
 fn grid_warm_start_forks_match_in_process_forks_bit_for_bit() {
     let dir = scratch("grid-warm");
@@ -770,12 +861,11 @@ fn grid_warm_start_forks_match_in_process_forks_bit_for_bit() {
             ScenarioSpec::parse(&format!("{}\nlabel = {label}\n", base.to_text())).unwrap()
         })
         .collect();
-    let expected: Vec<String> = cells
+    let expected: Vec<_> = cells
         .iter()
         .map(|cell| {
             let fork = snapshot.with_spec(cell);
-            let mut sim = Simulation::resume_from(&fork).unwrap();
-            format!("{:?}", sim.finish())
+            Simulation::resume_from(&fork).unwrap().finish()
         })
         .collect();
 
@@ -797,7 +887,7 @@ fn grid_warm_start_forks_match_in_process_forks_bit_for_bit() {
     for (cell, expected) in summary.cells.iter().zip(&expected) {
         let result = cell.result.as_ref().expect("ok cell has a result");
         assert_eq!(
-            &result.report_debug, expected,
+            &result.report, expected,
             "warm-started worker report for `{}` differs from the in-process fork",
             result.label
         );
@@ -808,17 +898,25 @@ fn grid_warm_start_forks_match_in_process_forks_bit_for_bit() {
 }
 
 /// `grid --resume` re-dispatches only the cells the previous sweep left
-/// failed or missing; manifest-ok cells are carried over untouched.
+/// failed or missing; manifest-ok cells are carried over untouched, also
+/// when their label holds a quote, a backslash and a newline.
 #[test]
 fn grid_resume_skips_manifest_ok_cells_and_redispatches_failures() {
     let dir = scratch("grid-resume");
     let specs_dir = dir.join("specs");
     std::fs::create_dir_all(&specs_dir).unwrap();
     let base = golden_spec().to_text();
+    // The first dispatched cell (cell0) is the one that dies; cell1
+    // survives the first sweep under the quoted label.
     for (i, seed) in [1u64, 2, 3].iter().enumerate() {
+        let label = if i == 1 {
+            r#"label = "odd \" \\ \n label""#
+        } else {
+            ""
+        };
         std::fs::write(
             specs_dir.join(format!("cell{i}.spec")),
-            format!("{base}\nseed = {seed}\n"),
+            format!("{base}\nseed = {seed}\n{label}\n"),
         )
         .unwrap();
     }
@@ -846,9 +944,13 @@ fn grid_resume_skips_manifest_ok_cells_and_redispatches_failures() {
         "stderr: {}",
         stderr_of(&output)
     );
-    let manifest = std::fs::read_to_string(out_dir.join("manifest.json")).unwrap();
-    assert!(manifest.contains("\"ok\": 2"), "manifest: {manifest}");
-    assert!(manifest.contains("\"failed\": 1"), "manifest: {manifest}");
+    let manifest = read_manifest(&out_dir);
+    assert_eq!(count(&manifest, "ok"), 2, "{manifest}");
+    assert_eq!(count(&manifest, "failed"), 1, "{manifest}");
+    assert_eq!(
+        manifest_cells(&manifest)[1].read::<String>("label"),
+        Ok("odd \" \\ \n label".to_string())
+    );
 
     // Second sweep with --resume (no kill marker): the two ok cells are
     // skipped, only the failed one is re-dispatched, and it completes.
@@ -875,9 +977,9 @@ fn grid_resume_skips_manifest_ok_cells_and_redispatches_failures() {
         2,
         "stdout: {stdout}"
     );
-    let manifest = std::fs::read_to_string(out_dir.join("manifest.json")).unwrap();
-    assert!(manifest.contains("\"ok\": 3"), "manifest: {manifest}");
-    assert!(manifest.contains("\"failed\": 0"), "manifest: {manifest}");
+    let manifest = read_manifest(&out_dir);
+    assert_eq!(count(&manifest, "ok"), 3, "{manifest}");
+    assert_eq!(count(&manifest, "failed"), 0, "{manifest}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -915,16 +1017,13 @@ fn worker_writes_a_parseable_result_record() {
         "stderr: {}",
         stderr_of(&output)
     );
-    let record = std::fs::read_to_string(&out_path).unwrap();
-    let result = collabsim_cli::parse_cell_result(&record).expect("record parses");
+    let result = collabsim_cli::read_result_record(&out_path).expect("record parses");
     assert_eq!(result.label, "golden");
     assert_eq!(result.total_steps, 200);
-    let expected = format!(
-        "{:?}",
-        Simulation::from_spec(&golden_spec())
-            .expect("golden spec resolves")
-            .run()
-    );
-    assert_eq!(result.report_debug, expected);
+    let expected = Simulation::from_spec(&golden_spec())
+        .expect("golden spec resolves")
+        .run();
+    assert_eq!(result.report, expected);
+    assert_eq!(format!("{:?}", result.report), format!("{expected:?}"));
     std::fs::remove_dir_all(&dir).ok();
 }

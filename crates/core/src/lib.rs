@@ -54,6 +54,7 @@ pub mod engine;
 pub mod experiment;
 pub mod incentive;
 pub mod invariants;
+pub mod json;
 pub mod observer;
 pub mod pipeline;
 pub mod report;

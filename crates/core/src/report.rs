@@ -15,34 +15,42 @@
 //! [`StepObserver`](crate::observer::StepObserver) (or is read off
 //! [`SimWorld`](crate::world::SimWorld) after the run, e.g.
 //! [`ChurnStats`](crate::world::ChurnStats)) instead.
+//!
+//! Across processes the report travels as JSON
+//! ([`SimulationReport::to_json`] / [`SimulationReport::from_json`]), which
+//! carries every field exactly, so a decoded report compares `==` with the
+//! in-process one.
 
+use crate::json::{FromJson, Json, JsonError};
 use collabsim_gametheory::behavior::BehaviorType;
 use collabsim_netsim::article::EditOutcomeCounts;
 use std::collections::BTreeMap;
 
-/// Per-behaviour-type aggregates over the measured evaluation phase.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct BehaviorBreakdown {
-    /// Number of peers of this type.
-    pub peers: usize,
-    /// Mean fraction of bandwidth shared per peer-step.
-    pub shared_bandwidth: f64,
-    /// Mean fraction of articles shared per peer-step.
-    pub shared_articles: f64,
-    /// Mean bandwidth downloaded per peer-step.
-    pub downloaded: f64,
-    /// Mean sharing reputation at the end of the run.
-    pub final_sharing_reputation: f64,
-    /// Mean editing reputation at the end of the run.
-    pub final_editing_reputation: f64,
-    /// Constructive edit attempts by peers of this type.
-    pub constructive_edits: u64,
-    /// Destructive edit attempts by peers of this type.
-    pub destructive_edits: u64,
-    /// Votes cast by peers of this type.
-    pub votes: u64,
-    /// Mean per-step utility (reward) of peers of this type.
-    pub mean_utility: f64,
+crate::json_struct! {
+    /// Per-behaviour-type aggregates over the measured evaluation phase.
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub struct BehaviorBreakdown {
+        /// Number of peers of this type.
+        pub peers: usize,
+        /// Mean fraction of bandwidth shared per peer-step.
+        pub shared_bandwidth: f64,
+        /// Mean fraction of articles shared per peer-step.
+        pub shared_articles: f64,
+        /// Mean bandwidth downloaded per peer-step.
+        pub downloaded: f64,
+        /// Mean sharing reputation at the end of the run.
+        pub final_sharing_reputation: f64,
+        /// Mean editing reputation at the end of the run.
+        pub final_editing_reputation: f64,
+        /// Constructive edit attempts by peers of this type.
+        pub constructive_edits: u64,
+        /// Destructive edit attempts by peers of this type.
+        pub destructive_edits: u64,
+        /// Votes cast by peers of this type.
+        pub votes: u64,
+        /// Mean per-step utility (reward) of peers of this type.
+        pub mean_utility: f64,
+    }
 }
 
 impl BehaviorBreakdown {
@@ -63,27 +71,29 @@ impl BehaviorBreakdown {
     }
 }
 
-/// The complete result of one simulation run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimulationReport {
-    /// Mean fraction of bandwidth shared per peer-step, over all peers —
-    /// Figure 3/4's "percentage of shared bandwidth".
-    pub shared_bandwidth: f64,
-    /// Mean fraction of articles shared per peer-step, over all peers —
-    /// Figure 3/4's "percentage of shared articles".
-    pub shared_articles: f64,
-    /// Breakdown per behaviour type (Figure 5 reads the rational entry).
-    pub by_behavior: BTreeMap<String, BehaviorBreakdown>,
-    /// Outcome counts of all edits decided during the evaluation phase.
-    pub edit_outcomes: EditOutcomeCounts,
-    /// Mean article quality at the end of the run.
-    pub mean_article_quality: f64,
-    /// Number of completed downloads during the evaluation phase.
-    pub completed_downloads: usize,
-    /// Number of evaluation steps measured.
-    pub evaluation_steps: u64,
-    /// The seed the run used (for reproduction).
-    pub seed: u64,
+crate::json_struct! {
+    /// The complete result of one simulation run.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SimulationReport {
+        /// Mean fraction of bandwidth shared per peer-step, over all peers —
+        /// Figure 3/4's "percentage of shared bandwidth".
+        pub shared_bandwidth: f64,
+        /// Mean fraction of articles shared per peer-step, over all peers —
+        /// Figure 3/4's "percentage of shared articles".
+        pub shared_articles: f64,
+        /// Breakdown per behaviour type (Figure 5 reads the rational entry).
+        pub by_behavior: BTreeMap<String, BehaviorBreakdown>,
+        /// Outcome counts of all edits decided during the evaluation phase.
+        pub edit_outcomes: EditOutcomeCounts,
+        /// Mean article quality at the end of the run.
+        pub mean_article_quality: f64,
+        /// Number of completed downloads during the evaluation phase.
+        pub completed_downloads: usize,
+        /// Number of evaluation steps measured.
+        pub evaluation_steps: u64,
+        /// The seed the run used (for reproduction).
+        pub seed: u64,
+    }
 }
 
 impl SimulationReport {
@@ -124,7 +134,27 @@ impl SimulationReport {
     pub fn destructive_acceptance_rate(&self) -> f64 {
         self.edit_outcomes.destructive_acceptance_rate()
     }
+
+    /// The report as a JSON object keyed by field name;
+    /// [`SimulationReport::from_json`] reads it back exactly.
+    pub fn to_json(&self) -> Json {
+        self.clone().into()
+    }
+
+    /// Decodes [`SimulationReport::to_json`]'s output; a missing or
+    /// mistyped field is an error naming it.
+    pub fn from_json(json: &Json) -> Result<Self, JsonError> {
+        <Self as FromJson>::from_json(json)
+    }
 }
+
+crate::json_struct!(EditOutcomeCounts {
+    accepted_constructive,
+    accepted_destructive,
+    declined_constructive,
+    declined_destructive,
+    pending,
+});
 
 #[cfg(test)]
 mod tests {
@@ -200,6 +230,20 @@ mod tests {
         let missing = r.breakdown(BehaviorType::Irrational);
         assert_eq!(missing.total_edits(), 0);
         assert_eq!(missing.constructive_edit_fraction(), 0.0);
+    }
+
+    #[test]
+    fn json_round_trip_is_exact_and_refuses_missing_fields() {
+        let mut r = report();
+        r.seed = u64::MAX;
+        let back = SimulationReport::from_json(&r.to_json()).expect("decodes");
+        assert_eq!(format!("{back:?}"), format!("{r:?}"));
+        let Json::Object(mut members) = r.to_json() else {
+            panic!("the report is an object");
+        };
+        members.retain(|(key, _)| key != "seed");
+        let error = SimulationReport::from_json(&Json::Object(members)).unwrap_err();
+        assert!(error.to_string().contains("`seed`"), "{error}");
     }
 
     #[test]

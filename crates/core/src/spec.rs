@@ -45,6 +45,7 @@ use crate::config::{
     DownloadRate, PhaseConfig, PropagationConfig, ReputationSource, SimulationConfig,
 };
 use crate::incentive::IncentiveScheme;
+use crate::json::{FromJson, Json};
 use crate::pipeline::{PhaseRegistry, StepPipeline};
 use collabsim_gametheory::behavior::BehaviorMix;
 use collabsim_netsim::churn::ChurnModel;
@@ -741,69 +742,29 @@ pub fn apply_defence(config: &mut SimulationConfig, value: &str) -> Result<(), S
 
 /// Renders a label for the text format. Plain labels are written verbatim;
 /// labels the line-based parser would mangle (leading/trailing whitespace,
-/// newlines, quotes, backslashes) are written as a quoted string with
-/// `\" \\ \n \r` escapes, so the round trip stays exact for *every* label.
+/// newlines, quotes, backslashes) are written as a JSON string, so the
+/// round trip stays exact for *every* label.
 fn encode_label(label: &str) -> String {
     let needs_quoting = label != label.trim() || label.contains(['"', '\\', '\n', '\r']);
-    if !needs_quoting {
-        return label.to_string();
+    if needs_quoting {
+        Json::from(label).to_string()
+    } else {
+        label.to_string()
     }
-    let mut out = String::with_capacity(label.len() + 2);
-    out.push('"');
-    for c in label.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Inverse of [`encode_label`]: unquoted values are taken verbatim (the
-/// surrounding parser already trimmed them), quoted values are unescaped.
+/// surrounding parser already trimmed them), quoted values are JSON
+/// strings.
 fn decode_label(value: &str, line: usize) -> Result<String, SpecError> {
     if !value.starts_with('"') {
         return Ok(value.to_string());
     }
-    let inner = value[1..]
-        .strip_suffix('"')
-        .ok_or_else(|| SpecError::Parse {
-            line,
-            message: "unterminated quoted label".to_string(),
-        })?;
-    let mut out = String::with_capacity(inner.len());
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '\\' => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                other => {
-                    return Err(SpecError::Parse {
-                        line,
-                        message: format!(
-                            "bad escape `\\{}` in quoted label",
-                            other.map(String::from).unwrap_or_default()
-                        ),
-                    })
-                }
-            },
-            '"' => {
-                return Err(SpecError::Parse {
-                    line,
-                    message: "unescaped quote inside quoted label".to_string(),
-                })
-            }
-            c => out.push(c),
-        }
-    }
-    Ok(out)
+    let decoded = Json::parse(value).and_then(|json| String::from_json(&json));
+    decoded.map_err(|error| SpecError::Parse {
+        line,
+        message: format!("bad quoted label: {error}"),
+    })
 }
 
 fn parse_f64(key: &str, value: &str, line: usize) -> Result<f64, SpecError> {

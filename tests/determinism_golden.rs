@@ -18,13 +18,16 @@
 //!    words, and a run without articles, where every download names the
 //!    registry fallback's article 0. Both were recorded on the sorted-list
 //!    store, before the bitset store replaced it.
+//! 5. **Report codec** — the golden report survives the JSON codec that
+//!    carries reports across processes.
 
 use collabsim_workspace::collabsim::adversary::AdversarySpec;
 use collabsim_workspace::collabsim::experiment::{ScenarioGrid, ScenarioRunner};
+use collabsim_workspace::collabsim::json::Json;
 use collabsim_workspace::collabsim::spec::ScenarioSpec;
 use collabsim_workspace::collabsim::{
     apply_defence, BehaviorMix, BehaviorType, IncentiveScheme, PhaseConfig, Simulation,
-    SimulationConfig,
+    SimulationConfig, SimulationReport,
 };
 use collabsim_workspace::netsim::churn::ChurnModel;
 use collabsim_workspace::netsim::peer::PeerId;
@@ -60,6 +63,25 @@ fn golden_report_matches_pre_refactor_engine() {
     let report = Simulation::new(golden_config()).run();
     let debug = format!("{report:?}");
     assert_eq!(debug, GOLDEN_REPORT_DEBUG, "golden report drifted");
+}
+
+/// The JSON codec that carries reports across processes decodes the
+/// golden report to a value with the identical `Debug` rendering, also
+/// with a seed past 2⁵³.
+#[test]
+fn golden_report_round_trips_the_json_codec() {
+    let golden = Simulation::new(golden_config()).run();
+    let max_seed = SimulationReport {
+        seed: u64::MAX,
+        ..golden.clone()
+    };
+    for report in [golden, max_seed] {
+        let text = report.to_json().to_string();
+        let decoded =
+            SimulationReport::from_json(&Json::parse(&text).expect("parses")).expect("decodes");
+        assert_eq!(format!("{decoded:?}"), format!("{report:?}"), "{text}");
+        assert_eq!(decoded, report);
+    }
 }
 
 #[test]
