@@ -1,8 +1,7 @@
 //! Phase 6 — Q-learning updates.
 
 use super::{worker_bounds, StepContext, StepPhase};
-use crate::agent::AgentState;
-use crate::world::SimWorld;
+use crate::world::{ServiceReputation, SimWorld};
 
 /// Every *online rational* agent applies its Q-update for the step's
 /// reward, transitioning to the post-step state (its reputation bucket
@@ -41,22 +40,12 @@ impl StepPhase for LearningPhase {
             ..
         } = world;
         let active = &*active;
-        let ledger = &*ledger;
         let forced = adversaries.forced_actions();
-        let propagated = propagated_service_reputation.as_deref();
-        let min_reputation = config.min_reputation;
-        let states = *states;
         let rewards: &[f64] = &ctx.rewards;
-        // The post-step state: the peer's service-visible reputation bucket
-        // (same resolution as `SimWorld::agent_state`, reproduced here so
-        // workers only capture Sync references).
-        let next_bucket = move |p: usize| -> usize {
-            let reputation = match propagated {
-                Some(values) => values[p],
-                None => ledger.sharing_reputation(p),
-            };
-            AgentState::from_reputation(reputation, min_reputation, states).bucket
-        };
+        // The post-step state: the peer's service-visible reputation bucket.
+        let reputation =
+            ServiceReputation::new(ledger, propagated_service_reputation, config, *states);
+        let next_bucket = move |p: usize| reputation.state(p).bucket;
 
         if threads > 1 {
             let bounds = worker_bounds(population, threads);

@@ -3,7 +3,7 @@
 use super::{StepContext, StepPhase};
 use crate::action::CollabAction;
 use crate::agent::AgentState;
-use crate::world::SimWorld;
+use crate::world::{ServiceReputation, SimWorld};
 use collabsim_gametheory::behavior::BehaviorType;
 use collabsim_rl::boltzmann::{boltzmann_distribution_into, sample_probs};
 
@@ -101,17 +101,11 @@ impl StepPhase for SelectionPhase {
             states,
             ..
         } = world;
-        let propagated = propagated_service_reputation.as_deref();
-        let min_reputation = config.min_reputation;
-        let states = *states;
-        let ledger = &*ledger;
+        let reputation =
+            ServiceReputation::new(ledger, propagated_service_reputation, config, *states);
 
         for p in active.iter_online() {
-            let reputation = match propagated {
-                Some(values) => values[p],
-                None => ledger.sharing_reputation(p),
-            };
-            let state = AgentState::from_reputation(reputation, min_reputation, states);
+            let state = reputation.state(p);
             ctx.current_states[p] = state;
             let action = if let Some(forced) = adversaries.forced_action(p) {
                 // A forced peer does not consult its agent and records no

@@ -440,6 +440,7 @@ impl WorldState {
             .map_err(SnapshotError::Mismatch)?;
         self.check_store(population, world.store.words_per_peer())
             .map_err(SnapshotError::Mismatch)?;
+        self.check_ledger().map_err(SnapshotError::Mismatch)?;
 
         world.clock = SimClock::starting_at(self.step);
         world.rng = StdRng::from_state(self.rng);
@@ -595,6 +596,29 @@ impl WorldState {
                 }
                 if offered & !held != 0 {
                     return Err(format!("peer {peer} offers an article it does not hold"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks every ledger record's contribution values. The ledger's
+    /// mutators keep `sharing`, `editing`, `total_articles` and
+    /// `total_bandwidth` finite and non-negative, so any other value came
+    /// from outside. Restored unchecked, a NaN contribution would read as
+    /// `R_min` and absorb every later increment.
+    fn check_ledger(&self) -> Result<(), String> {
+        for (peer, record) in self.ledger.iter().enumerate() {
+            for (field, value) in [
+                ("sharing", record.sharing),
+                ("editing", record.editing),
+                ("total_articles", record.total_articles),
+                ("total_bandwidth", record.total_bandwidth),
+            ] {
+                if !(value.is_finite() && value >= 0.0) {
+                    return Err(format!(
+                        "peer {peer}'s ledger {field} is {value}, not a finite value >= 0"
+                    ));
                 }
             }
         }
@@ -1073,6 +1097,7 @@ impl WorldState {
         state
             .check_articles(state.peers.len())
             .map_err(SnapshotError::Corrupt)?;
+        state.check_ledger().map_err(SnapshotError::Corrupt)?;
         Ok(state)
     }
 }
@@ -1565,9 +1590,11 @@ mod tests {
     /// instead of panicking in a later edit vote. Decode refuses an
     /// article-store word count no row can have; apply checks the store's
     /// tables against the spec and the registry, so a tampered store
-    /// cannot misdirect a download pick or a replica add.
+    /// cannot misdirect a download pick or a replica add. A ledger value
+    /// no mutator writes (negative or non-finite) is refused at both.
+    /// Every tamper is encoded afresh, so its frame hash is valid.
     #[test]
-    fn malformed_article_state_is_a_typed_error_at_decode_and_apply() {
+    fn malformed_article_and_ledger_state_is_a_typed_error_at_decode_and_apply() {
         const POPULATION: u32 = 60;
         // Editor-restricted voting (the large-population preset), so every
         // edit vote reads its article's voter set.
@@ -1584,7 +1611,7 @@ mod tests {
         assert_eq!(snapshot.state.article_words, 4);
         type Tamper = fn(&mut WorldState);
         // Each tamper, and whether decode already refuses it.
-        let tampers: [(&str, Tamper, bool); 12] = [
+        let tampers: [(&str, Tamper, bool); 15] = [
             (
                 "unsorted voter set",
                 |state| {
@@ -1698,6 +1725,23 @@ mod tests {
                 },
                 false,
             ),
+            // Restored unchecked, reads clamped the NaN to `R_min` and
+            // `record_editing` kept adding to it.
+            (
+                "a NaN editing contribution",
+                |state| state.ledger[7].editing = f64::NAN,
+                true,
+            ),
+            (
+                "a negative sharing contribution",
+                |state| state.ledger[7].sharing = -1.0,
+                true,
+            ),
+            (
+                "an infinite article total",
+                |state| state.ledger[7].total_articles = f64::INFINITY,
+                true,
+            ),
         ];
         for (case, tamper, at_decode) in tampers {
             let mut bad = snapshot.clone();
@@ -1718,6 +1762,15 @@ mod tests {
                 ),
                 "{case}: apply"
             );
+        }
+        let mut bad = snapshot.clone();
+        bad.state.ledger[7].editing = f64::NAN;
+        match Snapshot::decode(&bad.encode()) {
+            Err(SnapshotError::Corrupt(message)) => assert!(
+                message.contains("peer 7") && message.contains("editing"),
+                "{message}"
+            ),
+            other => panic!("a NaN editing contribution decoded as {other:?}"),
         }
     }
 

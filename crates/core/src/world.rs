@@ -596,6 +596,53 @@ pub struct SimWorld {
     intra_step_threads: usize,
 }
 
+/// Where service decisions read a peer's sharing reputation: the ledger,
+/// or the latest propagated vector once a propagation round has filled it
+/// (see [`SimWorld::service_sharing_reputation`]). Built from borrowed
+/// world fields, so a phase that has split the world borrow, or hands the
+/// reader to intra-step workers, resolves the source the same way.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ServiceReputation<'a> {
+    ledger: &'a ShardedLedger,
+    propagated: Option<&'a [f64]>,
+    min_reputation: f64,
+    states: StateSpace,
+}
+
+impl<'a> ServiceReputation<'a> {
+    /// A reader over the world's ledger, its propagated service vector and
+    /// the state partition of `config` and `states`.
+    #[inline]
+    pub(crate) fn new(
+        ledger: &'a ShardedLedger,
+        propagated: &'a Option<Vec<f64>>,
+        config: &SimulationConfig,
+        states: StateSpace,
+    ) -> Self {
+        Self {
+            ledger,
+            propagated: propagated.as_deref(),
+            min_reputation: config.min_reputation,
+            states,
+        }
+    }
+
+    /// The service-visible sharing reputation of `peer`.
+    #[inline]
+    pub(crate) fn sharing(&self, peer: usize) -> f64 {
+        match self.propagated {
+            Some(values) => values[peer],
+            None => self.ledger.sharing_reputation(peer),
+        }
+    }
+
+    /// The agent state of `peer`: its service-visible reputation bucket.
+    #[inline]
+    pub(crate) fn state(&self, peer: usize) -> AgentState {
+        AgentState::from_reputation(self.sharing(peer), self.min_reputation, self.states)
+    }
+}
+
 impl SimWorld {
     /// Builds the initial network state from a configuration, resolving
     /// adversary specs against `adversary_registry` (which may contain
@@ -718,6 +765,18 @@ impl SimWorld {
         self.intra_step_threads
     }
 
+    /// The reader of the service-visible sharing reputation over this
+    /// world's fields.
+    #[inline]
+    pub(crate) fn service_reputation(&self) -> ServiceReputation<'_> {
+        ServiceReputation::new(
+            &self.ledger,
+            &self.propagated_service_reputation,
+            &self.config,
+            self.states,
+        )
+    }
+
     /// The sharing reputation that feeds service decisions (selection
     /// state, bandwidth allocation, edit gating, punishment recovery) for
     /// `peer`: the ledger's globally visible value under
@@ -726,10 +785,7 @@ impl SimWorld {
     /// to the ledger until the first propagation round of a phase).
     #[inline]
     pub fn service_sharing_reputation(&self, peer: usize) -> f64 {
-        match &self.propagated_service_reputation {
-            Some(values) => values[peer],
-            None => self.ledger.sharing_reputation(peer),
-        }
+        self.service_reputation().sharing(peer)
     }
 
     /// Refreshes the propagated service-reputation cache from the latest
@@ -768,11 +824,7 @@ impl SimWorld {
     /// bucket (the ledger value, or the propagated estimate under
     /// [`ReputationSource::Propagated`]).
     pub fn agent_state(&self, peer: usize) -> AgentState {
-        AgentState::from_reputation(
-            self.service_sharing_reputation(peer),
-            self.config.min_reputation,
-            self.states,
-        )
+        self.service_reputation().state(peer)
     }
 
     /// Picks the article a downloader will fetch from a source: preferably

@@ -163,9 +163,11 @@ impl ContributionDelta {
 /// peer currently shares and decays only while the peer is inactive. The
 /// editing contribution is cumulative (successful votes and accepted edits
 /// are events, not a holding), also decaying while inactive.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// The weights and decays are the same for every peer, so the owning ledger
+/// holds one validated [`ContributionParams`] and lends it to each update.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ContributionTracker {
-    params: ContributionParams,
     sharing: f64,
     editing: f64,
     /// Cumulative raw counters, useful for metrics and tests.
@@ -176,20 +178,6 @@ pub struct ContributionTracker {
 }
 
 impl ContributionTracker {
-    /// Creates a tracker with zero contribution.
-    pub fn new(params: ContributionParams) -> Self {
-        params.validate();
-        Self {
-            params,
-            sharing: 0.0,
-            editing: 0.0,
-            total_articles: 0.0,
-            total_bandwidth: 0.0,
-            total_votes: 0,
-            total_edits: 0,
-        }
-    }
-
     /// Current sharing contribution `C_S`.
     pub fn sharing(&self) -> f64 {
         self.sharing
@@ -227,33 +215,32 @@ impl ContributionTracker {
     /// the weighted level `α_S · S_articles + β_S · S_bandwidth`; an
     /// inactive step (nothing shared) decays the previous level by `d_S`,
     /// never below zero.
-    pub fn record_sharing(&mut self, action: &SharingAction) {
+    pub fn record_sharing(&mut self, params: &ContributionParams, action: &SharingAction) {
         debug_assert!(action.shared_articles >= 0.0 && action.shared_bandwidth >= 0.0);
         if action.is_active() {
-            self.sharing = self.params.alpha_s * action.shared_articles
-                + self.params.beta_s * action.shared_bandwidth;
+            self.sharing =
+                params.alpha_s * action.shared_articles + params.beta_s * action.shared_bandwidth;
             self.total_articles += action.shared_articles;
             self.total_bandwidth += action.shared_bandwidth;
         } else {
-            self.sharing = (self.sharing - self.params.decay_s).max(0.0);
+            self.sharing = (self.sharing - params.decay_s).max(0.0);
         }
     }
 
     /// Records one time step of editing/voting outcomes. Inactive steps
     /// decay the editing contribution by `d_E`.
-    pub fn record_editing(&mut self, action: &EditingAction) {
+    pub fn record_editing(&mut self, params: &ContributionParams, action: &EditingAction) {
         if action.is_active() {
-            self.editing += self.params.alpha_e * f64::from(action.successful_votes)
-                + self.params.beta_e * f64::from(action.accepted_edits);
+            self.editing += params.alpha_e * f64::from(action.successful_votes)
+                + params.beta_e * f64::from(action.accepted_edits);
             self.total_votes += u64::from(action.successful_votes);
             self.total_edits += u64::from(action.accepted_edits);
         } else {
-            self.editing = (self.editing - self.params.decay_e).max(0.0);
+            self.editing = (self.editing - params.decay_e).max(0.0);
         }
     }
 
-    /// Overwrites every running value with checkpointed state. The
-    /// parameters are construction-time configuration and stay as-is.
+    /// Overwrites every running value with checkpointed state.
     #[allow(clippy::too_many_arguments)]
     pub fn restore_values(
         &mut self,
@@ -298,16 +285,20 @@ mod tests {
     use super::*;
 
     fn tracker() -> ContributionTracker {
-        ContributionTracker::new(ContributionParams::default())
+        ContributionTracker::default()
     }
 
     #[test]
     fn sharing_contribution_is_weighted_sum() {
         let mut t = tracker();
-        t.record_sharing(&SharingAction {
-            shared_articles: 50.0,
-            shared_bandwidth: 0.5,
-        });
+        let p = ContributionParams::default();
+        t.record_sharing(
+            &p,
+            &SharingAction {
+                shared_articles: 50.0,
+                shared_bandwidth: 0.5,
+            },
+        );
         // alpha_s=1, beta_s=2.
         assert!((t.sharing() - (50.0 + 1.0)).abs() < 1e-12);
         assert_eq!(t.editing(), 0.0);
@@ -316,11 +307,15 @@ mod tests {
     #[test]
     fn editing_contribution_is_weighted_sum() {
         let mut t = tracker();
-        t.record_editing(&EditingAction {
-            successful_votes: 3,
-            accepted_edits: 2,
-            attempted: true,
-        });
+        let p = ContributionParams::default();
+        t.record_editing(
+            &p,
+            &EditingAction {
+                successful_votes: 3,
+                accepted_edits: 2,
+                attempted: true,
+            },
+        );
         // alpha_e=1, beta_e=2.
         assert!((t.editing() - (3.0 + 4.0)).abs() < 1e-12);
         assert_eq!(t.total_votes(), 3);
@@ -330,15 +325,19 @@ mod tests {
     #[test]
     fn inactivity_decays_but_never_negative() {
         let mut t = tracker();
-        t.record_sharing(&SharingAction {
-            shared_articles: 0.0,
-            shared_bandwidth: 0.08,
-        });
+        let p = ContributionParams::default();
+        t.record_sharing(
+            &p,
+            &SharingAction {
+                shared_articles: 0.0,
+                shared_bandwidth: 0.08,
+            },
+        );
         let after_share = t.sharing();
         assert!((after_share - 0.16).abs() < 1e-12);
         // Several inactive steps: decay 0.05 each, floored at zero.
         for _ in 0..10 {
-            t.record_sharing(&SharingAction::default());
+            t.record_sharing(&p, &SharingAction::default());
         }
         assert_eq!(t.sharing(), 0.0);
     }
@@ -346,32 +345,43 @@ mod tests {
     #[test]
     fn failed_attempts_do_not_increase_but_prevent_decay() {
         let mut t = tracker();
-        t.record_editing(&EditingAction {
-            successful_votes: 1,
-            accepted_edits: 0,
-            attempted: true,
-        });
+        let p = ContributionParams::default();
+        t.record_editing(
+            &p,
+            &EditingAction {
+                successful_votes: 1,
+                accepted_edits: 0,
+                attempted: true,
+            },
+        );
         let before = t.editing();
         // An unsuccessful attempt: active, but adds nothing.
-        t.record_editing(&EditingAction {
-            successful_votes: 0,
-            accepted_edits: 0,
-            attempted: true,
-        });
+        t.record_editing(
+            &p,
+            &EditingAction {
+                successful_votes: 0,
+                accepted_edits: 0,
+                attempted: true,
+            },
+        );
         assert_eq!(t.editing(), before);
         // A fully inactive step decays.
-        t.record_editing(&EditingAction::default());
+        t.record_editing(&p, &EditingAction::default());
         assert!(t.editing() < before);
     }
 
     #[test]
     fn cumulative_totals_track_all_activity() {
         let mut t = tracker();
+        let p = ContributionParams::default();
         for _ in 0..4 {
-            t.record_sharing(&SharingAction {
-                shared_articles: 100.0,
-                shared_bandwidth: 1.0,
-            });
+            t.record_sharing(
+                &p,
+                &SharingAction {
+                    shared_articles: 100.0,
+                    shared_bandwidth: 1.0,
+                },
+            );
         }
         assert_eq!(t.total_articles(), 400.0);
         assert_eq!(t.total_bandwidth(), 4.0);
@@ -380,15 +390,22 @@ mod tests {
     #[test]
     fn reset_clears_contributions_but_not_totals() {
         let mut t = tracker();
-        t.record_sharing(&SharingAction {
-            shared_articles: 10.0,
-            shared_bandwidth: 1.0,
-        });
-        t.record_editing(&EditingAction {
-            successful_votes: 1,
-            accepted_edits: 1,
-            attempted: true,
-        });
+        let p = ContributionParams::default();
+        t.record_sharing(
+            &p,
+            &SharingAction {
+                shared_articles: 10.0,
+                shared_bandwidth: 1.0,
+            },
+        );
+        t.record_editing(
+            &p,
+            &EditingAction {
+                successful_votes: 1,
+                accepted_edits: 1,
+                attempted: true,
+            },
+        );
         t.reset();
         assert_eq!(t.sharing(), 0.0);
         assert_eq!(t.editing(), 0.0);
@@ -405,10 +422,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "alpha_s")]
     fn invalid_params_panic() {
-        let params = ContributionParams {
+        ContributionParams {
             alpha_s: 0.0,
             ..Default::default()
-        };
-        let _ = ContributionTracker::new(params);
+        }
+        .validate();
     }
 }

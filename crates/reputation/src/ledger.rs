@@ -2,9 +2,10 @@
 //!
 //! Every peer carries two reputation values (Section III-B of the paper):
 //! `R_S(C_S)` for sharing articles and bandwidth and `R_E(C_E)` for voting
-//! and editing. The ledger owns one [`ContributionTracker`] per peer, maps
-//! contributions through the configured [`ReputationFunction`]s, and tracks
-//! the rights (editing, voting) that the punishment policy can revoke.
+//! and editing. The ledger owns one [`ContributionTracker`] per peer and one
+//! set of [`ContributionParams`] for all of them, maps contributions through
+//! the configured [`ReputationFunction`]s, and tracks the rights (editing,
+//! voting) that the punishment policy can revoke.
 //!
 //! The ledger plays the role of the "mechanism to safely propagate
 //! reputation values" the paper assumes: it is a global oracle view. The
@@ -29,7 +30,7 @@ pub struct PeerReputation {
 }
 
 /// Internal per-peer record, shared with the sharded ledger.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct PeerRecord {
     pub(crate) contributions: ContributionTracker,
     pub(crate) can_edit: bool,
@@ -40,9 +41,9 @@ pub(crate) struct PeerRecord {
 
 impl PeerRecord {
     /// A newcomer record: zero contributions, full rights.
-    pub(crate) fn new(params: ContributionParams) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
-            contributions: ContributionTracker::new(params),
+            contributions: ContributionTracker::default(),
             can_edit: true,
             can_vote: true,
             unsuccessful_votes: 0,
@@ -125,9 +126,11 @@ pub trait ReputationStore {
 /// The reputation ledger for a whole population of peers.
 ///
 /// Peers are addressed by dense indices `0..len()`; the simulation layer
-/// maps its own peer identifiers onto these indices.
+/// maps its own peer identifiers onto these indices. Reputations are
+/// evaluated from the contributions on every read.
 #[derive(Clone)]
 pub struct ReputationLedger {
+    params: ContributionParams,
     sharing_fn: Arc<dyn ReputationFunction>,
     editing_fn: Arc<dyn ReputationFunction>,
     records: Vec<PeerRecord>,
@@ -161,7 +164,7 @@ impl ReputationLedger {
     ///
     /// # Panics
     ///
-    /// Panics if `peers` is zero.
+    /// Panics if `peers` is zero or the parameters are invalid.
     pub fn new(
         peers: usize,
         params: ContributionParams,
@@ -169,11 +172,12 @@ impl ReputationLedger {
         editing_fn: Arc<dyn ReputationFunction>,
     ) -> Self {
         assert!(peers > 0, "ledger needs at least one peer");
-        let records = (0..peers).map(|_| PeerRecord::new(params)).collect();
+        params.validate();
         Self {
+            params,
+            records: vec![PeerRecord::new(); peers],
             sharing_fn,
             editing_fn,
-            records,
         }
     }
 
@@ -221,12 +225,16 @@ impl ReputationLedger {
 
     /// Records one time step of sharing activity for a peer.
     pub fn record_sharing(&mut self, peer: usize, action: &SharingAction) {
-        self.records[peer].contributions.record_sharing(action);
+        self.records[peer]
+            .contributions
+            .record_sharing(&self.params, action);
     }
 
     /// Records one time step of editing/voting outcomes for a peer.
     pub fn record_editing(&mut self, peer: usize, action: &EditingAction) {
-        self.records[peer].contributions.record_editing(action);
+        self.records[peer]
+            .contributions
+            .record_editing(&self.params, action);
     }
 
     /// Records an unsuccessful (against-majority) vote and returns the new

@@ -28,7 +28,8 @@
 //! * [`contribution`] — contribution-value accounting with decay,
 //! * [`ledger`] — per-peer dual-reputation ledger (dense reference
 //!   implementation and the [`ledger::ReputationStore`] interface),
-//! * [`sharded`] — the peer-id-range [`sharded::ShardedLedger`] with its
+//! * [`sharded`] — the peer-id-range [`sharded::ShardedLedger`], which
+//!   stores each peer's reputations beside its contributions, with its
 //!   collect-then-apply [`sharded::DeltaBatch`] protocol and the
 //!   [`sharded::LedgerView`] read facade for parallel workers,
 //! * [`service`] — the service-differentiation rules,

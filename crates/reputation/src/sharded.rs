@@ -21,6 +21,14 @@
 //!    scoped threads. Because contribution accounting is per-peer
 //!    independent, both paths produce bit-identical floating-point state.
 //!
+//! Each peer's record carries its `R_S` and `R_E` beside the contributions
+//! they derive from. A reputation is re-evaluated only where its
+//! contribution is written (and, in an apply, only when the contribution's
+//! bits changed), so every read is a load: the phases read reputations
+//! several times per peer per step, while each contribution changes at most
+//! once. The values are derived, so checkpoints carry only the
+//! contributions ([`PeerLedgerState`]) and a restore re-evaluates them.
+//!
 //! Read-side parallelism goes through the [`LedgerView`] facade: a `Sync`
 //! handle exposing the read-only half of the API to concurrent readers —
 //! parallel aggregations (e.g. the reputation summaries of the
@@ -42,6 +50,87 @@ pub const TARGET_PEERS_PER_SHARD: usize = 4096;
 /// Upper bound on the automatically chosen shard count.
 pub const MAX_AUTO_SHARDS: usize = 64;
 
+/// How a ledger turns recorded activity into reputation: the contribution
+/// weights and one reputation function per resource class, held once per
+/// ledger and lent to the apply workers.
+#[derive(Clone)]
+struct Scoring {
+    params: ContributionParams,
+    sharing_fn: Arc<dyn ReputationFunction>,
+    editing_fn: Arc<dyn ReputationFunction>,
+    /// `R_S(0)`, the value a newcomer record or a reset holds.
+    newcomer_sharing: f64,
+    /// `R_E(0)`, likewise.
+    newcomer_editing: f64,
+}
+
+/// One peer's record in a shard: the ledger state plus the two reputations
+/// derived from its contributions.
+#[derive(Debug, Clone, Copy)]
+struct ShardRecord {
+    state: PeerRecord,
+    /// `R_S(C_S)` of the current sharing contribution.
+    sharing_reputation: f64,
+    /// `R_E(C_E)` of the current editing contribution.
+    editing_reputation: f64,
+}
+
+impl ShardRecord {
+    fn newcomer(scoring: &Scoring) -> Self {
+        Self {
+            state: PeerRecord::new(),
+            sharing_reputation: scoring.newcomer_sharing,
+            editing_reputation: scoring.newcomer_editing,
+        }
+    }
+
+    /// Records one step of sharing, re-evaluating `R_S` only if `C_S`
+    /// changed.
+    #[inline]
+    fn record_sharing(&mut self, scoring: &Scoring, action: &SharingAction) {
+        let before = self.state.contributions.sharing().to_bits();
+        self.state
+            .contributions
+            .record_sharing(&scoring.params, action);
+        if self.state.contributions.sharing().to_bits() != before {
+            self.refresh_sharing(scoring);
+        }
+    }
+
+    /// Records one step of editing and voting, re-evaluating `R_E` only if
+    /// `C_E` changed.
+    #[inline]
+    fn record_editing(&mut self, scoring: &Scoring, action: &EditingAction) {
+        let before = self.state.contributions.editing().to_bits();
+        self.state
+            .contributions
+            .record_editing(&scoring.params, action);
+        if self.state.contributions.editing().to_bits() != before {
+            self.refresh_editing(scoring);
+        }
+    }
+
+    fn refresh_sharing(&mut self, scoring: &Scoring) {
+        self.sharing_reputation = scoring
+            .sharing_fn
+            .reputation_clamped(self.state.contributions.sharing());
+    }
+
+    fn refresh_editing(&mut self, scoring: &Scoring) {
+        self.editing_reputation = scoring
+            .editing_fn
+            .reputation_clamped(self.state.contributions.editing());
+    }
+
+    /// Zeroes both contributions; the reputations become the newcomer
+    /// values without an evaluation.
+    fn reset_contributions(&mut self, scoring: &Scoring) {
+        self.state.contributions.reset();
+        self.sharing_reputation = scoring.newcomer_sharing;
+        self.editing_reputation = scoring.newcomer_editing;
+    }
+}
+
 /// One contiguous peer-id range of a [`ShardedLedger`].
 ///
 /// A shard is the unit of exclusive ownership during a parallel apply: a
@@ -50,14 +139,14 @@ pub const MAX_AUTO_SHARDS: usize = 64;
 #[derive(Debug, Clone)]
 pub struct LedgerShard {
     start: usize,
-    records: Vec<PeerRecord>,
+    records: Vec<ShardRecord>,
 }
 
 impl LedgerShard {
-    fn new(start: usize, len: usize, params: ContributionParams) -> Self {
+    fn new(start: usize, len: usize, scoring: &Scoring) -> Self {
         Self {
             start,
-            records: (0..len).map(|_| PeerRecord::new(params)).collect(),
+            records: vec![ShardRecord::newcomer(scoring); len],
         }
     }
 
@@ -77,27 +166,28 @@ impl LedgerShard {
         self.records.is_empty()
     }
 
-    fn record(&self, peer: usize) -> &PeerRecord {
+    fn record(&self, peer: usize) -> &ShardRecord {
         &self.records[peer - self.start]
     }
 
-    fn record_mut(&mut self, peer: usize) -> &mut PeerRecord {
+    fn record_mut(&mut self, peer: usize) -> &mut ShardRecord {
         &mut self.records[peer - self.start]
     }
 
-    /// Applies a bucket of deltas to this shard, in bucket order.
+    /// Applies a bucket of deltas to this shard, in bucket order,
+    /// re-evaluating a reputation only where its contribution changed.
     ///
     /// # Panics
     ///
     /// Panics if a delta's peer lies outside the shard's range.
-    pub fn apply(&mut self, deltas: &[ContributionDelta]) {
+    fn apply(&mut self, deltas: &[ContributionDelta], scoring: &Scoring) {
         for delta in deltas {
             let record = self.record_mut(delta.peer);
             if let Some(sharing) = &delta.sharing {
-                record.contributions.record_sharing(sharing);
+                record.record_sharing(scoring, sharing);
             }
             if let Some(editing) = &delta.editing {
-                record.contributions.record_editing(editing);
+                record.record_editing(scoring, editing);
             }
         }
     }
@@ -199,7 +289,8 @@ impl DeltaBatch {
 /// One peer's complete mutable ledger state — contribution values, raw
 /// cumulative counters, rights and punishment counters — exported verbatim
 /// for checkpointing. The reputation functions and contribution parameters
-/// are construction-time configuration and are not part of the state.
+/// are construction-time configuration, and the reputations are derived
+/// from the contributions, so neither is part of the state.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PeerLedgerState {
     /// Current sharing contribution `C_S`.
@@ -230,12 +321,12 @@ pub struct PeerLedgerState {
 /// [`ReputationLedger`](crate::ledger::ReputationLedger) (both implement
 /// [`ReputationStore`]) whose records live in independently lockable
 /// [`LedgerShard`]s, unlocking intra-step parallel contribution updates via
-/// [`ShardedLedger::apply_parallel`]. All single-peer accessors behave
-/// exactly like the dense ledger's.
+/// [`ShardedLedger::apply_parallel`]. All single-peer accessors return
+/// exactly the dense ledger's values; the reputation reads are loads of the
+/// values the last write evaluated.
 #[derive(Clone)]
 pub struct ShardedLedger {
-    sharing_fn: Arc<dyn ReputationFunction>,
-    editing_fn: Arc<dyn ReputationFunction>,
+    scoring: Scoring,
     shards: Vec<LedgerShard>,
     shard_size: usize,
     peers: usize,
@@ -247,8 +338,8 @@ impl std::fmt::Debug for ShardedLedger {
             .field("peers", &self.peers)
             .field("shards", &self.shards.len())
             .field("shard_size", &self.shard_size)
-            .field("sharing_fn", &self.sharing_fn.name())
-            .field("editing_fn", &self.editing_fn.name())
+            .field("sharing_fn", &self.scoring.sharing_fn.name())
+            .field("editing_fn", &self.scoring.editing_fn.name())
             .finish()
     }
 }
@@ -271,10 +362,12 @@ impl ShardedLedger {
     /// `shards` is the shard count; `0` selects
     /// [`ShardedLedger::recommended_shards`] for the population. A shard
     /// count larger than the population is clamped to one peer per shard.
+    /// Each reputation function is evaluated once, at zero contribution;
+    /// every record starts at those newcomer values.
     ///
     /// # Panics
     ///
-    /// Panics if `peers` is zero.
+    /// Panics if `peers` is zero or the parameters are invalid.
     pub fn new(
         peers: usize,
         params: ContributionParams,
@@ -283,6 +376,14 @@ impl ShardedLedger {
         shards: usize,
     ) -> Self {
         assert!(peers > 0, "ledger needs at least one peer");
+        params.validate();
+        let scoring = Scoring {
+            params,
+            newcomer_sharing: sharing_fn.reputation_clamped(0.0),
+            newcomer_editing: editing_fn.reputation_clamped(0.0),
+            sharing_fn,
+            editing_fn,
+        };
         let shard_count = match shards {
             0 => Self::recommended_shards(peers),
             n => n.min(peers),
@@ -292,12 +393,11 @@ impl ShardedLedger {
             .map(|s| {
                 let start = s * shard_size;
                 let len = shard_size.min(peers.saturating_sub(start));
-                LedgerShard::new(start, len, params)
+                LedgerShard::new(start, len, &scoring)
             })
             .collect();
         Self {
-            sharing_fn,
-            editing_fn,
+            scoring,
             shards,
             shard_size,
             peers,
@@ -348,62 +448,75 @@ impl ShardedLedger {
         LedgerView { ledger: self }
     }
 
-    fn record(&self, peer: usize) -> &PeerRecord {
+    fn record(&self, peer: usize) -> &ShardRecord {
         self.shards[peer / self.shard_size].record(peer)
     }
 
-    fn record_mut(&mut self, peer: usize) -> &mut PeerRecord {
-        self.shards[peer / self.shard_size].record_mut(peer)
+    /// The peer's record and the ledger's scoring, borrowed apart, for the
+    /// writers of a contribution.
+    fn record_mut(&mut self, peer: usize) -> (&mut ShardRecord, &Scoring) {
+        let record = self.shards[peer / self.shard_size].record_mut(peer);
+        (record, &self.scoring)
+    }
+
+    /// The peer's rights and counters, for the writers that leave the
+    /// contributions alone.
+    fn state_mut(&mut self, peer: usize) -> &mut PeerRecord {
+        &mut self.shards[peer / self.shard_size].record_mut(peer).state
     }
 
     /// The minimum sharing reputation `R_S^min` (newcomer value).
     pub fn min_sharing_reputation(&self) -> f64 {
-        self.sharing_fn.minimum()
+        self.scoring.sharing_fn.minimum()
     }
 
     /// The minimum editing reputation `R_E^min` (newcomer value).
     pub fn min_editing_reputation(&self) -> f64 {
-        self.editing_fn.minimum()
+        self.scoring.editing_fn.minimum()
     }
 
     /// Sharing reputation `R_S` of a peer.
+    #[inline]
     pub fn sharing_reputation(&self, peer: usize) -> f64 {
-        self.sharing_fn
-            .reputation_clamped(self.record(peer).contributions.sharing())
+        self.record(peer).sharing_reputation
     }
 
     /// Editing/voting reputation `R_E` of a peer.
+    #[inline]
     pub fn editing_reputation(&self, peer: usize) -> f64 {
-        self.editing_fn
-            .reputation_clamped(self.record(peer).contributions.editing())
+        self.record(peer).editing_reputation
     }
 
     /// Full snapshot of a peer's reputation state.
     pub fn peer(&self, peer: usize) -> PeerReputation {
         let record = self.record(peer);
         PeerReputation {
-            sharing: self.sharing_reputation(peer),
-            editing: self.editing_reputation(peer),
-            can_edit: record.can_edit,
-            can_vote: record.can_vote,
+            sharing: record.sharing_reputation,
+            editing: record.editing_reputation,
+            can_edit: record.state.can_edit,
+            can_vote: record.state.can_vote,
         }
     }
 
     /// Records one time step of sharing activity for a peer.
     pub fn record_sharing(&mut self, peer: usize, action: &SharingAction) {
-        self.record_mut(peer).contributions.record_sharing(action);
+        let (record, scoring) = self.record_mut(peer);
+        record.record_sharing(scoring, action);
     }
 
     /// Records one time step of editing/voting outcomes for a peer.
     pub fn record_editing(&mut self, peer: usize, action: &EditingAction) {
-        self.record_mut(peer).contributions.record_editing(action);
+        let (record, scoring) = self.record_mut(peer);
+        record.record_editing(scoring, action);
     }
 
     /// Scales a peer's sharing contribution by `factor` (see
     /// [`scale_sharing`](crate::contribution::ContributionTracker::scale_sharing))
     /// — the uptime-discount hook applied at churn re-entry.
     pub fn scale_sharing_contribution(&mut self, peer: usize, factor: f64) {
-        self.record_mut(peer).contributions.scale_sharing(factor);
+        let (record, scoring) = self.record_mut(peer);
+        record.state.contributions.scale_sharing(factor);
+        record.refresh_sharing(scoring);
     }
 
     /// Applies a batch of deltas shard-by-shard, in shard order.
@@ -414,7 +527,7 @@ impl ShardedLedger {
     pub fn apply(&mut self, batch: &DeltaBatch) {
         assert!(batch.matches(self), "delta batch sized for another ledger");
         for (shard, bucket) in self.shards.iter_mut().zip(batch.buckets()) {
-            shard.apply(bucket);
+            shard.apply(bucket, &self.scoring);
         }
     }
 
@@ -434,13 +547,14 @@ impl ShardedLedger {
             return self.apply(batch);
         }
         let per_worker = self.shards.len().div_ceil(threads);
+        let scoring = &self.scoring;
         std::thread::scope(|scope| {
             let shard_groups = self.shards.chunks_mut(per_worker);
             let bucket_groups = batch.buckets().chunks(per_worker);
             for (shards, buckets) in shard_groups.zip(bucket_groups) {
                 scope.spawn(move || {
                     for (shard, bucket) in shards.iter_mut().zip(buckets) {
-                        shard.apply(bucket);
+                        shard.apply(bucket, scoring);
                     }
                 });
             }
@@ -449,62 +563,62 @@ impl ShardedLedger {
 
     /// Records an unsuccessful (against-majority) vote; returns the total.
     pub fn record_unsuccessful_vote(&mut self, peer: usize) -> u32 {
-        let record = self.record_mut(peer);
-        record.unsuccessful_votes += 1;
-        record.unsuccessful_votes
+        let state = self.state_mut(peer);
+        state.unsuccessful_votes += 1;
+        state.unsuccessful_votes
     }
 
     /// Records a declined edit and returns the new total.
     pub fn record_declined_edit(&mut self, peer: usize) -> u32 {
-        let record = self.record_mut(peer);
-        record.declined_edits += 1;
-        record.declined_edits
+        let state = self.state_mut(peer);
+        state.declined_edits += 1;
+        state.declined_edits
     }
 
     /// Number of unsuccessful votes a peer has accumulated.
     pub fn unsuccessful_votes(&self, peer: usize) -> u32 {
-        self.record(peer).unsuccessful_votes
+        self.record(peer).state.unsuccessful_votes
     }
 
     /// Number of declined edits a peer has accumulated.
     pub fn declined_edits(&self, peer: usize) -> u32 {
-        self.record(peer).declined_edits
+        self.record(peer).state.declined_edits
     }
 
     /// Whether the peer currently holds voting rights.
     pub fn can_vote(&self, peer: usize) -> bool {
-        self.record(peer).can_vote
+        self.record(peer).state.can_vote
     }
 
     /// Whether the peer currently holds editing rights.
     pub fn can_edit(&self, peer: usize) -> bool {
-        self.record(peer).can_edit
+        self.record(peer).state.can_edit
     }
 
     /// Revokes a peer's voting rights (malicious-voter punishment).
     pub fn revoke_voting_rights(&mut self, peer: usize) {
-        self.record_mut(peer).can_vote = false;
+        self.state_mut(peer).can_vote = false;
     }
 
     /// Restores voting rights and clears the unsuccessful-vote counter.
     pub fn restore_voting_rights(&mut self, peer: usize) {
-        let record = self.record_mut(peer);
-        record.can_vote = true;
-        record.unsuccessful_votes = 0;
+        let state = self.state_mut(peer);
+        state.can_vote = true;
+        state.unsuccessful_votes = 0;
     }
 
     /// Revokes editing rights and resets both reputations to the minimum
     /// (the malicious-editor punishment of Section III-C3).
     pub fn punish_malicious_editor(&mut self, peer: usize) {
-        let record = self.record_mut(peer);
-        record.can_edit = false;
-        record.contributions.reset();
-        record.declined_edits = 0;
+        let (record, scoring) = self.record_mut(peer);
+        record.reset_contributions(scoring);
+        record.state.can_edit = false;
+        record.state.declined_edits = 0;
     }
 
     /// Restores a peer's editing rights.
     pub fn restore_editing_rights(&mut self, peer: usize) {
-        self.record_mut(peer).can_edit = true;
+        self.state_mut(peer).can_edit = true;
     }
 
     /// Resets one peer to the newcomer state: contributions zeroed,
@@ -513,12 +627,12 @@ impl ShardedLedger {
     /// view — the old identity's record is replaced by a fresh one, so the
     /// peer re-enters at `R_min` with a clean slate.
     pub fn reset_peer_identity(&mut self, peer: usize) {
-        let record = self.record_mut(peer);
-        record.contributions.reset();
-        record.unsuccessful_votes = 0;
-        record.declined_edits = 0;
-        record.can_vote = true;
-        record.can_edit = true;
+        let (record, scoring) = self.record_mut(peer);
+        record.reset_contributions(scoring);
+        record.state.unsuccessful_votes = 0;
+        record.state.declined_edits = 0;
+        record.state.can_vote = true;
+        record.state.can_edit = true;
     }
 
     /// Resets every peer's contribution values while keeping rights (the
@@ -526,16 +640,16 @@ impl ShardedLedger {
     pub fn reset_all_contributions(&mut self) {
         for shard in &mut self.shards {
             for record in &mut shard.records {
-                record.contributions.reset();
-                record.unsuccessful_votes = 0;
-                record.declined_edits = 0;
+                record.reset_contributions(&self.scoring);
+                record.state.unsuccessful_votes = 0;
+                record.state.declined_edits = 0;
             }
         }
     }
 
     /// Exports one peer's complete mutable state for checkpointing.
     pub fn export_peer_state(&self, peer: usize) -> PeerLedgerState {
-        let record = self.record(peer);
+        let record = &self.record(peer).state;
         let contributions = &record.contributions;
         PeerLedgerState {
             sharing: contributions.sharing(),
@@ -552,9 +666,11 @@ impl ShardedLedger {
     }
 
     /// Overwrites one peer's mutable state with checkpointed values,
-    /// verbatim (the exact inverse of [`ShardedLedger::export_peer_state`]).
+    /// verbatim (the exact inverse of [`ShardedLedger::export_peer_state`]),
+    /// and re-evaluates both reputations from the restored contributions.
     pub fn restore_peer_state(&mut self, peer: usize, state: &PeerLedgerState) {
-        let record = self.record_mut(peer);
+        let (shard_record, scoring) = self.record_mut(peer);
+        let record = &mut shard_record.state;
         record.contributions.restore_values(
             state.sharing,
             state.editing,
@@ -567,6 +683,8 @@ impl ShardedLedger {
         record.can_vote = state.can_vote;
         record.unsuccessful_votes = state.unsuccessful_votes;
         record.declined_edits = state.declined_edits;
+        shard_record.refresh_sharing(scoring);
+        shard_record.refresh_editing(scoring);
     }
 
     /// Vector of all sharing reputations, index-aligned with peers.
@@ -714,6 +832,33 @@ impl LedgerView<'_> {
 mod tests {
     use super::*;
     use crate::ledger::ReputationLedger;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The paper's logistic function, counting its evaluations.
+    #[derive(Default)]
+    struct CountingLogistic {
+        inner: LogisticReputation,
+        calls: AtomicUsize,
+    }
+
+    impl CountingLogistic {
+        fn calls(&self) -> usize {
+            self.calls.load(Ordering::Relaxed)
+        }
+    }
+
+    impl ReputationFunction for CountingLogistic {
+        fn reputation(&self, contribution: f64) -> f64 {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.reputation(contribution)
+        }
+        fn minimum(&self) -> f64 {
+            self.inner.minimum()
+        }
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+    }
 
     fn sharded(peers: usize, shards: usize) -> ShardedLedger {
         ShardedLedger::new(
@@ -844,6 +989,111 @@ mod tests {
                 parallel.all_editing_reputations()
             );
         }
+    }
+
+    /// The cost model: reads are loads, and an apply evaluates a
+    /// reputation only for a delta that changed its contribution.
+    #[test]
+    fn reputations_are_evaluated_on_contribution_change_not_on_read() {
+        const PEERS: usize = 64;
+        let sharing = Arc::new(CountingLogistic::default());
+        let editing = Arc::new(CountingLogistic::default());
+        let mut l = ShardedLedger::new(
+            PEERS,
+            ContributionParams::default(),
+            sharing.clone(),
+            editing.clone(),
+            4,
+        );
+        let evaluations = || sharing.calls() + editing.calls();
+        // One evaluation per function for the newcomer value, none per peer.
+        assert_eq!(evaluations(), 2);
+
+        let mut batch = DeltaBatch::for_ledger(&l);
+        for step in 0..3u32 {
+            batch.clear();
+            for p in 0..PEERS {
+                // Peers below 16 share a new level each step, those in
+                // 16..32 repeat one level, the rest share nothing. Even
+                // peers vote with the majority; odd peers stay idle, so
+                // their `C_E` stays at 0.
+                let level = match p {
+                    0..=15 => f64::from(step + 1),
+                    16..=31 => 2.0,
+                    _ => 0.0,
+                };
+                batch.push(ContributionDelta::sharing(
+                    p,
+                    SharingAction {
+                        shared_articles: level,
+                        shared_bandwidth: 0.0,
+                    },
+                ));
+                batch.push(ContributionDelta::editing(
+                    p,
+                    EditingAction {
+                        successful_votes: u32::from(p % 2 == 0),
+                        accepted_edits: 0,
+                        attempted: p % 2 == 0,
+                    },
+                ));
+            }
+            let before: Vec<PeerLedgerState> = (0..PEERS).map(|p| l.export_peer_state(p)).collect();
+            let (sharing_before, editing_before) = (sharing.calls(), editing.calls());
+            l.apply_parallel(&batch, 2);
+            let changed = |what: fn(&PeerLedgerState) -> f64| {
+                (0..PEERS)
+                    .filter(|&p| {
+                        what(&before[p]).to_bits() != what(&l.export_peer_state(p)).to_bits()
+                    })
+                    .count()
+            };
+            let sharing_changed = changed(|s| s.sharing);
+            assert_eq!(sharing.calls() - sharing_before, sharing_changed);
+            assert_eq!(sharing_changed, if step == 0 { 32 } else { 16 });
+            assert_eq!(editing.calls() - editing_before, changed(|s| s.editing));
+            assert_eq!(editing.calls() - editing_before, PEERS / 2);
+        }
+
+        // Reading every peer's reputations many times evaluates nothing.
+        let before = evaluations();
+        let mut sum = 0.0;
+        for _ in 0..100 {
+            for p in 0..PEERS {
+                sum += l.sharing_reputation(p) + l.editing_reputation(p);
+                sum += l.peer(p).sharing + l.view().editing_reputation(p);
+            }
+        }
+        assert!(sum > 0.0);
+        assert_eq!(evaluations(), before);
+
+        // An idle editor whose `C_E` stays at 0 costs nothing, inline or
+        // batched; resets write the newcomer values without evaluating.
+        l.record_editing(1, &EditingAction::default());
+        batch.clear();
+        batch.push(ContributionDelta::editing(3, EditingAction::default()));
+        l.apply(&batch);
+        l.punish_malicious_editor(0);
+        l.reset_peer_identity(2);
+        l.reset_all_contributions();
+        assert_eq!(evaluations(), before);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_record_with_both_reputations_is_80_bytes() {
+        assert_eq!(std::mem::size_of::<ShardRecord>(), 80);
+    }
+
+    #[test]
+    #[should_panic(expected = "beta_s")]
+    fn invalid_contribution_params_are_rejected_at_construction() {
+        let params = ContributionParams {
+            beta_s: -1.0,
+            ..Default::default()
+        };
+        let f = Arc::new(LogisticReputation::paper(0.2));
+        let _ = ShardedLedger::new(4, params, f.clone(), f, 1);
     }
 
     #[test]

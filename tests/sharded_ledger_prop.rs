@@ -1,11 +1,14 @@
 //! Property tests: the sharded ledger is observationally identical to the
 //! dense ledger for arbitrary interleavings of sharing and editing
-//! contributions — recorded inline, batched, or batch-applied in parallel.
+//! contributions — recorded inline, batched, or batch-applied in parallel —
+//! and the reputations it stores beside each record always equal a fresh
+//! evaluation of the contributions it exports, whichever mutator wrote
+//! them last.
 
 use collabsim_workspace::reputation::contribution::{
     ContributionDelta, ContributionParams, EditingAction, SharingAction,
 };
-use collabsim_workspace::reputation::function::LogisticReputation;
+use collabsim_workspace::reputation::function::{LogisticReputation, ReputationFunction};
 use collabsim_workspace::reputation::ledger::{ReputationLedger, ReputationStore};
 use collabsim_workspace::reputation::sharded::{DeltaBatch, ShardedLedger};
 use proptest::prelude::*;
@@ -82,6 +85,40 @@ fn assert_ledgers_identical(dense: &ReputationLedger, sharded: &ShardedLedger) {
     }
 }
 
+/// Bitwise comparison of every peer's stored reputations with the
+/// reputation function evaluated on its exported contributions.
+fn assert_reputations_follow_contributions(
+    ledger: &ShardedLedger,
+    f: &LogisticReputation,
+    op: usize,
+    what: &str,
+) {
+    for p in 0..ledger.len() {
+        let state = ledger.export_peer_state(p);
+        assert_eq!(
+            ledger.sharing_reputation(p).to_bits(),
+            f.reputation_clamped(state.sharing).to_bits(),
+            "sharing reputation of peer {p} is stale after op {op} ({what})"
+        );
+        assert_eq!(
+            ledger.editing_reputation(p).to_bits(),
+            f.reputation_clamped(state.editing).to_bits(),
+            "editing reputation of peer {p} is stale after op {op} ({what})"
+        );
+    }
+}
+
+/// Pushes one decoded op into a batch.
+fn push_op(batch: &mut DeltaBatch, op: (usize, u32, f64, f64), peers: usize) {
+    let (peer, sharing, editing) = decode_op(op, peers);
+    if let Some(action) = sharing {
+        batch.push(ContributionDelta::sharing(peer, action));
+    }
+    if let Some(action) = editing {
+        batch.push(ContributionDelta::editing(peer, action));
+    }
+}
+
 proptest! {
     /// Inline recording through the common `ReputationStore` interface:
     /// the sharded ledger tracks the dense one exactly, op for op.
@@ -145,5 +182,77 @@ proptest! {
         }
         assert_ledgers_identical(&reference, &sequential);
         assert_ledgers_identical(&reference, &parallel);
+    }
+
+    /// Random sequences over every mutator that writes a contribution:
+    /// inline recording, batched and parallel apply (each batch carries two
+    /// ops, on two peers), the churn discount, the malicious-editor
+    /// punishment, a whitewash, the phase-switch reset and a restore from
+    /// another peer's export. After every op, every peer's stored
+    /// reputations are bitwise the function of its contributions.
+    #[test]
+    fn stored_reputations_follow_every_contribution_mutator(
+        peers in 1usize..40,
+        shards in 1usize..9,
+        threads in 1usize..5,
+        ops in proptest::collection::vec(
+            (0usize..40, 0u32..11, 0.0f64..1.0, 0.0f64..1.0, 0usize..40),
+            0..120,
+        ),
+    ) {
+        let f = LogisticReputation::paper(0.2);
+        let mut tested = sharded(peers, shards);
+        let mut batch = DeltaBatch::for_ledger(&tested);
+        for (i, &(peer_raw, kind, a, b, other_raw)) in ops.iter().enumerate() {
+            let peer = peer_raw % peers;
+            let other = other_raw % peers;
+            let what = match kind {
+                0..=3 => {
+                    let (peer, sharing, editing) = decode_op((peer, kind, a, b), peers);
+                    if let Some(action) = sharing {
+                        tested.record_sharing(peer, &action);
+                    }
+                    if let Some(action) = editing {
+                        tested.record_editing(peer, &action);
+                    }
+                    "inline record"
+                }
+                4 | 5 => {
+                    batch.clear();
+                    push_op(&mut batch, (peer, other_raw as u32, a, b), peers);
+                    push_op(&mut batch, (other, peer_raw as u32, b, a), peers);
+                    if kind == 4 {
+                        tested.apply(&batch);
+                        "apply"
+                    } else {
+                        tested.apply_parallel(&batch, threads);
+                        "apply_parallel"
+                    }
+                }
+                // Factors at or above 1 are the discount's no-op.
+                6 => {
+                    tested.scale_sharing_contribution(peer, a * 1.5);
+                    "scale_sharing_contribution"
+                }
+                7 => {
+                    tested.punish_malicious_editor(peer);
+                    "punish_malicious_editor"
+                }
+                8 => {
+                    tested.reset_peer_identity(peer);
+                    "reset_peer_identity"
+                }
+                9 => {
+                    tested.reset_all_contributions();
+                    "reset_all_contributions"
+                }
+                _ => {
+                    let state = tested.export_peer_state(other);
+                    tested.restore_peer_state(peer, &state);
+                    "restore_peer_state"
+                }
+            };
+            assert_reputations_follow_contributions(&tested, &f, i, what);
+        }
     }
 }
