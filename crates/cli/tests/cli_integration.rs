@@ -24,7 +24,8 @@
 //!   surrounding grid (`--strict` turns the recorded failure into exit 1),
 //!   and the manifest inlines the tail of the dead worker's log,
 //! * `--set network=<unknown>` surfaces the typed unknown-network-model
-//!   spec error through the `error[spec]` exit path,
+//!   spec error through the `error[spec]` exit path, and so does a zero
+//!   `evaluation_temperature` (before the run starts, not as a panic),
 //! * `run --checkpoint-every --store` + `resume` reproduces the
 //!   uninterrupted report byte-for-byte; a truncated or missing snapshot
 //!   exits with `error[snapshot]` and code 3,
@@ -154,6 +155,21 @@ fn unknown_network_model_override_is_a_typed_spec_error() {
         err.contains("unknown network model `carrier-pigeon`"),
         "stderr: {err}"
     );
+}
+
+#[test]
+fn zero_temperature_override_is_a_typed_spec_error() {
+    let golden = repo_root().join("scenarios/golden.spec");
+    let output = run_cli(&[
+        "run",
+        golden.to_str().unwrap(),
+        "--set",
+        "evaluation_temperature=0",
+    ]);
+    assert_eq!(output.status.code(), Some(1));
+    let err = stderr_of(&output);
+    assert!(err.contains("error[spec]"), "stderr: {err}");
+    assert!(err.contains("evaluation_temperature"), "stderr: {err}");
 }
 
 #[test]

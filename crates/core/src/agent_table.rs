@@ -292,11 +292,30 @@ impl AgentTable {
         Some(best)
     }
 
+    /// The whole table as one mutable shard: the selection phase's
+    /// single-worker path, which allocates nothing.
+    pub fn as_shard_mut(&mut self) -> AgentShardMut<'_> {
+        AgentShardMut {
+            start: 0,
+            end: self.behaviors.len(),
+            rank_base: 0,
+            behaviors: &self.behaviors,
+            learner_rank: &self.learner_rank,
+            params: self.params,
+            states: self.states,
+            actions: self.actions,
+            q: &mut self.q,
+            updates: &mut self.updates,
+            last_state: &mut self.last_state,
+            last_action: &mut self.last_action,
+        }
+    }
+
     /// Splits the table into disjoint mutable shards along `bounds` (peer
     /// indices, ascending, starting at 0 and ending at the population), so
-    /// the learning phase's scoped workers can update contiguous peer
-    /// ranges in parallel. Ranks are monotone in peer id, so each peer
-    /// range owns a contiguous Q range.
+    /// the selection and learning phases' scoped workers can handle
+    /// contiguous peer ranges in parallel. Ranks are monotone in peer id,
+    /// so each peer range owns a contiguous Q range.
     pub fn split_mut(&mut self, bounds: &[usize]) -> Vec<AgentShardMut<'_>> {
         assert!(bounds.len() >= 2, "need at least one range");
         assert_eq!(*bounds.first().unwrap(), 0, "ranges must start at 0");
@@ -369,10 +388,42 @@ impl AgentShardMut<'_> {
         self.start..self.end
     }
 
+    /// The (absolute-indexed) peer's behaviour type.
+    #[inline]
+    pub fn behavior(&self, peer: usize) -> BehaviorType {
+        self.behaviors[peer]
+    }
+
     /// Whether the (absolute-indexed) peer learns.
     #[inline]
     pub fn is_learning(&self, peer: usize) -> bool {
         self.behaviors[peer] == BehaviorType::Rational
+    }
+
+    /// Shard-local [`AgentTable::q_row`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the peer's Q-block lies outside the shard (in debug
+    /// builds, also if the peer is not rational).
+    #[inline]
+    pub fn q_row(&self, peer: usize, bucket: usize) -> &[f64] {
+        debug_assert!(self.is_learning(peer), "peer {peer} has no Q-block");
+        let rank = self.learner_rank[peer] as usize - self.rank_base;
+        let start = (rank * self.states + bucket) * self.actions;
+        &self.q[start..start + self.actions]
+    }
+
+    /// Shard-local [`AgentTable::record_choice`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `peer` lies outside the shard's range.
+    #[inline]
+    pub fn record_choice(&mut self, peer: usize, bucket: usize, action_index: usize) {
+        let i = peer - self.start;
+        self.last_state[i] = bucket as u32;
+        self.last_action[i] = action_index as u8;
     }
 
     /// Shard-local [`AgentTable::learn`].

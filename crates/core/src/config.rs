@@ -471,6 +471,18 @@ impl SimulationConfig {
             self.reputation_beta > 0.0,
             "reputation beta must be positive",
         )?;
+        // `> 0` also refuses NaN, which the Boltzmann policy would
+        // otherwise treat as the uniform training temperature.
+        ensure(
+            "training_temperature",
+            self.phases.training_temperature > 0.0,
+            "temperature must be positive",
+        )?;
+        ensure(
+            "evaluation_temperature",
+            self.phases.evaluation_temperature > 0.0,
+            "temperature must be positive",
+        )?;
         ensure(
             "edit_probability",
             (0.0..=1.0).contains(&self.edit_probability),
@@ -583,6 +595,31 @@ mod tests {
         assert_eq!(c.phases.evaluation_temperature, 1.0);
         assert_eq!(c.incentive, IncentiveScheme::ReputationBased);
         c.validate();
+    }
+
+    #[test]
+    fn temperatures_must_be_positive() {
+        for value in [0.0, -0.0, -1.0, f64::NAN] {
+            for field in ["training_temperature", "evaluation_temperature"] {
+                let mut c = SimulationConfig::default();
+                if field == "training_temperature" {
+                    c.phases.training_temperature = value;
+                } else {
+                    c.phases.evaluation_temperature = value;
+                }
+                match c.check() {
+                    Err(SpecError::InvalidField { field: named, .. }) => {
+                        assert_eq!(named, field, "T = {value}")
+                    }
+                    other => panic!("{field} = {value}: {other:?}"),
+                }
+            }
+        }
+        // The paper's training value and an infinite one stay valid.
+        let mut c = SimulationConfig::default();
+        c.phases.training_temperature = f64::INFINITY;
+        c.phases.evaluation_temperature = f64::MAX;
+        assert!(c.check().is_ok());
     }
 
     #[test]

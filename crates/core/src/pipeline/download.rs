@@ -301,6 +301,9 @@ impl StepPhase for DownloadPhase {
             upload_sources.windows(2).all(|w| w[0] < w[1]),
             "upload sources must be sorted by peer id"
         );
+        // The upload history is a hash probe per request, and only
+        // tit-for-tat reads it.
+        let reads_upload_history = world.allocator.reads_upload_history();
         let download_probability = match world.config.download_probability {
             DownloadRate::Fixed(p) => p,
             DownloadRate::InverseSharers => {
@@ -409,7 +412,11 @@ impl StepPhase for DownloadPhase {
                             // `reputation_source = propagated`.
                             sharing_reputation: world.service_sharing_reputation(p),
                             download_capacity: world.peers.peer(downloader).download_capacity,
-                            uploaded_to_source: world.uploads.get(p, src.index()),
+                            uploaded_to_source: if reads_upload_history {
+                                world.uploads.get(p, src.index())
+                            } else {
+                                0.0
+                            },
                         },
                         tid,
                     );

@@ -183,9 +183,14 @@ pub struct StepContext {
     /// The reusable per-edit voter-pool buffers of [`EditVotePhase`]
     /// (fully rewritten for every edit).
     pub vote_scratch: VoteScratch,
-    /// The selection phase's reusable Boltzmann probability buffers
-    /// (rewritten for every draw; they can never change results).
-    pub boltzmann: BoltzmannCache,
+    /// One raw step-RNG draw per online, non-forced rational peer, taken in
+    /// peer order by [`SelectionPhase`]'s sequential stage and sampled
+    /// from by its workers (only this step's entries are ever read).
+    pub selection_draws: Vec<u64>,
+    /// The selection phase's reusable Boltzmann probability buffers, one
+    /// per intra-step worker (rewritten for every draw; they can never
+    /// change results).
+    pub boltzmann: Vec<BoltzmannCache>,
     /// The churn phase's reusable event buffer (rewritten every step).
     pub churn_events: Vec<ChurnEvent>,
 }
@@ -211,7 +216,8 @@ impl StepContext {
             offer_plans: Vec::new(),
             transfers: TransferTables::default(),
             vote_scratch: VoteScratch::default(),
-            boltzmann: BoltzmannCache::default(),
+            selection_draws: Vec::new(),
+            boltzmann: Vec::new(),
             churn_events: Vec::new(),
         }
     }
@@ -251,7 +257,7 @@ fn reset_values<T: Copy>(values: &mut Vec<T>, population: usize, value: T) {
 
 /// Splits `population` peers into `workers` contiguous, near-even ranges,
 /// returned as ascending bounds `[0, …, population]` — the shard layout the
-/// utility and learning phases hand to
+/// selection, utility and learning phases hand to
 /// [`AccumulatorTable::split_mut`](crate::world::AccumulatorTable::split_mut)
 /// and [`AgentTable::split_mut`](crate::agent_table::AgentTable::split_mut).
 /// The bounds depend only on `(population, workers)`, and because each

@@ -3,14 +3,21 @@
 //!
 //! One environment variable, `SCENARIO_THREADS`, caps every source of
 //! parallelism in the crate: the [`crate::experiment::ScenarioRunner`]
-//! worker pool, the intra-step collect/apply workers of the sharing and
-//! edit-vote phases, and the per-source grant workers of the download
-//! phase's batched transfer engine
-//! ([`allocate_grants`](crate::pipeline::allocate_grants)). Setting
-//! `SCENARIO_THREADS=1` therefore forces a fully sequential execution —
-//! which the determinism CI job diffs against the default parallel
-//! execution, pinning the parallel == sequential guarantee. Thread counts
-//! never affect simulation results; they only affect wall-clock time.
+//! worker pool and the intra-step workers — the selection phase's
+//! sampling shards, the sharing phase's collect workers, the ledger apply
+//! workers of the sharing and edit-vote phases, the per-source grant
+//! workers of the download phase's batched transfer engine
+//! ([`allocate_grants`](crate::pipeline::allocate_grants)), and the
+//! utility and learning phases' shards. Setting `SCENARIO_THREADS=1`
+//! therefore forces a fully sequential execution — which the determinism
+//! CI job diffs against the default parallel execution, pinning the
+//! parallel == sequential guarantee.
+//!
+//! Thread counts never affect simulation results; they only affect
+//! wall-clock time. No worker draws from the step RNG: the draws are taken
+//! on the calling thread, in peer order, by the selection phase's draw
+//! stage, the download phase's collect stage and the edit-vote loop, and
+//! the workers read only those draws and frozen step state.
 
 use std::num::NonZeroUsize;
 

@@ -87,6 +87,13 @@ impl BandwidthAllocator {
         Self { policy }
     }
 
+    /// Whether the policy reads [`DownloadRequest::uploaded_to_source`]:
+    /// only tit-for-tat does, so a caller may leave the field at 0.0 for
+    /// every other policy without changing any share.
+    pub fn reads_upload_history(&self) -> bool {
+        self.policy == AllocationPolicy::TitForTat
+    }
+
     /// Raw (pre-capacity) shares for a request set according to the
     /// policy, written into `out` (cleared first). Shares sum to 1 unless
     /// the request set is empty.
@@ -237,6 +244,24 @@ mod tests {
         assert!((shares[1] - 0.3).abs() < 1e-12);
         assert!((shares[2] - 0.6).abs() < 1e-12);
         assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn only_tit_for_tat_reads_the_upload_history() {
+        let with_history = |history: f64| {
+            let mut reqs = [request(0, 0.2), request(1, 0.7)];
+            reqs[1].uploaded_to_source = history;
+            reqs
+        };
+        for policy in [
+            AllocationPolicy::EqualSplit,
+            AllocationPolicy::WeightedByReputation,
+            AllocationPolicy::TitForTat,
+        ] {
+            let alloc = BandwidthAllocator::new(policy);
+            let moved = alloc.shares(&with_history(0.0)) != alloc.shares(&with_history(3.0));
+            assert_eq!(moved, alloc.reads_upload_history(), "{policy:?}");
+        }
     }
 
     #[test]

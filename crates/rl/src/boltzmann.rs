@@ -37,9 +37,9 @@ pub fn boltzmann_distribution(values: &[f64], t: f64) -> Vec<f64> {
 }
 
 /// Allocation-free variant of [`boltzmann_distribution`]: writes the
-/// distribution into `out` (cleared first), reusing its capacity. The hot
-/// selection loop of the simulation calls this through a per-state cache so
-/// steady-state steps perform no allocation.
+/// distribution into `out` (cleared first), reusing its capacity. The
+/// simulation's selection workers each call this into one reused buffer,
+/// so steady-state steps perform no allocation.
 ///
 /// Produces bit-identical results to [`boltzmann_distribution`].
 ///
@@ -75,15 +75,25 @@ pub fn boltzmann_distribution_into(values: &[f64], t: f64, out: &mut Vec<f64>) {
 }
 
 /// Samples an index from an explicit probability distribution through a
-/// [`rand::RngCore`] trait object, consuming exactly one `next_u64` call.
+/// [`rand::RngCore`] trait object, consuming exactly one `next_u64` call:
+/// [`sample_probs_raw`] of that call's output.
 ///
-/// This is the draw [`BoltzmannPolicy::select_action`] performs: the raw
-/// 64-bit output is turned into a uniform double in `[0, 1)` by the standard
-/// 53-bit mantissa construction, then walked down the CDF. Exposed so
-/// callers that cache distributions (the simulation's selection phase) can
-/// reproduce the policy's RNG stream bit-for-bit.
+/// This is the draw [`BoltzmannPolicy::select_action`] performs. Exposed so
+/// callers that cache distributions can reproduce the policy's RNG stream
+/// bit-for-bit.
 pub fn sample_probs(probs: &[f64], rng: &mut dyn rand::RngCore) -> usize {
-    let draw = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+    sample_probs_raw(probs, rng.next_u64())
+}
+
+/// Samples an index from an explicit probability distribution with one raw
+/// 64-bit draw, already taken: the draw is turned into a uniform double in
+/// `[0, 1)` by the standard 53-bit mantissa construction, then walked down
+/// the CDF. The simulation's selection phase takes its draws from the step
+/// RNG in one sequential pass and samples from them on its workers, so the
+/// picks are those of [`sample_probs`] on the same stream.
+#[inline]
+pub fn sample_probs_raw(probs: &[f64], raw: u64) -> usize {
+    let draw = (raw >> 11) as f64 / (1u64 << 53) as f64;
     let mut cumulative = 0.0;
     for (i, &p) in probs.iter().enumerate() {
         cumulative += p;
@@ -318,6 +328,29 @@ mod tests {
             use rand::RngCore;
             assert_eq!(a.next_u64(), b.next_u64(), "stream positions diverged");
         }
+    }
+
+    #[test]
+    fn sample_probs_is_sample_probs_raw_of_one_draw() {
+        use rand::RngCore;
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut raws = StdRng::seed_from_u64(7);
+        for t in [0.5, 1.0, f64::MAX] {
+            let probs = boltzmann_distribution(&[0.3, -1.0, 2.5, 0.0, 1.0], t);
+            for _ in 0..500 {
+                let raw = raws.next_u64();
+                assert_eq!(
+                    sample_probs(&probs, &mut rng),
+                    sample_probs_raw(&probs, raw)
+                );
+            }
+        }
+        // The extremes of the raw draw: the first index and the residual
+        // mass's last index.
+        let probs = [0.25, 0.25, 0.5 - 1e-12];
+        assert_eq!(sample_probs_raw(&probs, 0), 0);
+        assert_eq!(sample_probs_raw(&probs, u64::MAX), 2);
+        assert_eq!(rng.next_u64(), raws.next_u64(), "stream positions diverged");
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //!    store, before the bitset store replaced it.
 //! 5. **Report codec** — the golden report survives the JSON codec that
 //!    carries reports across processes.
+//! 6. **Tit-for-tat allocation** — the golden configuration under the one
+//!    policy that reads each downloader's upload history towards its
+//!    source, recorded before the download phase stopped looking that
+//!    history up for the other policies.
 
 use collabsim_workspace::collabsim::adversary::AdversarySpec;
 use collabsim_workspace::collabsim::experiment::{ScenarioGrid, ScenarioRunner};
@@ -299,6 +303,21 @@ fn zero_article_run_is_pinned() {
     config.initial_articles = 0;
     assert_eq!(store_run(config).1, ZERO_ARTICLES);
 }
+
+/// The golden configuration under tit-for-tat allocation. Tit-for-tat
+/// differs from the no-incentive baseline only in how a source's bandwidth
+/// is split, so a download phase that lost the upload history would make
+/// the two reports equal.
+#[test]
+fn tit_for_tat_run_is_pinned() {
+    let run = |scheme| Simulation::new(golden_config().with_incentive(scheme)).run();
+    let report = run(IncentiveScheme::TitForTat);
+    assert_ne!(report, run(IncentiveScheme::None), "upload history unused");
+    assert_eq!(format!("{report:?}"), TIT_FOR_TAT);
+}
+
+/// `format!("{report:?}")` of [`tit_for_tat_run_is_pinned`]'s run.
+const TIT_FOR_TAT: &str = "SimulationReport { shared_bandwidth: 0.4675, shared_articles: 0.49, by_behavior: {\"altruistic\": BehaviorBreakdown { peers: 5, shared_bandwidth: 1.0, shared_articles: 1.0, downloaded: 0.5124154828569056, final_sharing_reputation: 0.8647787093973539, final_editing_reputation: 0.9999935309760826, constructive_edits: 77, destructive_edits: 0, votes: 321, mean_utility: 4.485404828569058 }, \"irrational\": BehaviorBreakdown { peers: 5, shared_bandwidth: 0.0, shared_articles: 0.0, downloaded: 0.16875, final_sharing_reputation: 0.05000000000000001, final_editing_reputation: 0.9999998795699853, constructive_edits: 0, destructive_edits: 77, votes: 313, mean_utility: 2.1587499999999995 }, \"rational\": BehaviorBreakdown { peers: 10, shared_bandwidth: 0.435, shared_articles: 0.48, downloaded: 0.3262922585715471, final_sharing_reputation: 0.29989299154003535, final_editing_reputation: 0.999466626352566, constructive_edits: 53, destructive_edits: 54, votes: 452, mean_utility: 3.158860085715471 }}, edit_outcomes: EditOutcomeCounts { accepted_constructive: 61, accepted_destructive: 78, declined_constructive: 69, declined_destructive: 53, pending: 0 }, mean_article_quality: 0.6831762349091334, completed_downloads: 421, evaluation_steps: 80, seed: 12648430 }";
 
 /// `store_run`'s pinned string of the two article-store runs, recorded on
 /// the sorted-list store.
