@@ -78,11 +78,9 @@ fn main() {
         .run();
     println!("paper/sharded: {report:?}");
 
-    // The batched transfer engine's parallel grant stage: a download-heavy
-    // cell in which only a minority of peers offers upload bandwidth, so
-    // every source's request bucket holds many competing downloaders and
-    // the per-source allocations really fan out across workers. The grant
-    // split must not leak into the trajectory.
+    // The batched transfer engine: a download-heavy cell in which only a
+    // minority of peers offers upload bandwidth, so every source's request
+    // bucket holds many competing downloaders.
     let download_heavy = SimulationConfig {
         population: 150,
         initial_articles: 30,
@@ -101,10 +99,10 @@ fn main() {
 
     // A churn-enabled spec: departures empty ledger shards mid-run,
     // re-entries bring their reputation back, whitewashes reset identities
-    // in place — all while the sharing/edit-vote collect stages and the
-    // grant workers run in parallel. Churn samples from its own RNG
-    // stream, so the trajectory (and these stats) must be byte-identical
-    // at any SCENARIO_THREADS value.
+    // in place — all while the selection, sharing and learning stages run
+    // in parallel. Churn samples from its own RNG stream, so the
+    // trajectory (and these stats) must be byte-identical at any
+    // SCENARIO_THREADS value.
     let churn_spec = ScenarioSpec::builder()
         .configure(|c| {
             c.phases = PhaseConfig {
@@ -140,9 +138,9 @@ fn main() {
     // (with scheduled re-entries) and a collusion ring cross-voting its
     // edits, with service differentiation fed by propagated (EigenTrust)
     // reputation instead of the ledger. Adversaries draw from their own
-    // RNG stream and the parallel stages (sharded ledger, grant workers,
-    // the runner) must reproduce the attack trajectory byte-for-byte at
-    // any SCENARIO_THREADS value.
+    // RNG stream and the parallel stages (selection, the sharded ledger,
+    // learning, the runner) must reproduce the attack trajectory
+    // byte-for-byte at any SCENARIO_THREADS value.
     let attack_spec = ScenarioSpec::builder()
         .label("adversary/paper-mix")
         .population(80)

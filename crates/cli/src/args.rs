@@ -2,6 +2,7 @@
 //! build has no clap), producing typed [`CliError`]s for every mistake.
 
 use crate::error::CliError;
+use collabsim::threads::{parse_scenario_threads, MAX_THREADS};
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -203,6 +204,15 @@ fn positive(flag: &str, value: &str, expected: &str) -> Result<usize, CliError> 
     Ok(n)
 }
 
+/// A `--threads` value: a worker count `SCENARIO_THREADS` accepts.
+fn thread_count(value: &str) -> Result<usize, CliError> {
+    parse_scenario_threads(value).ok_or_else(|| CliError::InvalidFlag {
+        flag: "--threads".to_string(),
+        value: value.to_string(),
+        expected: format!("a thread count in 1..={MAX_THREADS}"),
+    })
+}
+
 /// An iterator over flag/value argument pairs.
 struct Args<'a> {
     rest: &'a [String],
@@ -276,11 +286,7 @@ fn parse_run(rest: &[String]) -> Result<Command, CliError> {
                 )?;
             }
             "--threads" => {
-                run.threads = Some(positive(
-                    "--threads",
-                    args.value("--threads")?,
-                    "a thread count ≥ 1",
-                )?);
+                run.threads = Some(thread_count(args.value("--threads")?)?);
             }
             "--checkpoint-every" => {
                 let value = args.value("--checkpoint-every")?;
@@ -336,11 +342,7 @@ fn parse_resume(rest: &[String]) -> Result<Command, CliError> {
         match arg {
             "--print-report" => resume.print_report = true,
             "--threads" => {
-                resume.threads = Some(positive(
-                    "--threads",
-                    args.value("--threads")?,
-                    "a thread count ≥ 1",
-                )?);
+                resume.threads = Some(thread_count(args.value("--threads")?)?);
             }
             flag if flag.starts_with('-') => {
                 return Err(CliError::Usage(format!(
@@ -394,11 +396,7 @@ fn parse_grid(rest: &[String]) -> Result<Command, CliError> {
             "--warm-start" => grid.warm_start = Some(PathBuf::from(args.value("--warm-start")?)),
             "--resume" => grid.resume = true,
             "--threads" => {
-                grid.threads = Some(positive(
-                    "--threads",
-                    args.value("--threads")?,
-                    "a thread count ≥ 1",
-                )?);
+                grid.threads = Some(thread_count(args.value("--threads")?)?);
             }
             flag if flag.starts_with('-') => {
                 return Err(CliError::Usage(format!("unknown flag `{flag}` for `grid`")));
@@ -484,11 +482,7 @@ fn parse_train(rest: &[String]) -> Result<Command, CliError> {
                 )?);
             }
             "--threads" => {
-                train.threads = Some(positive(
-                    "--threads",
-                    args.value("--threads")?,
-                    "a thread count ≥ 1",
-                )?);
+                train.threads = Some(thread_count(args.value("--threads")?)?);
             }
             other => {
                 return Err(CliError::Usage(format!(

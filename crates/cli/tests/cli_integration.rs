@@ -24,8 +24,10 @@
 //!   surrounding grid (`--strict` turns the recorded failure into exit 1),
 //!   and the manifest inlines the tail of the dead worker's log,
 //! * `--set network=<unknown>` surfaces the typed unknown-network-model
-//!   spec error through the `error[spec]` exit path, and so does a zero
-//!   `evaluation_temperature` (before the run starts, not as a panic),
+//!   spec error through the `error[spec]` exit path, and so do a zero
+//!   `evaluation_temperature` and an `intra_step_threads` above the
+//!   ceiling (before the run starts, not as a panic); `--threads` above
+//!   the ceiling is an `error[invalid-flag]` with exit code 2,
 //! * `run --checkpoint-every --store` + `resume` reproduces the
 //!   uninterrupted report byte-for-byte; a truncated or missing snapshot
 //!   exits with `error[snapshot]` and code 3,
@@ -170,6 +172,31 @@ fn zero_temperature_override_is_a_typed_spec_error() {
     let err = stderr_of(&output);
     assert!(err.contains("error[spec]"), "stderr: {err}");
     assert!(err.contains("evaluation_temperature"), "stderr: {err}");
+}
+
+#[test]
+fn intra_step_threads_above_the_ceiling_is_a_typed_spec_error() {
+    let golden = repo_root().join("scenarios/golden.spec");
+    let output = run_cli(&[
+        "run",
+        golden.to_str().unwrap(),
+        "--set",
+        "intra_step_threads=65",
+    ]);
+    assert_eq!(output.status.code(), Some(1));
+    let err = stderr_of(&output);
+    assert!(err.contains("error[spec]"), "stderr: {err}");
+    assert!(err.contains("intra_step_threads"), "stderr: {err}");
+}
+
+#[test]
+fn threads_flag_above_the_ceiling_is_a_typed_flag_error() {
+    let golden = repo_root().join("scenarios/golden.spec");
+    let output = run_cli(&["run", golden.to_str().unwrap(), "--threads", "65"]);
+    assert_eq!(output.status.code(), Some(2));
+    let err = stderr_of(&output);
+    assert!(err.contains("error[invalid-flag]"), "stderr: {err}");
+    assert!(err.contains("--threads"), "stderr: {err}");
 }
 
 #[test]

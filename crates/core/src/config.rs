@@ -10,6 +10,7 @@
 use crate::adversary::AdversarySpec;
 use crate::incentive::IncentiveScheme;
 use crate::spec::SpecError;
+use crate::threads::MAX_THREADS;
 use collabsim_gametheory::behavior::BehaviorMix;
 use collabsim_gametheory::utility::UtilityModel;
 use collabsim_netsim::churn::ChurnModel;
@@ -230,11 +231,12 @@ pub struct SimulationConfig {
     /// results — parallel shard updates are bit-identical to sequential
     /// ones — it only changes how much intra-step parallelism is available.
     pub ledger_shards: usize,
-    /// Worker threads used by the intra-step collect/apply stages of the
-    /// sharing and edit-vote phases (`0` = automatic: the
-    /// `SCENARIO_THREADS` environment variable if set, otherwise the
-    /// hardware parallelism for large populations and `1` for small ones).
-    /// Like `ledger_shards`, this cannot change simulation results.
+    /// Worker threads of the intra-step parallel stages: selection's
+    /// sampling, sharing's collect and ledger apply, and learning (`0` =
+    /// automatic: the `SCENARIO_THREADS` environment variable if set,
+    /// otherwise the hardware parallelism for large populations and `1`
+    /// for small ones; at most [`MAX_THREADS`]). Like `ledger_shards`, this
+    /// cannot change simulation results.
     pub intra_step_threads: usize,
     /// RNG seed; identical configurations with identical seeds reproduce
     /// bit-identical results.
@@ -495,6 +497,12 @@ impl SimulationConfig {
                 "download probability must lie in [0, 1]",
             )?;
         }
+        if self.intra_step_threads > MAX_THREADS {
+            return Err(SpecError::invalid(
+                "intra_step_threads",
+                &format!("at most {MAX_THREADS} intra-step threads (0 = automatic)"),
+            ));
+        }
         ensure(
             "max_voters_per_edit",
             self.max_voters_per_edit > 0,
@@ -620,6 +628,21 @@ mod tests {
         c.phases.training_temperature = f64::INFINITY;
         c.phases.evaluation_temperature = f64::MAX;
         assert!(c.check().is_ok());
+    }
+
+    #[test]
+    fn intra_step_threads_are_bounded() {
+        let mut c = SimulationConfig::default().with_intra_step_threads(MAX_THREADS);
+        assert!(c.check().is_ok());
+        for threads in [MAX_THREADS + 1, usize::MAX] {
+            c.intra_step_threads = threads;
+            match c.check() {
+                Err(SpecError::InvalidField { field, .. }) => {
+                    assert_eq!(field, "intra_step_threads", "{threads}")
+                }
+                other => panic!("intra_step_threads = {threads}: {other:?}"),
+            }
+        }
     }
 
     #[test]

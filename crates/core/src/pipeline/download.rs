@@ -1,24 +1,22 @@
 //! Phase 3 — downloads and bandwidth allocation.
 //!
-//! The phase runs the same three-stage **collect → allocate ∥ → apply**
-//! protocol the sharded ledger uses:
+//! The phase runs two stages, **collect → allocate-and-apply**, both on the
+//! calling thread:
 //!
-//! 1. **Collect** (sequential — it owns the step RNG stream): every peer
-//!    either continues its in-flight transfer or probabilistically starts
-//!    a new one, and its [`DownloadRequest`] is recorded in the flat
+//! 1. **Collect** (it owns the step RNG stream): every peer either
+//!    continues its in-flight transfer or probabilistically starts a new
+//!    one, and its [`DownloadRequest`] is recorded in the flat
 //!    [`RequestTable`] bucketed by source.
-//! 2. **Allocate** (parallel): each source's
-//!    [`BandwidthAllocator::allocate_into`] call depends only on that
-//!    source's offer and request bucket, so contiguous ranges of sources
-//!    fan out over scoped workers, each appending to its own
-//!    [`GrantBatch`]. Worker count comes from
-//!    [`SimWorld::intra_step_threads`] and can never change results.
-//! 3. **Apply** (sequential, in source-id order): grants update the step
-//!    observables and the upload history, then
+//! 2. **Allocate and apply** (in ascending source order): each source's
+//!    offered upload is split among its request bucket by
+//!    [`BandwidthAllocator::allocate_into`](collabsim_netsim::bandwidth::BandwidthAllocator::allocate_into),
+//!    and the grants update the step observables and the upload history
+//!    at once. An allocation reads only the requests frozen at collect
+//!    time and the source's offer, and the apply writes neither, so the
+//!    grants are exactly those of allocating every source first. Then
 //!    [`TransferManager::apply_grants`](collabsim_netsim::transfer::TransferManager::apply_grants)
-//!    applies the whole batch and the drained completions update the
-//!    article store and release their transfer slots — the exact
-//!    end-of-step state of a sequential source-by-source allocation.
+//!    applies the whole grant queue and the drained completions update the
+//!    article store and release their transfer slots.
 //!
 //! All tables live in [`StepContext::transfers`] and are rewritten in
 //! place, so steady-state steps perform no allocation here.
@@ -29,7 +27,7 @@
 use super::{StepContext, StepPhase};
 use crate::config::DownloadRate;
 use crate::world::SimWorld;
-use collabsim_netsim::bandwidth::{AllocScratch, Allocation, BandwidthAllocator, DownloadRequest};
+use collabsim_netsim::bandwidth::{AllocScratch, Allocation, DownloadRequest};
 use collabsim_netsim::fault::{
     step_connections, ConnectionState, BACKOFF_BASE_STEPS, MAX_TRANSFER_RETRIES,
     TRANSFER_TIMEOUT_STEPS,
@@ -55,8 +53,9 @@ const EMPTY_REQUEST: DownloadRequest = DownloadRequest {
 /// CSR-style table of one step's download requests: a flat entry list
 /// appended in downloader order by the collect stage, then scattered into
 /// dense per-source buckets (a stable counting sort over parallel index
-/// vectors) so the grant stage can hand each worker contiguous
-/// `&[DownloadRequest]` slices. All buffers are reused across steps.
+/// vectors) so the allocator reads each source's requests as one
+/// contiguous `&[DownloadRequest]` slice. All buffers are reused across
+/// steps.
 #[derive(Debug, Clone, Default)]
 pub struct RequestTable {
     /// Source peer id per collected entry, in collection order.
@@ -160,76 +159,7 @@ impl RequestTable {
     }
 }
 
-/// One worker's output of the parallel grant stage: the [`Allocation`]s of
-/// its contiguous range of active sources, appended bucket by bucket, plus
-/// the worker-private allocator scratch. Reused across steps.
-#[derive(Debug, Clone, Default)]
-pub struct GrantBatch {
-    allocations: Vec<Allocation>,
-    scratch: AllocScratch,
-}
-
-impl GrantBatch {
-    /// The allocations this worker produced, in bucket order.
-    pub fn allocations(&self) -> &[Allocation] {
-        &self.allocations
-    }
-}
-
-/// The parallel grant stage: allocates every active source's offered
-/// upload (`offered[k]` pairs with `table.active_sources()[k]`) among its
-/// request bucket, fanning contiguous source ranges out over `threads`
-/// scoped workers, each appending into its own [`GrantBatch`].
-///
-/// Concatenating the batches in worker order yields the allocations of
-/// all buckets in ascending source order — bit-identical at any worker
-/// count, because each bucket's allocation depends only on that bucket.
-pub fn allocate_grants(
-    allocator: &BandwidthAllocator,
-    table: &RequestTable,
-    offered: &[f64],
-    batches: &mut Vec<GrantBatch>,
-    threads: usize,
-) {
-    let active = table.active_sources().len();
-    assert_eq!(offered.len(), active, "one offer per active source");
-    let threads = threads.clamp(1, active.max(1));
-    if batches.len() != threads {
-        batches.resize_with(threads, GrantBatch::default);
-    }
-    for batch in batches.iter_mut() {
-        batch.allocations.clear();
-    }
-    if threads > 1 {
-        let per_worker = active.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (worker, batch) in batches.iter_mut().enumerate() {
-                let start = (worker * per_worker).min(active);
-                let end = ((worker + 1) * per_worker).min(active);
-                let offers = &offered[start..end];
-                scope.spawn(move || {
-                    for (k, &offer) in (start..end).zip(offers) {
-                        let (_, requests, _) = table.bucket(k);
-                        allocator.allocate_into(
-                            offer,
-                            requests,
-                            &mut batch.scratch,
-                            &mut batch.allocations,
-                        );
-                    }
-                });
-            }
-        });
-    } else {
-        let batch = &mut batches[0];
-        for (k, &offer) in offered.iter().enumerate() {
-            let (_, requests, _) = table.bucket(k);
-            allocator.allocate_into(offer, requests, &mut batch.scratch, &mut batch.allocations);
-        }
-    }
-}
-
-/// Every reusable buffer of the transfer engine's three stages, carried in
+/// Every reusable buffer of the transfer engine's two stages, carried in
 /// [`StepContext`] so steady-state steps allocate nothing.
 #[derive(Debug, Clone, Default)]
 pub struct TransferTables {
@@ -238,11 +168,14 @@ pub struct TransferTables {
     upload_sources: Vec<PeerId>,
     /// The step's request table.
     requests: RequestTable,
-    /// Offered upload per active source, aligned with
-    /// [`RequestTable::active_sources`].
-    source_offered: Vec<f64>,
-    /// Per-worker grant outputs.
-    grant_batches: Vec<GrantBatch>,
+    /// The allocator's share and capacity buffers.
+    scratch: AllocScratch,
+    /// The step's allocations, appended source by source in ascending
+    /// source order (one per collected request). Keeping the whole step's
+    /// sizes the buffer by the step's request count, which peaks early in
+    /// a run; a buffer of one source's would grow with the largest bucket,
+    /// which keeps reaching new highs later.
+    allocations: Vec<Allocation>,
     /// `(transfer id, bandwidth)` grants in apply order.
     grant_queue: Vec<(u64, f64)>,
     /// Transfers completed by this step's grants.
@@ -315,12 +248,11 @@ impl StepPhase for DownloadPhase {
             }
         };
 
-        // Stage 1 — collect (sequential: this stage owns the RNG stream,
-        // so the trajectory is untouched by how later stages are split).
-        // Departed peers neither continue nor start downloads (their
-        // in-flight transfer was cancelled on departure) and draw no
-        // randomness, so the loop walks the online bitset in ascending
-        // peer order — identical draws to the dense scan it replaces. The
+        // Stage 1 — collect (this stage owns the RNG stream). Departed
+        // peers neither continue nor start downloads (their in-flight
+        // transfer was cancelled on departure) and draw no randomness, so
+        // the loop walks the online bitset in ascending peer order —
+        // identical draws to the dense scan it replaces. The
         // iteration is word-by-word (re-reading each word through
         // `PeerBitset::word`) because the loop body mutates the world;
         // nothing in the body changes the online set itself.
@@ -425,85 +357,69 @@ impl StepPhase for DownloadPhase {
         }
         tables.requests.build();
 
-        // Stage 2 — allocate, fanned out over the intra-step workers.
-        tables.source_offered.clear();
-        tables.source_offered.extend(
-            tables
-                .requests
-                .active_sources()
-                .iter()
-                .map(|&s| world.peers.peer(PeerId(s)).offered_upload()),
-        );
-        allocate_grants(
-            &world.allocator,
-            &tables.requests,
-            &tables.source_offered,
-            &mut tables.grant_batches,
-            world.intra_step_threads(),
-        );
-
-        // Stage 3 — apply, sequentially in ascending source order (the
-        // batches concatenate to exactly that order). Grants update the
-        // step observables and the upload history, then the transfer
-        // manager applies the whole grant queue and the drained
-        // completions update the store and free their slots.
+        // Stage 2 — allocate and apply, one source at a time in ascending
+        // source order. Grants update the step observables and the upload
+        // history, then the transfer manager applies the whole grant queue
+        // and the drained completions update the store and free their
+        // slots.
+        tables.allocations.clear();
         tables.grant_queue.clear();
-        {
-            let mut allocations = tables
-                .grant_batches
+        for k in 0..tables.requests.active_sources().len() {
+            let (source, requests, transfers) = tables.requests.bucket(k);
+            let source_peer = world.peers.peer(source);
+            let source_fraction = source_peer.shared_upload_fraction;
+            let source_degraded = source_peer.connection == ConnectionState::Degraded;
+            let first = tables.allocations.len();
+            world.allocator.allocate_into(
+                source_peer.offered_upload(),
+                requests,
+                &mut tables.scratch,
+                &mut tables.allocations,
+            );
+            for ((allocation, slot), &tid) in tables.allocations[first..]
                 .iter()
-                .flat_map(GrantBatch::allocations);
-            for k in 0..tables.requests.active_sources().len() {
-                let (source, requests, transfers) = tables.requests.bucket(k);
-                let source_peer = world.peers.peer(source);
-                let source_fraction = source_peer.shared_upload_fraction;
-                let source_degraded = source_peer.connection == ConnectionState::Degraded;
-                for (slot, &tid) in requests.iter().zip(transfers.iter()) {
-                    let allocation = allocations
-                        .next()
-                        .expect("one allocation per collected request");
-                    debug_assert_eq!(allocation.downloader, slot.downloader);
-                    let d = allocation.downloader.index();
-                    let bandwidth = allocation.bandwidth;
-                    world.net_stats.grants_offered += bandwidth;
-                    // Fault layer — consume delayed and lost grants before
-                    // they touch the step observables, the upload history
-                    // or the transfer itself. Loss is the only draw, taken
-                    // from `net_rng` in this sequential stage, so the core
-                    // stream and thread-count invariance are untouched; the
-                    // ideal model never enters this block.
-                    if faulty {
-                        let latency =
-                            network.link_latency(seed, allocation.downloader, source, population);
-                        if now < world.transfers.transfer(tid).started_at + latency {
-                            world.net_stats.grants_delayed += bandwidth;
-                            continue;
-                        }
-                        let mut loss = network.link_loss(allocation.downloader, source, population);
-                        if source_degraded {
-                            loss = (loss * 2.0).min(1.0);
-                        }
-                        if loss > 0.0 && world.net_rng.gen_bool(loss) {
-                            world.net_stats.grants_lost += bandwidth;
-                            let fails = world.transfers.fail_grant(tid, now, BACKOFF_BASE_STEPS);
-                            if fails > MAX_TRANSFER_RETRIES {
-                                world.transfers.cancel(tid, now);
-                                world.transfers.release(tid);
-                                world.active_transfer[d] = None;
-                                world.net_stats.transfers_failed += 1;
-                            }
-                            continue;
-                        }
+                .zip(requests)
+                .zip(transfers)
+            {
+                debug_assert_eq!(allocation.downloader, slot.downloader);
+                let d = allocation.downloader.index();
+                let bandwidth = allocation.bandwidth;
+                world.net_stats.grants_offered += bandwidth;
+                // Fault layer — consume delayed and lost grants before they
+                // touch the step observables, the upload history or the
+                // transfer itself. Loss is the only draw, taken from
+                // `net_rng` in source order, so the core stream is
+                // untouched; the ideal model never enters this block.
+                if faulty {
+                    let latency =
+                        network.link_latency(seed, allocation.downloader, source, population);
+                    if now < world.transfers.transfer(tid).started_at + latency {
+                        world.net_stats.grants_delayed += bandwidth;
+                        continue;
                     }
-                    world.net_stats.grants_applied += bandwidth;
-                    ctx.downloaded[d] += bandwidth;
-                    ctx.source_upload_seen[d] = source_fraction.max(ctx.source_upload_seen[d]);
-                    ctx.bandwidth_share[d] = ctx.bandwidth_share[d].max(allocation.share);
-                    world.uploads.add(source.index(), d, bandwidth);
-                    tables.grant_queue.push((tid, bandwidth));
+                    let mut loss = network.link_loss(allocation.downloader, source, population);
+                    if source_degraded {
+                        loss = (loss * 2.0).min(1.0);
+                    }
+                    if loss > 0.0 && world.net_rng.gen_bool(loss) {
+                        world.net_stats.grants_lost += bandwidth;
+                        let fails = world.transfers.fail_grant(tid, now, BACKOFF_BASE_STEPS);
+                        if fails > MAX_TRANSFER_RETRIES {
+                            world.transfers.cancel(tid, now);
+                            world.transfers.release(tid);
+                            world.active_transfer[d] = None;
+                            world.net_stats.transfers_failed += 1;
+                        }
+                        continue;
+                    }
                 }
+                world.net_stats.grants_applied += bandwidth;
+                ctx.downloaded[d] += bandwidth;
+                ctx.source_upload_seen[d] = source_fraction.max(ctx.source_upload_seen[d]);
+                ctx.bandwidth_share[d] = ctx.bandwidth_share[d].max(allocation.share);
+                world.uploads.add(source.index(), d, bandwidth);
+                tables.grant_queue.push((tid, bandwidth));
             }
-            debug_assert!(allocations.next().is_none(), "no grants left unapplied");
         }
         world
             .transfers
@@ -521,7 +437,6 @@ impl StepPhase for DownloadPhase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collabsim_netsim::bandwidth::AllocationPolicy;
 
     fn request(downloader: u32, reputation: f64) -> DownloadRequest {
         DownloadRequest {
@@ -566,47 +481,5 @@ mod tests {
         assert!(table.is_empty());
         table.build();
         assert!(table.active_sources().is_empty());
-    }
-
-    #[test]
-    fn parallel_grants_match_sequential_at_any_worker_count() {
-        let allocator = BandwidthAllocator::new(AllocationPolicy::WeightedByReputation);
-        let mut table = RequestTable::default();
-        table.begin_step(8);
-        for (downloader, source) in [(0, 3), (1, 3), (2, 5), (4, 6), (7, 5), (6, 3)] {
-            table.push(
-                PeerId(source),
-                request(downloader, f64::from(downloader) * 0.13 + 0.05),
-                u64::from(downloader),
-            );
-        }
-        table.build();
-        let offered: Vec<f64> = table
-            .active_sources()
-            .iter()
-            .map(|&s| f64::from(s) * 0.2)
-            .collect();
-        let mut sequential = Vec::new();
-        allocate_grants(&allocator, &table, &offered, &mut sequential, 1);
-        let reference: Vec<Allocation> = sequential
-            .iter()
-            .flat_map(GrantBatch::allocations)
-            .copied()
-            .collect();
-        for threads in 2..=5 {
-            let mut batches = Vec::new();
-            allocate_grants(&allocator, &table, &offered, &mut batches, threads);
-            let flattened: Vec<Allocation> = batches
-                .iter()
-                .flat_map(GrantBatch::allocations)
-                .copied()
-                .collect();
-            assert_eq!(flattened.len(), reference.len());
-            for (got, want) in flattened.iter().zip(reference.iter()) {
-                assert_eq!(got.downloader, want.downloader);
-                assert_eq!(got.share.to_bits(), want.share.to_bits());
-                assert_eq!(got.bandwidth.to_bits(), want.bandwidth.to_bits());
-            }
-        }
     }
 }

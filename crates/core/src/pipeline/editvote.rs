@@ -6,7 +6,7 @@ use crate::adversary::VoteDirective;
 use crate::world::SimWorld;
 use collabsim_netsim::article::EditKind;
 use collabsim_netsim::peer::PeerId;
-use collabsim_reputation::contribution::{ContributionDelta, EditingAction};
+use collabsim_reputation::contribution::EditingAction;
 use collabsim_reputation::punishment::PunishmentOutcome;
 use collabsim_reputation::service::ServiceDifferentiation;
 use rand::seq::SliceRandom;
@@ -244,27 +244,19 @@ impl StepPhase for EditVotePhase {
             }
         }
 
-        // Editing/voting contribution accounting, collect-then-apply: the
-        // per-peer outcomes gathered above are bucketed per ledger shard
-        // and applied by parallel workers — bit-identical to recording
-        // them inline, because contribution updates are per-peer
-        // independent and each shard applies its bucket in peer order.
-        ctx.editing_deltas.ensure(&world.ledger);
-        // Departed peers are frozen: no delta means no decay while away,
-        // so reputation persists until re-entry. The online bitset yields
-        // the same ascending peer order as the dense scan it replaces.
+        // Editing/voting contribution accounting. Departed peers are
+        // frozen: no record means no decay while away, so reputation
+        // persists until re-entry. The online bitset yields the same
+        // ascending peer order as the dense scan it replaces.
         for p in world.active.iter_online() {
-            ctx.editing_deltas.push(ContributionDelta::editing(
+            world.ledger.record_editing(
                 p,
-                EditingAction {
+                &EditingAction {
                     successful_votes: ctx.successful_votes[p],
                     accepted_edits: ctx.accepted_edits[p],
                     attempted: ctx.attempted_editing[p] || ctx.voted_this_step[p],
                 },
-            ));
+            );
         }
-        world
-            .ledger
-            .apply_parallel(&ctx.editing_deltas, world.intra_step_threads());
     }
 }

@@ -67,7 +67,7 @@ mod sharing;
 mod utility;
 
 pub use churn::ChurnPhase;
-pub use download::{allocate_grants, DownloadPhase, GrantBatch, RequestTable, TransferTables};
+pub use download::{DownloadPhase, RequestTable, TransferTables};
 pub use editvote::{EditVotePhase, VoteScratch};
 pub use learning::LearningPhase;
 pub use propagation::PropagationPhase;
@@ -169,15 +169,12 @@ pub struct StepContext {
     /// Shard-bucketed sharing-contribution deltas (collect stage of
     /// [`SharingPhase`]; applied to the ledger at the end of the phase).
     pub sharing_deltas: DeltaBatch,
-    /// Shard-bucketed editing-contribution deltas (collect stage of
-    /// [`EditVotePhase`]).
-    pub editing_deltas: DeltaBatch,
     /// Per-shard offered-article plans (collect stage of [`SharingPhase`];
     /// drained by its apply stage, so steady-state steps reuse the
     /// capacity instead of reallocating).
     pub offer_plans: Vec<Vec<OfferPlan>>,
     /// The transfer engine's reusable request/grant tables
-    /// (collect → allocate ∥ → apply scratch of [`DownloadPhase`]; fully
+    /// (collect → allocate-and-apply scratch of [`DownloadPhase`]; fully
     /// rewritten by the phase each step).
     pub transfers: TransferTables,
     /// The reusable per-edit voter-pool buffers of [`EditVotePhase`]
@@ -212,7 +209,6 @@ impl StepContext {
             voted_this_step: vec![false; population],
             rewards: vec![0.0; population],
             sharing_deltas: DeltaBatch::default(),
-            editing_deltas: DeltaBatch::default(),
             offer_plans: Vec::new(),
             transfers: TransferTables::default(),
             vote_scratch: VoteScratch::default(),
@@ -224,7 +220,7 @@ impl StepContext {
 
     /// Re-initialises the context for the next step without giving up any
     /// allocation: every per-peer vector is cleared and refilled in place,
-    /// and the delta batches keep their bucket capacity. After a reset the
+    /// and the delta batch keeps its bucket capacity. After a reset the
     /// observable state is exactly that of a fresh [`StepContext::new`],
     /// which is what lets the engine reuse one context across all steps of
     /// a run.
@@ -242,7 +238,6 @@ impl StepContext {
         reset_values(&mut self.voted_this_step, population, false);
         reset_values(&mut self.rewards, population, 0.0);
         self.sharing_deltas.clear();
-        self.editing_deltas.clear();
         for plan in &mut self.offer_plans {
             plan.clear();
         }
@@ -257,9 +252,8 @@ fn reset_values<T: Copy>(values: &mut Vec<T>, population: usize, value: T) {
 
 /// Splits `population` peers into `workers` contiguous, near-even ranges,
 /// returned as ascending bounds `[0, …, population]` — the shard layout the
-/// selection, utility and learning phases hand to
-/// [`AccumulatorTable::split_mut`](crate::world::AccumulatorTable::split_mut)
-/// and [`AgentTable::split_mut`](crate::agent_table::AgentTable::split_mut).
+/// selection and learning phases hand to
+/// [`AgentTable::split_mut`](crate::agent_table::AgentTable::split_mut).
 /// The bounds depend only on `(population, workers)`, and because each
 /// peer's work is independent the split can never change results.
 pub(crate) fn worker_bounds(population: usize, workers: usize) -> Vec<usize> {

@@ -4,14 +4,17 @@
 //! One environment variable, `SCENARIO_THREADS`, caps every source of
 //! parallelism in the crate: the [`crate::experiment::ScenarioRunner`]
 //! worker pool and the intra-step workers — the selection phase's
-//! sampling shards, the sharing phase's collect workers, the ledger apply
-//! workers of the sharing and edit-vote phases, the per-source grant
-//! workers of the download phase's batched transfer engine
-//! ([`allocate_grants`](crate::pipeline::allocate_grants)), and the
-//! utility and learning phases' shards. Setting `SCENARIO_THREADS=1`
-//! therefore forces a fully sequential execution — which the determinism
-//! CI job diffs against the default parallel execution, pinning the
-//! parallel == sequential guarantee.
+//! sampling shards, the sharing phase's collect and ledger-apply workers,
+//! and the learning phase's shards. The download, edit-vote and utility
+//! phases run on the calling thread at every worker count. Setting
+//! `SCENARIO_THREADS=1` therefore forces a fully sequential execution —
+//! which the determinism CI job diffs against the default parallel
+//! execution, pinning the parallel == sequential guarantee.
+//!
+//! A worker count from outside the program (a spec's `intra_step_threads`,
+//! the CLI's `--threads`, `SCENARIO_THREADS`) is bounded by
+//! [`MAX_THREADS`]: every parallel stage spawns up to that many scoped
+//! threads every step.
 //!
 //! Thread counts never affect simulation results; they only affect
 //! wall-clock time. No worker draws from the step RNG: the draws are taken
@@ -21,16 +24,31 @@
 
 use std::num::NonZeroUsize;
 
-/// The environment variable capping all parallelism (`0` or unparsable
-/// values are ignored).
+/// The environment variable capping all parallelism (`0`, unparsable
+/// values and values above [`MAX_THREADS`] are ignored).
 pub const SCENARIO_THREADS_ENV: &str = "SCENARIO_THREADS";
+
+/// The largest worker count accepted from outside the program. It equals
+/// the ledger's automatic shard ceiling
+/// ([`MAX_AUTO_SHARDS`](collabsim_reputation::sharded::MAX_AUTO_SHARDS)),
+/// and the hardware-based automatic count never exceeds 8.
+pub const MAX_THREADS: usize = 64;
+
+/// Parses a [`SCENARIO_THREADS_ENV`] value: a count in `1..=MAX_THREADS`,
+/// or `None` for anything else (`0`, empty, unparsable or too large), which
+/// leaves the automatic choice in place.
+pub fn parse_scenario_threads(value: &str) -> Option<usize> {
+    value
+        .parse::<usize>()
+        .ok()
+        .filter(|n| (1..=MAX_THREADS).contains(n))
+}
 
 /// The thread count requested via [`SCENARIO_THREADS_ENV`], if any.
 pub fn scenario_threads() -> Option<usize> {
     std::env::var(SCENARIO_THREADS_ENV)
         .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
+        .and_then(|v| parse_scenario_threads(&v))
 }
 
 /// The hardware parallelism, defaulting to 1 if unknown.
@@ -58,6 +76,21 @@ pub fn auto_intra_step_threads(population: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scenario_threads_values_outside_the_bound_are_ignored() {
+        for (value, parsed) in [
+            ("0", None),
+            ("", None),
+            ("x", None),
+            ("-1", None),
+            ("1", Some(1)),
+            ("64", Some(64)),
+            ("65", None),
+        ] {
+            assert_eq!(parse_scenario_threads(value), parsed, "{value:?}");
+        }
+    }
 
     #[test]
     fn hardware_threads_is_positive() {

@@ -69,10 +69,9 @@ pub struct PeerAccumulator {
 ///
 /// The utility phase is the only writer and touches every online peer every
 /// measured step; one dense array per field lets it stream eight flat
-/// vectors instead of strided [`PeerAccumulator`] structs, and lets its
-/// scoped workers take disjoint shards via
-/// [`AccumulatorTable::split_mut`]. [`AccumulatorTable::peer`] materialises
-/// the per-peer struct view for reporting and tests.
+/// vectors instead of strided [`PeerAccumulator`] structs.
+/// [`AccumulatorTable::peer`] materialises the per-peer struct view for
+/// reporting and tests.
 #[derive(Debug, Clone, Default)]
 pub struct AccumulatorTable {
     /// Per-peer sums of shared-bandwidth fractions over measured steps.
@@ -143,97 +142,6 @@ impl AccumulatorTable {
             steps: self.steps[p],
         }
     }
-
-    /// The whole table as one mutable shard: the utility phase's
-    /// single-worker path, which allocates nothing.
-    pub(crate) fn as_shard_mut(&mut self) -> AccumulatorShardMut<'_> {
-        AccumulatorShardMut {
-            start: 0,
-            shared_bandwidth_sum: &mut self.shared_bandwidth_sum,
-            shared_articles_sum: &mut self.shared_articles_sum,
-            downloaded_sum: &mut self.downloaded_sum,
-            utility_sum: &mut self.utility_sum,
-            constructive_edits: &mut self.constructive_edits,
-            destructive_edits: &mut self.destructive_edits,
-            votes: &mut self.votes,
-            steps: &mut self.steps,
-        }
-    }
-
-    /// Splits the table into disjoint mutable shards along `bounds` (peer
-    /// indices, ascending, `[0, …, population]`) for the utility phase's
-    /// scoped workers.
-    pub fn split_mut(&mut self, bounds: &[usize]) -> Vec<AccumulatorShardMut<'_>> {
-        assert!(bounds.len() >= 2, "need at least one range");
-        assert_eq!(*bounds.first().unwrap(), 0, "ranges must start at 0");
-        assert_eq!(
-            *bounds.last().unwrap(),
-            self.len(),
-            "ranges must cover the population"
-        );
-        let mut shards = Vec::with_capacity(bounds.len() - 1);
-        let mut rest = (
-            self.shared_bandwidth_sum.as_mut_slice(),
-            self.shared_articles_sum.as_mut_slice(),
-            self.downloaded_sum.as_mut_slice(),
-            self.utility_sum.as_mut_slice(),
-            self.constructive_edits.as_mut_slice(),
-            self.destructive_edits.as_mut_slice(),
-            self.votes.as_mut_slice(),
-            self.steps.as_mut_slice(),
-        );
-        for window in bounds.windows(2) {
-            let (start, end) = (window[0], window[1]);
-            let n = end - start;
-            let (bw, bw_tail) = rest.0.split_at_mut(n);
-            let (ar, ar_tail) = rest.1.split_at_mut(n);
-            let (dl, dl_tail) = rest.2.split_at_mut(n);
-            let (ut, ut_tail) = rest.3.split_at_mut(n);
-            let (ce, ce_tail) = rest.4.split_at_mut(n);
-            let (de, de_tail) = rest.5.split_at_mut(n);
-            let (vo, vo_tail) = rest.6.split_at_mut(n);
-            let (st, st_tail) = rest.7.split_at_mut(n);
-            shards.push(AccumulatorShardMut {
-                start,
-                shared_bandwidth_sum: bw,
-                shared_articles_sum: ar,
-                downloaded_sum: dl,
-                utility_sum: ut,
-                constructive_edits: ce,
-                destructive_edits: de,
-                votes: vo,
-                steps: st,
-            });
-            rest = (
-                bw_tail, ar_tail, dl_tail, ut_tail, ce_tail, de_tail, vo_tail, st_tail,
-            );
-        }
-        shards
-    }
-}
-
-/// A disjoint mutable shard of an [`AccumulatorTable`]; peers are addressed
-/// by their absolute index (offset by `start`).
-#[derive(Debug)]
-pub struct AccumulatorShardMut<'a> {
-    /// First absolute peer index the shard covers.
-    pub start: usize,
-    /// Shard slice of [`AccumulatorTable::shared_bandwidth_sum`].
-    pub shared_bandwidth_sum: &'a mut [f64],
-    /// Shard slice of [`AccumulatorTable::shared_articles_sum`].
-    pub shared_articles_sum: &'a mut [f64],
-    /// Shard slice of [`AccumulatorTable::downloaded_sum`].
-    pub downloaded_sum: &'a mut [f64],
-    /// Shard slice of [`AccumulatorTable::utility_sum`].
-    pub utility_sum: &'a mut [f64],
-    /// Shard slice of [`AccumulatorTable::constructive_edits`].
-    pub constructive_edits: &'a mut [u64],
-    /// Shard slice of [`AccumulatorTable::destructive_edits`].
-    pub destructive_edits: &'a mut [u64],
-    /// Shard slice of [`AccumulatorTable::votes`].
-    pub votes: &'a mut [u64],
-    /// Shard slice of [`AccumulatorTable::steps`].
-    pub steps: &'a mut [u64],
 }
 
 /// Sparse pairwise upload totals: `get(u, v)` is the total bandwidth peer
@@ -456,7 +364,7 @@ impl ChurnStats {
 /// only `grants_offered` and `grants_applied` move, and they are equal.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NetStats {
-    /// Total bandwidth allocated by the grant stage.
+    /// Total bandwidth the allocator granted.
     pub grants_offered: f64,
     /// Bandwidth actually delivered to transfers.
     pub grants_applied: f64,
@@ -500,7 +408,7 @@ pub struct SimWorld {
     /// Which peer holds/offers which article replica.
     pub store: ArticleStore,
     /// Dual-reputation ledger (`R_S`, `R_E`) of every peer, sharded by
-    /// peer-id range so the sharing/edit-vote phases can apply contribution
+    /// peer-id range so the sharing phase can apply its contribution
     /// deltas from parallel workers.
     pub ledger: ShardedLedger,
     /// Service-differentiation rules of the configured incentive scheme.
@@ -589,8 +497,8 @@ pub struct SimWorld {
     /// Running fault-layer grant accounting (all zeros under the ideal
     /// model except `grants_offered == grants_applied`).
     pub net_stats: NetStats,
-    /// Worker-thread count for the intra-step collect/apply stages,
-    /// resolved once at construction (config value, or the automatic
+    /// Worker-thread count for the intra-step parallel stages (selection,
+    /// sharing and learning), resolved once at construction (config value, or the automatic
     /// `SCENARIO_THREADS`/hardware resolution when the config says 0) so
     /// the hot phases never touch the process environment.
     intra_step_threads: usize,
@@ -757,10 +665,10 @@ impl SimWorld {
         self.config.population
     }
 
-    /// The worker-thread count the intra-step collect/apply stages use:
-    /// the configured value, or the automatic resolution of
-    /// [`crate::threads::auto_intra_step_threads`] (resolved once at
-    /// construction). Never affects results, only wall-clock time.
+    /// The worker-thread count the intra-step parallel stages (selection,
+    /// sharing and learning) use: the configured value, or the automatic
+    /// resolution of [`crate::threads::auto_intra_step_threads`] (resolved
+    /// once at construction). Never affects results, only wall-clock time.
     pub fn intra_step_threads(&self) -> usize {
         self.intra_step_threads
     }

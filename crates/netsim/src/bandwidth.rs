@@ -63,9 +63,9 @@ pub struct Allocation {
 
 /// Reusable scratch buffers for [`BandwidthAllocator::allocate_into`].
 ///
-/// One scratch per worker lets the parallel grant stage of the download
-/// phase run every per-source allocation without a single heap allocation
-/// in steady state.
+/// One scratch reused across sources lets the download phase's
+/// allocate-and-apply loop run every per-source allocation without a
+/// single heap allocation in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct AllocScratch {
     /// Policy shares of the current request set (also the water-filling
@@ -135,7 +135,7 @@ impl BandwidthAllocator {
     /// [`BandwidthAllocator::allocate`], but the per-call share/capacity
     /// vectors live in `scratch` and the `requests.len()` resulting
     /// [`Allocation`]s are **appended** to `out`, so a caller looping over
-    /// many sources (the download phase's grant stage) performs no
+    /// many sources (the download phase) performs no
     /// steady-state allocation.
     pub fn allocate_into(
         &self,

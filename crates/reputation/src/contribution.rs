@@ -118,23 +118,22 @@ impl EditingAction {
     }
 }
 
-/// One peer's contribution updates for a single time step, produced by a
-/// *collect* stage and applied to a ledger later.
+/// One peer's sharing-contribution update for a single time step, produced
+/// by a *collect* stage and applied to a ledger later.
 ///
-/// The two-stage collect-then-apply model lets simulation phases accumulate
+/// The two-stage collect-then-apply model lets the sharing phase accumulate
 /// deltas from parallel workers (bucketed per ledger shard) and apply them
 /// afterwards in a deterministic order: because contribution accounting is
 /// per-peer independent, applying a batch of deltas shard-by-shard is
 /// bit-identical to recording them inline, regardless of how many workers
-/// collected or applied them.
+/// collected or applied them. Editing outcomes are recorded inline, through
+/// [`ShardedLedger::record_editing`](crate::sharded::ShardedLedger::record_editing).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ContributionDelta {
     /// Dense index of the peer the delta belongs to.
     pub peer: usize,
-    /// Sharing activity to record, if the step touched the sharing class.
-    pub sharing: Option<SharingAction>,
-    /// Editing/voting outcomes to record, if the step touched that class.
-    pub editing: Option<EditingAction>,
+    /// Sharing activity to record.
+    pub sharing: SharingAction,
 }
 
 impl ContributionDelta {
@@ -142,17 +141,7 @@ impl ContributionDelta {
     pub fn sharing(peer: usize, action: SharingAction) -> Self {
         Self {
             peer,
-            sharing: Some(action),
-            editing: None,
-        }
-    }
-
-    /// A delta recording one step of editing/voting outcomes.
-    pub fn editing(peer: usize, action: EditingAction) -> Self {
-        Self {
-            peer,
-            sharing: None,
-            editing: Some(action),
+            sharing: action,
         }
     }
 }

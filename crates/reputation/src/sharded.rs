@@ -3,13 +3,13 @@
 //!
 //! The dense [`ReputationLedger`](crate::ledger::ReputationLedger) keeps the
 //! whole population behind a single `&mut`, which serializes the hot
-//! per-step contribution updates of the sharing and edit-vote phases. The
-//! [`ShardedLedger`] splits the population into contiguous peer-id ranges
-//! ([`LedgerShard`]s) that are independently lockable units of parallelism:
-//! during a parallel apply each shard is exclusively owned by one scoped
-//! worker thread, so no two workers ever touch the same peer record.
+//! per-step sharing-contribution updates. The [`ShardedLedger`] splits the
+//! population into contiguous peer-id ranges ([`LedgerShard`]s) that are
+//! independently lockable units of parallelism: during a parallel apply
+//! each shard is exclusively owned by one scoped worker thread, so no two
+//! workers ever touch the same peer record.
 //!
-//! The update protocol is *collect-then-apply*:
+//! Sharing contributions follow the *collect-then-apply* protocol:
 //!
 //! 1. **Collect** — workers accumulate
 //!    [`ContributionDelta`]s into a [`DeltaBatch`], which buckets them per
@@ -20,6 +20,9 @@
 //!    [`ShardedLedger::apply_parallel`] hands disjoint groups of shards to
 //!    scoped threads. Because contribution accounting is per-peer
 //!    independent, both paths produce bit-identical floating-point state.
+//!
+//! Editing outcomes, rights and punishments are written inline, one peer
+//! at a time ([`ShardedLedger::record_editing`] and the other mutators).
 //!
 //! Each peer's record carries its `R_S` and `R_E` beside the contributions
 //! they derive from. A reputation is re-evaluated only where its
@@ -34,8 +37,8 @@
 //! parallel aggregations (e.g. the reputation summaries of the
 //! `scale_population` bench), instrumentation, and any future collect
 //! stage that needs reputation reads — without handing them the ability
-//! to mutate records. The current sharing/edit-vote collect stages read
-//! only actions and the article store, so they do not take a view.
+//! to mutate records. The sharing phase's collect stage reads only actions
+//! and the article store, so it does not take a view.
 
 use crate::contribution::{ContributionDelta, ContributionParams, EditingAction, SharingAction};
 use crate::function::{LogisticReputation, ReputationFunction};
@@ -175,20 +178,15 @@ impl LedgerShard {
     }
 
     /// Applies a bucket of deltas to this shard, in bucket order,
-    /// re-evaluating a reputation only where its contribution changed.
+    /// re-evaluating `R_S` only where `C_S` changed.
     ///
     /// # Panics
     ///
     /// Panics if a delta's peer lies outside the shard's range.
     fn apply(&mut self, deltas: &[ContributionDelta], scoring: &Scoring) {
         for delta in deltas {
-            let record = self.record_mut(delta.peer);
-            if let Some(sharing) = &delta.sharing {
-                record.record_sharing(scoring, sharing);
-            }
-            if let Some(editing) = &delta.editing {
-                record.record_editing(scoring, editing);
-            }
+            self.record_mut(delta.peer)
+                .record_sharing(scoring, &delta.sharing);
         }
     }
 }
@@ -320,10 +318,10 @@ pub struct PeerLedgerState {
 /// Drop-in replacement for the dense
 /// [`ReputationLedger`](crate::ledger::ReputationLedger) (both implement
 /// [`ReputationStore`]) whose records live in independently lockable
-/// [`LedgerShard`]s, unlocking intra-step parallel contribution updates via
-/// [`ShardedLedger::apply_parallel`]. All single-peer accessors return
-/// exactly the dense ledger's values; the reputation reads are loads of the
-/// values the last write evaluated.
+/// [`LedgerShard`]s, unlocking intra-step parallel sharing-contribution
+/// updates via [`ShardedLedger::apply_parallel`]. All single-peer
+/// accessors return exactly the dense ledger's values; the reputation
+/// reads are loads of the values the last write evaluated.
 #[derive(Clone)]
 pub struct ShardedLedger {
     scoring: Scoring,
@@ -968,14 +966,13 @@ mod tests {
                             },
                         ));
                     }
-                    batch.push(ContributionDelta::editing(
-                        p,
-                        EditingAction {
-                            successful_votes: step % 2,
-                            accepted_edits: 0,
-                            attempted: p % 2 == 0,
-                        },
-                    ));
+                    let editing = EditingAction {
+                        successful_votes: step % 2,
+                        accepted_edits: 0,
+                        attempted: p % 2 == 0,
+                    };
+                    sequential.record_editing(p, &editing);
+                    parallel.record_editing(p, &editing);
                 }
                 sequential.apply(&batch);
                 parallel.apply_parallel(&batch, threads);
@@ -991,8 +988,8 @@ mod tests {
         }
     }
 
-    /// The cost model: reads are loads, and an apply evaluates a
-    /// reputation only for a delta that changed its contribution.
+    /// The cost model: reads are loads, and a write (inline or applied)
+    /// evaluates a reputation only where it changed its contribution.
     #[test]
     fn reputations_are_evaluated_on_contribution_change_not_on_read() {
         const PEERS: usize = 64;
@@ -1011,6 +1008,8 @@ mod tests {
 
         let mut batch = DeltaBatch::for_ledger(&l);
         for step in 0..3u32 {
+            let before: Vec<PeerLedgerState> = (0..PEERS).map(|p| l.export_peer_state(p)).collect();
+            let (sharing_before, editing_before) = (sharing.calls(), editing.calls());
             batch.clear();
             for p in 0..PEERS {
                 // Peers below 16 share a new level each step, those in
@@ -1029,17 +1028,15 @@ mod tests {
                         shared_bandwidth: 0.0,
                     },
                 ));
-                batch.push(ContributionDelta::editing(
+                l.record_editing(
                     p,
-                    EditingAction {
+                    &EditingAction {
                         successful_votes: u32::from(p % 2 == 0),
                         accepted_edits: 0,
                         attempted: p % 2 == 0,
                     },
-                ));
+                );
             }
-            let before: Vec<PeerLedgerState> = (0..PEERS).map(|p| l.export_peer_state(p)).collect();
-            let (sharing_before, editing_before) = (sharing.calls(), editing.calls());
             l.apply_parallel(&batch, 2);
             let changed = |what: fn(&PeerLedgerState) -> f64| {
                 (0..PEERS)
@@ -1067,11 +1064,13 @@ mod tests {
         assert!(sum > 0.0);
         assert_eq!(evaluations(), before);
 
-        // An idle editor whose `C_E` stays at 0 costs nothing, inline or
-        // batched; resets write the newcomer values without evaluating.
+        // An idle editor or sharer whose contribution stays at 0 costs
+        // nothing, inline or batched; resets write the newcomer values
+        // without evaluating.
         l.record_editing(1, &EditingAction::default());
+        l.record_sharing(33, &SharingAction::default());
         batch.clear();
-        batch.push(ContributionDelta::editing(3, EditingAction::default()));
+        batch.push(ContributionDelta::sharing(40, SharingAction::default()));
         l.apply(&batch);
         l.punish_malicious_editor(0);
         l.reset_peer_identity(2);

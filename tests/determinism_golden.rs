@@ -24,6 +24,12 @@
 //!    policy that reads each downloader's upload history towards its
 //!    source, recorded before the download phase stopped looking that
 //!    history up for the other policies.
+//! 7. **Faulty network** — the golden configuration on a two-cluster
+//!    network whose inter-cluster links delay and lose grants, so every
+//!    fault branch of the download phase runs (delayed and lost grants,
+//!    retries, permanent failures, timeouts and reroutes). It pins the
+//!    report and the network counters, recorded before the download phase
+//!    fused its allocate and apply stages into one loop.
 
 use collabsim_workspace::collabsim::adversary::AdversarySpec;
 use collabsim_workspace::collabsim::experiment::{ScenarioGrid, ScenarioRunner};
@@ -34,6 +40,7 @@ use collabsim_workspace::collabsim::{
     SimulationConfig, SimulationReport,
 };
 use collabsim_workspace::netsim::churn::ChurnModel;
+use collabsim_workspace::netsim::fault::LinkModel;
 use collabsim_workspace::netsim::peer::PeerId;
 use collabsim_workspace::reputation::propagation::PropagationScheme;
 
@@ -315,6 +322,29 @@ fn tit_for_tat_run_is_pinned() {
     assert_ne!(report, run(IncentiveScheme::None), "upload history unused");
     assert_eq!(format!("{report:?}"), TIT_FOR_TAT);
 }
+
+/// The golden configuration on a lossy, slow two-cluster network. Every
+/// fault counter must move, or the pin would not cover its branch.
+#[test]
+fn faulty_network_run_is_pinned() {
+    let config = golden_config().with_network(LinkModel::TwoClusters {
+        loss: 0.3,
+        penalty: 12,
+    });
+    let mut sim = Simulation::new(config);
+    let report = sim.run();
+    let stats = &sim.world().net_stats;
+    assert!(stats.grants_delayed > 0.0, "{stats:?}");
+    assert!(stats.grants_lost > 0.0, "{stats:?}");
+    assert!(stats.transfers_failed > 0, "{stats:?}");
+    assert!(stats.transfers_timed_out > 0, "{stats:?}");
+    assert!(stats.transfers_rerouted > 0, "{stats:?}");
+    assert_eq!(format!("{report:?}\n{stats:?}"), FAULTY_NETWORK);
+}
+
+/// `format!("{report:?}\n{:?}", sim.world().net_stats)` of
+/// [`faulty_network_run_is_pinned`]'s run.
+const FAULTY_NETWORK: &str = "SimulationReport { shared_bandwidth: 0.51375, shared_articles: 0.501875, by_behavior: {\"altruistic\": BehaviorBreakdown { peers: 5, shared_bandwidth: 1.0, shared_articles: 1.0, downloaded: 0.14078559156011214, final_sharing_reputation: 0.8647787093973539, final_editing_reputation: 0.999999999975733, constructive_edits: 94, destructive_edits: 0, votes: 307, mean_utility: 1.192855915601121 }, \"irrational\": BehaviorBreakdown { peers: 5, shared_bandwidth: 0.0, shared_articles: 0.0, downloaded: 0.0453734947171663, final_sharing_reputation: 0.05000000000000001, final_editing_reputation: 0.05000000000000001, constructive_edits: 0, destructive_edits: 0, votes: 0, mean_utility: 0.45373494717166307 }, \"rational\": BehaviorBreakdown { peers: 10, shared_bandwidth: 0.5275, shared_articles: 0.50375, downloaded: 0.08176465140060248, final_sharing_reputation: 0.3427101485321812, final_editing_reputation: 0.47492684866328255, constructive_edits: 58, destructive_edits: 58, votes: 243, mean_utility: 0.5188965140060248 }}, edit_outcomes: EditOutcomeCounts { accepted_constructive: 148, accepted_destructive: 0, declined_constructive: 4, declined_destructive: 58, pending: 0 }, mean_article_quality: 0.9939964157706094, completed_downloads: 111, evaluation_steps: 80, seed: 12648430 }\nNetStats { grants_offered: 1273.5000000000014, grants_applied: 385.00130042461535, grants_lost: 50.46179474988347, grants_delayed: 838.0369048255009, transfers_failed: 16, transfers_timed_out: 9, transfers_rerouted: 30 }";
 
 /// `format!("{report:?}")` of [`tit_for_tat_run_is_pinned`]'s run.
 const TIT_FOR_TAT: &str = "SimulationReport { shared_bandwidth: 0.4675, shared_articles: 0.49, by_behavior: {\"altruistic\": BehaviorBreakdown { peers: 5, shared_bandwidth: 1.0, shared_articles: 1.0, downloaded: 0.5124154828569056, final_sharing_reputation: 0.8647787093973539, final_editing_reputation: 0.9999935309760826, constructive_edits: 77, destructive_edits: 0, votes: 321, mean_utility: 4.485404828569058 }, \"irrational\": BehaviorBreakdown { peers: 5, shared_bandwidth: 0.0, shared_articles: 0.0, downloaded: 0.16875, final_sharing_reputation: 0.05000000000000001, final_editing_reputation: 0.9999998795699853, constructive_edits: 0, destructive_edits: 77, votes: 313, mean_utility: 2.1587499999999995 }, \"rational\": BehaviorBreakdown { peers: 10, shared_bandwidth: 0.435, shared_articles: 0.48, downloaded: 0.3262922585715471, final_sharing_reputation: 0.29989299154003535, final_editing_reputation: 0.999466626352566, constructive_edits: 53, destructive_edits: 54, votes: 452, mean_utility: 3.158860085715471 }}, edit_outcomes: EditOutcomeCounts { accepted_constructive: 61, accepted_destructive: 78, declined_constructive: 69, declined_destructive: 53, pending: 0 }, mean_article_quality: 0.6831762349091334, completed_downloads: 421, evaluation_steps: 80, seed: 12648430 }";

@@ -1,9 +1,9 @@
 //! Property tests: the sharded ledger is observationally identical to the
 //! dense ledger for arbitrary interleavings of sharing and editing
-//! contributions — recorded inline, batched, or batch-applied in parallel —
-//! and the reputations it stores beside each record always equal a fresh
-//! evaluation of the contributions it exports, whichever mutator wrote
-//! them last.
+//! contributions — recorded inline, or with the sharing contributions
+//! batched and batch-applied in parallel — and the reputations it stores
+//! beside each record always equal a fresh evaluation of the contributions
+//! it exports, whichever mutator wrote them last.
 
 use collabsim_workspace::reputation::contribution::{
     ContributionDelta, ContributionParams, EditingAction, SharingAction,
@@ -108,14 +108,20 @@ fn assert_reputations_follow_contributions(
     }
 }
 
-/// Pushes one decoded op into a batch.
-fn push_op(batch: &mut DeltaBatch, op: (usize, u32, f64, f64), peers: usize) {
+/// Pushes one decoded sharing op into a batch, or records one decoded
+/// editing op inline.
+fn push_op(
+    batch: &mut DeltaBatch,
+    ledger: &mut ShardedLedger,
+    op: (usize, u32, f64, f64),
+    peers: usize,
+) {
     let (peer, sharing, editing) = decode_op(op, peers);
     if let Some(action) = sharing {
         batch.push(ContributionDelta::sharing(peer, action));
     }
     if let Some(action) = editing {
-        batch.push(ContributionDelta::editing(peer, action));
+        ledger.record_editing(peer, &action);
     }
 }
 
@@ -145,9 +151,10 @@ proptest! {
     }
 
     /// The collect-then-apply protocol: ops are grouped into arbitrary
-    /// step batches, bucketed per shard, and applied both sequentially and
-    /// with parallel workers — all three executions must agree bitwise
-    /// with the dense ledger recording the same interleaving inline.
+    /// steps; each step's sharing ops are bucketed per shard and applied
+    /// both sequentially and with parallel workers, and its editing ops are
+    /// recorded inline — both executions must agree bitwise with the dense
+    /// ledger recording the same interleaving inline.
     #[test]
     fn batched_and_parallel_apply_match_dense(
         peers in 1usize..40,
@@ -173,8 +180,8 @@ proptest! {
                 }
                 if let Some(action) = editing {
                     reference.record_editing(peer, &action);
-                    batch_sequential.push(ContributionDelta::editing(peer, action));
-                    batch_parallel.push(ContributionDelta::editing(peer, action));
+                    sequential.record_editing(peer, &action);
+                    parallel.record_editing(peer, &action);
                 }
             }
             sequential.apply(&batch_sequential);
@@ -185,8 +192,9 @@ proptest! {
     }
 
     /// Random sequences over every mutator that writes a contribution:
-    /// inline recording, batched and parallel apply (each batch carries two
-    /// ops, on two peers), the churn discount, the malicious-editor
+    /// inline recording, batched and parallel apply (two ops, on two peers,
+    /// whose sharing halves are batched and editing halves recorded
+    /// inline), the churn discount, the malicious-editor
     /// punishment, a whitewash, the phase-switch reset and a restore from
     /// another peer's export. After every op, every peer's stored
     /// reputations are bitwise the function of its contributions.
@@ -219,8 +227,8 @@ proptest! {
                 }
                 4 | 5 => {
                     batch.clear();
-                    push_op(&mut batch, (peer, other_raw as u32, a, b), peers);
-                    push_op(&mut batch, (other, peer_raw as u32, b, a), peers);
+                    push_op(&mut batch, &mut tested, (peer, other_raw as u32, a, b), peers);
+                    push_op(&mut batch, &mut tested, (other, peer_raw as u32, b, a), peers);
                     if kind == 4 {
                         tested.apply(&batch);
                         "apply"

@@ -7,9 +7,8 @@
 //!   skips. Both sides share one RNG stream (only the reference agents
 //!   draw), so any divergence is a storage bug, not sampling noise.
 //! * **Shard splitting** — learning through [`AgentTable::split_mut`]
-//!   shards and utility accumulation through
-//!   [`AccumulatorTable::split_mut`] shards must equal the sequential
-//!   whole-table updates bitwise, for arbitrary shard bounds.
+//!   shards must equal sequential whole-table learning bitwise, for
+//!   arbitrary shard bounds.
 //! * **Active sets** — after every step of a churned, attacked simulation
 //!   (departures, re-entries, whitewashes, scheduled adversary rejoins),
 //!   the incrementally maintained [`ActiveSets`] must equal a
@@ -20,8 +19,8 @@
 use collabsim_workspace::collabsim::adversary::AdversarySpec;
 use collabsim_workspace::collabsim::config::PhaseConfig;
 use collabsim_workspace::collabsim::{
-    AccumulatorTable, ActiveSets, AgentState, AgentTable, BehaviorMix, BehaviorType, CollabAgent,
-    Simulation, SimulationConfig, WorldView,
+    ActiveSets, AgentState, AgentTable, BehaviorMix, BehaviorType, CollabAgent, Simulation,
+    SimulationConfig, WorldView,
 };
 use collabsim_workspace::netsim::churn::ChurnModel;
 use collabsim_workspace::rl::qlearning::QLearningParams;
@@ -190,70 +189,6 @@ proptest! {
                 }
                 _ => prop_assert!(false, "learner flag diverged for peer {}", p),
             }
-        }
-    }
-
-    /// Accumulating through disjoint [`AccumulatorTable::split_mut`] shards
-    /// equals sequential whole-table accumulation bitwise.
-    #[test]
-    fn sharded_accumulation_matches_sequential_accumulation(
-        population in 1usize..32,
-        events in 0usize..200,
-        seed in 0u64..1_000_000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let trace: Vec<(usize, usize, f64)> = (0..events)
-            .map(|_| (rng.gen_range(0..population), rng.gen_range(0..8usize), rng.gen_range(0.0..2.0)))
-            .collect();
-
-        let mut sequential = AccumulatorTable::new(population);
-        for &(p, field, amount) in &trace {
-            match field {
-                0 => sequential.shared_bandwidth_sum[p] += amount,
-                1 => sequential.shared_articles_sum[p] += amount,
-                2 => sequential.downloaded_sum[p] += amount,
-                3 => sequential.utility_sum[p] += amount,
-                4 => sequential.constructive_edits[p] += 1,
-                5 => sequential.destructive_edits[p] += 1,
-                6 => sequential.votes[p] += 1,
-                _ => sequential.steps[p] += 1,
-            }
-        }
-
-        let mut sharded = AccumulatorTable::new(population);
-        let bounds = draw_bounds(population, &mut rng);
-        {
-            let mut shards = sharded.split_mut(&bounds);
-            for &(p, field, amount) in &trace {
-                let shard = shards
-                    .iter_mut()
-                    .find(|s| p >= s.start && p < s.start + s.steps.len())
-                    .expect("bounds cover the population");
-                let i = p - shard.start;
-                match field {
-                    0 => shard.shared_bandwidth_sum[i] += amount,
-                    1 => shard.shared_articles_sum[i] += amount,
-                    2 => shard.downloaded_sum[i] += amount,
-                    3 => shard.utility_sum[i] += amount,
-                    4 => shard.constructive_edits[i] += 1,
-                    5 => shard.destructive_edits[i] += 1,
-                    6 => shard.votes[i] += 1,
-                    _ => shard.steps[i] += 1,
-                }
-            }
-        }
-
-        for p in 0..population {
-            let a = sequential.peer(p);
-            let b = sharded.peer(p);
-            prop_assert_eq!(a.shared_bandwidth_sum.to_bits(), b.shared_bandwidth_sum.to_bits());
-            prop_assert_eq!(a.shared_articles_sum.to_bits(), b.shared_articles_sum.to_bits());
-            prop_assert_eq!(a.downloaded_sum.to_bits(), b.downloaded_sum.to_bits());
-            prop_assert_eq!(a.utility_sum.to_bits(), b.utility_sum.to_bits());
-            prop_assert_eq!(a.constructive_edits, b.constructive_edits);
-            prop_assert_eq!(a.destructive_edits, b.destructive_edits);
-            prop_assert_eq!(a.votes, b.votes);
-            prop_assert_eq!(a.steps, b.steps);
         }
     }
 

@@ -1,97 +1,77 @@
-//! Property tests of the batched transfer engine: the parallel
-//! [`GrantBatch`] path is bit-identical to a retained sequential reference
-//! allocator for arbitrary populations, offers and request sets, and the
-//! [`TransferManager`] free list recycles slots without losing any
-//! aggregate statistics.
+//! Property tests of the batched transfer engine: the [`RequestTable`]
+//! groups any request set by source exactly as the download phase's
+//! allocate-and-apply loop expects, and the [`TransferManager`] free list
+//! recycles slots without losing any aggregate statistics.
 
-use collabsim_workspace::collabsim::pipeline::{allocate_grants, GrantBatch, RequestTable};
+use collabsim_workspace::collabsim::pipeline::RequestTable;
 use collabsim_workspace::netsim::article::ArticleId;
-use collabsim_workspace::netsim::bandwidth::{
-    Allocation, AllocationPolicy, BandwidthAllocator, DownloadRequest,
-};
+use collabsim_workspace::netsim::bandwidth::DownloadRequest;
 use collabsim_workspace::netsim::peer::PeerId;
 use collabsim_workspace::netsim::transfer::{TransferManager, TransferStatus};
 use proptest::prelude::*;
-
-fn policy_from(kind: u32) -> AllocationPolicy {
-    match kind % 3 {
-        0 => AllocationPolicy::EqualSplit,
-        1 => AllocationPolicy::WeightedByReputation,
-        _ => AllocationPolicy::TitForTat,
-    }
-}
-
-/// The retained sequential reference path: one
-/// [`BandwidthAllocator::allocate`] call per active source, in ascending
-/// source order — the allocation protocol of the pre-batched engine.
-fn reference_grants(
-    allocator: &BandwidthAllocator,
-    table: &RequestTable,
-    offered: &[f64],
-) -> Vec<Allocation> {
-    let mut all = Vec::new();
-    for (k, &offer) in offered.iter().enumerate() {
-        let (_, requests, _) = table.bucket(k);
-        all.extend(allocator.allocate(offer, requests));
-    }
-    all
-}
+use std::collections::BTreeMap;
 
 proptest! {
-    /// Random populations, offers and request sets: fanning the grant
-    /// stage out over any worker count produces bitwise the same
-    /// allocations, in the same (source-ascending) order, as the
-    /// sequential reference allocator.
+    /// Random populations and request sets, over two steps of one reused
+    /// table: after `build`, the active sources are exactly the sources
+    /// requests were pushed to, ascending, and each source's bucket holds
+    /// that source's requests (bitwise) and transfer ids in push order —
+    /// the grouping the download phase allocates over.
     #[test]
-    fn parallel_grant_batches_match_sequential_reference(
+    fn request_table_groups_requests_by_source(
         population in 2usize..60,
-        threads in 1usize..7,
-        policy_kind in 0u32..3,
         ops in proptest::collection::vec(
             (0usize..60, 0usize..60, 0.0f64..1.0, 0.0f64..2.0, 0.0f64..3.0),
             0..80,
         ),
-        offers in proptest::collection::vec(0.0f64..2.0, 60..61),
+        split in 0usize..80,
     ) {
-        let allocator = BandwidthAllocator::new(policy_from(policy_kind));
+        let split = split.min(ops.len());
         let mut table = RequestTable::default();
-        table.begin_step(population);
-        for (i, &(downloader_raw, source_raw, reputation, capacity, uploaded)) in
-            ops.iter().enumerate()
-        {
-            let source = PeerId((source_raw % population) as u32);
-            table.push(
-                source,
-                DownloadRequest {
+        for step in [&ops[..split], &ops[split..]] {
+            table.begin_step(population);
+            let mut pushed: BTreeMap<u32, Vec<(DownloadRequest, u64)>> = BTreeMap::new();
+            for (i, &(downloader_raw, source_raw, reputation, capacity, uploaded)) in
+                step.iter().enumerate()
+            {
+                let source = PeerId((source_raw % population) as u32);
+                let request = DownloadRequest {
                     downloader: PeerId((downloader_raw % population) as u32),
                     sharing_reputation: reputation,
                     download_capacity: capacity,
                     uploaded_to_source: uploaded,
-                },
-                i as u64,
-            );
-        }
-        table.build();
-        let offered: Vec<f64> = table
-            .active_sources()
-            .iter()
-            .map(|&s| offers[s as usize])
-            .collect();
-
-        let reference = reference_grants(&allocator, &table, &offered);
-        let mut batches = Vec::new();
-        allocate_grants(&allocator, &table, &offered, &mut batches, threads);
-        let flattened: Vec<Allocation> = batches
-            .iter()
-            .flat_map(GrantBatch::allocations)
-            .copied()
-            .collect();
-        prop_assert_eq!(flattened.len(), reference.len());
-        prop_assert_eq!(flattened.len(), table.len());
-        for (got, want) in flattened.iter().zip(reference.iter()) {
-            prop_assert_eq!(got.downloader, want.downloader);
-            prop_assert_eq!(got.share.to_bits(), want.share.to_bits());
-            prop_assert_eq!(got.bandwidth.to_bits(), want.bandwidth.to_bits());
+                };
+                table.push(source, request, i as u64);
+                pushed.entry(source.0).or_default().push((request, i as u64));
+            }
+            table.build();
+            prop_assert_eq!(table.len(), step.len());
+            let sources: Vec<u32> = pushed.keys().copied().collect();
+            prop_assert_eq!(table.active_sources(), sources.as_slice());
+            for (k, (&source, expected)) in pushed.iter().enumerate() {
+                let (id, requests, transfers) = table.bucket(k);
+                prop_assert_eq!(id, PeerId(source));
+                prop_assert_eq!(requests.len(), expected.len());
+                prop_assert_eq!(transfers.len(), expected.len());
+                for ((got, &tid), (want, want_tid)) in
+                    requests.iter().zip(transfers).zip(expected)
+                {
+                    prop_assert_eq!(got.downloader, want.downloader);
+                    prop_assert_eq!(
+                        got.sharing_reputation.to_bits(),
+                        want.sharing_reputation.to_bits()
+                    );
+                    prop_assert_eq!(
+                        got.download_capacity.to_bits(),
+                        want.download_capacity.to_bits()
+                    );
+                    prop_assert_eq!(
+                        got.uploaded_to_source.to_bits(),
+                        want.uploaded_to_source.to_bits()
+                    );
+                    prop_assert_eq!(tid, *want_tid);
+                }
+            }
         }
     }
 
