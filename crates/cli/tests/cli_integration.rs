@@ -190,6 +190,20 @@ fn intra_step_threads_above_the_ceiling_is_a_typed_spec_error() {
 }
 
 #[test]
+fn reputation_states_above_the_ceiling_is_a_typed_spec_error() {
+    let golden = repo_root().join("scenarios/golden.spec");
+    // 2^62 states once overflowed the Q-table's capacity computation.
+    for states in ["65", "4611686018427387904"] {
+        let set = format!("reputation_states={states}");
+        let output = run_cli(&["run", golden.to_str().unwrap(), "--set", &set]);
+        assert_eq!(output.status.code(), Some(1), "{set}");
+        let err = stderr_of(&output);
+        assert!(err.contains("error[spec]"), "stderr: {err}");
+        assert!(err.contains("reputation_states"), "stderr: {err}");
+    }
+}
+
+#[test]
 fn threads_flag_above_the_ceiling_is_a_typed_flag_error() {
     let golden = repo_root().join("scenarios/golden.spec");
     let output = run_cli(&["run", golden.to_str().unwrap(), "--threads", "65"]);

@@ -8,10 +8,13 @@
 //! state as parallel dense arrays:
 //!
 //! * `behaviors[p]` — the peer's (immutable) behaviour type,
-//! * one flat rank-major Q-matrix block per *rational* peer (`learner_rank`
-//!   maps peer → block; ranks are assigned in ascending peer order, so a
-//!   contiguous peer range owns a contiguous Q range and the learning phase
-//!   can hand disjoint `&mut` shards to scoped workers),
+//! * the Q-values of every *rational* peer, bucket-major: one contiguous
+//!   plane per reputation bucket holding each learner's row for that bucket
+//!   in rank order (`learner_rank` maps peer → rank; ranks are assigned in
+//!   ascending peer order). Peers in the same bucket read neighbouring rows,
+//!   and a contiguous peer range owns a contiguous run of every plane, so
+//!   the selection and learning phases can hand disjoint `&mut` shards to
+//!   scoped workers,
 //! * `last_state`/`last_action` sentinel-encoded per peer (the delayed
 //!   Q-update's transition source).
 //!
@@ -28,18 +31,25 @@ use collabsim_rl::space::StateSpace;
 const NO_STATE: u32 = u32::MAX;
 const NO_ACTION: u8 = u8::MAX;
 
+/// The most reputation-bucket states a table holds (the paper uses 10).
+/// A shard keeps one plane slice per bucket in a fixed array of this size,
+/// so splitting the table allocates nothing per bucket.
+pub const MAX_REPUTATION_STATES: usize = 64;
+
 /// Struct-of-arrays storage for the whole agent population.
 #[derive(Debug, Clone)]
 pub struct AgentTable {
     behaviors: Vec<BehaviorType>,
     /// Prefix counts of rational peers: `learner_rank[p]` is the number of
     /// rational peers with id `< p` (length `population + 1`). For a
-    /// rational peer this is its Q-block rank.
+    /// rational peer this is its rank: the index of its row in every plane.
     learner_rank: Vec<u32>,
     params: QLearningParams,
     states: usize,
     actions: usize,
-    /// Rank-major flat Q-values: `learner_count × states × actions`.
+    /// Bucket-major flat Q-values, `states` planes of
+    /// `learner_count × actions`: the value of action `a` in bucket `b` for
+    /// the learner of rank `r` is `q[(b · learner_count + r) · actions + a]`.
     q: Vec<f64>,
     /// Q-update count per learner rank.
     updates: Vec<u64>,
@@ -51,15 +61,20 @@ pub struct AgentTable {
 
 impl AgentTable {
     /// Builds the table for a behaviour assignment; rational peers get a
-    /// Q-block over `states × 27` actions initialised to
+    /// Q-row over the 27 actions in each of `states` buckets, initialised to
     /// `params.initial_q`, like
     /// [`CollabAgent::new`](crate::agent::CollabAgent::new).
     ///
     /// # Panics
     ///
-    /// Panics on invalid `params` when the population contains at least one
-    /// rational peer (matching the per-agent construction it replaces).
+    /// Panics if `states` exceeds [`MAX_REPUTATION_STATES`], and on invalid
+    /// `params` when the population contains at least one rational peer
+    /// (matching the per-agent construction it replaces).
     pub fn new(behaviors: &[BehaviorType], states: StateSpace, params: QLearningParams) -> Self {
+        assert!(
+            states.len() <= MAX_REPUTATION_STATES,
+            "at most {MAX_REPUTATION_STATES} reputation states"
+        );
         let mut learner_rank = Vec::with_capacity(behaviors.len() + 1);
         let mut rank = 0u32;
         for behavior in behaviors {
@@ -119,7 +134,7 @@ impl AgentTable {
         &self.params
     }
 
-    /// Number of reputation-bucket states per Q-block.
+    /// Number of reputation-bucket states (Q-planes).
     pub fn state_count(&self) -> usize {
         self.states
     }
@@ -129,30 +144,23 @@ impl AgentTable {
         self.actions
     }
 
+    /// The rational peer's rank: the index of its row in every plane.
     #[inline]
-    fn block_start(&self, peer: usize) -> usize {
-        debug_assert!(self.is_learning(peer), "peer {peer} has no Q-block");
-        self.learner_rank[peer] as usize * self.states * self.actions
+    fn rank(&self, peer: usize) -> usize {
+        debug_assert!(self.is_learning(peer), "peer {peer} has no Q-values");
+        self.learner_rank[peer] as usize
     }
 
     /// The rational peer's Q-row for a state bucket.
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if the peer is not rational.
+    /// Panics if `bucket` is not below [`state_count`](Self::state_count)
+    /// (in debug builds, also if the peer is not rational).
     #[inline]
     pub fn q_row(&self, peer: usize, bucket: usize) -> &[f64] {
-        let start = self.block_start(peer) + bucket * self.actions;
+        let start = (bucket * self.learner_count() + self.rank(peer)) * self.actions;
         &self.q[start..start + self.actions]
-    }
-
-    /// The rational peer's full Q-block (`states × actions`, row-major), or
-    /// `None` for fixed-behaviour peers.
-    pub fn q_block(&self, peer: usize) -> Option<&[f64]> {
-        self.is_learning(peer).then(|| {
-            let start = self.block_start(peer);
-            &self.q[start..start + self.states * self.actions]
-        })
     }
 
     /// Records the `(state, action)` a peer chose this step — what
@@ -188,19 +196,17 @@ impl AgentTable {
         if !self.is_learning(peer) {
             return;
         }
-        let rank = self.learner_rank[peer] as usize;
-        let block_len = self.states * self.actions;
-        let block = &mut self.q[rank * block_len..(rank + 1) * block_len];
-        q_update(
+        let (bucket, action) = recorded_choice(self.last_state[peer], self.last_action[peer]);
+        let rank = self.rank(peer);
+        let row = |bucket: usize| (bucket * self.learner_count() + rank) * self.actions;
+        let (cell, next) = (row(bucket) + action, row(next_bucket));
+        self.q[cell] = updated_q(
             &self.params,
-            self.actions,
-            block,
-            &mut self.updates[rank],
-            self.last_state[peer],
-            self.last_action[peer],
+            self.q[cell],
             reward,
-            next_bucket,
+            &self.q[next..next + self.actions],
         );
+        self.updates[rank] += 1;
     }
 
     /// Q-update count of a peer (0 for fixed-behaviour peers).
@@ -217,7 +223,7 @@ impl AgentTable {
         self.updates.iter().sum()
     }
 
-    /// The full rank-major flat Q-value array (checkpoint export).
+    /// The full bucket-major flat Q-value array (checkpoint export).
     pub fn q_values(&self) -> &[f64] {
         &self.q
     }
@@ -295,6 +301,12 @@ impl AgentTable {
     /// The whole table as one mutable shard: the selection phase's
     /// single-worker path, which allocates nothing.
     pub fn as_shard_mut(&mut self) -> AgentShardMut<'_> {
+        let mut planes = empty_planes();
+        // `max(1)`: a table without learners has no rows to chunk.
+        let plane_len = (self.learner_count() * self.actions).max(1);
+        for (plane, rows) in planes.iter_mut().zip(self.q.chunks_exact_mut(plane_len)) {
+            *plane = rows;
+        }
         AgentShardMut {
             start: 0,
             end: self.behaviors.len(),
@@ -304,7 +316,7 @@ impl AgentTable {
             params: self.params,
             states: self.states,
             actions: self.actions,
-            q: &mut self.q,
+            planes,
             updates: &mut self.updates,
             last_state: &mut self.last_state,
             last_action: &mut self.last_action,
@@ -315,7 +327,7 @@ impl AgentTable {
     /// indices, ascending, starting at 0 and ending at the population), so
     /// the selection and learning phases' scoped workers can handle
     /// contiguous peer ranges in parallel. Ranks are monotone in peer id,
-    /// so each peer range owns a contiguous Q range.
+    /// so each peer range owns a contiguous run of rows in every plane.
     pub fn split_mut(&mut self, bounds: &[usize]) -> Vec<AgentShardMut<'_>> {
         assert!(bounds.len() >= 2, "need at least one range");
         assert_eq!(*bounds.first().unwrap(), 0, "ranges must start at 0");
@@ -324,44 +336,17 @@ impl AgentTable {
             self.behaviors.len(),
             "ranges must cover the population"
         );
-        let block_len = self.states * self.actions;
-        let mut shards = Vec::with_capacity(bounds.len() - 1);
-        let mut q_rest = self.q.as_mut_slice();
-        let mut updates_rest = self.updates.as_mut_slice();
-        let mut state_rest = self.last_state.as_mut_slice();
-        let mut action_rest = self.last_action.as_mut_slice();
-        let mut rank_base = 0usize;
-        for window in bounds.windows(2) {
-            let (start, end) = (window[0], window[1]);
-            assert!(start <= end, "bounds must be ascending");
-            let rank_end = self.learner_rank[end] as usize;
-            let ranks = rank_end - rank_base;
-            let (q, q_tail) = q_rest.split_at_mut(ranks * block_len);
-            let (updates, updates_tail) = updates_rest.split_at_mut(ranks);
-            let (last_state, state_tail) = state_rest.split_at_mut(end - start);
-            let (last_action, action_tail) = action_rest.split_at_mut(end - start);
-            shards.push(AgentShardMut {
-                start,
-                end,
-                rank_base,
-                behaviors: &self.behaviors,
-                learner_rank: &self.learner_rank,
-                params: self.params,
-                states: self.states,
-                actions: self.actions,
-                q,
-                updates,
-                last_state,
-                last_action,
-            });
-            q_rest = q_tail;
-            updates_rest = updates_tail;
-            state_rest = state_tail;
-            action_rest = action_tail;
-            rank_base = rank_end;
-        }
-        shards
+        let mut rest = self.as_shard_mut();
+        bounds[1..]
+            .iter()
+            .map(|&end| rest.split_front(end))
+            .collect()
     }
+}
+
+/// No plane slices yet: every entry empty.
+fn empty_planes<'a>() -> [&'a mut [f64]; MAX_REPUTATION_STATES] {
+    std::array::from_fn(|_| Default::default())
 }
 
 /// A disjoint mutable shard of an [`AgentTable`] covering a contiguous peer
@@ -376,13 +361,15 @@ pub struct AgentShardMut<'a> {
     params: QLearningParams,
     states: usize,
     actions: usize,
-    q: &'a mut [f64],
+    /// The shard's rows of each bucket plane, in rank order from
+    /// `rank_base` (entries from `states` on are empty).
+    planes: [&'a mut [f64]; MAX_REPUTATION_STATES],
     updates: &'a mut [u64],
     last_state: &'a mut [u32],
     last_action: &'a mut [u8],
 }
 
-impl AgentShardMut<'_> {
+impl<'a> AgentShardMut<'a> {
     /// The absolute peer range this shard owns.
     pub fn range(&self) -> std::ops::Range<usize> {
         self.start..self.end
@@ -400,18 +387,23 @@ impl AgentShardMut<'_> {
         self.behaviors[peer] == BehaviorType::Rational
     }
 
+    /// The rational peer's row index within the shard's part of each plane.
+    #[inline]
+    fn rank(&self, peer: usize) -> usize {
+        debug_assert!(self.is_learning(peer), "peer {peer} has no Q-values");
+        self.learner_rank[peer] as usize - self.rank_base
+    }
+
     /// Shard-local [`AgentTable::q_row`].
     ///
     /// # Panics
     ///
-    /// Panics if the peer's Q-block lies outside the shard (in debug
-    /// builds, also if the peer is not rational).
+    /// Panics if the peer's Q-row lies outside the shard or `bucket` is
+    /// out of range (in debug builds, also if the peer is not rational).
     #[inline]
     pub fn q_row(&self, peer: usize, bucket: usize) -> &[f64] {
-        debug_assert!(self.is_learning(peer), "peer {peer} has no Q-block");
-        let rank = self.learner_rank[peer] as usize - self.rank_base;
-        let start = (rank * self.states + bucket) * self.actions;
-        &self.q[start..start + self.actions]
+        let start = self.rank(peer) * self.actions;
+        &self.planes[bucket][start..start + self.actions]
     }
 
     /// Shard-local [`AgentTable::record_choice`].
@@ -441,51 +433,82 @@ impl AgentShardMut<'_> {
         if !self.is_learning(peer) {
             return;
         }
-        let rank = self.learner_rank[peer] as usize - self.rank_base;
-        let block_len = self.states * self.actions;
-        let block = &mut self.q[rank * block_len..(rank + 1) * block_len];
-        q_update(
+        let i = peer - self.start;
+        let (bucket, action) = recorded_choice(self.last_state[i], self.last_action[i]);
+        let rank = self.rank(peer);
+        let row = rank * self.actions;
+        self.planes[bucket][row + action] = updated_q(
             &self.params,
-            self.actions,
-            block,
-            &mut self.updates[rank],
-            self.last_state[peer - self.start],
-            self.last_action[peer - self.start],
+            self.planes[bucket][row + action],
             reward,
-            next_bucket,
+            &self.planes[next_bucket][row..row + self.actions],
         );
+        self.updates[rank] += 1;
+    }
+
+    /// Takes the peers from the shard's start up to `end` off its front as
+    /// a shard of their own.
+    fn split_front(&mut self, end: usize) -> AgentShardMut<'a> {
+        assert!(
+            self.start <= end && end <= self.end,
+            "bounds must be ascending"
+        );
+        let rank_end = self.learner_rank[end] as usize;
+        let ranks = rank_end - self.rank_base;
+        let mut planes = empty_planes();
+        for (front, rest) in planes.iter_mut().zip(&mut self.planes[..self.states]) {
+            let (rows, tail) = std::mem::take(rest).split_at_mut(ranks * self.actions);
+            *front = rows;
+            *rest = tail;
+        }
+        let (updates, updates_tail) = std::mem::take(&mut self.updates).split_at_mut(ranks);
+        let peers = end - self.start;
+        let (last_state, state_tail) = std::mem::take(&mut self.last_state).split_at_mut(peers);
+        let (last_action, action_tail) = std::mem::take(&mut self.last_action).split_at_mut(peers);
+        let front = AgentShardMut {
+            start: self.start,
+            end,
+            rank_base: self.rank_base,
+            behaviors: self.behaviors,
+            learner_rank: self.learner_rank,
+            params: self.params,
+            states: self.states,
+            actions: self.actions,
+            planes,
+            updates,
+            last_state,
+            last_action,
+        };
+        self.start = end;
+        self.rank_base = rank_end;
+        self.updates = updates_tail;
+        self.last_state = state_tail;
+        self.last_action = action_tail;
+        front
     }
 }
 
-/// The shared Q-update kernel: exactly
-/// [`QLearningAgent::update`](collabsim_rl::qlearning::QLearningAgent::update)
-/// on a flat block, including the "prior choose" contract of
-/// [`CollabAgent::learn`](crate::agent::CollabAgent::learn).
-#[allow(clippy::too_many_arguments)]
+/// The recorded `(bucket, action)` a Q-update credits: the "prior choose"
+/// contract of [`CollabAgent::learn`](crate::agent::CollabAgent::learn).
 #[inline]
-fn q_update(
-    params: &QLearningParams,
-    actions: usize,
-    block: &mut [f64],
-    updates: &mut u64,
-    last_state: u32,
-    last_action: u8,
-    reward: f64,
-    next_bucket: usize,
-) {
+fn recorded_choice(last_state: u32, last_action: u8) -> (usize, usize) {
     assert!(
         last_state != NO_STATE && last_action != NO_ACTION,
         "learn() requires a prior choose() call"
     );
+    (last_state as usize, last_action as usize)
+}
+
+/// The shared Q-update kernel: exactly
+/// [`QLearningAgent::update`](collabsim_rl::qlearning::QLearningAgent::update)
+/// of the cell holding `old`, towards the best value of `next_row`.
+#[inline]
+fn updated_q(params: &QLearningParams, old: f64, reward: f64, next_row: &[f64]) -> f64 {
     debug_assert!(reward.is_finite(), "reward must be finite");
     let alpha = params.learning_rate;
     let gamma = params.discount;
-    let index = last_state as usize * actions + last_action as usize;
-    let old = block[index];
-    let next_row = &block[next_bucket * actions..(next_bucket + 1) * actions];
     let future = next_row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    block[index] = (1.0 - alpha) * old + alpha * (reward + gamma * future);
-    *updates += 1;
+    (1.0 - alpha) * old + alpha * (reward + gamma * future)
 }
 
 #[cfg(test)]
@@ -522,6 +545,39 @@ mod tests {
         assert!(t.is_learning(1));
         assert_eq!(t.q.len(), 3 * 10 * 27);
         assert_eq!(t.action_count(), 27);
+    }
+
+    #[test]
+    fn q_values_are_bucket_major() {
+        let mut t = table();
+        // Each cell holds its own index in the flat array.
+        let q: Vec<f64> = (0..t.q_values().len()).map(|i| i as f64).collect();
+        let (updates, states, actions) = (vec![0; 3], vec![NO_STATE; 5], vec![NO_ACTION; 5]);
+        t.restore_learning_state(&q, &updates, &states, &actions);
+        let expected = |rank: usize, bucket: usize| -> Vec<f64> {
+            let start = (bucket * 3 + rank) * 27;
+            (start..start + 27).map(|i| i as f64).collect()
+        };
+        for (peer, rank) in [(1usize, 0usize), (3, 1), (4, 2)] {
+            for bucket in 0..10 {
+                assert_eq!(t.q_row(peer, bucket), expected(rank, bucket));
+            }
+        }
+        assert_eq!(t.as_shard_mut().q_row(4, 9), expected(2, 9));
+        let shards = t.split_mut(&[0, 2, 2, 4, 5]);
+        assert_eq!(shards[0].q_row(1, 0), expected(0, 0));
+        assert_eq!(shards[2].q_row(3, 5), expected(1, 5));
+        assert_eq!(shards[3].q_row(4, 9), expected(2, 9));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 reputation states")]
+    fn more_states_than_the_ceiling_are_refused() {
+        AgentTable::new(
+            &behaviors(),
+            StateSpace::new(MAX_REPUTATION_STATES + 1),
+            QLearningParams::default(),
+        );
     }
 
     #[test]

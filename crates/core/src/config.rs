@@ -8,6 +8,7 @@
 //! behaviour-mix sweep convention of Section IV-B.
 
 use crate::adversary::AdversarySpec;
+use crate::agent_table::MAX_REPUTATION_STATES;
 use crate::incentive::IncentiveScheme;
 use crate::spec::SpecError;
 use crate::threads::MAX_THREADS;
@@ -144,7 +145,8 @@ impl PhaseConfig {
 pub struct SimulationConfig {
     /// Number of peers (paper: 100).
     pub population: usize,
-    /// Number of reputation-bucket states for the Q-learner (paper: 10).
+    /// Number of reputation-bucket states for the Q-learner (paper: 10; at
+    /// most [`MAX_REPUTATION_STATES`]).
     pub reputation_states: usize,
     /// Minimum reputation `R_min` (paper: 0.05). Must match the reputation
     /// function's newcomer value; the default logistic `g = 19` gives 0.05.
@@ -463,6 +465,12 @@ impl SimulationConfig {
             self.reputation_states > 0,
             "need at least one reputation state",
         )?;
+        if self.reputation_states > MAX_REPUTATION_STATES {
+            return Err(SpecError::invalid(
+                "reputation_states",
+                &format!("at most {MAX_REPUTATION_STATES} reputation states"),
+            ));
+        }
         ensure(
             "min_reputation",
             self.min_reputation > 0.0 && self.min_reputation < 1.0,
@@ -641,6 +649,22 @@ mod tests {
                     assert_eq!(field, "intra_step_threads", "{threads}")
                 }
                 other => panic!("intra_step_threads = {threads}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn reputation_states_are_bounded() {
+        for states in [0, MAX_REPUTATION_STATES + 1, 1 << 62, usize::MAX] {
+            let c = SimulationConfig {
+                reputation_states: states,
+                ..SimulationConfig::default()
+            };
+            match c.check() {
+                Err(SpecError::InvalidField { field, .. }) => {
+                    assert_eq!(field, "reputation_states", "{states}")
+                }
+                other => panic!("reputation_states = {states}: {other:?}"),
             }
         }
     }

@@ -14,11 +14,12 @@ use crate::world::{ServiceReputation, SimWorld};
 /// learner is suspended while the strategy drives, so a forced step can
 /// never be credited to the agent's own last choice.
 ///
-/// Each update touches only that peer's Q-block and reads only frozen step
+/// Each update touches only that peer's Q-rows and reads only frozen step
 /// state (the rewards vector and the post-step ledger), so the phase fans
 /// contiguous peer ranges out over the intra-step workers via
 /// [`AgentTable::split_mut`](crate::agent_table::AgentTable::split_mut) —
-/// bit-identical at any worker count.
+/// bit-identical at any worker count. The Q-values are bucket-major, so
+/// consecutive learners in the same bucket update neighbouring rows.
 pub struct LearningPhase;
 
 impl StepPhase for LearningPhase {

@@ -242,7 +242,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// A 301-peer world of all three behaviours at `threads` intra-step
-    /// workers, with random Q-blocks, spread-out sharing reputations,
+    /// workers, with random Q-values, spread-out sharing reputations,
     /// every seventh peer offline and one adversary unit forcing its
     /// peers' actions. Everything but the worker count is the same for
     /// every `threads`.

@@ -60,10 +60,12 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"COLLBSNP";
 /// switched the trailing content hash to XXH64; version 5 replaced the
 /// edit log and the revision histories with decided-edit tallies, the
 /// pending edits, revision counts and voter sets; version 6 replaced the
-/// held and offered id lists with the article store's bitset tables.
-/// Files of any other version are refused with a typed
-/// [`SnapshotError::VersionMismatch`] rather than misparsed.
-pub const SNAPSHOT_VERSION: u16 = 6;
+/// held and offered id lists with the article store's bitset tables;
+/// version 7 stores the Q-values bucket-major (one plane per reputation
+/// bucket) instead of one block per learner. Files of any other version
+/// are refused with a typed [`SnapshotError::VersionMismatch`] rather than
+/// misparsed.
+pub const SNAPSHOT_VERSION: u16 = 7;
 
 /// The most `u64` words an article-store row can need: every article id
 /// is a `u32`, so 2³² bits cover them all.
@@ -158,7 +160,8 @@ pub struct WorldState {
     pub ledger: Vec<PeerLedgerState>,
     /// The transfer arena: every slot, the free list and retired totals.
     pub transfers: TransferArenaState,
-    /// Rank-major flat Q-values of every learner.
+    /// Bucket-major flat Q-values of every learner: one plane per
+    /// reputation bucket, each holding the learners' rows in rank order.
     pub q: Vec<f64>,
     /// Per-learner Q-update counters.
     pub updates: Vec<u64>,
@@ -1339,8 +1342,9 @@ mod tests {
         // 2 is the retired layout that still carried the DHT state, 3 the
         // next one under the previous content hash, 4 the last layout that
         // carried the full edit log, 5 the last one that carried the
-        // article store as id lists.
-        for version in [0x63u16, 2, 3, 4, 5] {
+        // article store as id lists, 6 the last one that stored the
+        // Q-values rank-major (same length, so it would read transposed).
+        for version in [0x63u16, 2, 3, 4, 5, 6] {
             let mut bytes = bytes.clone();
             bytes[8..10].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(

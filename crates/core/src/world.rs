@@ -417,8 +417,8 @@ pub struct SimWorld {
     pub allocator: BandwidthAllocator,
     /// In-flight and completed transfers.
     pub transfers: TransferManager,
-    /// Struct-of-arrays agent state (behaviour kinds, flat Q-blocks, last
-    /// choices), index-aligned with `behaviors`.
+    /// Struct-of-arrays agent state (behaviour kinds, bucket-major Q-planes,
+    /// last choices), index-aligned with `behaviors`.
     pub agents: AgentTable,
     /// Behaviour type per peer.
     pub behaviors: Vec<BehaviorType>,

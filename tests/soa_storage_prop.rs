@@ -1,14 +1,16 @@
 //! Property tests pinning the struct-of-arrays hot state bitwise against
 //! the per-peer reference structs, plus the active-set invariant:
 //!
-//! * **Agent storage** — [`AgentTable`] (rank-major flat Q storage) must
+//! * **Agent storage** — [`AgentTable`] (bucket-major flat Q storage) must
 //!   reproduce a `Vec<CollabAgent>` exactly, bit for bit, over random
 //!   traces of choices, Q-updates, offline gaps and adversary-forced
-//!   skips. Both sides share one RNG stream (only the reference agents
-//!   draw), so any divergence is a storage bug, not sampling noise.
+//!   skips, at a random number of reputation states. Both sides share one
+//!   RNG stream (only the reference agents draw), so any divergence is a
+//!   storage bug, not sampling noise.
 //! * **Shard splitting** — learning through [`AgentTable::split_mut`]
-//!   shards must equal sequential whole-table learning bitwise, for
-//!   arbitrary shard bounds.
+//!   shards must equal sequential whole-table learning bitwise, and every
+//!   shard must read the whole table's Q-rows, for arbitrary shard bounds
+//!   and state counts.
 //! * **Active sets** — after every step of a churned, attacked simulation
 //!   (departures, re-entries, whitewashes, scheduled adversary rejoins),
 //!   the incrementally maintained [`ActiveSets`] must equal a
@@ -29,7 +31,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const STATES: usize = 10;
+/// The most reputation states the properties draw.
+const MAX_STATES: usize = 12;
 const ACTIONS: usize = 27;
 
 /// Draws a behaviour assignment with all three types represented when the
@@ -47,12 +50,16 @@ fn draw_behaviors(population: usize, rng: &mut StdRng) -> Vec<BehaviorType> {
 /// Asserts the table reproduces the reference agents bitwise: learner
 /// flags, update counts, every Q-cell, and the greedy action per state.
 fn assert_table_matches(table: &AgentTable, reference: &[CollabAgent]) {
+    let states = table.state_count();
+    let learners = reference.iter().filter(|a| a.is_learning()).count();
+    // Only learners own Q-values.
+    assert_eq!(table.q_values().len(), learners * states * ACTIONS);
     for (p, agent) in reference.iter().enumerate() {
         assert_eq!(table.is_learning(p), agent.is_learning(), "peer {p} flag");
         let updates = agent.learner().map_or(0, |l| l.updates());
         assert_eq!(table.updates_of(p), updates, "peer {p} update count");
         if let Some(learner) = agent.learner() {
-            for s in 0..STATES {
+            for s in 0..states {
                 let row = table.q_row(p, s);
                 assert_eq!(row.len(), ACTIONS);
                 for (a, value) in row.iter().enumerate() {
@@ -71,7 +78,6 @@ fn assert_table_matches(table: &AgentTable, reference: &[CollabAgent]) {
                 );
             }
         } else {
-            assert!(table.q_block(p).is_none(), "fixed peer {p} owns no Q block");
             assert_eq!(table.greedy_action(p, 0), None);
         }
     }
@@ -99,11 +105,12 @@ proptest! {
     fn agent_table_matches_per_peer_agents_bitwise(
         population in 3usize..14,
         steps in 1usize..40,
+        state_count in 1usize..MAX_STATES + 1,
         seed in 0u64..1_000_000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let behaviors = draw_behaviors(population, &mut rng);
-        let states = StateSpace::new(STATES);
+        let states = StateSpace::new(state_count);
         let params = QLearningParams::default();
         let mut table = AgentTable::new(&behaviors, states, params);
         let mut reference: Vec<CollabAgent> = behaviors
@@ -128,7 +135,7 @@ proptest! {
                 if rng.gen_bool(0.1) {
                     continue;
                 }
-                let bucket = rng.gen_range(0..STATES);
+                let bucket = rng.gen_range(0..state_count);
                 let action = reference[p].choose(AgentState { bucket }, temperature, &mut rng);
                 table.record_choice(p, bucket, action.to_index());
                 prop_assert_eq!(table.last_state_bucket(p), Some(bucket));
@@ -137,7 +144,7 @@ proptest! {
                 // without one (e.g. the peer departs before utility).
                 if rng.gen_bool(0.85) {
                     let reward = rng.gen_range(-1.0..1.5);
-                    let next = rng.gen_range(0..STATES);
+                    let next = rng.gen_range(0..state_count);
                     reference[p].learn(reward, AgentState { bucket: next });
                     table.learn(p, reward, next);
                 }
@@ -147,47 +154,62 @@ proptest! {
     }
 
     /// Learning through disjoint [`AgentTable::split_mut`] shards equals
-    /// sequential whole-table learning bitwise, for arbitrary bounds.
+    /// sequential whole-table learning bitwise, and each shard reads the
+    /// whole table's Q-rows, for arbitrary bounds and state counts.
     #[test]
     fn sharded_learning_matches_sequential_learning(
         population in 2usize..24,
+        state_count in 1usize..MAX_STATES + 1,
         seed in 0u64..1_000_000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let behaviors = draw_behaviors(population, &mut rng);
-        let states = StateSpace::new(STATES);
+        let states = StateSpace::new(state_count);
         let params = QLearningParams::default();
         let mut sequential = AgentTable::new(&behaviors, states, params);
         for p in 0..population {
-            sequential.record_choice(p, rng.gen_range(0..STATES), rng.gen_range(0..ACTIONS));
+            sequential.record_choice(p, rng.gen_range(0..state_count), rng.gen_range(0..ACTIONS));
         }
         let mut sharded = sequential.clone();
         let rewards: Vec<(f64, usize)> = (0..population)
-            .map(|_| (rng.gen_range(-1.0..1.5), rng.gen_range(0..STATES)))
+            .map(|_| (rng.gen_range(-1.0..1.5), rng.gen_range(0..state_count)))
             .collect();
 
         for (p, &(reward, next)) in rewards.iter().enumerate() {
             sequential.learn(p, reward, next);
         }
         let bounds = draw_bounds(population, &mut rng);
-        for mut shard in sharded.split_mut(&bounds) {
+        let mut shards = sharded.split_mut(&bounds);
+        for shard in &mut shards {
             for p in shard.range() {
                 let (reward, next) = rewards[p];
                 shard.learn(p, reward, next);
             }
         }
+        for shard in &shards {
+            for p in shard.range().filter(|&p| sequential.is_learning(p)) {
+                for s in 0..state_count {
+                    let (a, b) = (sequential.q_row(p, s), shard.q_row(p, s));
+                    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                        prop_assert_eq!(x.to_bits(), y.to_bits(), "shard peer {} q[{}][{}]", p, s, i);
+                    }
+                }
+            }
+        }
+        drop(shards);
 
         prop_assert_eq!(sequential.total_updates(), sharded.total_updates());
         for p in 0..population {
             prop_assert_eq!(sequential.updates_of(p), sharded.updates_of(p), "peer {}", p);
-            match (sequential.q_block(p), sharded.q_block(p)) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-                        prop_assert_eq!(x.to_bits(), y.to_bits(), "peer {} cell {}", p, i);
-                    }
+            prop_assert_eq!(sequential.is_learning(p), sharded.is_learning(p), "peer {}", p);
+            if !sequential.is_learning(p) {
+                continue;
+            }
+            for s in 0..state_count {
+                let (a, b) = (sequential.q_row(p, s), sharded.q_row(p, s));
+                for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(), "peer {} q[{}][{}]", p, s, i);
                 }
-                _ => prop_assert!(false, "learner flag diverged for peer {}", p),
             }
         }
     }
