@@ -14,9 +14,9 @@ fn tiny_config(incentive: IncentiveScheme) -> SimulationConfig {
             evaluation_steps: 80,
             ..Default::default()
         },
+        incentive,
         ..Default::default()
     }
-    .with_incentive(incentive)
 }
 
 fn bench_fig3(c: &mut Criterion) {

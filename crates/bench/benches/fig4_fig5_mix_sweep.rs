@@ -14,12 +14,9 @@ fn mixed_config(altruistic_pct: u32) -> SimulationConfig {
             evaluation_steps: 80,
             ..Default::default()
         },
+        mix: BehaviorMix::sweep(BehaviorType::Altruistic, f64::from(altruistic_pct) / 100.0),
         ..Default::default()
     }
-    .with_mix(BehaviorMix::sweep(
-        BehaviorType::Altruistic,
-        f64::from(altruistic_pct) / 100.0,
-    ))
 }
 
 fn bench_fig4_fig5(c: &mut Criterion) {

@@ -14,9 +14,9 @@ fn config_with_mix(mix: BehaviorMix) -> SimulationConfig {
             evaluation_steps: 80,
             ..Default::default()
         },
+        mix,
         ..Default::default()
     }
-    .with_mix(mix)
 }
 
 fn bench_fig6_fig7(c: &mut Criterion) {

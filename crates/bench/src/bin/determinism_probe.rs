@@ -67,11 +67,11 @@ fn main() {
             evaluation_steps: 500,
             ..Default::default()
         },
+        mix: BehaviorMix::new(0.6, 0.2, 0.2),
+        ledger_shards: 8,
+        seed: 0xD1CE,
         ..Default::default()
-    }
-    .with_mix(BehaviorMix::new(0.6, 0.2, 0.2))
-    .with_ledger_shards(8)
-    .with_seed(0xD1CE);
+    };
     let spec = ScenarioSpec::from_config(paper).expect("probe spec is valid");
     let report = Simulation::from_spec(&spec)
         .expect("standard phases resolve")
@@ -89,11 +89,11 @@ fn main() {
             evaluation_steps: 200,
             ..Default::default()
         },
+        mix: BehaviorMix::new(0.2, 0.2, 0.6),
+        ledger_shards: 6,
+        seed: 0x0BA7_C4ED,
         ..Default::default()
-    }
-    .with_mix(BehaviorMix::new(0.2, 0.2, 0.6))
-    .with_ledger_shards(6)
-    .with_seed(0x0BA7_C4ED);
+    };
     let report = Simulation::new(download_heavy).run();
     println!("download-heavy/batched-grants: {report:?}");
 

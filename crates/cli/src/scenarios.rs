@@ -95,10 +95,11 @@ pub fn paper_mix_cells(phases: PhaseConfig) -> Vec<ScenarioSpec> {
     for primary in [BehaviorType::Altruistic, BehaviorType::Irrational] {
         for &pct in &MIX_SWEEP_PERCENTAGES {
             let fraction = f64::from(pct) / 100.0;
-            let config = base
-                .clone()
-                .with_mix(BehaviorMix::sweep(primary, fraction))
-                .with_seed(base.seed.wrapping_add(u64::from(pct)));
+            let config = SimulationConfig {
+                mix: BehaviorMix::sweep(primary, fraction),
+                seed: base.seed.wrapping_add(u64::from(pct)),
+                ..base.clone()
+            };
             let spec = ScenarioSpec::from_config(config)
                 .expect("mix grid configs are valid")
                 .with_label(format!("{}={}%", primary.label(), pct))

@@ -103,10 +103,10 @@ fn arms_config(scale: &ArmsScale, defence: &str) -> SimulationConfig {
         population: scale.population,
         initial_articles: scale.population / 2,
         phases: scale.phases,
+        mix: BehaviorMix::new(0.5, 0.3, 0.2),
+        seed: ARMS_SEED,
         ..Default::default()
-    }
-    .with_mix(BehaviorMix::new(0.5, 0.3, 0.2))
-    .with_seed(ARMS_SEED);
+    };
     apply_defence(&mut config, defence).expect("arms defence values are valid");
     config
 }

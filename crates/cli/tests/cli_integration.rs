@@ -159,47 +159,54 @@ fn unknown_network_model_override_is_a_typed_spec_error() {
     );
 }
 
+/// Out-of-domain `--set` values exit 1 with `error[spec]` naming their key,
+/// before any world is built (every value here is refused). Each case
+/// gives the part of stderr that names the key: the field a domain check
+/// refused, or the line a codec could not read.
 #[test]
-fn zero_temperature_override_is_a_typed_spec_error() {
+fn out_of_domain_set_values_are_typed_spec_errors() {
     let golden = repo_root().join("scenarios/golden.spec");
-    let output = run_cli(&[
-        "run",
-        golden.to_str().unwrap(),
-        "--set",
-        "evaluation_temperature=0",
-    ]);
-    assert_eq!(output.status.code(), Some(1));
-    let err = stderr_of(&output);
-    assert!(err.contains("error[spec]"), "stderr: {err}");
-    assert!(err.contains("evaluation_temperature"), "stderr: {err}");
-}
-
-#[test]
-fn intra_step_threads_above_the_ceiling_is_a_typed_spec_error() {
-    let golden = repo_root().join("scenarios/golden.spec");
-    let output = run_cli(&[
-        "run",
-        golden.to_str().unwrap(),
-        "--set",
-        "intra_step_threads=65",
-    ]);
-    assert_eq!(output.status.code(), Some(1));
-    let err = stderr_of(&output);
-    assert!(err.contains("error[spec]"), "stderr: {err}");
-    assert!(err.contains("intra_step_threads"), "stderr: {err}");
-}
-
-#[test]
-fn reputation_states_above_the_ceiling_is_a_typed_spec_error() {
-    let golden = repo_root().join("scenarios/golden.spec");
-    // 2^62 states once overflowed the Q-table's capacity computation.
-    for states in ["65", "4611686018427387904"] {
-        let set = format!("reputation_states={states}");
-        let output = run_cli(&["run", golden.to_str().unwrap(), "--set", &set]);
-        assert_eq!(output.status.code(), Some(1), "{set}");
+    let overflow = "adversary=collusion-ring,9223372036854775808,0";
+    let phases = "phases=adversary,selection,sharing,download,edit-vote,utility,learning";
+    let cases: &[(&str, &[&str])] = &[
+        (
+            "invalid `evaluation_temperature`",
+            &["evaluation_temperature=0"],
+        ),
+        ("invalid `intra_step_threads`", &["intra_step_threads=65"]),
+        ("invalid `reputation_states`", &["reputation_states=65"]),
+        // 2^62 states once overflowed the Q-table's capacity computation.
+        (
+            "invalid `reputation_states`",
+            &["reputation_states=4611686018427387904"],
+        ),
+        // NaN once got past `mix` (a panic) and the utility weights (NaN
+        // rewards and a NaN mean utility).
+        ("`mix = NaN,0.5,0.5`: ", &["mix=NaN,0.5,0.5"]),
+        (
+            "invalid `utility_sharing`",
+            &["utility_sharing=NaN,0.5,0.5"],
+        ),
+        ("invalid `utility_editing`", &["utility_editing=NaN,0.5"]),
+        // Peer and article ids are u32.
+        ("invalid `population`", &["population=4294967296"]),
+        (
+            "invalid `initial_articles`",
+            &["initial_articles=4294967296"],
+        ),
+        // Two units of 2^63 peers once summed to 0 claimed peers.
+        ("invalid `adversaries`", &[phases, overflow, overflow]),
+    ];
+    for (named, sets) in cases {
+        let mut args = vec!["run", golden.to_str().unwrap()];
+        for set in *sets {
+            args.extend(["--set", set]);
+        }
+        let output = run_cli(&args);
         let err = stderr_of(&output);
+        assert_eq!(output.status.code(), Some(1), "{sets:?}: {err}");
         assert!(err.contains("error[spec]"), "stderr: {err}");
-        assert!(err.contains("reputation_states"), "stderr: {err}");
+        assert!(err.contains(named), "stderr: {err}");
     }
 }
 

@@ -418,10 +418,14 @@ impl AdversaryRoster {
         population: usize,
         units: Vec<(String, usize, Box<dyn AdversaryStrategy>)>,
     ) -> Self {
-        let total: usize = units.iter().map(|(_, count, _)| count).sum();
+        let claimed = units
+            .iter()
+            .try_fold(0usize, |sum, (_, count, _)| sum.checked_add(*count));
         assert!(
-            total + 2 <= population,
-            "adversaries must leave at least two honest peers ({total} of {population} claimed)"
+            claimed
+                .and_then(|n| population.checked_sub(n))
+                .is_some_and(|honest| honest >= 2),
+            "adversaries must leave at least two honest peers of {population}"
         );
         let mut controller = vec![None; population];
         let mut built = Vec::with_capacity(units.len());

@@ -336,7 +336,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PhaseConfig;
+    use crate::config::{PhaseConfig, PropagationConfig, ReputationSource};
     use crate::incentive::IncentiveScheme;
     use crate::observer::TimingObserver;
     use collabsim_gametheory::behavior::BehaviorMix;
@@ -357,7 +357,10 @@ mod tests {
 
     #[test]
     fn construction_assigns_behaviors_according_to_mix() {
-        let config = quick_config().with_mix(BehaviorMix::new(0.5, 0.25, 0.25));
+        let config = SimulationConfig {
+            mix: BehaviorMix::new(0.5, 0.25, 0.25),
+            ..quick_config()
+        };
         let sim = Simulation::new(config);
         let rational = (0..20)
             .filter(|&p| sim.behavior(p) == BehaviorType::Rational)
@@ -414,7 +417,10 @@ mod tests {
 
     #[test]
     fn altruistic_population_shares_everything() {
-        let config = quick_config().with_mix(BehaviorMix::new(0.0, 1.0, 0.0));
+        let config = SimulationConfig {
+            mix: BehaviorMix::new(0.0, 1.0, 0.0),
+            ..quick_config()
+        };
         let mut sim = Simulation::new(config);
         let report = sim.run();
         assert!((report.shared_bandwidth - 1.0).abs() < 1e-9);
@@ -426,7 +432,10 @@ mod tests {
 
     #[test]
     fn irrational_population_shares_nothing() {
-        let config = quick_config().with_mix(BehaviorMix::new(0.0, 0.0, 1.0));
+        let config = SimulationConfig {
+            mix: BehaviorMix::new(0.0, 0.0, 1.0),
+            ..quick_config()
+        };
         let mut sim = Simulation::new(config);
         let report = sim.run();
         assert_eq!(report.shared_bandwidth, 0.0);
@@ -439,7 +448,10 @@ mod tests {
 
     #[test]
     fn same_seed_reproduces_identical_reports() {
-        let config = quick_config().with_seed(123);
+        let config = SimulationConfig {
+            seed: 123,
+            ..quick_config()
+        };
         let a = Simulation::new(config.clone()).run();
         let b = Simulation::new(config).run();
         assert_eq!(a, b);
@@ -447,8 +459,16 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let a = Simulation::new(quick_config().with_seed(1)).run();
-        let b = Simulation::new(quick_config().with_seed(2)).run();
+        let a = Simulation::new(SimulationConfig {
+            seed: 1,
+            ..quick_config()
+        })
+        .run();
+        let b = Simulation::new(SimulationConfig {
+            seed: 2,
+            ..quick_config()
+        })
+        .run();
         assert_ne!(a, b);
     }
 
@@ -471,7 +491,10 @@ mod tests {
 
     #[test]
     fn sharing_raises_reputation_of_altruistic_peers_during_run() {
-        let config = quick_config().with_mix(BehaviorMix::new(0.0, 0.5, 0.5));
+        let config = SimulationConfig {
+            mix: BehaviorMix::new(0.0, 0.5, 0.5),
+            ..quick_config()
+        };
         let mut sim = Simulation::new(config);
         let report = sim.run();
         let alt = report.breakdown(BehaviorType::Altruistic);
@@ -486,9 +509,11 @@ mod tests {
 
     #[test]
     fn altruistic_peers_download_more_than_freeriders_under_incentive() {
-        let config = quick_config()
-            .with_mix(BehaviorMix::new(0.0, 0.5, 0.5))
-            .with_incentive(IncentiveScheme::ReputationBased);
+        let config = SimulationConfig {
+            mix: BehaviorMix::new(0.0, 0.5, 0.5),
+            incentive: IncentiveScheme::ReputationBased,
+            ..quick_config()
+        };
         let mut sim = Simulation::new(config);
         let report = sim.run();
         let alt = report.breakdown(BehaviorType::Altruistic);
@@ -503,9 +528,11 @@ mod tests {
 
     #[test]
     fn without_incentive_downloads_are_not_differentiated() {
-        let config = quick_config()
-            .with_mix(BehaviorMix::new(0.0, 0.5, 0.5))
-            .with_incentive(IncentiveScheme::None);
+        let config = SimulationConfig {
+            mix: BehaviorMix::new(0.0, 0.5, 0.5),
+            incentive: IncentiveScheme::None,
+            ..quick_config()
+        };
         let mut sim = Simulation::new(config);
         let report = sim.run();
         let alt = report.breakdown(BehaviorType::Altruistic);
@@ -522,7 +549,10 @@ mod tests {
 
     #[test]
     fn edits_are_decided_and_counted() {
-        let config = quick_config().with_mix(BehaviorMix::new(0.0, 0.7, 0.3));
+        let config = SimulationConfig {
+            mix: BehaviorMix::new(0.0, 0.7, 0.3),
+            ..quick_config()
+        };
         let mut sim = Simulation::new(config);
         let report = sim.run();
         assert!(report.edit_outcomes.decided() > 0, "no edits were decided");
@@ -573,19 +603,32 @@ mod tests {
 
     #[test]
     fn forced_sharding_and_threading_do_not_change_results() {
-        let base = quick_config()
-            .with_mix(BehaviorMix::new(0.4, 0.3, 0.3))
-            .with_seed(7);
+        let base = SimulationConfig {
+            mix: BehaviorMix::new(0.4, 0.3, 0.3),
+            seed: 7,
+            ..quick_config()
+        };
         let plain = Simulation::new(base.clone()).run();
-        let sharded = Simulation::new(base.with_ledger_shards(5).with_intra_step_threads(3)).run();
+        let sharded = Simulation::new(SimulationConfig {
+            ledger_shards: 5,
+            intra_step_threads: 3,
+            ..base
+        })
+        .run();
         assert_eq!(plain, sharded);
     }
 
     #[test]
     fn propagation_phase_produces_a_global_reputation_vector() {
-        let config = quick_config()
-            .with_mix(BehaviorMix::new(0.0, 0.5, 0.5))
-            .with_propagation(PropagationScheme::EigenTrust, 25);
+        let config = SimulationConfig {
+            mix: BehaviorMix::new(0.0, 0.5, 0.5),
+            propagation: PropagationConfig {
+                scheme: Some(PropagationScheme::EigenTrust),
+                interval: 25,
+                ..Default::default()
+            },
+            ..quick_config()
+        };
         let mut sim = Simulation::new(config);
         assert_eq!(sim.pipeline().len(), 7);
         assert_eq!(sim.pipeline().phase_names().last(), Some(&"propagation"));
@@ -617,12 +660,21 @@ mod tests {
         // output (instead of the globally visible ledger) must change the
         // trajectory once the first propagation round has run — and stay
         // seed-deterministic.
-        let base = quick_config()
-            .with_mix(BehaviorMix::new(0.4, 0.3, 0.3))
-            .with_seed(11)
-            .with_propagation(PropagationScheme::EigenTrust, 25);
+        let base = SimulationConfig {
+            mix: BehaviorMix::new(0.4, 0.3, 0.3),
+            seed: 11,
+            propagation: PropagationConfig {
+                scheme: Some(PropagationScheme::EigenTrust),
+                interval: 25,
+                ..Default::default()
+            },
+            ..quick_config()
+        };
         let ledger_fed = Simulation::new(base.clone()).run();
-        let mut sim = Simulation::new(base.clone().with_propagated_reputation());
+        let mut sim = Simulation::new(SimulationConfig {
+            reputation_source: ReputationSource::Propagated,
+            ..base.clone()
+        });
         let propagated_fed = sim.run();
         assert_ne!(
             ledger_fed, propagated_fed,
@@ -634,7 +686,11 @@ mod tests {
         assert!(values
             .iter()
             .all(|&v| (r_min - 1e-12..=1.0 + 1e-12).contains(&v)));
-        let again = Simulation::new(base.with_propagated_reputation()).run();
+        let again = Simulation::new(SimulationConfig {
+            reputation_source: ReputationSource::Propagated,
+            ..base
+        })
+        .run();
         assert_eq!(propagated_fed, again, "seed-deterministic");
     }
 
@@ -643,11 +699,21 @@ mod tests {
         // Same seed, propagation on vs off: the report must be identical
         // because the propagation phase only reads the upload history and
         // draws from its own RNG stream.
-        let base = quick_config()
-            .with_mix(BehaviorMix::new(0.4, 0.3, 0.3))
-            .with_seed(99);
+        let base = SimulationConfig {
+            mix: BehaviorMix::new(0.4, 0.3, 0.3),
+            seed: 99,
+            ..quick_config()
+        };
         let without = Simulation::new(base.clone()).run();
-        let with = Simulation::new(base.with_propagation(PropagationScheme::Gossip, 50)).run();
+        let with = Simulation::new(SimulationConfig {
+            propagation: PropagationConfig {
+                scheme: Some(PropagationScheme::Gossip),
+                interval: 50,
+                ..Default::default()
+            },
+            ..base
+        })
+        .run();
         assert_eq!(without, with);
     }
 }

@@ -18,9 +18,9 @@
 //!    [`ScenarioRunner::run_specs_with_registries`] resolves custom phases
 //!    and strategies.
 //! 3. The figure helpers (`mix_sweep`, `figure3_*`, `ablation_*`) — each of
-//!    the paper's Figures 3–7 and the DESIGN.md ablations reduced to a grid
-//!    declaration plus a [`run_batch`] call, printed by the
-//!    `collabsim-bench` binaries.
+//!    the paper's Figures 3–7 and the two ablations (the logistic `β` and
+//!    the incentive scheme) reduced to a grid declaration plus a
+//!    [`run_batch`] call, printed by the `collabsim-bench` binaries.
 
 use crate::adversary::AdversaryRegistry;
 use crate::config::SimulationConfig;
@@ -199,15 +199,15 @@ impl ScenarioGrid {
             for (mix_label, parameter, mix) in &self.mixes {
                 for &scheme in &self.schemes {
                     for &seed in &self.seeds {
-                        let mut config = self
-                            .base
-                            .clone()
-                            .with_mix(*mix)
-                            .with_incentive(scheme)
-                            .with_seed(seed);
+                        let mut config = SimulationConfig {
+                            mix: *mix,
+                            incentive: scheme,
+                            seed,
+                            ..self.base.clone()
+                        };
                         let (label, parameter) = match population {
                             Some(peers) => {
-                                config = config.with_population(peers);
+                                config.population = peers;
                                 let label = format!(
                                     "pop={peers}/{mix_label}/{}/seed={seed}",
                                     scheme.label()
@@ -400,13 +400,15 @@ pub fn run_batch(configs: Vec<(String, f64, SimulationConfig)>) -> Vec<LabelledR
 /// population, with and without the incentive scheme. Returns
 /// `(with incentive, without incentive)`.
 pub fn figure3_incentive_vs_none(base: SimulationConfig) -> (LabelledReport, LabelledReport) {
-    let with = base
-        .clone()
-        .with_mix(BehaviorMix::all_rational())
-        .with_incentive(IncentiveScheme::ReputationBased);
-    let without = base
-        .with_mix(BehaviorMix::all_rational())
-        .with_incentive(IncentiveScheme::None);
+    let with = SimulationConfig {
+        mix: BehaviorMix::all_rational(),
+        incentive: IncentiveScheme::ReputationBased,
+        ..base.clone()
+    };
+    let without = SimulationConfig {
+        incentive: IncentiveScheme::None,
+        ..with.clone()
+    };
     let mut results = run_batch(vec![
         ("with-incentive".to_string(), 1.0, with),
         ("without-incentive".to_string(), 0.0, without),
@@ -428,23 +430,18 @@ pub fn figure3_replicated(
     assert!(replications > 0, "need at least one replication");
     let mut configs = Vec::new();
     for rep in 0..replications {
-        let seed = base.seed.wrapping_add(1_000 * rep as u64);
-        configs.push((
-            format!("with-incentive/seed{rep}"),
-            1.0,
-            base.clone()
-                .with_mix(BehaviorMix::all_rational())
-                .with_incentive(IncentiveScheme::ReputationBased)
-                .with_seed(seed),
-        ));
-        configs.push((
-            format!("without-incentive/seed{rep}"),
-            0.0,
-            base.clone()
-                .with_mix(BehaviorMix::all_rational())
-                .with_incentive(IncentiveScheme::None)
-                .with_seed(seed),
-        ));
+        let with = SimulationConfig {
+            mix: BehaviorMix::all_rational(),
+            incentive: IncentiveScheme::ReputationBased,
+            seed: base.seed.wrapping_add(1_000 * rep as u64),
+            ..base.clone()
+        };
+        let without = SimulationConfig {
+            incentive: IncentiveScheme::None,
+            ..with.clone()
+        };
+        configs.push((format!("with-incentive/seed{rep}"), 1.0, with));
+        configs.push((format!("without-incentive/seed{rep}"), 0.0, without));
     }
     let results = run_batch(configs);
     let (with, without): (Vec<LabelledReport>, Vec<LabelledReport>) = results
@@ -482,10 +479,11 @@ pub fn mix_sweep(base: SimulationConfig, primary: BehaviorType) -> Vec<LabelledR
         .iter()
         .map(|&pct| {
             let fraction = f64::from(pct) / 100.0;
-            let config = base
-                .clone()
-                .with_mix(BehaviorMix::sweep(primary, fraction))
-                .with_seed(base.seed.wrapping_add(u64::from(pct)));
+            let config = SimulationConfig {
+                mix: BehaviorMix::sweep(primary, fraction),
+                seed: base.seed.wrapping_add(u64::from(pct)),
+                ..base.clone()
+            };
             (
                 format!("{}={}%", primary.label(), pct),
                 f64::from(pct),
@@ -506,10 +504,11 @@ pub fn figure6_balanced_edit_behaviour(base: SimulationConfig) -> Vec<LabelledRe
         .iter()
         .map(|&pct| {
             let fraction = f64::from(pct) / 100.0;
-            let config = base
-                .clone()
-                .with_mix(BehaviorMix::sweep(BehaviorType::Rational, fraction))
-                .with_seed(base.seed.wrapping_add(u64::from(pct) * 31));
+            let config = SimulationConfig {
+                mix: BehaviorMix::sweep(BehaviorType::Rational, fraction),
+                seed: base.seed.wrapping_add(u64::from(pct) * 31),
+                ..base.clone()
+            };
             (format!("rational={pct}%"), f64::from(pct), config)
         })
         .collect();
@@ -536,8 +535,11 @@ pub fn ablation_reputation_beta(base: SimulationConfig, betas: &[f64]) -> Vec<La
     let configs = betas
         .iter()
         .map(|&beta| {
-            let mut config = base.clone().with_mix(BehaviorMix::all_rational());
-            config.reputation_beta = beta;
+            let config = SimulationConfig {
+                mix: BehaviorMix::all_rational(),
+                reputation_beta: beta,
+                ..base.clone()
+            };
             (format!("beta={beta}"), beta, config)
         })
         .collect();
@@ -552,7 +554,11 @@ pub fn ablation_schemes(base: SimulationConfig) -> Vec<LabelledReport> {
         .iter()
         .enumerate()
         .map(|(i, &scheme)| {
-            let config = base.clone().with_mix(mix).with_incentive(scheme);
+            let config = SimulationConfig {
+                mix,
+                incentive: scheme,
+                ..base.clone()
+            };
             (scheme.label().to_string(), i as f64, config)
         })
         .collect();
@@ -580,9 +586,30 @@ mod tests {
     #[test]
     fn run_batch_preserves_input_order() {
         let configs = vec![
-            ("a".to_string(), 1.0, tiny_base().with_seed(1)),
-            ("b".to_string(), 2.0, tiny_base().with_seed(2)),
-            ("c".to_string(), 3.0, tiny_base().with_seed(3)),
+            (
+                "a".to_string(),
+                1.0,
+                SimulationConfig {
+                    seed: 1,
+                    ..tiny_base()
+                },
+            ),
+            (
+                "b".to_string(),
+                2.0,
+                SimulationConfig {
+                    seed: 2,
+                    ..tiny_base()
+                },
+            ),
+            (
+                "c".to_string(),
+                3.0,
+                SimulationConfig {
+                    seed: 3,
+                    ..tiny_base()
+                },
+            ),
         ];
         let results = run_batch(configs);
         assert_eq!(results.len(), 3);
@@ -594,7 +621,10 @@ mod tests {
 
     #[test]
     fn run_batch_matches_sequential_execution() {
-        let config = tiny_base().with_seed(9);
+        let config = SimulationConfig {
+            seed: 9,
+            ..tiny_base()
+        };
         let parallel = run_batch(vec![
             ("x".to_string(), 0.0, config.clone()),
             ("y".to_string(), 0.0, config.clone()),
@@ -699,7 +729,10 @@ mod tests {
 
     #[test]
     fn default_grid_is_the_base_configuration() {
-        let base = tiny_base().with_seed(77);
+        let base = SimulationConfig {
+            seed: 77,
+            ..tiny_base()
+        };
         let grid = ScenarioGrid::new(base.clone());
         let cells = grid.cells();
         assert_eq!(cells.len(), 1);

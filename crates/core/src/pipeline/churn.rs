@@ -99,7 +99,10 @@ mod tests {
     }
 
     fn churn_config(model: ChurnModel) -> SimulationConfig {
-        quick_config().with_churn(model)
+        SimulationConfig {
+            churn: model,
+            ..quick_config()
+        }
     }
 
     #[test]

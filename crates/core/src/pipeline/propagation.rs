@@ -34,7 +34,8 @@ impl StepPhase for PropagationPhase {
         let Some(scheme) = world.config.propagation.scheme else {
             return;
         };
-        // `validate()` guarantees interval ≥ 1, and `ctx.now` is 1-based.
+        // `SimulationConfig::check` (via `PropagationConfig::check`) guarantees
+        // interval ≥ 1, and `ctx.now` is 1-based.
         if ctx.now % world.config.propagation.interval != 0 {
             return;
         }

@@ -251,10 +251,10 @@ mod tests {
             population: 301,
             intra_step_threads: threads,
             adversaries: vec![AdversarySpec::new("oscillating-freerider", 9)],
+            mix: BehaviorMix::new(0.5, 0.25, 0.25),
+            seed: 41,
             ..Default::default()
-        }
-        .with_mix(BehaviorMix::new(0.5, 0.25, 0.25))
-        .with_seed(41);
+        };
         let mut world = SimWorld::with_adversary_registry(config, &AdversaryRegistry::standard())
             .expect("valid configuration");
         let mut rng = StdRng::seed_from_u64(7);

@@ -54,7 +54,7 @@ fn collect_peer(
     // curve with β = 0.2), a single fully shared resource at C_S = 12
     // (R ≈ 0.35) and free-riding at C_S = 0 (R = 0.05) — giving the
     // Q-learner a visible reputation gradient across participation
-    // levels and across resource classes (see DESIGN.md).
+    // levels and across resource classes.
     bucket.push(ContributionDelta::sharing(
         peer,
         SharingAction {

@@ -1279,10 +1279,10 @@ mod tests {
                 evaluation_steps: 40,
                 ..Default::default()
             },
+            mix: BehaviorMix::new(0.5, 0.25, 0.25),
+            seed: 0xC0FFEE,
             ..Default::default()
-        }
-        .with_mix(BehaviorMix::new(0.5, 0.25, 0.25))
-        .with_seed(0xC0FFEE);
+        };
         ScenarioSpec::from_config(config).expect("valid config")
     }
 
@@ -1416,14 +1416,15 @@ mod tests {
                 evaluation_steps: 30,
                 ..Default::default()
             },
+            mix: BehaviorMix::new(0.5, 0.25, 0.25),
+            seed: 7,
+            propagation: crate::config::PropagationConfig {
+                scheme: Some(collabsim_reputation::propagation::PropagationScheme::EigenTrust),
+                interval: 10,
+                pretrusted: 0,
+            },
             ..Default::default()
-        }
-        .with_mix(BehaviorMix::new(0.5, 0.25, 0.25))
-        .with_seed(7)
-        .with_propagation(
-            collabsim_reputation::propagation::PropagationScheme::EigenTrust,
-            10,
-        );
+        };
         config.churn = collabsim_netsim::churn::ChurnModel {
             join_probability: 0.02,
             leave_probability: 0.02,
@@ -1468,10 +1469,10 @@ mod tests {
                 ..Default::default()
             },
             adversaries: vec![crate::adversary::AdversarySpec::new("collusion-ring", 2)],
+            mix: BehaviorMix::new(0.5, 0.25, 0.25),
+            seed: 0xC0FFEE,
             ..Default::default()
-        }
-        .with_mix(BehaviorMix::new(0.5, 0.25, 0.25))
-        .with_seed(0xC0FFEE);
+        };
         let cell_spec = ScenarioSpec::from_config(cell_config).expect("valid cell config");
 
         let fork = checkpoint.with_spec(&cell_spec);
@@ -1502,10 +1503,10 @@ mod tests {
                 evaluation_steps: 40,
                 ..Default::default()
             },
+            mix: BehaviorMix::new(0.5, 0.25, 0.25),
+            seed: 0xC0FFEE,
             ..Default::default()
-        }
-        .with_mix(BehaviorMix::new(0.5, 0.25, 0.25))
-        .with_seed(0xC0FFEE);
+        };
         config.adversaries =
             vec![crate::adversary::AdversarySpec::new("learning", 3).with_parameter(0.2)];
         let spec = ScenarioSpec::from_config(config.clone()).expect("valid config");
@@ -1602,7 +1603,10 @@ mod tests {
         const POPULATION: u32 = 60;
         // Editor-restricted voting (the large-population preset), so every
         // edit vote reads its article's voter set.
-        let config = SimulationConfig::large_population(POPULATION as usize).with_seed(11);
+        let config = SimulationConfig {
+            seed: 11,
+            ..SimulationConfig::large_population(POPULATION as usize)
+        };
         let spec = ScenarioSpec::from_config(config).expect("valid config");
         let mut sim = Simulation::from_spec(&spec).unwrap();
         for _ in 0..5 {
@@ -1807,19 +1811,17 @@ mod tests {
         let sim = Simulation::from_spec(&spec).unwrap();
         let mut snapshot = sim.snapshot(&spec);
         // Embed a spec with a different population: state no longer fits.
-        let other = ScenarioSpec::from_config(
-            SimulationConfig {
-                population: 30,
-                initial_articles: 10,
-                phases: PhaseConfig {
-                    training_steps: 60,
-                    evaluation_steps: 40,
-                    ..Default::default()
-                },
+        let other = ScenarioSpec::from_config(SimulationConfig {
+            population: 30,
+            initial_articles: 10,
+            phases: PhaseConfig {
+                training_steps: 60,
+                evaluation_steps: 40,
                 ..Default::default()
-            }
-            .with_seed(0xC0FFEE),
-        )
+            },
+            seed: 0xC0FFEE,
+            ..Default::default()
+        })
         .unwrap();
         snapshot.spec_text = other.to_text();
         assert!(matches!(

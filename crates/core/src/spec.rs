@@ -39,19 +39,33 @@
 //! phases = churn,selection,sharing,download,edit-vote,utility,learning
 //! ...
 //! ```
+//!
+//! Every key is declared once, in one table in this module: its name,
+//! where its value lives, its text form, its domain, and whether it is
+//! written only when it differs from the default. `to_text`, `parse` and
+//! [`SimulationConfig::check`] loop over that table, so a new key is one
+//! table entry, and a value outside its key's domain is a
+//! [`SpecError::InvalidField`] naming the key.
 
 use crate::adversary::AdversarySpec;
+use crate::agent_table::MAX_REPUTATION_STATES;
 use crate::config::{
     DownloadRate, PhaseConfig, PropagationConfig, ReputationSource, SimulationConfig,
 };
 use crate::incentive::IncentiveScheme;
 use crate::json::{FromJson, Json};
 use crate::pipeline::{PhaseRegistry, StepPipeline};
+use crate::threads::MAX_THREADS;
 use collabsim_gametheory::behavior::BehaviorMix;
+use collabsim_gametheory::utility::{EditingUtilityParams, SharingUtilityParams};
 use collabsim_netsim::churn::ChurnModel;
 use collabsim_netsim::fault::{LinkModel, LinkModelError};
+use collabsim_reputation::contribution::ContributionParams;
 use collabsim_reputation::propagation::PropagationScheme;
+use collabsim_reputation::punishment::PunishmentPolicy;
+use collabsim_reputation::service::ServiceParams;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A typed validation or parse error produced by the scenario-spec layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,6 +119,17 @@ impl SpecError {
             message: message.to_string(),
         }
     }
+
+    /// Places a value codec's parse error on its line, quoting the line.
+    fn at(self, line: usize, key: &str, value: &str) -> Self {
+        match self {
+            SpecError::Parse { message, .. } => SpecError::Parse {
+                line,
+                message: format!("`{key} = {value}`: {message}"),
+            },
+            other => other,
+        }
+    }
 }
 
 impl fmt::Display for SpecError {
@@ -129,7 +154,7 @@ impl fmt::Display for SpecError {
                      lossy or clustered)"
                 )
             }
-            SpecError::EmptyPhaseList => write!(f, "the phase list must not be empty"),
+            SpecError::EmptyPhaseList => write!(f, "the `phases` list must not be empty"),
             SpecError::Parse { line, message } => {
                 write!(f, "spec parse error at line {line}: {message}")
             }
@@ -280,157 +305,15 @@ impl ScenarioSpec {
     }
 
     /// Renders the spec as the `key = value` text format (see the module
-    /// docs). [`ScenarioSpec::parse`] reads it back exactly.
+    /// docs), one line per key in the key table's order.
+    /// [`ScenarioSpec::parse`] reads it back exactly.
     pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let c = &self.config;
-        let mut out = String::from("# collabsim scenario spec v1\n");
-        let mut kv = |key: &str, value: String| {
-            let _ = writeln!(out, "{key} = {value}");
-        };
-        kv("label", encode_label(&self.label));
-        kv("parameter", fmt_f64(self.parameter));
-        kv("population", c.population.to_string());
-        kv("reputation_states", c.reputation_states.to_string());
-        kv("min_reputation", fmt_f64(c.min_reputation));
-        kv("reputation_beta", fmt_f64(c.reputation_beta));
-        kv("incentive", c.incentive.label().to_string());
-        kv(
-            "mix",
-            format!(
-                "{},{},{}",
-                fmt_f64(c.mix.rational()),
-                fmt_f64(c.mix.altruistic()),
-                fmt_f64(c.mix.irrational())
-            ),
-        );
-        kv("training_steps", c.phases.training_steps.to_string());
-        kv("evaluation_steps", c.phases.evaluation_steps.to_string());
-        kv(
-            "training_temperature",
-            fmt_f64(c.phases.training_temperature),
-        );
-        kv(
-            "evaluation_temperature",
-            fmt_f64(c.phases.evaluation_temperature),
-        );
-        kv("learning_rate", fmt_f64(c.learning.learning_rate));
-        kv("discount", fmt_f64(c.learning.discount));
-        kv("initial_q", fmt_f64(c.learning.initial_q));
-        kv(
-            "utility_sharing",
-            format!(
-                "{},{},{}",
-                fmt_f64(c.utility.sharing.alpha),
-                fmt_f64(c.utility.sharing.beta),
-                fmt_f64(c.utility.sharing.gamma)
-            ),
-        );
-        kv(
-            "utility_editing",
-            format!(
-                "{},{}",
-                fmt_f64(c.utility.editing.delta),
-                fmt_f64(c.utility.editing.epsilon)
-            ),
-        );
-        kv(
-            "contribution",
-            format!(
-                "{},{},{},{},{},{}",
-                fmt_f64(c.contribution.alpha_s),
-                fmt_f64(c.contribution.beta_s),
-                fmt_f64(c.contribution.decay_s),
-                fmt_f64(c.contribution.alpha_e),
-                fmt_f64(c.contribution.beta_e),
-                fmt_f64(c.contribution.decay_e)
-            ),
-        );
-        kv(
-            "service",
-            format!(
-                "{},{},{}",
-                fmt_f64(c.service.edit_threshold),
-                fmt_f64(c.service.majority_at_min_reputation),
-                fmt_f64(c.service.majority_at_max_reputation)
-            ),
-        );
-        kv(
-            "punishment",
-            format!(
-                "{},{},{}",
-                c.punishment.max_unsuccessful_votes,
-                c.punishment.max_declined_edits,
-                c.punishment.edits_to_restore_voting
-            ),
-        );
-        kv("initial_articles", c.initial_articles.to_string());
-        kv(
-            "download_probability",
-            match c.download_probability {
-                DownloadRate::Fixed(p) => fmt_f64(p),
-                DownloadRate::InverseSharers => "inverse-sharers".to_string(),
-            },
-        );
-        kv("edit_probability", fmt_f64(c.edit_probability));
-        kv(
-            "restrict_voters_to_editors",
-            c.restrict_voters_to_editors.to_string(),
-        );
-        kv("max_voters_per_edit", c.max_voters_per_edit.to_string());
-        kv(
-            "propagation",
-            match c.propagation.scheme {
-                // The pre-trusted suffix is emitted only when set so every
-                // pre-existing spec file stays byte-identical.
-                Some(scheme) if c.propagation.pretrusted > 0 => format!(
-                    "{}@{},pretrusted={}",
-                    scheme.label(),
-                    c.propagation.interval,
-                    c.propagation.pretrusted
-                ),
-                Some(scheme) => format!("{}@{}", scheme.label(), c.propagation.interval),
-                None => "none".to_string(),
-            },
-        );
-        kv("reputation_source", c.reputation_source.label().to_string());
-        // Emitted only when enabled (≠ 1.0) so pre-existing spec files stay
-        // byte-identical (parse defaults the key to 1.0).
-        if c.reputation_uptime_discount != 1.0 {
-            kv(
-                "reputation_uptime_discount",
-                fmt_f64(c.reputation_uptime_discount),
-            );
+        // Spec texts run to about 1.1 kB.
+        let mut out = String::with_capacity(2048);
+        out.push_str("# collabsim scenario spec v1\n");
+        for key in KEYS {
+            (key.write)(self, &mut out);
         }
-        // Emitted only when non-ideal so every pre-fault-layer spec file
-        // stays byte-identical (parse defaults the key to `ideal`).
-        if !c.network.is_ideal() {
-            kv("network", c.network.label());
-        }
-        for adversary in &c.adversaries {
-            kv(
-                "adversary",
-                format!(
-                    "{},{},{}",
-                    adversary.strategy(),
-                    adversary.count(),
-                    fmt_f64(adversary.parameter())
-                ),
-            );
-        }
-        kv(
-            "churn",
-            format!(
-                "{},{},{}",
-                fmt_f64(c.churn.join_probability),
-                fmt_f64(c.churn.leave_probability),
-                fmt_f64(c.churn.whitewash_probability)
-            ),
-        );
-        kv("ledger_shards", c.ledger_shards.to_string());
-        kv("intra_step_threads", c.intra_step_threads.to_string());
-        kv("seed", c.seed.to_string());
-        kv("phases", self.phases.join(","));
         out
     }
 
@@ -449,230 +332,34 @@ impl ScenarioSpec {
 
     /// Parses the text format produced by [`ScenarioSpec::to_text`].
     ///
-    /// Keys may appear in any order; omitted keys keep their
+    /// Keys may appear in any order, and a later line overrides an earlier
+    /// one (`adversary` lines add a unit each); omitted keys keep their
     /// [`SimulationConfig::default`] values (and the default phase order is
     /// derived from the parsed configuration when no `phases` key is
     /// present). Blank lines and `#` comments are ignored. The resulting
     /// spec is fully validated.
     pub fn parse(text: &str) -> Result<Self, SpecError> {
-        let mut label = String::new();
-        let mut parameter = 0.0f64;
-        let mut config = SimulationConfig::default();
-        let mut phases: Option<Vec<String>> = None;
-
+        let mut draft = ScenarioSpecBuilder::new();
         for (index, raw) in text.lines().enumerate() {
-            let line_no = index + 1;
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(SpecError::Parse {
-                    line: line_no,
-                    message: format!("expected `key = value`, got `{line}`"),
-                });
-            };
-            let key = key.trim();
-            let value = value.trim();
-            let parse_err = |message: String| SpecError::Parse {
-                line: line_no,
+            let parse_error = |message| SpecError::Parse {
+                line: index + 1,
                 message,
             };
-            match key {
-                "label" => label = decode_label(value, line_no)?,
-                "parameter" => parameter = parse_f64(key, value, line_no)?,
-                "population" => config.population = parse_int(key, value, line_no)?,
-                "reputation_states" => config.reputation_states = parse_int(key, value, line_no)?,
-                "min_reputation" => config.min_reputation = parse_f64(key, value, line_no)?,
-                "reputation_beta" => config.reputation_beta = parse_f64(key, value, line_no)?,
-                "incentive" => {
-                    config.incentive = IncentiveScheme::from_label(value)
-                        .ok_or_else(|| parse_err(format!("unknown incentive `{value}`")))?;
-                }
-                "mix" => {
-                    let parts = parse_f64_list(key, value, 3, line_no)?;
-                    let (r, a, i) = (parts[0], parts[1], parts[2]);
-                    if r < 0.0 || a < 0.0 || i < 0.0 {
-                        return Err(parse_err("mix fractions must be non-negative".to_string()));
-                    }
-                    if ((r + a + i) - 1.0).abs() >= 1e-9 {
-                        return Err(parse_err(format!(
-                            "mix fractions must sum to 1, got {}",
-                            r + a + i
-                        )));
-                    }
-                    config.mix = BehaviorMix::new(r, a, i);
-                }
-                "training_steps" => config.phases.training_steps = parse_int(key, value, line_no)?,
-                "evaluation_steps" => {
-                    config.phases.evaluation_steps = parse_int(key, value, line_no)?;
-                }
-                "training_temperature" => {
-                    config.phases.training_temperature = parse_f64(key, value, line_no)?;
-                }
-                "evaluation_temperature" => {
-                    config.phases.evaluation_temperature = parse_f64(key, value, line_no)?;
-                }
-                "learning_rate" => config.learning.learning_rate = parse_f64(key, value, line_no)?,
-                "discount" => config.learning.discount = parse_f64(key, value, line_no)?,
-                "initial_q" => config.learning.initial_q = parse_f64(key, value, line_no)?,
-                "utility_sharing" => {
-                    let parts = parse_f64_list(key, value, 3, line_no)?;
-                    config.utility.sharing.alpha = parts[0];
-                    config.utility.sharing.beta = parts[1];
-                    config.utility.sharing.gamma = parts[2];
-                }
-                "utility_editing" => {
-                    let parts = parse_f64_list(key, value, 2, line_no)?;
-                    config.utility.editing.delta = parts[0];
-                    config.utility.editing.epsilon = parts[1];
-                }
-                "contribution" => {
-                    let parts = parse_f64_list(key, value, 6, line_no)?;
-                    config.contribution.alpha_s = parts[0];
-                    config.contribution.beta_s = parts[1];
-                    config.contribution.decay_s = parts[2];
-                    config.contribution.alpha_e = parts[3];
-                    config.contribution.beta_e = parts[4];
-                    config.contribution.decay_e = parts[5];
-                }
-                "service" => {
-                    let parts = parse_f64_list(key, value, 3, line_no)?;
-                    config.service.edit_threshold = parts[0];
-                    config.service.majority_at_min_reputation = parts[1];
-                    config.service.majority_at_max_reputation = parts[2];
-                }
-                "punishment" => {
-                    let parts = parse_int_list(key, value, 3, line_no)?;
-                    config.punishment.max_unsuccessful_votes = parts[0];
-                    config.punishment.max_declined_edits = parts[1];
-                    config.punishment.edits_to_restore_voting = parts[2];
-                }
-                "initial_articles" => config.initial_articles = parse_int(key, value, line_no)?,
-                "download_probability" => {
-                    config.download_probability = if value == "inverse-sharers" {
-                        DownloadRate::InverseSharers
-                    } else {
-                        DownloadRate::Fixed(parse_f64(key, value, line_no)?)
-                    };
-                }
-                "edit_probability" => config.edit_probability = parse_f64(key, value, line_no)?,
-                "restrict_voters_to_editors" => {
-                    config.restrict_voters_to_editors = match value {
-                        "true" => true,
-                        "false" => false,
-                        other => {
-                            return Err(parse_err(format!("expected true/false, got `{other}`")))
-                        }
-                    };
-                }
-                "max_voters_per_edit" => {
-                    config.max_voters_per_edit = parse_int(key, value, line_no)?;
-                }
-                "propagation" => {
-                    config.propagation = if value == "none" {
-                        PropagationConfig::default()
-                    } else {
-                        let (scheme, rest) = value.split_once('@').ok_or_else(|| {
-                            parse_err(format!(
-                                "expected `scheme@interval[,pretrusted=K]` or `none`, got `{value}`"
-                            ))
-                        })?;
-                        let (interval, pretrusted) = match rest.split_once(',') {
-                            Some((interval, option)) => {
-                                let k =
-                                    option.trim().strip_prefix("pretrusted=").ok_or_else(|| {
-                                        parse_err(format!(
-                                            "expected `pretrusted=K` after the interval, \
-                                             got `{option}`"
-                                        ))
-                                    })?;
-                                (interval.trim(), parse_int(key, k, line_no)?)
-                            }
-                            None => (rest, 0),
-                        };
-                        PropagationConfig {
-                            scheme: Some(PropagationScheme::from_label(scheme).ok_or_else(
-                                || parse_err(format!("unknown propagation scheme `{scheme}`")),
-                            )?),
-                            interval: parse_int(key, interval, line_no)?,
-                            pretrusted,
-                        }
-                    };
-                }
-                "reputation_source" => {
-                    config.reputation_source = ReputationSource::from_label(value)
-                        .ok_or_else(|| parse_err(format!("unknown reputation source `{value}`")))?;
-                }
-                "reputation_uptime_discount" => {
-                    config.reputation_uptime_discount = parse_f64(key, value, line_no)?;
-                }
-                "defence" => {
-                    apply_defence(&mut config, value).map_err(parse_err)?;
-                }
-                "network" => {
-                    config.network = LinkModel::from_label(value).map_err(|e| match e {
-                        LinkModelError::UnknownModel { name } => {
-                            SpecError::UnknownNetworkModel { name }
-                        }
-                        LinkModelError::InvalidParameter { message } => parse_err(message),
-                    })?;
-                }
-                "adversary" => {
-                    let parts: Vec<&str> = value.split(',').map(str::trim).collect();
-                    if parts.len() != 3 {
-                        return Err(parse_err(format!(
-                            "`adversary` expects `strategy,count,parameter`, got `{value}`"
-                        )));
-                    }
-                    let count: usize = parse_int(key, parts[1], line_no)?;
-                    let parameter = parse_f64(key, parts[2], line_no)?;
-                    config
-                        .adversaries
-                        .push(AdversarySpec::new(parts[0], count).with_parameter(parameter));
-                }
-                "churn" => {
-                    let parts = parse_f64_list(key, value, 3, line_no)?;
-                    config.churn = ChurnModel {
-                        join_probability: parts[0],
-                        leave_probability: parts[1],
-                        whitewash_probability: parts[2],
-                    };
-                }
-                "ledger_shards" => config.ledger_shards = parse_int(key, value, line_no)?,
-                "intra_step_threads" => config.intra_step_threads = parse_int(key, value, line_no)?,
-                "seed" => config.seed = parse_int(key, value, line_no)?,
-                "phases" => {
-                    phases = Some(
-                        value
-                            .split(',')
-                            .map(|p| p.trim().to_string())
-                            .filter(|p| !p.is_empty())
-                            .collect(),
-                    );
-                }
-                unknown => {
-                    return Err(parse_err(format!("unknown spec key `{unknown}`")));
-                }
-            }
+            let Some((key, value)) = line.split_once('=') else {
+                return Err(parse_error(format!("expected `key = value`, got `{line}`")));
+            };
+            let (key, value) = (key.trim(), value.trim());
+            let Some(entry) = KEYS.iter().find(|entry| entry.name == key) else {
+                return Err(parse_error(format!("unknown spec key `{key}`")));
+            };
+            (entry.read)(&mut draft, value).map_err(|error| error.at(index + 1, key, value))?;
         }
-
-        ScenarioSpecBuilder {
-            label,
-            parameter,
-            config,
-            phases,
-            extra_phases: Vec::new(),
-        }
-        .build()
+        draft.build()
     }
-}
-
-/// Formats an `f64` in Rust's shortest round-trippable display form (what
-/// `f64::to_string` produces); `ScenarioSpec::parse` recovers the exact
-/// bits.
-fn fmt_f64(value: f64) -> String {
-    value.to_string()
 }
 
 /// Expands the `defence = <name>` spec sugar into its concrete fields.
@@ -740,67 +427,417 @@ pub fn apply_defence(config: &mut SimulationConfig, value: &str) -> Result<(), S
     Ok(())
 }
 
-/// Renders a label for the text format. Plain labels are written verbatim;
-/// labels the line-based parser would mangle (leading/trailing whitespace,
-/// newlines, quotes, backslashes) are written as a JSON string, so the
-/// round trip stays exact for *every* label.
-fn encode_label(label: &str) -> String {
-    let needs_quoting = label != label.trim() || label.contains(['"', '\\', '\n', '\r']);
-    if needs_quoting {
-        Json::from(label).to_string()
-    } else {
-        label.to_string()
+/// One spec key: its name, where its value lives, its text form and its
+/// domain. [`KEYS`] declares every key once; `to_text`, `parse` and
+/// [`SimulationConfig::check`] loop over it.
+struct Key {
+    name: &'static str,
+    /// Appends the key's lines for a spec: none for a key at its default
+    /// that is written only when changed, one per unit for `adversary`.
+    write: fn(&ScenarioSpec, &mut String),
+    /// Reads one line's value into the draft.
+    read: fn(&mut ScenarioSpecBuilder, &str) -> Result<(), SpecError>,
+    /// Checks the key's domain.
+    check: fn(&SimulationConfig) -> Result<(), SpecError>,
+}
+
+/// A [`Key`] whose value lives at `config.<path>` and reads and writes
+/// through its [`Text`] codec (`key!(spec <field>: <type>)` for the
+/// spec's own label, parameter and phases). After the path comes the
+/// domain, if the key has one:
+/// - `|value| ok, message`: a rule on the value, reported under the key;
+/// - `checked`: the value's own `check`, reported under the key;
+/// - `checked by <group>`: the `check` of the config group the value
+///   belongs to, reported under the group's name.
+///
+/// A trailing `if_changed` writes the key only when it differs from the
+/// default, so spec files written before the key existed stay
+/// byte-identical.
+macro_rules! key {
+    (spec $field:ident: $ty:ty) => {
+        Key {
+            name: stringify!($field),
+            write: |spec, out| line(out, stringify!($field), &spec.$field),
+            read: |draft, text| {
+                draft.$field = <$ty as Text>::read(text)?.into();
+                Ok(())
+            },
+            check: |_| Ok(()),
+        }
+    };
+    ($key:ident: $($path:ident).+, checked by $group:ident) => {
+        key!(@entry $key [$($path).+] [] |config| config
+            .$group
+            .check()
+            .map_err(|message| SpecError::invalid(stringify!($group), &message)))
+    };
+    ($key:ident: $($path:ident).+, checked $(, $written:ident)?) => {
+        key!(@entry $key [$($path).+] [$($written)?] |config| config
+            .$($path).+
+            .check()
+            .map_err(|message| SpecError::invalid(stringify!($key), &message)))
+    };
+    ($key:ident: $($path:ident).+, |$value:pat_param| $ok:expr, $message:expr $(, $written:ident)?) => {
+        key!(@entry $key [$($path).+] [$($written)?] |config| {
+            let $value = &config.$($path).+;
+            if $ok {
+                Ok(())
+            } else {
+                Err(SpecError::invalid(stringify!($key), $message))
+            }
+        })
+    };
+    ($key:ident: $($path:ident).+) => {
+        key!(@entry $key [$($path).+] [] |_| Ok(()))
+    };
+    (@entry $key:ident [$($path:ident).+] [$($written:ident)?] $check:expr) => {
+        Key {
+            name: stringify!($key),
+            write: key!(@write $key [$($path).+] $($written)?),
+            read: |draft, text| {
+                draft.config.$($path).+ = Text::read(text)?;
+                Ok(())
+            },
+            check: $check,
+        }
+    };
+    (@write $key:ident [$($path:ident).+]) => {
+        |spec, out| line(out, stringify!($key), &spec.config.$($path).+)
+    };
+    (@write $key:ident [$($path:ident).+] if_changed) => {
+        |spec, out| {
+            let value = &spec.config.$($path).+;
+            if *value != SimulationConfig::default().$($path).+ {
+                line(out, stringify!($key), value);
+            }
+        }
+    };
+}
+
+/// Peer and article ids are `u32`.
+const ID_LIMIT: usize = u32::MAX as usize;
+
+/// Every spec key, in the order [`ScenarioSpec::to_text`] writes them.
+/// Rules that join several keys live in [`SimulationConfig::check`] and
+/// [`ScenarioSpecBuilder::build`].
+const KEYS: &[Key] = &[
+    key!(spec label: String),
+    key!(spec parameter: f64),
+    key!(population: population, |&n| (2..=ID_LIMIT).contains(&n), "population must lie in [2, 2^32 - 1]"),
+    key!(reputation_states: reputation_states, |&n| (1..=MAX_REPUTATION_STATES).contains(&n),
+        &format!("reputation states must lie in [1, {MAX_REPUTATION_STATES}]")),
+    key!(min_reputation: min_reputation, |&r| r > 0.0 && r < 1.0, "min reputation must lie in (0, 1)"),
+    key!(reputation_beta: reputation_beta, |&b| b > 0.0, "reputation beta must be positive"),
+    key!(incentive: incentive),
+    key!(mix: mix),
+    key!(training_steps: phases.training_steps),
+    key!(evaluation_steps: phases.evaluation_steps),
+    // `> 0` also refuses NaN, which the Boltzmann policy would otherwise
+    // treat as the uniform training temperature.
+    key!(training_temperature: phases.training_temperature, |&t| t > 0.0, "temperature must be positive"),
+    key!(evaluation_temperature: phases.evaluation_temperature, |&t| t > 0.0, "temperature must be positive"),
+    key!(learning_rate: learning.learning_rate, checked by learning),
+    key!(discount: learning.discount, checked by learning),
+    key!(initial_q: learning.initial_q, checked by learning),
+    // A non-finite weight makes the rewards the learners see non-finite.
+    key!(utility_sharing: utility.sharing, |u| [u.alpha, u.beta, u.gamma].iter().all(|w| w.is_finite()),
+        "utility weights must be finite"),
+    key!(utility_editing: utility.editing, |u| u.delta.is_finite() && u.epsilon.is_finite(),
+        "utility weights must be finite"),
+    key!(contribution: contribution, checked),
+    key!(service: service, checked),
+    key!(punishment: punishment, checked),
+    key!(initial_articles: initial_articles, |&n| n <= ID_LIMIT, "at most 2^32 - 1 initial articles"),
+    key!(download_probability: download_probability,
+        |&rate| rate == DownloadRate::InverseSharers || matches!(rate, DownloadRate::Fixed(p) if (0.0..=1.0).contains(&p)),
+        "download probability must lie in [0, 1]"),
+    key!(edit_probability: edit_probability, |p| (0.0..=1.0).contains(p), "edit probability must lie in [0, 1]"),
+    key!(restrict_voters_to_editors: restrict_voters_to_editors),
+    key!(max_voters_per_edit: max_voters_per_edit, |&n| n > 0, "need at least one voter per edit"),
+    key!(propagation: propagation, checked),
+    key!(reputation_source: reputation_source),
+    key!(reputation_uptime_discount: reputation_uptime_discount, |&f| f > 0.0 && f <= 1.0,
+        "uptime discount factor must lie in (0, 1]", if_changed),
+    key!(network: network, checked, if_changed),
+    // Repeated: one line per unit.
+    Key {
+        name: "adversary",
+        write: |spec, out| {
+            for unit in &spec.config.adversaries {
+                line(out, "adversary", unit);
+            }
+        },
+        read: |draft, text| {
+            draft.config.adversaries.push(Text::read(text)?);
+            Ok(())
+        },
+        check: |config| {
+            config
+                .adversaries
+                .iter()
+                .try_for_each(AdversarySpec::check)
+                .map_err(|message| SpecError::invalid("adversaries", &message))
+        },
+    },
+    key!(churn: churn, checked),
+    key!(ledger_shards: ledger_shards),
+    key!(intra_step_threads: intra_step_threads, |&n| n <= MAX_THREADS,
+        &format!("at most {MAX_THREADS} intra-step threads (0 = automatic)")),
+    key!(seed: seed),
+    key!(spec phases: Vec<String>),
+    // Parse-only sugar: `to_text` writes the fields it expands to.
+    Key {
+        name: "defence",
+        write: |_, _| {},
+        read: |draft, text| apply_defence(&mut draft.config, text).map_err(refused),
+        check: |_| Ok(()),
+    },
+];
+
+/// Checks every key's own domain, in table order.
+pub(crate) fn check_keys(config: &SimulationConfig) -> Result<(), SpecError> {
+    KEYS.iter().try_for_each(|key| (key.check)(config))
+}
+
+/// A spec value's text form. `read` reports malformed text as a
+/// [`SpecError::Parse`] that [`ScenarioSpec::parse`] places on its line.
+trait Text: Sized {
+    fn write(&self, out: &mut String);
+    fn read(text: &str) -> Result<Self, SpecError>;
+}
+
+/// Appends the line `key = <value>`.
+fn line(out: &mut String, key: &str, value: &impl Text) {
+    out.push_str(key);
+    out.push_str(" = ");
+    value.write(out);
+    out.push('\n');
+}
+
+/// Malformed value text; [`ScenarioSpec::parse`] adds the line it is on.
+fn refused(message: impl Into<String>) -> SpecError {
+    SpecError::Parse {
+        line: 0,
+        message: message.into(),
     }
 }
 
-/// Inverse of [`encode_label`]: unquoted values are taken verbatim (the
-/// surrounding parser already trimmed them), quoted values are JSON
-/// strings.
-fn decode_label(value: &str, line: usize) -> Result<String, SpecError> {
-    if !value.starts_with('"') {
-        return Ok(value.to_string());
+/// Scalars in their display form: for `f64` that is the shortest form
+/// that reads back as the same bits.
+macro_rules! scalar_text {
+    ($($ty:ty: $what:literal),*) => {$(
+        impl Text for $ty {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+
+            fn read(text: &str) -> Result<Self, SpecError> {
+                text.parse().map_err(|_| refused(concat!("expected ", $what)))
+            }
+        }
+    )*};
+}
+
+scalar_text!(f64: "a number", u64: "an integer", usize: "an integer", u32: "an integer",
+    bool: "true or false");
+
+/// Comma-separated items.
+impl<T: Text + Copy + Default, const N: usize> Text for [T; N] {
+    fn write(&self, out: &mut String) {
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write(out);
+        }
     }
-    let decoded = Json::parse(value).and_then(|json| String::from_json(&json));
-    decoded.map_err(|error| SpecError::Parse {
-        line,
-        message: format!("bad quoted label: {error}"),
-    })
-}
 
-fn parse_f64(key: &str, value: &str, line: usize) -> Result<f64, SpecError> {
-    value.parse().map_err(|_| SpecError::Parse {
-        line,
-        message: format!("`{key}` expects a number, got `{value}`"),
-    })
-}
-
-fn parse_int<T: std::str::FromStr>(key: &str, value: &str, line: usize) -> Result<T, SpecError> {
-    value.parse().map_err(|_| SpecError::Parse {
-        line,
-        message: format!("`{key}` expects an integer, got `{value}`"),
-    })
-}
-
-fn parse_f64_list(key: &str, value: &str, n: usize, line: usize) -> Result<Vec<f64>, SpecError> {
-    let parts: Vec<&str> = value.split(',').map(str::trim).collect();
-    if parts.len() != n {
-        return Err(SpecError::Parse {
-            line,
-            message: format!("`{key}` expects {n} comma-separated numbers, got `{value}`"),
-        });
+    fn read(text: &str) -> Result<Self, SpecError> {
+        if text.split(',').count() != N {
+            return Err(refused(format!("expected {N} comma-separated values")));
+        }
+        let mut items = [T::default(); N];
+        for (item, part) in items.iter_mut().zip(text.split(',')) {
+            *item = T::read(part.trim())?;
+        }
+        Ok(items)
     }
-    parts.iter().map(|p| parse_f64(key, p, line)).collect()
 }
 
-fn parse_int_list(key: &str, value: &str, n: usize, line: usize) -> Result<Vec<u32>, SpecError> {
-    let parts: Vec<&str> = value.split(',').map(str::trim).collect();
-    if parts.len() != n {
-        return Err(SpecError::Parse {
-            line,
-            message: format!("`{key}` expects {n} comma-separated integers, got `{value}`"),
-        });
+/// Parameter groups: their fields' values, comma-separated in
+/// declaration order.
+macro_rules! list_text {
+    ($($ty:ident { $($field:ident),+ })*) => {$(
+        impl Text for $ty {
+            fn write(&self, out: &mut String) {
+                [$(self.$field),+].write(out)
+            }
+
+            fn read(text: &str) -> Result<Self, SpecError> {
+                let [$($field),+] = Text::read(text)?;
+                Ok(Self { $($field),+ })
+            }
+        }
+    )*};
+}
+
+list_text! {
+    SharingUtilityParams { alpha, beta, gamma }
+    EditingUtilityParams { delta, epsilon }
+    ContributionParams { alpha_s, beta_s, decay_s, alpha_e, beta_e, decay_e }
+    ServiceParams { edit_threshold, majority_at_min_reputation, majority_at_max_reputation }
+    PunishmentPolicy { max_unsuccessful_votes, max_declined_edits, edits_to_restore_voting }
+    ChurnModel { join_probability, leave_probability, whitewash_probability }
+}
+
+/// Enumerations by their stable labels.
+macro_rules! label_text {
+    ($($ty:ty: $what:literal),*) => {$(
+        impl Text for $ty {
+            fn write(&self, out: &mut String) {
+                out.push_str(self.label());
+            }
+
+            fn read(text: &str) -> Result<Self, SpecError> {
+                Self::from_label(text).ok_or_else(|| refused(concat!("unknown ", $what)))
+            }
+        }
+    )*};
+}
+
+label_text!(IncentiveScheme: "incentive scheme", ReputationSource: "reputation source",
+    PropagationScheme: "propagation scheme");
+
+/// `rational,altruistic,irrational`; the constructor holds the mix rule.
+impl Text for BehaviorMix {
+    fn write(&self, out: &mut String) {
+        [self.rational(), self.altruistic(), self.irrational()].write(out)
     }
-    parts.iter().map(|p| parse_int(key, p, line)).collect()
+
+    fn read(text: &str) -> Result<Self, SpecError> {
+        let [rational, altruistic, irrational] = Text::read(text)?;
+        BehaviorMix::try_new(rational, altruistic, irrational).map_err(refused)
+    }
+}
+
+/// A probability, or `inverse-sharers` for the paper's `P = 1 / N_S`.
+impl Text for DownloadRate {
+    fn write(&self, out: &mut String) {
+        match self {
+            DownloadRate::Fixed(p) => p.write(out),
+            DownloadRate::InverseSharers => out.push_str("inverse-sharers"),
+        }
+    }
+
+    fn read(text: &str) -> Result<Self, SpecError> {
+        match text {
+            "inverse-sharers" => Ok(DownloadRate::InverseSharers),
+            _ => Text::read(text).map(DownloadRate::Fixed),
+        }
+    }
+}
+
+/// `none` or `scheme@interval`, plus `,pretrusted=K` only when `K > 0`,
+/// so spec files written before the pre-trusted set stay byte-identical.
+impl Text for PropagationConfig {
+    fn write(&self, out: &mut String) {
+        let Some(scheme) = self.scheme else {
+            return out.push_str("none");
+        };
+        let _ = write!(out, "{}@{}", scheme.label(), self.interval);
+        if self.pretrusted > 0 {
+            let _ = write!(out, ",pretrusted={}", self.pretrusted);
+        }
+    }
+
+    fn read(text: &str) -> Result<Self, SpecError> {
+        if text == "none" {
+            return Ok(PropagationConfig::default());
+        }
+        let shape = || refused("expected `none` or `scheme@interval[,pretrusted=K]`");
+        let (scheme, rest) = text.split_once('@').ok_or_else(shape)?;
+        let (interval, pretrusted) = match rest.split_once(',') {
+            Some((interval, k)) => (
+                interval,
+                k.trim().strip_prefix("pretrusted=").ok_or_else(shape)?,
+            ),
+            None => (rest, "0"),
+        };
+        Ok(PropagationConfig {
+            scheme: Some(Text::read(scheme)?),
+            interval: Text::read(interval.trim())?,
+            pretrusted: Text::read(pretrusted)?,
+        })
+    }
+}
+
+/// The fault layer's `<model>[,param…]` form.
+impl Text for LinkModel {
+    fn write(&self, out: &mut String) {
+        out.push_str(&self.label());
+    }
+
+    fn read(text: &str) -> Result<Self, SpecError> {
+        LinkModel::from_label(text).map_err(|error| match error {
+            LinkModelError::UnknownModel { name } => SpecError::UnknownNetworkModel { name },
+            LinkModelError::InvalidParameter { message } => refused(message),
+        })
+    }
+}
+
+/// `strategy,count,parameter`.
+impl Text for AdversarySpec {
+    fn write(&self, out: &mut String) {
+        out.push_str(self.strategy());
+        let _ = write!(out, ",{},{}", self.count(), self.parameter());
+    }
+
+    fn read(text: &str) -> Result<Self, SpecError> {
+        let mut parts = text.splitn(3, ',').map(str::trim);
+        let mut next = || {
+            parts
+                .next()
+                .ok_or_else(|| refused("expected `strategy,count,parameter`"))
+        };
+        let strategy = next()?;
+        Ok(AdversarySpec::new(strategy, Text::read(next()?)?).with_parameter(Text::read(next()?)?))
+    }
+}
+
+/// Free text (the label), written verbatim unless the line parser would
+/// mangle it (surrounding whitespace, newlines, quotes, backslashes): then
+/// as a JSON string, so the round trip is exact for every label.
+impl Text for String {
+    fn write(&self, out: &mut String) {
+        if self != self.trim() || self.contains(['"', '\\', '\n', '\r']) {
+            out.push_str(&Json::from(self.as_str()).to_string());
+        } else {
+            out.push_str(self);
+        }
+    }
+
+    fn read(text: &str) -> Result<Self, SpecError> {
+        if !text.starts_with('"') {
+            return Ok(text.to_string());
+        }
+        let decoded = Json::parse(text).and_then(|json| String::from_json(&json));
+        decoded.map_err(|error| refused(format!("bad quoted string: {error}")))
+    }
+}
+
+/// A comma-separated name list (the phase order); empty names are dropped.
+impl Text for Vec<String> {
+    fn write(&self, out: &mut String) {
+        out.push_str(&self.join(","));
+    }
+
+    fn read(text: &str) -> Result<Self, SpecError> {
+        let names = text
+            .split(',')
+            .map(str::trim)
+            .filter(|name| !name.is_empty());
+        Ok(names.map(str::to_string).collect())
+    }
 }
 
 /// The default phase order for a configuration: the six Section-IV protocol
@@ -855,17 +892,6 @@ impl ScenarioSpecBuilder {
             label: String::new(),
             parameter: 0.0,
             config: SimulationConfig::default(),
-            phases: None,
-            extra_phases: Vec::new(),
-        }
-    }
-
-    /// Starts from an explicit base configuration instead of the default.
-    pub fn from_base(config: SimulationConfig) -> Self {
-        Self {
-            label: String::new(),
-            parameter: 0.0,
-            config,
             phases: None,
             extra_phases: Vec::new(),
         }
@@ -949,12 +975,6 @@ impl ScenarioSpecBuilder {
     /// repeatedly for multiple units.
     pub fn adversary(mut self, adversary: AdversarySpec) -> Self {
         self.config.adversaries.push(adversary);
-        self
-    }
-
-    /// Replaces the adversary unit list wholesale.
-    pub fn adversaries<I: IntoIterator<Item = AdversarySpec>>(mut self, adversaries: I) -> Self {
-        self.config.adversaries = adversaries.into_iter().collect();
         self
     }
 
@@ -1085,11 +1105,9 @@ mod tests {
     #[test]
     fn builder_rejects_invalid_configs_with_typed_errors() {
         let err = ScenarioSpec::builder().population(1).build().unwrap_err();
-        assert_eq!(
-            err,
-            SpecError::invalid("population", "population must exceed 1")
-        );
-        assert!(err.to_string().contains("population must exceed 1"));
+        let message = "population must lie in [2, 2^32 - 1]";
+        assert_eq!(err, SpecError::invalid("population", message));
+        assert!(err.to_string().contains(message));
         let err = ScenarioSpec::builder()
             .configure(|c| c.edit_probability = 1.5)
             .build()
@@ -1287,11 +1305,12 @@ mod tests {
 
     #[test]
     fn pretrusted_set_round_trips_and_defaults_off() {
-        let mut config = SimulationConfig::default()
-            .with_propagation(PropagationScheme::EigenTrust, 50)
-            .with_pretrusted(4);
-        config.reputation_source = crate::config::ReputationSource::Propagated;
-        let spec = ScenarioSpec::from_config(config).unwrap();
+        let spec = ScenarioSpec::builder()
+            .propagation(PropagationScheme::EigenTrust, 50)
+            .propagated_reputation()
+            .configure(|c| c.propagation.pretrusted = 4)
+            .build()
+            .unwrap();
         let text = spec.to_text();
         assert!(text.contains("propagation = eigentrust@50,pretrusted=4"));
         assert_eq!(ScenarioSpec::parse(&text).unwrap(), spec);
@@ -1308,9 +1327,10 @@ mod tests {
 
     #[test]
     fn uptime_discount_round_trips_and_defaults_silent() {
-        let spec =
-            ScenarioSpec::from_config(SimulationConfig::default().with_uptime_discount(0.97))
-                .unwrap();
+        let spec = ScenarioSpec::builder()
+            .configure(|c| c.reputation_uptime_discount = 0.97)
+            .build()
+            .unwrap();
         let text = spec.to_text();
         assert!(text.contains("reputation_uptime_discount = 0.97"));
         assert_eq!(ScenarioSpec::parse(&text).unwrap(), spec);
@@ -1319,6 +1339,119 @@ mod tests {
         let plain = ScenarioSpec::builder().build().unwrap();
         assert!(!plain.to_text().contains("reputation_uptime_discount"));
         assert!(ScenarioSpec::parse("reputation_uptime_discount = 0\n").is_err());
+    }
+
+    /// Each key's refused edge values, listed by hand; an empty list marks
+    /// a key that takes any value of its type.
+    const REFUSED: &[(&str, &[&str])] = &[
+        ("label", &["\"unterminated"]),
+        ("parameter", &[]),
+        ("population", &["1", "4294967296", "-1"]),
+        (
+            "reputation_states",
+            &["0", "65", "4611686018427387904", "18446744073709551615"],
+        ),
+        ("min_reputation", &["0", "1", "NaN"]),
+        ("reputation_beta", &["0", "-1", "NaN"]),
+        ("incentive", &["bogus"]),
+        (
+            "mix",
+            &["NaN,0.5,0.5", "-0.5,1,0.5", "0.5,0.4,0", "inf,0,0", "1,0"],
+        ),
+        ("training_steps", &[]),
+        ("evaluation_steps", &[]),
+        ("training_temperature", &["0", "-0", "-1", "NaN"]),
+        ("evaluation_temperature", &["0", "-0", "-1", "NaN"]),
+        ("learning_rate", &["0", "1.5", "NaN"]),
+        ("discount", &["-0.1", "1.5", "NaN"]),
+        ("initial_q", &["inf", "NaN"]),
+        ("utility_sharing", &["NaN,0.5,0.5", "10,inf,0.5", "10,0.5"]),
+        ("utility_editing", &["NaN,0.25", "2,-inf"]),
+        (
+            "contribution",
+            &[
+                "0,2,0.05,1,2,0.05",
+                "1,2,-1,1,2,0.05",
+                "1,NaN,0.05,1,2,0.05",
+            ],
+        ),
+        (
+            "service",
+            &["0,0.65,0.5", "0.1,0.4,0.5", "0.1,1.5,0.5", "0.05,0.65,0.5"],
+        ),
+        ("punishment", &["0,1,1", "1,0,1", "1,1,0", "1,1,-1"]),
+        ("initial_articles", &["4294967296"]),
+        ("download_probability", &["-0.1", "1.5", "NaN", "inverse"]),
+        ("edit_probability", &["-0.1", "1.5", "NaN"]),
+        ("restrict_voters_to_editors", &["yes"]),
+        ("max_voters_per_edit", &["0"]),
+        (
+            "propagation",
+            &[
+                "eigentrust@0",
+                "gossip@50,pretrusted=4",
+                "eigentrust@50,pretrusted=100",
+                "telepathy@5",
+            ],
+        ),
+        ("reputation_source", &["bogus", "propagated"]),
+        ("reputation_uptime_discount", &["0", "-0.5", "1.5", "NaN"]),
+        (
+            "network",
+            &[
+                "carrier-pigeon",
+                "lossy,1.5",
+                "uniform,5,1",
+                "lognormal,NaN,1",
+                "clustered,0.1,0",
+            ],
+        ),
+        (
+            "adversary",
+            &[
+                "bad name,1,0",
+                "collusion-ring,0,0",
+                "collusion-ring,1,-1",
+                "collusion-ring,1,NaN",
+                "collusion-ring,99,0",
+                "collusion-ring,2",
+            ],
+        ),
+        ("churn", &["1.5,0,0", "0,NaN,0", "0,-0.1,0"]),
+        ("ledger_shards", &[]),
+        ("intra_step_threads", &["65", "18446744073709551615"]),
+        ("seed", &[]),
+        ("phases", &["", ","]),
+        ("defence", &["moat", "uptime-discount=zero"]),
+    ];
+
+    #[test]
+    fn every_key_refuses_its_edge_values() {
+        let listed: Vec<&str> = REFUSED.iter().map(|(key, _)| *key).collect();
+        let table: Vec<&str> = KEYS.iter().map(|key| key.name).collect();
+        assert_eq!(listed, table, "list every key, in table order");
+        for (key, values) in REFUSED {
+            for value in *values {
+                // A valid line first, so a parse error's line number shows
+                // which line it blames.
+                let error = ScenarioSpec::parse(&format!("seed = 1\n{key} = {value}\n"))
+                    .expect_err(&format!("{key} = {value} must be refused"));
+                let named = match &error {
+                    SpecError::InvalidField { field, .. } => match *field {
+                        "learning" => ["learning_rate", "discount", "initial_q"].contains(key),
+                        "adversaries" => *key == "adversary",
+                        field => field == *key,
+                    },
+                    SpecError::Parse { line, message } => {
+                        *line == 2 && message.starts_with(&format!("`{key} = {value}`: "))
+                    }
+                    SpecError::UnknownNetworkModel { .. } => *key == "network",
+                    SpecError::EmptyPhaseList => *key == "phases",
+                    _ => false,
+                };
+                assert!(named, "{key} = {value}: {error:?}");
+            }
+        }
     }
 
     type DefenceCheck = Box<dyn Fn(&SimulationConfig)>;

@@ -66,21 +66,28 @@ impl BehaviorMix {
     ///
     /// # Panics
     ///
-    /// Panics if any fraction is negative or the fractions do not sum to 1.
+    /// Panics where [`BehaviorMix::try_new`] refuses the fractions.
     pub fn new(rational: f64, altruistic: f64, irrational: f64) -> Self {
-        assert!(
-            rational >= 0.0 && altruistic >= 0.0 && irrational >= 0.0,
-            "fractions must be non-negative"
-        );
+        Self::try_new(rational, altruistic, irrational)
+            .unwrap_or_else(|message| panic!("{message}"))
+    }
+
+    /// Creates a mix from explicit fractions, refusing a negative or NaN
+    /// fraction and fractions that do not sum to 1.
+    pub fn try_new(rational: f64, altruistic: f64, irrational: f64) -> Result<Self, String> {
+        // Written so that every comparison with a NaN refuses.
+        if !(rational >= 0.0 && altruistic >= 0.0 && irrational >= 0.0) {
+            return Err("fractions must be non-negative".to_string());
+        }
         let sum = rational + altruistic + irrational;
-        assert!(
-            (sum - 1.0).abs() < Self::SUM_EPSILON,
-            "fractions must sum to 1, got {sum}"
-        );
-        Self {
-            rational,
-            altruistic,
-            irrational,
+        if (sum - 1.0).abs() < Self::SUM_EPSILON {
+            Ok(Self {
+                rational,
+                altruistic,
+                irrational,
+            })
+        } else {
+            Err(format!("fractions must sum to 1, got {sum}"))
         }
     }
 

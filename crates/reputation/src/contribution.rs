@@ -58,12 +58,13 @@ impl ContributionParams {
             ("alpha_e", self.alpha_e),
             ("beta_e", self.beta_e),
         ] {
-            if value <= 0.0 {
+            // `is_nan` too: a NaN weight compares false either way.
+            if value.is_nan() || value <= 0.0 {
                 return Err(format!("{name} must be positive"));
             }
         }
         for (name, value) in [("decay_s", self.decay_s), ("decay_e", self.decay_e)] {
-            if value < 0.0 {
+            if value.is_nan() || value < 0.0 {
                 return Err(format!("{name} must be non-negative"));
             }
         }

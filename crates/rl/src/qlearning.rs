@@ -42,13 +42,13 @@ impl QLearningParams {
     /// error message.
     pub fn check(&self) -> Result<(), String> {
         if !(self.learning_rate > 0.0 && self.learning_rate <= 1.0) {
-            return Err("learning rate must lie in (0, 1]".to_string());
+            return Err("learning_rate must lie in (0, 1]".to_string());
         }
         if !(0.0..=1.0).contains(&self.discount) {
             return Err("discount must lie in [0, 1]".to_string());
         }
         if !self.initial_q.is_finite() {
-            return Err("initial Q must be finite".to_string());
+            return Err("initial_q must be finite".to_string());
         }
         Ok(())
     }
@@ -229,7 +229,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "learning rate")]
+    #[should_panic(expected = "learning_rate")]
     fn invalid_learning_rate_panics() {
         let params = QLearningParams {
             learning_rate: 0.0,

@@ -27,11 +27,11 @@ fn main() {
             evaluation_steps: 800,
             ..Default::default()
         },
+        mix: BehaviorMix::new(0.6, 0.2, 0.2),
+        incentive: IncentiveScheme::ReputationBased,
+        seed: 42,
         ..Default::default()
-    }
-    .with_mix(BehaviorMix::new(0.6, 0.2, 0.2))
-    .with_incentive(IncentiveScheme::ReputationBased)
-    .with_seed(42);
+    };
 
     println!(
         "running {} peers for {} training + {} evaluation steps...",

@@ -10,7 +10,8 @@
 
 use collabsim_workspace::collabsim::experiment::{ScenarioGrid, ScenarioRunner};
 use collabsim_workspace::collabsim::{
-    BehaviorMix, BehaviorType, IncentiveScheme, PhaseConfig, Simulation, SimulationConfig,
+    BehaviorMix, BehaviorType, IncentiveScheme, PhaseConfig, PropagationConfig, Simulation,
+    SimulationConfig,
 };
 use collabsim_workspace::reputation::propagation::PropagationScheme;
 
@@ -50,10 +51,15 @@ fn main() {
     println!("\nparallel == sequential: per-cell reports are bit-identical");
 
     // --- the propagation phase observes the trust the uploads built -------
-    let mut sim = Simulation::new(
-        base.with_mix(BehaviorMix::new(0.0, 0.5, 0.5))
-            .with_propagation(PropagationScheme::EigenTrust, 50),
-    );
+    let mut sim = Simulation::new(SimulationConfig {
+        mix: BehaviorMix::new(0.0, 0.5, 0.5),
+        propagation: PropagationConfig {
+            scheme: Some(PropagationScheme::EigenTrust),
+            interval: 50,
+            ..Default::default()
+        },
+        ..base
+    });
     println!("\npipeline phases: {:?}", sim.pipeline().phase_names());
     sim.run();
     let global = sim.global_reputation().expect("propagation ran");

@@ -44,11 +44,11 @@ fn base_config(
             ..Default::default()
         },
         edit_probability: f64::from(edit_pct % 101) / 100.0,
+        mix,
+        incentive: IncentiveScheme::ALL[scheme_kind as usize % 3],
+        seed,
         ..Default::default()
     }
-    .with_mix(mix)
-    .with_incentive(IncentiveScheme::ALL[scheme_kind as usize % 3])
-    .with_seed(seed)
 }
 
 /// The five built-in strategy names, selectable by index.
@@ -364,11 +364,11 @@ fn untrained_frozen_learner_leaves_the_golden_report_untouched() {
             evaluation_steps: 80,
             ..Default::default()
         },
+        mix: BehaviorMix::new(0.5, 0.25, 0.25),
+        incentive: IncentiveScheme::ReputationBased,
+        seed: 0xC0FFEE,
         ..Default::default()
-    }
-    .with_mix(BehaviorMix::new(0.5, 0.25, 0.25))
-    .with_incentive(IncentiveScheme::ReputationBased)
-    .with_seed(0xC0FFEE);
+    };
 
     let baseline = format!("{:?}", Simulation::new(golden.clone()).run());
 
@@ -401,11 +401,11 @@ fn frozen_learner_replay_is_bit_identical_across_thread_counts() {
             evaluation_steps: 60,
             ..Default::default()
         },
+        mix: BehaviorMix::new(0.5, 0.3, 0.2),
+        incentive: IncentiveScheme::ReputationBased,
+        seed: 0x1EA21,
         ..Default::default()
-    }
-    .with_mix(BehaviorMix::new(0.5, 0.3, 0.2))
-    .with_incentive(IncentiveScheme::ReputationBased)
-    .with_seed(0x1EA21);
+    };
 
     // Equilibrate the adversary-free base and train a learner from it.
     let base = ScenarioSpec::from_config(base_config.clone()).expect("base validates");
@@ -427,7 +427,10 @@ fn frozen_learner_replay_is_bit_identical_across_thread_counts() {
 
     let mut reports = Vec::new();
     for threads in [1usize, 3, 4] {
-        let mut frozen_config = base_config.clone().with_intra_step_threads(threads);
+        let mut frozen_config = SimulationConfig {
+            intra_step_threads: threads,
+            ..base_config.clone()
+        };
         frozen_config.adversaries = vec![AdversarySpec::new("learning", 4).with_parameter(0.0)];
         let frozen_spec = ScenarioSpec::from_config(frozen_config)
             .expect("frozen config validates")

@@ -36,8 +36,8 @@ use collabsim_workspace::collabsim::experiment::{ScenarioGrid, ScenarioRunner};
 use collabsim_workspace::collabsim::json::Json;
 use collabsim_workspace::collabsim::spec::ScenarioSpec;
 use collabsim_workspace::collabsim::{
-    apply_defence, BehaviorMix, BehaviorType, IncentiveScheme, PhaseConfig, Simulation,
-    SimulationConfig, SimulationReport,
+    apply_defence, BehaviorMix, BehaviorType, IncentiveScheme, PhaseConfig, PropagationConfig,
+    ReputationSource, Simulation, SimulationConfig, SimulationReport,
 };
 use collabsim_workspace::netsim::churn::ChurnModel;
 use collabsim_workspace::netsim::fault::LinkModel;
@@ -55,11 +55,11 @@ fn golden_config() -> SimulationConfig {
             evaluation_steps: 80,
             ..Default::default()
         },
+        mix: BehaviorMix::new(0.5, 0.25, 0.25),
+        incentive: IncentiveScheme::ReputationBased,
+        seed: 0xC0FFEE,
         ..Default::default()
     }
-    .with_mix(BehaviorMix::new(0.5, 0.25, 0.25))
-    .with_incentive(IncentiveScheme::ReputationBased)
-    .with_seed(0xC0FFEE)
 }
 
 #[test]
@@ -161,9 +161,11 @@ fn golden_report_is_shard_and_thread_invariant() {
     // contribution deltas: sharding is a performance knob, never a
     // semantic one.
     for (shards, threads) in [(1, 1), (4, 2), (8, 8)] {
-        let config = golden_config()
-            .with_ledger_shards(shards)
-            .with_intra_step_threads(threads);
+        let config = SimulationConfig {
+            ledger_shards: shards,
+            intra_step_threads: threads,
+            ..golden_config()
+        };
         let report = Simulation::new(config).run();
         let debug = format!("{report:?}");
         assert_eq!(
@@ -185,19 +187,23 @@ fn sharded_parallel_paper_configuration_matches_sequential() {
             evaluation_steps: 200,
             ..Default::default()
         },
+        mix: BehaviorMix::new(0.6, 0.2, 0.2),
+        seed: 0xFACE,
         ..Default::default()
-    }
-    .with_mix(BehaviorMix::new(0.6, 0.2, 0.2))
-    .with_seed(0xFACE);
+    };
     assert_eq!(paper.population, 100, "the paper's population");
-    let sequential = Simulation::new(
-        paper
-            .clone()
-            .with_ledger_shards(1)
-            .with_intra_step_threads(1),
-    )
+    let sequential = Simulation::new(SimulationConfig {
+        ledger_shards: 1,
+        intra_step_threads: 1,
+        ..paper.clone()
+    })
     .run();
-    let parallel = Simulation::new(paper.with_ledger_shards(16).with_intra_step_threads(4)).run();
+    let parallel = Simulation::new(SimulationConfig {
+        ledger_shards: 16,
+        intra_step_threads: 4,
+        ..paper
+    })
+    .run();
     assert_eq!(sequential, parallel);
 }
 
@@ -218,9 +224,12 @@ fn behavior_breakdown_is_deterministic_too() {
 fn propagated_run(defence: &str) -> String {
     let mut config = golden_config();
     if defence == "maxflow" {
-        config = config
-            .with_propagation(PropagationScheme::MaxFlow, 20)
-            .with_propagated_reputation();
+        config.propagation = PropagationConfig {
+            scheme: Some(PropagationScheme::MaxFlow),
+            interval: 20,
+            pretrusted: 0,
+        };
+        config.reputation_source = ReputationSource::Propagated;
     } else {
         apply_defence(&mut config, defence).expect("known defence");
         config.propagation.interval = 20;
@@ -317,7 +326,13 @@ fn zero_article_run_is_pinned() {
 /// the two reports equal.
 #[test]
 fn tit_for_tat_run_is_pinned() {
-    let run = |scheme| Simulation::new(golden_config().with_incentive(scheme)).run();
+    let run = |scheme| {
+        Simulation::new(SimulationConfig {
+            incentive: scheme,
+            ..golden_config()
+        })
+        .run()
+    };
     let report = run(IncentiveScheme::TitForTat);
     assert_ne!(report, run(IncentiveScheme::None), "upload history unused");
     assert_eq!(format!("{report:?}"), TIT_FOR_TAT);
@@ -327,10 +342,13 @@ fn tit_for_tat_run_is_pinned() {
 /// fault counter must move, or the pin would not cover its branch.
 #[test]
 fn faulty_network_run_is_pinned() {
-    let config = golden_config().with_network(LinkModel::TwoClusters {
-        loss: 0.3,
-        penalty: 12,
-    });
+    let config = SimulationConfig {
+        network: LinkModel::TwoClusters {
+            loss: 0.3,
+            penalty: 12,
+        },
+        ..golden_config()
+    };
     let mut sim = Simulation::new(config);
     let report = sim.run();
     let stats = &sim.world().net_stats;

@@ -21,10 +21,12 @@ fn small_config() -> SimulationConfig {
 #[test]
 fn full_run_report_respects_basic_invariants() {
     for incentive in IncentiveScheme::ALL {
-        let config = small_config()
-            .with_mix(BehaviorMix::new(0.5, 0.25, 0.25))
-            .with_incentive(incentive)
-            .with_seed(11);
+        let config = SimulationConfig {
+            mix: BehaviorMix::new(0.5, 0.25, 0.25),
+            incentive,
+            seed: 11,
+            ..small_config()
+        };
         let report = Simulation::new(config).run();
         assert_eq!(report.evaluation_steps, 120, "{incentive:?}");
         assert!(
@@ -53,10 +55,12 @@ fn full_run_report_respects_basic_invariants() {
 #[test]
 fn simulation_is_deterministic_per_seed_across_schemes() {
     for incentive in [IncentiveScheme::ReputationBased, IncentiveScheme::None] {
-        let config = small_config()
-            .with_mix(BehaviorMix::new(0.4, 0.3, 0.3))
-            .with_incentive(incentive)
-            .with_seed(777);
+        let config = SimulationConfig {
+            mix: BehaviorMix::new(0.4, 0.3, 0.3),
+            incentive,
+            seed: 777,
+            ..small_config()
+        };
         let a = Simulation::new(config.clone()).run();
         let b = Simulation::new(config).run();
         assert_eq!(a, b, "{incentive:?}: same seed must reproduce the report");
@@ -65,9 +69,11 @@ fn simulation_is_deterministic_per_seed_across_schemes() {
 
 #[test]
 fn behaviour_types_keep_their_fixed_policies_end_to_end() {
-    let config = small_config()
-        .with_mix(BehaviorMix::new(0.0, 0.5, 0.5))
-        .with_seed(5);
+    let config = SimulationConfig {
+        mix: BehaviorMix::new(0.0, 0.5, 0.5),
+        seed: 5,
+        ..small_config()
+    };
     let report = Simulation::new(config).run();
     let altruistic = report.breakdown(BehaviorType::Altruistic);
     let irrational = report.breakdown(BehaviorType::Irrational);
@@ -83,10 +89,12 @@ fn behaviour_types_keep_their_fixed_policies_end_to_end() {
 
 #[test]
 fn incentive_scheme_differentiates_downloads_towards_contributors() {
-    let config = small_config()
-        .with_mix(BehaviorMix::new(0.0, 0.5, 0.5))
-        .with_incentive(IncentiveScheme::ReputationBased)
-        .with_seed(21);
+    let config = SimulationConfig {
+        mix: BehaviorMix::new(0.0, 0.5, 0.5),
+        incentive: IncentiveScheme::ReputationBased,
+        seed: 21,
+        ..small_config()
+    };
     let report = Simulation::new(config).run();
     let altruistic = report.breakdown(BehaviorType::Altruistic);
     let irrational = report.breakdown(BehaviorType::Irrational);
@@ -107,12 +115,16 @@ fn majority_following_emerges_for_rational_editors() {
     // Figure 7's qualitative claim at integration-test scale: rational peers
     // act more constructively under an altruistic majority than under an
     // irrational majority.
-    let altruistic_majority = small_config()
-        .with_mix(BehaviorMix::sweep(BehaviorType::Altruistic, 0.7))
-        .with_seed(31);
-    let irrational_majority = small_config()
-        .with_mix(BehaviorMix::sweep(BehaviorType::Irrational, 0.7))
-        .with_seed(31);
+    let altruistic_majority = SimulationConfig {
+        mix: BehaviorMix::sweep(BehaviorType::Altruistic, 0.7),
+        seed: 31,
+        ..small_config()
+    };
+    let irrational_majority = SimulationConfig {
+        mix: BehaviorMix::sweep(BehaviorType::Irrational, 0.7),
+        seed: 31,
+        ..small_config()
+    };
     let constructive_under_altruists = Simulation::new(altruistic_majority)
         .run()
         .rational_constructive_fraction();
@@ -129,10 +141,12 @@ fn majority_following_emerges_for_rational_editors() {
 fn quality_is_protected_under_the_scheme_with_constructive_majority() {
     // The paper notes the scheme only protects quality when constructive
     // peers clearly outnumber destructive ones initially; use such a mix.
-    let config = small_config()
-        .with_mix(BehaviorMix::new(0.1, 0.7, 0.2))
-        .with_incentive(IncentiveScheme::ReputationBased)
-        .with_seed(41);
+    let config = SimulationConfig {
+        mix: BehaviorMix::new(0.1, 0.7, 0.2),
+        incentive: IncentiveScheme::ReputationBased,
+        seed: 41,
+        ..small_config()
+    };
     let report = Simulation::new(config).run();
     assert!(report.edit_outcomes.decided() > 0);
     assert!(

@@ -100,10 +100,10 @@ fn from_spec_matches_new_on_default_phases() {
             evaluation_steps: 80,
             ..Default::default()
         },
+        mix: BehaviorMix::new(0.5, 0.25, 0.25),
+        seed: 0xBEEF,
         ..Default::default()
-    }
-    .with_mix(BehaviorMix::new(0.5, 0.25, 0.25))
-    .with_seed(0xBEEF);
+    };
     let via_new = Simulation::new(config.clone()).run();
     let spec = ScenarioSpec::from_config(config).unwrap();
     let via_spec = Simulation::from_spec(&spec).unwrap().run();

@@ -232,16 +232,16 @@ proptest! {
                 evaluation_steps: 20,
                 ..Default::default()
             },
+            mix: BehaviorMix::new(0.4, 0.3, 0.3),
+            churn: ChurnModel {
+                join_probability: 0.15,
+                leave_probability: 0.08,
+                whitewash_probability: 0.04,
+            },
+            adversaries: vec![AdversarySpec::new("adaptive-whitewash", 3).with_parameter(3.0)],
+            seed,
             ..Default::default()
-        }
-        .with_mix(BehaviorMix::new(0.4, 0.3, 0.3))
-        .with_churn(ChurnModel {
-            join_probability: 0.15,
-            leave_probability: 0.08,
-            whitewash_probability: 0.04,
-        })
-        .with_adversary(AdversarySpec::new("adaptive-whitewash", 3).with_parameter(3.0))
-        .with_seed(seed);
+        };
 
         let mut sim = Simulation::new(config);
         let world = sim.world();

@@ -13,6 +13,9 @@
 //!
 //! Case count follows `PROPTEST_CASES` (default 64), matching the stub.
 //!
+//! Every generated spec must also read back from its own text form
+//! (`parse(to_text(s)) == s`).
+//!
 //! The snapshot subsystem rides the same generator: a mid-run checkpoint
 //! hop (checkpoint → resume → finish) must reproduce the uninterrupted
 //! report byte-for-byte on arbitrary scenarios, and both [`RunStore`]
@@ -124,9 +127,13 @@ impl FuzzParams {
             };
             builder = builder.adversary(unit);
         }
-        builder
+        let spec = builder
             .build()
-            .unwrap_or_else(|e| panic!("generated params must validate: {e} ({self:?})"))
+            .unwrap_or_else(|e| panic!("generated params must validate: {e} ({self:?})"));
+        // Every generated spec, adversaries and networks included,
+        // survives the text form exactly.
+        assert_eq!(ScenarioSpec::parse(&spec.to_text()).as_ref(), Ok(&spec));
+        spec
     }
 
     /// Candidate smaller neighbours, most aggressive first.
