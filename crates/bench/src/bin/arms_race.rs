@@ -32,7 +32,7 @@
 //! [`ARMS_DEFENCES`]: collabsim_cli::training::ARMS_DEFENCES
 
 use collabsim::json::Json;
-use collabsim_bench::{arg_value, has_flag, maybe_write_csv, write_and_gate};
+use collabsim_bench::{arg_value, has_flag, write_and_gate};
 use collabsim_cli::training::{
     arms_scale, equilibrate_base, run_defence_arm, EvalOutcome, TrainedPolicy, ARMS_DEFENCES,
 };
@@ -206,7 +206,12 @@ fn main() {
 
     let report = report_json(&results, equilibration_seconds, total_steps_per_sec);
     let gated = write_and_gate(&report, "BENCH_arms.json");
-    maybe_write_csv(&render_csv(&results));
+    if let Some(path) = arg_value("--csv") {
+        match std::fs::write(&path, render_csv(&results)) {
+            Ok(()) => println!("(csv written to {path})"),
+            Err(e) => eprintln!("failed to write {path}: {e}"),
+        }
+    }
 
     if wins == 0 {
         eprintln!(

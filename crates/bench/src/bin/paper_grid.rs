@@ -15,9 +15,10 @@
 //!    cells/sec and aggregate steps/sec.
 //!
 //! The cell specs come from [`collabsim_cli::scenarios`] — the same
-//! constructors behind the checked-in `scenarios/paper/` files, so
-//! `collabsim grid scenarios/paper/mix` runs exactly this grid out of
-//! process.
+//! constructors behind the checked-in `scenarios/paper/` files. Those
+//! files hold the grid at the full paper length (what
+//! `--paper-grid-steps` runs), so `collabsim grid scenarios/paper/mix`
+//! runs that grid out of process, and `collabsim check` reads it.
 //!
 //! Flags:
 //!

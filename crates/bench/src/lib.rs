@@ -1,90 +1,16 @@
-//! Shared plumbing for the figure-regeneration binaries and criterion
-//! benches of collabsim.
-//!
-//! Every binary regenerates one figure (or ablation) of Bocek et al.,
-//! IPDPS 2008, as a numeric series printed to stdout. Because the paper-
-//! scale runs (100 peers × 12 000 steps × up to 18 configurations) take
-//! minutes, each binary honours a scale switch:
-//!
-//! * `COLLABSIM_SCALE=paper` (or `--paper`) — the paper's parameters,
-//! * `COLLABSIM_SCALE=quick` (or `--quick`, the default) — a reduced run
-//!   that finishes in seconds and preserves the qualitative shape.
-//!
-//! Binaries also accept `--csv <path>` to write the series as CSV next to
-//! printing the human-readable table.
+//! Shared plumbing for the perf-gated bench binaries of collabsim.
 //!
 //! The six perf benches (`scale_population`, `paper_grid`, `churn_smoke`,
 //! `fault_grid`, `attack_grid`, `arms_race`) build their `BENCH_*.json`
 //! report as a [`Json`] value and end in [`write_and_gate`], which writes
 //! it to `--out` and, given `--baseline`, gates every throughput the
 //! baseline (an earlier report of the same bench) holds against the same
-//! entry of the new report.
+//! entry of the new report. The paper's figures are not benches:
+//! `collabsim check` checks them ([`collabsim_cli::claims`]).
 
 use collabsim::json::Json;
-use collabsim::{PhaseConfig, ScenarioSpec, Simulation, SimulationConfig};
+use collabsim::Simulation;
 use collabsim_cli::runner::floor_verdict;
-
-/// The scale a figure run is executed at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Reduced population / step counts for fast iteration.
-    Quick,
-    /// The paper's population and phase lengths.
-    Paper,
-}
-
-impl Scale {
-    /// Reads the scale from the command line (`--quick` / `--paper`) or the
-    /// `COLLABSIM_SCALE` environment variable, defaulting to quick.
-    pub fn from_env_and_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        if args.iter().any(|a| a == "--paper") {
-            return Scale::Paper;
-        }
-        if args.iter().any(|a| a == "--quick") {
-            return Scale::Quick;
-        }
-        match std::env::var("COLLABSIM_SCALE").as_deref() {
-            Ok("paper") => Scale::Paper,
-            _ => Scale::Quick,
-        }
-    }
-
-    /// The base scenario spec for this scale (validated; default phase
-    /// order). Binaries derive their sweeps from this spec or its
-    /// configuration, so every figure flows through the declarative
-    /// scenario API.
-    pub fn base_spec(self) -> ScenarioSpec {
-        let spec = match self {
-            Scale::Paper => ScenarioSpec::from_config(SimulationConfig::default()),
-            Scale::Quick => ScenarioSpec::builder()
-                .population(40)
-                .initial_articles(20)
-                .phase_config(PhaseConfig {
-                    training_steps: 1_500,
-                    evaluation_steps: 600,
-                    ..Default::default()
-                })
-                .build(),
-        };
-        spec.expect("bench base configurations are valid")
-            .with_label(format!("base/{}", self.label()))
-    }
-
-    /// The base simulation configuration for this scale (the
-    /// [`Scale::base_spec`]'s configuration).
-    pub fn base_config(self) -> SimulationConfig {
-        self.base_spec().config().clone()
-    }
-
-    /// Human-readable label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Scale::Quick => "quick",
-            Scale::Paper => "paper",
-        }
-    }
-}
 
 /// Returns the value following `name` on the command line, if any
 /// (`--out path` style flags of the perf benches).
@@ -98,11 +24,6 @@ pub fn arg_value(name: &str) -> Option<String> {
 /// Whether `name` appears on the command line.
 pub fn has_flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
-}
-
-/// Parses an optional `--csv <path>` argument.
-pub fn csv_path_from_args() -> Option<String> {
-    arg_value("--csv")
 }
 
 /// The process's peak resident set size in MB (`VmHWM` from
@@ -119,17 +40,6 @@ pub fn peak_rss_mb() -> Option<f64> {
         .nth(1)
         .and_then(|v| v.parse().ok())?;
     Some(kb / 1024.0)
-}
-
-/// Writes CSV output to the path given by `--csv`, if any, and reports the
-/// destination on stdout.
-pub fn maybe_write_csv(csv: &str) {
-    if let Some(path) = csv_path_from_args() {
-        match std::fs::write(&path, csv) {
-            Ok(()) => println!("(csv written to {path})"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
 }
 
 /// Per-phase wall-clock seconds of a run made through
@@ -261,40 +171,9 @@ fn gate_rss_ceiling(name: &str, current: f64, recorded: f64, max_regress_pct: f6
     ok
 }
 
-/// Prints the standard run header shared by every figure binary.
-pub fn print_header(figure: &str, scale: Scale) {
-    println!("collabsim — {figure} [scale: {}]", scale.label());
-    println!("(use --paper for the paper-scale run, --csv <path> to export the series)");
-    println!();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quick_scale_is_smaller_than_paper_scale() {
-        let quick = Scale::Quick.base_config();
-        let paper = Scale::Paper.base_config();
-        assert!(quick.population < paper.population);
-        assert!(quick.phases.training_steps < paper.phases.training_steps);
-        assert_eq!(paper.population, 100);
-        assert_eq!(paper.phases.training_steps, 10_000);
-    }
-
-    #[test]
-    fn base_specs_are_labelled_and_default_phased() {
-        let spec = Scale::Quick.base_spec();
-        assert_eq!(spec.label(), "base/quick");
-        assert_eq!(spec.phases().len(), 6);
-        assert_eq!(Scale::Paper.base_spec().label(), "base/paper");
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(Scale::Quick.label(), "quick");
-        assert_eq!(Scale::Paper.label(), "paper");
-    }
 
     fn parse(text: &str) -> Json {
         Json::parse(text).expect("test JSON parses")
@@ -380,14 +259,5 @@ mod tests {
             None,
             "nothing to compare"
         );
-    }
-
-    #[test]
-    fn scale_default_is_quick() {
-        // Without --paper on the test binary's command line and without the
-        // env var, the default is quick.
-        if std::env::var("COLLABSIM_SCALE").is_err() {
-            assert_eq!(Scale::from_env_and_args(), Scale::Quick);
-        }
     }
 }

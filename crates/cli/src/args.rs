@@ -17,6 +17,7 @@ USAGE:
   collabsim worker --spec <f> --out <f>    run one cell, emit a result record (internal)
   collabsim scaffold [--dir <dir>]         (re)generate the scenarios/ tree
   collabsim train [options]                run the learning-adversary arms race
+  collabsim check [options]                check the paper's claims; print their table
   collabsim help                           show this help
 
 RUN OPTIONS:
@@ -61,6 +62,16 @@ TRAIN OPTIONS:
                         eigentrust-pretrusted, gossip, uptime-discount)
   --workers <n>         worker subprocesses for the evaluation grids
   --threads <n>         set SCENARIO_THREADS for this run
+
+CHECK OPTIONS:
+  --workers <n>         worker subprocesses in flight (default: CPU count)
+  --retries <n>         crash re-queues per run (default 1)
+  --out-dir <dir>       every run's spec, record and log (default claims-out)
+
+`check` runs each cell of the claims table under scenarios/paper/ at five
+fixed seeds through the grid coordinator and prints one row per claim:
+holds, diverges or inconclusive. It exits 0 whatever the verdicts and
+non-zero only when a run fails.
 
 `train` equilibrates one adversary-free base population, runs episodic
 Q-learning against each defence, freezes the learned policy (α = 0), and
@@ -109,17 +120,58 @@ pub struct ResumeArgs {
     pub threads: Option<usize>,
 }
 
-/// Parsed `collabsim grid` arguments.
+/// The worker-pool flags of `collabsim grid` and `collabsim check`.
 #[derive(Debug)]
-pub struct GridArgs {
-    /// Spec files and/or directories to expand.
-    pub specs: Vec<PathBuf>,
+pub struct PoolArgs {
     /// `--workers`, if given.
     pub workers: Option<usize>,
     /// Crash re-queues per cell.
     pub retries: usize,
     /// Sweep output directory.
     pub out_dir: PathBuf,
+}
+
+impl PoolArgs {
+    fn new(out_dir: &str) -> Self {
+        Self {
+            workers: None,
+            retries: 1,
+            out_dir: PathBuf::from(out_dir),
+        }
+    }
+
+    /// Reads `flag` and its value when it is a pool flag; `false` when it
+    /// is not one.
+    fn parse(&mut self, flag: &str, args: &mut Args<'_>) -> Result<bool, CliError> {
+        match flag {
+            "--workers" => {
+                self.workers = Some(positive(
+                    "--workers",
+                    args.value("--workers")?,
+                    "a worker count ≥ 1",
+                )?);
+            }
+            "--retries" => {
+                self.retries = parse_value(
+                    "--retries",
+                    args.value("--retries")?,
+                    "a retry count (0 disables retrying)",
+                )?;
+            }
+            "--out-dir" => self.out_dir = PathBuf::from(args.value("--out-dir")?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// Parsed `collabsim grid` arguments.
+#[derive(Debug)]
+pub struct GridArgs {
+    /// Spec files and/or directories to expand.
+    pub specs: Vec<PathBuf>,
+    /// `--workers`, `--retries` and `--out-dir`.
+    pub pool: PoolArgs,
     /// Fail the process if any cell failed.
     pub strict: bool,
     /// `--threads` override for `SCENARIO_THREADS`.
@@ -180,6 +232,8 @@ pub enum Command {
     Scaffold(ScaffoldArgs),
     /// `collabsim train`.
     Train(TrainArgs),
+    /// `collabsim check`, which takes only the pool flags.
+    Check(PoolArgs),
     /// `collabsim help` / `--help` / no arguments.
     Help,
 }
@@ -367,31 +421,17 @@ fn parse_grid(rest: &[String]) -> Result<Command, CliError> {
     let mut args = Args::new(rest);
     let mut grid = GridArgs {
         specs: Vec::new(),
-        workers: None,
-        retries: 1,
-        out_dir: PathBuf::from("grid-out"),
+        pool: PoolArgs::new("grid-out"),
         strict: false,
         threads: None,
         warm_start: None,
         resume: false,
     };
     while let Some(arg) = args.next() {
+        if grid.pool.parse(arg, &mut args)? {
+            continue;
+        }
         match arg {
-            "--workers" => {
-                grid.workers = Some(positive(
-                    "--workers",
-                    args.value("--workers")?,
-                    "a worker count ≥ 1",
-                )?);
-            }
-            "--retries" => {
-                grid.retries = parse_value(
-                    "--retries",
-                    args.value("--retries")?,
-                    "a retry count (0 disables retrying)",
-                )?;
-            }
-            "--out-dir" => grid.out_dir = PathBuf::from(args.value("--out-dir")?),
             "--strict" => grid.strict = true,
             "--warm-start" => grid.warm_start = Some(PathBuf::from(args.value("--warm-start")?)),
             "--resume" => grid.resume = true,
@@ -494,6 +534,19 @@ fn parse_train(rest: &[String]) -> Result<Command, CliError> {
     Ok(Command::Train(train))
 }
 
+fn parse_check(rest: &[String]) -> Result<Command, CliError> {
+    let mut args = Args::new(rest);
+    let mut pool = PoolArgs::new("claims-out");
+    while let Some(arg) = args.next() {
+        if !pool.parse(arg, &mut args)? {
+            return Err(CliError::Usage(format!(
+                "unknown argument `{arg}` for `check`"
+            )));
+        }
+    }
+    Ok(Command::Check(pool))
+}
+
 /// Parses the command line (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let Some(subcommand) = args.first() else {
@@ -507,6 +560,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "worker" => parse_worker(rest),
         "scaffold" => parse_scaffold(rest),
         "train" => parse_train(rest),
+        "check" => parse_check(rest),
         "help" | "--help" | "-h" => Ok(Command::Help),
         other => Err(CliError::Usage(format!(
             "unknown subcommand `{other}` (try `collabsim help`)"
@@ -662,6 +716,29 @@ mod tests {
                 .kind(),
             "usage"
         );
+    }
+
+    #[test]
+    fn check_takes_only_the_grid_options_it_needs() {
+        let Command::Check(check) = parse(&strings(&[
+            "check",
+            "--workers",
+            "2",
+            "--retries",
+            "0",
+            "--out-dir",
+            "claims",
+        ]))
+        .unwrap() else {
+            panic!("expected check");
+        };
+        assert_eq!(check.workers, Some(2));
+        assert_eq!(check.retries, 0);
+        assert_eq!(check.out_dir, PathBuf::from("claims"));
+        for extra in ["--strict", "--warm-start", "claims.txt"] {
+            let error = parse(&strings(&["check", extra])).unwrap_err();
+            assert_eq!(error.kind(), "usage", "{extra}");
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Subcommand implementations shared by the `collabsim` binary.
 
-use crate::args::{Command, GridArgs, ResumeArgs, RunArgs, ScaffoldArgs, TrainArgs, USAGE};
+use crate::args::{
+    Command, GridArgs, PoolArgs, ResumeArgs, RunArgs, ScaffoldArgs, TrainArgs, USAGE,
+};
 use crate::coordinator::{CellStatus, GridOptions};
 use crate::error::CliError;
 use crate::jsonl::{open_sink, JsonlObserver};
-use crate::{args, chaos, coordinator, profile, runner, scenarios, training};
+use crate::{args, chaos, claims, coordinator, profile, runner, scenarios, training};
 use collabsim::json::Json;
 use collabsim::snapshot::{read_snapshot_file, write_snapshot_file};
 use std::path::{Path, PathBuf};
@@ -25,7 +27,15 @@ pub fn dispatch(argv: &[String]) -> Result<i32, CliError> {
         }
         Command::Scaffold(scaffold) => cmd_scaffold(scaffold),
         Command::Train(train) => cmd_train(train),
+        Command::Check(check) => cmd_check(check),
     }
+}
+
+/// This binary, which grids spawn their workers from.
+fn worker_bin() -> Result<PathBuf, CliError> {
+    std::env::current_exe().map_err(|e| CliError::Grid {
+        message: format!("cannot locate the collabsim binary: {e}"),
+    })
 }
 
 fn set_scenario_threads(threads: Option<usize>) {
@@ -221,10 +231,8 @@ fn cmd_grid(grid: GridArgs) -> Result<i32, CliError> {
         .iter()
         .map(|path| runner::load_spec(path))
         .collect::<Result<Vec<_>, _>>()?;
-    let worker_bin = std::env::current_exe().map_err(|e| CliError::Grid {
-        message: format!("cannot locate the collabsim binary: {e}"),
-    })?;
-    let workers = grid.workers.unwrap_or_else(|| {
+    let worker_bin = worker_bin()?;
+    let workers = grid.pool.workers.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
@@ -245,15 +253,15 @@ fn cmd_grid(grid: GridArgs) -> Result<i32, CliError> {
         "grid: {} cells, {} workers, {} retries → {}",
         specs.len(),
         workers,
-        grid.retries,
-        grid.out_dir.display()
+        grid.pool.retries,
+        grid.pool.out_dir.display()
     );
     let summary = coordinator::run_grid(
         &specs,
         &GridOptions {
             workers,
-            retries: grid.retries,
-            out_dir: grid.out_dir.clone(),
+            retries: grid.pool.retries,
+            out_dir: grid.pool.out_dir.clone(),
             worker_bin,
             quiet: false,
             warm_start: grid.warm_start.clone(),
@@ -305,9 +313,7 @@ fn cmd_train(train: TrainArgs) -> Result<i32, CliError> {
             train.defences
         )));
     }
-    let worker_bin = std::env::current_exe().map_err(|e| CliError::Grid {
-        message: format!("cannot locate the collabsim binary: {e}"),
-    })?;
+    let worker_bin = worker_bin()?;
 
     let started = std::time::Instant::now();
     let (base, checkpoint) = training::equilibrate_base(&scale)?;
@@ -420,6 +426,39 @@ fn cmd_train(train: TrainArgs) -> Result<i32, CliError> {
     println!(
         "trained attacker out-damages the scripted whitewasher on {wins}/{} defences",
         rows.len()
+    );
+    Ok(0)
+}
+
+/// Prints the claims table on stdout (nothing else goes there, so it
+/// diffs against a checked-in copy); a failed run is an error, never a
+/// verdict.
+fn cmd_check(check: PoolArgs) -> Result<i32, CliError> {
+    let workers = check.workers.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
+    let started = std::time::Instant::now();
+    let rows = claims::check(
+        claims::CLAIMS,
+        &GridOptions {
+            workers,
+            retries: check.retries,
+            out_dir: check.out_dir.clone(),
+            worker_bin: worker_bin()?,
+            quiet: true,
+            warm_start: None,
+            resume: false,
+        },
+    )?;
+    print!("{}", claims::render(&rows));
+    eprintln!(
+        "check: {} claims in {:.1}s at --workers {}; runs under {}",
+        rows.len(),
+        started.elapsed().as_secs_f64(),
+        workers,
+        check.out_dir.display()
     );
     Ok(0)
 }

@@ -31,12 +31,17 @@
 //!   tree from the canonical constructors in [`scenarios`] — the same
 //!   constructors the six perf-gated bench binaries build their grids
 //!   from.
+//! * **`collabsim check`** runs the paper's claims ([`claims::CLAIMS`])
+//!   over the `scenarios/paper/` cells at fixed seeds through the grid
+//!   coordinator and prints one row per claim: holds, diverges or
+//!   inconclusive.
 //!
 //! [`ScenarioSpec`]: collabsim::ScenarioSpec
 //! [`ScenarioSpec::to_text`]: collabsim::ScenarioSpec::to_text
 
 pub mod args;
 pub mod chaos;
+pub mod claims;
 pub mod commands;
 pub mod coordinator;
 pub mod error;

@@ -4,9 +4,10 @@
 //! Every spec file under `scenarios/` is generated from a constructor in
 //! this module (`collabsim scaffold` writes them; the root test
 //! `tests/scenario_files.rs` pins the files byte-equal to the
-//! constructors), and the four perf-gated bench binaries build their
-//! grids from the same constructors — so the CLI, the benches and the
-//! checked-in files can never drift apart.
+//! constructors), the perf-gated bench binaries build their grids from
+//! the same constructors, and the claims `collabsim check` runs
+//! ([`crate::claims`]) read the `paper/` cells — so the CLI, the benches
+//! and the checked-in files can never drift apart.
 
 use collabsim::adversary::AdversarySpec;
 use collabsim::config::PhaseConfig;
@@ -14,6 +15,7 @@ use collabsim::experiment::{LARGE_POPULATION_TIERS, MIX_SWEEP_PERCENTAGES};
 use collabsim::{BehaviorMix, BehaviorType, IncentiveScheme, ScenarioSpec, SimulationConfig};
 use collabsim_netsim::churn::ChurnModel;
 use collabsim_netsim::fault::LinkModel;
+use collabsim_reputation::function::FIGURE1_BETAS;
 use collabsim_reputation::propagation::PropagationScheme;
 use std::path::{Path, PathBuf};
 
@@ -85,7 +87,7 @@ pub fn paper_mix_phases(quick: bool, full_grid_steps: bool) -> PhaseConfig {
 
 /// The Section IV-B mix grid: 9 altruistic-share + 9 irrational-share
 /// cells over the paper configuration, as labelled specs (the grid behind
-/// Figures 4 and 5, and the `paper_grid` bench's parallel stage).
+/// Figures 4, 5 and 7, and the `paper_grid` bench's parallel stage).
 pub fn paper_mix_cells(phases: PhaseConfig) -> Vec<ScenarioSpec> {
     let base = SimulationConfig {
         phases,
@@ -108,6 +110,80 @@ pub fn paper_mix_cells(phases: PhaseConfig) -> Vec<ScenarioSpec> {
         }
     }
     cells
+}
+
+/// A labelled paper-length cell over `config` (the paper's 100 peers and
+/// 10 000 + 2 000 steps unless `config` says otherwise).
+fn paper_spec(label: String, parameter: f64, config: SimulationConfig) -> ScenarioSpec {
+    ScenarioSpec::from_config(config)
+        .expect("paper cells are valid")
+        .with_label(label)
+        .with_parameter(parameter)
+}
+
+/// Figure 3's two arms: the all-rational paper population with and
+/// without the incentive scheme.
+pub fn figure3_cells() -> Vec<ScenarioSpec> {
+    vec![
+        paper_spec(
+            "fig3/with-incentive".into(),
+            1.0,
+            SimulationConfig::paper_figure3_with_incentive(),
+        ),
+        paper_spec(
+            "fig3/without-incentive".into(),
+            0.0,
+            SimulationConfig::paper_figure3_without_incentive(),
+        ),
+    ]
+}
+
+/// Figure 6's sweep: the rational share from 10 % to 100 %, the rest split
+/// evenly between altruistic and irrational peers.
+pub fn figure6_cells() -> Vec<ScenarioSpec> {
+    MIX_SWEEP_PERCENTAGES
+        .iter()
+        .chain(&[100])
+        .map(|&pct| {
+            let config = SimulationConfig {
+                mix: BehaviorMix::sweep(BehaviorType::Rational, f64::from(pct) / 100.0),
+                ..Default::default()
+            };
+            paper_spec(format!("fig6/rational={pct}%"), f64::from(pct), config)
+        })
+        .collect()
+}
+
+/// ABL1: the all-rational paper population at each Figure 1 `β` of the
+/// logistic reputation function.
+pub fn abl1_cells() -> Vec<ScenarioSpec> {
+    FIGURE1_BETAS
+        .iter()
+        .map(|&beta| {
+            let config = SimulationConfig {
+                mix: BehaviorMix::all_rational(),
+                reputation_beta: beta,
+                ..Default::default()
+            };
+            paper_spec(format!("abl1/beta={beta}"), beta, config)
+        })
+        .collect()
+}
+
+/// ABL3: a 40 % rational, 30 % altruistic, 30 % irrational population
+/// under each incentive scheme.
+pub fn abl3_cells() -> Vec<ScenarioSpec> {
+    IncentiveScheme::ALL
+        .iter()
+        .map(|&scheme| {
+            let config = SimulationConfig {
+                mix: BehaviorMix::new(0.4, 0.3, 0.3),
+                incentive: scheme,
+                ..Default::default()
+            };
+            paper_spec(format!("abl3/{}", scheme.label()), 0.0, config)
+        })
+        .collect()
 }
 
 /// Phase lengths for the churn regimes (`churn_smoke` sizes).
@@ -435,8 +511,17 @@ pub fn scenario_files() -> Vec<(PathBuf, ScenarioSpec)> {
         PathBuf::from("paper/paper_cell.spec"),
         paper_cell_spec(paper_cell_phases(false)),
     ));
-    for spec in paper_mix_cells(paper_mix_phases(false, false)) {
+    // The paper's simulated results, at the paper's full length.
+    for spec in paper_mix_cells(PhaseConfig::default()) {
         let name = format!("paper/mix/{}.spec", file_stem(spec.label()));
+        files.push((PathBuf::from(name), spec));
+    }
+    for spec in [figure3_cells(), figure6_cells(), abl1_cells(), abl3_cells()].concat() {
+        let (figure, cell) = spec
+            .label()
+            .split_once('/')
+            .expect("paper cells are labelled <figure>/<cell>");
+        let name = format!("paper/{figure}/{}.spec", file_stem(cell));
         files.push((PathBuf::from(name), spec));
     }
     for spec in churn_regimes(churn_phases(false)) {
@@ -516,15 +601,20 @@ mod tests {
     #[test]
     fn the_tree_has_the_expected_shape() {
         let files = scenario_files();
-        // 1 golden + 1 paper cell + 18 mix + 3 churn + 30 attacks +
-        // 12 faults + 3 scale tiers + 16 arms cells + 1 chaos probe.
-        assert_eq!(files.len(), 85);
+        // 1 golden + 1 paper cell + 18 mix + 2 fig3 + 10 fig6 + 4 abl1 +
+        // 3 abl3 + 3 churn + 30 attacks + 12 faults + 3 scale tiers +
+        // 16 arms cells + 1 chaos probe.
+        assert_eq!(files.len(), 104);
         let paths: Vec<String> = files
             .iter()
             .map(|(p, _)| p.to_string_lossy().into_owned())
             .collect();
         assert!(paths.contains(&"golden.spec".to_string()));
         assert!(paths.contains(&"paper/mix/altruistic_10.spec".to_string()));
+        assert!(paths.contains(&"paper/fig3/without-incentive.spec".to_string()));
+        assert!(paths.contains(&"paper/fig6/rational_100.spec".to_string()));
+        assert!(paths.contains(&"paper/abl1/beta_0.15.spec".to_string()));
+        assert!(paths.contains(&"paper/abl3/tit-for-tat.spec".to_string()));
         assert!(paths.contains(&"attacks/adaptive-whitewash_ledger_reputation.spec".to_string()));
         assert!(paths.contains(&"churn/whitewash.spec".to_string()));
         assert!(paths.contains(&"faults/lossy_reputation.spec".to_string()));

@@ -36,7 +36,9 @@
 //! * `grid --warm-start` workers fork from a shared equilibrated snapshot
 //!   exactly as in-process forks do, and `grid --resume` skips
 //!   manifest-ok cells (whatever their label holds) while re-dispatching
-//!   failed ones.
+//!   failed ones,
+//! * a claim over a crashing cell ends `collabsim check`'s path in a typed
+//!   `error[grid]`, never in a verdict.
 //!
 //! Manifests, result records and JSONL lines are read with the same
 //! strict parser the coordinator uses ([`collabsim::json`]).
@@ -48,6 +50,7 @@ use collabsim::experiment::ScenarioRunner;
 use collabsim::json::Json;
 use collabsim::snapshot::write_snapshot_file;
 use collabsim::{ScenarioSpec, Simulation};
+use collabsim_cli::claims::{check, Claim, Metric, Statistic, Test};
 use collabsim_cli::coordinator::{run_grid, GridOptions};
 use collabsim_cli::scenarios::{chaos_panic_spec, golden_spec, paper_mix_cells};
 use std::path::{Path, PathBuf};
@@ -188,6 +191,16 @@ fn out_of_domain_set_values_are_typed_spec_errors() {
             &["utility_sharing=NaN,0.5,0.5"],
         ),
         ("invalid `utility_editing`", &["utility_editing=NaN,0.5"]),
+        // Finite weights of 1e308 once overflowed the rewards to ±inf and
+        // NaN mean utilities.
+        (
+            "invalid `utility_sharing`",
+            &["utility_sharing=1e308,1e308,1e308"],
+        ),
+        (
+            "invalid `utility_editing`",
+            &["utility_editing=1e308,1e308"],
+        ),
         // Peer and article ids are u32.
         ("invalid `population`", &["population=4294967296"]),
         (
@@ -716,6 +729,46 @@ fn panicking_phase_fails_its_cell_but_not_the_grid() {
 /// mid-training snapshot reproduces the uninterrupted run's report byte
 /// for byte — the CLI leg of the tentpole's bit-identity guarantee, on
 /// the on-disk store backend.
+#[test]
+fn a_claim_over_a_crashing_cell_is_a_grid_error_not_a_verdict() {
+    let out_dir = scratch("claims-chaos");
+    let claim = Claim {
+        id: "ci/chaos",
+        cells: &["ci/chaos_panic.spec", "golden.spec"],
+        metric: Metric {
+            name: "shared_articles",
+            read: |r| r.shared_articles,
+        },
+        statistic: Statistic::Change,
+        test: Test::AtLeast(0.0),
+    };
+    let options = GridOptions {
+        workers: 2,
+        retries: 0,
+        out_dir: out_dir.clone(),
+        worker_bin: PathBuf::from(collabsim_bin()),
+        quiet: true,
+        warm_start: None,
+        resume: false,
+    };
+    let Err(error) = check(std::slice::from_ref(&claim), &options) else {
+        panic!("a crashing cell must not yield a verdict");
+    };
+    assert_eq!(error.kind(), "grid");
+    assert_ne!(error.exit_code(), 0);
+    let message = error.to_string();
+    assert!(
+        message.starts_with("error[grid]: 5 of 10 claim runs failed"),
+        "{message}"
+    );
+    assert!(message.contains("ci/chaos-panic/seed=1"), "{message}");
+    // The healthy cell ran at every seed; the crashing one failed at each.
+    let manifest = read_manifest(&out_dir);
+    assert_eq!(count(&manifest, "ok"), 5);
+    assert_eq!(count(&manifest, "failed"), 5);
+    let _ = std::fs::remove_dir_all(&out_dir);
+}
+
 #[test]
 fn cli_checkpoint_then_resume_reproduces_the_golden_report() {
     let dir = scratch("checkpoint-resume");

@@ -1,7 +1,6 @@
-//! Experiment definitions: scenario grids, the parallel runner, and the
-//! parameter sweeps behind every figure.
+//! Experiment definitions: scenario grids and the parallel runner.
 //!
-//! The machinery has three layers:
+//! The machinery has two layers:
 //!
 //! 1. [`ScenarioGrid`] — declares an experiment as the cartesian product of
 //!    behaviour mixes × incentive schemes × seeds over a base
@@ -17,10 +16,9 @@
 //!    parallel-equals-sequential regression tests;
 //!    [`ScenarioRunner::run_specs_with_registries`] resolves custom phases
 //!    and strategies.
-//! 3. The figure helpers (`mix_sweep`, `figure3_*`, `ablation_*`) — each of
-//!    the paper's Figures 3–7 and the two ablations (the logistic `β` and
-//!    the incentive scheme) reduced to a grid declaration plus a
-//!    [`run_batch`] call, printed by the `collabsim-bench` binaries.
+//!
+//! The paper's figures are checked-in spec files run by `collabsim check`
+//! (the `collabsim_cli::claims` table), not sweeps declared here.
 
 use crate::adversary::AdversaryRegistry;
 use crate::config::SimulationConfig;
@@ -29,7 +27,7 @@ use crate::incentive::IncentiveScheme;
 use crate::pipeline::PhaseRegistry;
 use crate::report::SimulationReport;
 use crate::spec::{ScenarioSpec, SpecError};
-use collabsim_gametheory::behavior::{BehaviorMix, BehaviorType};
+use collabsim_gametheory::behavior::BehaviorMix;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -131,19 +129,6 @@ impl ScenarioGrid {
         assert!(!self.mixes.is_empty(), "grid needs at least one mix");
         self.mix_axis_swept = true;
         self
-    }
-
-    /// Replaces the mix axis with the paper's 10–90 % sweep of `primary`
-    /// (remainder split evenly between the other two types).
-    pub fn with_mix_sweep(self, primary: BehaviorType) -> Self {
-        let points = MIX_SWEEP_PERCENTAGES.map(|pct| {
-            (
-                format!("{}={}%", primary.label(), pct),
-                f64::from(pct),
-                BehaviorMix::sweep(primary, f64::from(pct) / 100.0),
-            )
-        });
-        self.with_mixes(points)
     }
 
     /// Replaces the incentive-scheme axis.
@@ -375,196 +360,6 @@ impl ScenarioRunner {
     }
 }
 
-/// Runs a batch of labelled configurations, in parallel when more than one
-/// worker is available. Results are returned in input order regardless of
-/// completion order, so sweeps stay deterministic.
-///
-/// Thin wrapper around [`ScenarioRunner::run_specs`] with automatic
-/// parallelism, kept as the entry point of the figure helpers below.
-pub fn run_batch(configs: Vec<(String, f64, SimulationConfig)>) -> Vec<LabelledReport> {
-    let specs = configs
-        .into_iter()
-        .map(
-            |(label, parameter, config)| match ScenarioSpec::from_config(config) {
-                Ok(spec) => spec.with_label(label).with_parameter(parameter),
-                Err(error) => panic!("{error}"),
-            },
-        )
-        .collect();
-    ScenarioRunner::default()
-        .run_specs(specs)
-        .expect("default-phase specs always resolve")
-}
-
-/// **Figure 3** — shared articles and bandwidth of an all-rational
-/// population, with and without the incentive scheme. Returns
-/// `(with incentive, without incentive)`.
-pub fn figure3_incentive_vs_none(base: SimulationConfig) -> (LabelledReport, LabelledReport) {
-    let with = SimulationConfig {
-        mix: BehaviorMix::all_rational(),
-        incentive: IncentiveScheme::ReputationBased,
-        ..base.clone()
-    };
-    let without = SimulationConfig {
-        incentive: IncentiveScheme::None,
-        ..with.clone()
-    };
-    let mut results = run_batch(vec![
-        ("with-incentive".to_string(), 1.0, with),
-        ("without-incentive".to_string(), 0.0, without),
-    ]);
-    let second = results.pop().expect("two results");
-    let first = results.pop().expect("two results");
-    (first, second)
-}
-
-/// **Figure 3, replicated** — the same comparison averaged over
-/// `replications` independent seeds per arm, which is what the
-/// `fig3_incentive_vs_none` binary reports: the single-run gains at reduced
-/// scale are noisy, so the headline ±8–11 % comparison is made on seed
-/// averages. Returns `(with-incentive runs, without-incentive runs)`.
-pub fn figure3_replicated(
-    base: SimulationConfig,
-    replications: usize,
-) -> (Vec<LabelledReport>, Vec<LabelledReport>) {
-    assert!(replications > 0, "need at least one replication");
-    let mut configs = Vec::new();
-    for rep in 0..replications {
-        let with = SimulationConfig {
-            mix: BehaviorMix::all_rational(),
-            incentive: IncentiveScheme::ReputationBased,
-            seed: base.seed.wrapping_add(1_000 * rep as u64),
-            ..base.clone()
-        };
-        let without = SimulationConfig {
-            incentive: IncentiveScheme::None,
-            ..with.clone()
-        };
-        configs.push((format!("with-incentive/seed{rep}"), 1.0, with));
-        configs.push((format!("without-incentive/seed{rep}"), 0.0, without));
-    }
-    let results = run_batch(configs);
-    let (with, without): (Vec<LabelledReport>, Vec<LabelledReport>) = results
-        .into_iter()
-        .partition(|r| r.label.starts_with("with-incentive"));
-    (with, without)
-}
-
-/// Mean shared-articles and shared-bandwidth fractions over a set of runs.
-pub fn mean_sharing(reports: &[LabelledReport]) -> (f64, f64) {
-    if reports.is_empty() {
-        return (0.0, 0.0);
-    }
-    let n = reports.len() as f64;
-    (
-        reports
-            .iter()
-            .map(|r| r.report.shared_articles)
-            .sum::<f64>()
-            / n,
-        reports
-            .iter()
-            .map(|r| r.report.shared_bandwidth)
-            .sum::<f64>()
-            / n,
-    )
-}
-
-/// **Figures 4 and 5** — sweep of the fraction of `primary`-type peers from
-/// 10 % to 90 %, the remainder split equally between the other two types.
-/// Figure 4 reads the whole-population sharing means of each report,
-/// Figure 5 the rational-only breakdown.
-pub fn mix_sweep(base: SimulationConfig, primary: BehaviorType) -> Vec<LabelledReport> {
-    let configs = MIX_SWEEP_PERCENTAGES
-        .iter()
-        .map(|&pct| {
-            let fraction = f64::from(pct) / 100.0;
-            let config = SimulationConfig {
-                mix: BehaviorMix::sweep(primary, fraction),
-                seed: base.seed.wrapping_add(u64::from(pct)),
-                ..base.clone()
-            };
-            (
-                format!("{}={}%", primary.label(), pct),
-                f64::from(pct),
-                config,
-            )
-        })
-        .collect();
-    run_batch(configs)
-}
-
-/// **Figure 6** — rational-peer edit behaviour when altruistic and
-/// irrational peers are equally common: the fraction of rational peers is
-/// swept from 10 % to 100 % and the rest is split evenly.
-pub fn figure6_balanced_edit_behaviour(base: SimulationConfig) -> Vec<LabelledReport> {
-    let mut percentages: Vec<u32> = MIX_SWEEP_PERCENTAGES.to_vec();
-    percentages.push(100);
-    let configs = percentages
-        .iter()
-        .map(|&pct| {
-            let fraction = f64::from(pct) / 100.0;
-            let config = SimulationConfig {
-                mix: BehaviorMix::sweep(BehaviorType::Rational, fraction),
-                seed: base.seed.wrapping_add(u64::from(pct) * 31),
-                ..base.clone()
-            };
-            (format!("rational={pct}%"), f64::from(pct), config)
-        })
-        .collect();
-    run_batch(configs)
-}
-
-/// **Figure 7** — rational-peer edit behaviour under a varying share of
-/// altruistic (top panel) or irrational (bottom panel) peers.
-pub fn figure7_majority_following(
-    base: SimulationConfig,
-    varying: BehaviorType,
-) -> Vec<LabelledReport> {
-    assert!(
-        varying != BehaviorType::Rational,
-        "figure 7 varies the altruistic or irrational share"
-    );
-    mix_sweep(base, varying)
-}
-
-/// **ABL1** — reputation-function ablation: the same all-rational run with
-/// different `β` values of the logistic function (and thus different growth
-/// speeds), the knob Section VI flags as future work.
-pub fn ablation_reputation_beta(base: SimulationConfig, betas: &[f64]) -> Vec<LabelledReport> {
-    let configs = betas
-        .iter()
-        .map(|&beta| {
-            let config = SimulationConfig {
-                mix: BehaviorMix::all_rational(),
-                reputation_beta: beta,
-                ..base.clone()
-            };
-            (format!("beta={beta}"), beta, config)
-        })
-        .collect();
-    run_batch(configs)
-}
-
-/// **ABL3** — incentive-scheme ablation: no incentive vs. tit-for-tat vs.
-/// the full reputation scheme on a mixed population.
-pub fn ablation_schemes(base: SimulationConfig) -> Vec<LabelledReport> {
-    let mix = BehaviorMix::new(0.4, 0.3, 0.3);
-    let configs = IncentiveScheme::ALL
-        .iter()
-        .enumerate()
-        .map(|(i, &scheme)| {
-            let config = SimulationConfig {
-                mix,
-                incentive: scheme,
-                ..base.clone()
-            };
-            (scheme.label().to_string(), i as f64, config)
-        })
-        .collect();
-    run_batch(configs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,118 +376,6 @@ mod tests {
             },
             ..Default::default()
         }
-    }
-
-    #[test]
-    fn run_batch_preserves_input_order() {
-        let configs = vec![
-            (
-                "a".to_string(),
-                1.0,
-                SimulationConfig {
-                    seed: 1,
-                    ..tiny_base()
-                },
-            ),
-            (
-                "b".to_string(),
-                2.0,
-                SimulationConfig {
-                    seed: 2,
-                    ..tiny_base()
-                },
-            ),
-            (
-                "c".to_string(),
-                3.0,
-                SimulationConfig {
-                    seed: 3,
-                    ..tiny_base()
-                },
-            ),
-        ];
-        let results = run_batch(configs);
-        assert_eq!(results.len(), 3);
-        assert_eq!(results[0].label, "a");
-        assert_eq!(results[1].label, "b");
-        assert_eq!(results[2].label, "c");
-        assert_eq!(results[2].parameter, 3.0);
-    }
-
-    #[test]
-    fn run_batch_matches_sequential_execution() {
-        let config = SimulationConfig {
-            seed: 9,
-            ..tiny_base()
-        };
-        let parallel = run_batch(vec![
-            ("x".to_string(), 0.0, config.clone()),
-            ("y".to_string(), 0.0, config.clone()),
-        ]);
-        let sequential = Simulation::new(config).run();
-        assert_eq!(parallel[0].report, sequential);
-        assert_eq!(parallel[1].report, sequential);
-    }
-
-    #[test]
-    fn figure3_produces_both_arms() {
-        let (with, without) = figure3_incentive_vs_none(tiny_base());
-        assert_eq!(with.label, "with-incentive");
-        assert_eq!(without.label, "without-incentive");
-        assert_eq!(with.report.evaluation_steps, 40);
-    }
-
-    #[test]
-    fn figure3_replication_partitions_by_arm() {
-        let (with, without) = figure3_replicated(tiny_base(), 2);
-        assert_eq!(with.len(), 2);
-        assert_eq!(without.len(), 2);
-        assert!(with.iter().all(|r| r.label.starts_with("with-incentive")));
-        assert!(without
-            .iter()
-            .all(|r| r.label.starts_with("without-incentive")));
-        let (articles, bandwidth) = mean_sharing(&with);
-        assert!((0.0..=1.0).contains(&articles));
-        assert!((0.0..=1.0).contains(&bandwidth));
-        assert_eq!(mean_sharing(&[]), (0.0, 0.0));
-    }
-
-    #[test]
-    fn mix_sweep_covers_nine_points() {
-        let results = mix_sweep(tiny_base(), BehaviorType::Altruistic);
-        assert_eq!(results.len(), 9);
-        assert_eq!(results[0].parameter, 10.0);
-        assert_eq!(results[8].parameter, 90.0);
-        assert!(results[0].label.contains("altruistic=10%"));
-    }
-
-    #[test]
-    fn figure6_includes_the_pure_rational_point() {
-        let results = figure6_balanced_edit_behaviour(tiny_base());
-        assert_eq!(results.len(), 10);
-        assert_eq!(results.last().unwrap().parameter, 100.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "altruistic or irrational")]
-    fn figure7_rejects_rational_sweep() {
-        let _ = figure7_majority_following(tiny_base(), BehaviorType::Rational);
-    }
-
-    #[test]
-    fn ablation_runs_all_schemes() {
-        let results = ablation_schemes(tiny_base());
-        assert_eq!(results.len(), 3);
-        let labels: Vec<&str> = results.iter().map(|r| r.label.as_str()).collect();
-        assert_eq!(labels, vec!["none", "reputation", "tit-for-tat"]);
-    }
-
-    #[test]
-    fn ablation_reputation_beta_labels() {
-        let results = ablation_reputation_beta(tiny_base(), &[0.1, 0.3]);
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].label, "beta=0.1");
-        assert_eq!(results[1].parameter, 0.3);
     }
 
     #[test]
@@ -739,15 +422,6 @@ mod tests {
         assert_eq!(cells[0].config(), &base);
         assert_eq!(cells[0].label(), "base/reputation/seed=77");
         assert_eq!(cells[0].phases().len(), 6, "default phase order");
-    }
-
-    #[test]
-    fn grid_mix_sweep_covers_the_paper_percentages() {
-        let grid = ScenarioGrid::new(tiny_base()).with_mix_sweep(BehaviorType::Irrational);
-        assert_eq!(grid.len(), 9);
-        let cells = grid.cells();
-        assert!(cells[0].label().starts_with("irrational=10%"));
-        assert_eq!(cells[8].parameter(), 90.0);
     }
 
     #[test]

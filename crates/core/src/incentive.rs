@@ -36,7 +36,7 @@ impl IncentiveScheme {
         IncentiveScheme::TitForTat,
     ];
 
-    /// Short label used in CSV output and bench identifiers.
+    /// Short label used in spec files, cell labels and bench identifiers.
     pub fn label(self) -> &'static str {
         match self {
             IncentiveScheme::None => "none",
@@ -90,86 +90,6 @@ impl IncentiveScheme {
     }
 }
 
-/// Toggles for the `abl3_service_differentiation` ablation: the full
-/// reputation-based scheme with individual mechanisms switched off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchemeAblation {
-    /// Keep reputation-proportional bandwidth allocation.
-    pub differentiate_bandwidth: bool,
-    /// Keep reputation-weighted voting.
-    pub weighted_voting: bool,
-    /// Keep the editing threshold.
-    pub gated_editing: bool,
-    /// Keep punishments.
-    pub punishments: bool,
-}
-
-impl SchemeAblation {
-    /// The full scheme (nothing ablated).
-    pub fn full() -> Self {
-        Self {
-            differentiate_bandwidth: true,
-            weighted_voting: true,
-            gated_editing: true,
-            punishments: true,
-        }
-    }
-
-    /// Everything off — equivalent to [`IncentiveScheme::None`].
-    pub fn none() -> Self {
-        Self {
-            differentiate_bandwidth: false,
-            weighted_voting: false,
-            gated_editing: false,
-            punishments: false,
-        }
-    }
-
-    /// Label of the single mechanism that is disabled relative to the full
-    /// scheme, or "full"/"none" for the extremes. Used in ablation tables.
-    pub fn label(&self) -> &'static str {
-        match (
-            self.differentiate_bandwidth,
-            self.weighted_voting,
-            self.gated_editing,
-            self.punishments,
-        ) {
-            (true, true, true, true) => "full",
-            (false, false, false, false) => "none",
-            (false, true, true, true) => "no-bandwidth-differentiation",
-            (true, false, true, true) => "no-weighted-voting",
-            (true, true, false, true) => "no-edit-threshold",
-            (true, true, true, false) => "no-punishment",
-            _ => "custom",
-        }
-    }
-
-    /// The standard ablation set: full scheme plus each mechanism removed
-    /// one at a time, plus the no-incentive extreme.
-    pub fn standard_set() -> Vec<SchemeAblation> {
-        vec![
-            Self::full(),
-            Self {
-                differentiate_bandwidth: false,
-                ..Self::full()
-            },
-            Self {
-                weighted_voting: false,
-                ..Self::full()
-            },
-            Self {
-                gated_editing: false,
-                ..Self::full()
-            },
-            Self {
-                punishments: false,
-                ..Self::full()
-            },
-            Self::none(),
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,24 +137,5 @@ mod tests {
         for s in IncentiveScheme::ALL {
             assert!(s.restricts_voters_to_editors());
         }
-    }
-
-    #[test]
-    fn ablation_labels() {
-        assert_eq!(SchemeAblation::full().label(), "full");
-        assert_eq!(SchemeAblation::none().label(), "none");
-        let no_vote = SchemeAblation {
-            weighted_voting: false,
-            ..SchemeAblation::full()
-        };
-        assert_eq!(no_vote.label(), "no-weighted-voting");
-    }
-
-    #[test]
-    fn standard_ablation_set_is_distinctly_labelled() {
-        let set = SchemeAblation::standard_set();
-        assert_eq!(set.len(), 6);
-        let labels: std::collections::HashSet<_> = set.iter().map(|a| a.label()).collect();
-        assert_eq!(labels.len(), 6);
     }
 }

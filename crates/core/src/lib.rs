@@ -35,11 +35,12 @@
 //! * [`pipeline`] — the step-phase pipeline behind [`Simulation::step`],
 //! * [`experiment`] — [`experiment::ScenarioGrid`] /
 //!   [`experiment::ScenarioRunner`]: declarative parameter grids
-//!   (mix × scheme × seed) executed on parallel worker threads, plus the
-//!   sweeps that regenerate every figure of the paper (Figures 3–7) and
-//!   the ablations,
-//! * [`results`] — plain-text/CSV table rendering used by the
-//!   figure-regeneration binaries in `collabsim-bench`.
+//!   (mix × scheme × seed) executed on parallel worker threads,
+//! * [`results`] — the plain-text per-behaviour and churn tables the
+//!   examples print.
+//!
+//! The paper's Figures 3–7 and the ablations are checked-in spec files
+//! checked by `collabsim check` (the `collabsim-cli` crate's claims table).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -124,13 +124,13 @@ impl SimulationReport {
             .constructive_edit_fraction()
     }
 
-    /// Percentage of decided constructive edits that were accepted, over the
+    /// Fraction of decided constructive edits that were accepted, over the
     /// whole network.
     pub fn constructive_acceptance_rate(&self) -> f64 {
         self.edit_outcomes.constructive_acceptance_rate()
     }
 
-    /// Percentage of decided destructive edits that slipped through.
+    /// Fraction of decided destructive edits that slipped through.
     pub fn destructive_acceptance_rate(&self) -> f64 {
         self.edit_outcomes.destructive_acceptance_rate()
     }

@@ -1,123 +1,10 @@
-//! Result rendering: plain-text tables and CSV series.
-//!
-//! The bench binaries regenerate every figure as a numeric series printed to
-//! stdout (and optionally written to CSV); this module holds the shared
-//! formatting so the binaries, the examples and EXPERIMENTS.md all show the
-//! same columns.
+//! Result rendering: the plain-text tables the examples print for one
+//! run's per-behaviour breakdown and churn counters.
 
-use crate::experiment::LabelledReport;
 use crate::report::SimulationReport;
 use crate::world::ChurnStats;
 use collabsim_gametheory::behavior::BehaviorType;
 use std::fmt::Write as _;
-
-/// Renders a sequence of labelled reports as a CSV document with one row per
-/// configuration. Columns cover the quantities Figures 3–7 plot.
-pub fn to_csv(results: &[LabelledReport]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "label,parameter,shared_articles,shared_bandwidth,\
-         rational_shared_articles,rational_shared_bandwidth,\
-         rational_constructive_fraction,constructive_acceptance_rate,\
-         destructive_acceptance_rate,mean_article_quality,completed_downloads\n",
-    );
-    for r in results {
-        let report = &r.report;
-        let _ = writeln!(
-            out,
-            "{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{}",
-            r.label,
-            r.parameter,
-            report.shared_articles,
-            report.shared_bandwidth,
-            report.rational_shared_articles(),
-            report.rational_shared_bandwidth(),
-            report.rational_constructive_fraction(),
-            report.constructive_acceptance_rate(),
-            report.destructive_acceptance_rate(),
-            report.mean_article_quality,
-            report.completed_downloads,
-        );
-    }
-    out
-}
-
-/// Renders a fixed-width text table for terminal output.
-pub fn to_table(title: &str, results: &[LabelledReport]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# {title}");
-    let _ = writeln!(
-        out,
-        "{:<24} {:>10} {:>10} {:>12} {:>12} {:>12}",
-        "configuration", "articles", "bandwidth", "rat.articles", "rat.bandw.", "rat.constr."
-    );
-    for r in results {
-        let report = &r.report;
-        let _ = writeln!(
-            out,
-            "{:<24} {:>10.4} {:>10.4} {:>12.4} {:>12.4} {:>12.4}",
-            r.label,
-            report.shared_articles,
-            report.shared_bandwidth,
-            report.rational_shared_articles(),
-            report.rational_shared_bandwidth(),
-            report.rational_constructive_fraction(),
-        );
-    }
-    out
-}
-
-/// Renders the Figure 3 comparison (with vs. without incentive) including
-/// the relative improvements the paper reports (≈ +8 % articles, ≈ +11 %
-/// bandwidth).
-pub fn figure3_summary(with: &SimulationReport, without: &SimulationReport) -> String {
-    let article_gain = relative_gain(with.shared_articles, without.shared_articles);
-    let bandwidth_gain = relative_gain(with.shared_bandwidth, without.shared_bandwidth);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# Figure 3 — sharing with vs. without the incentive scheme"
-    );
-    let _ = writeln!(
-        out,
-        "{:<22} {:>16} {:>16} {:>12}",
-        "metric", "with incentive", "without", "gain"
-    );
-    let _ = writeln!(
-        out,
-        "{:<22} {:>16.4} {:>16.4} {:>11.1}%",
-        "shared articles",
-        with.shared_articles,
-        without.shared_articles,
-        article_gain * 100.0
-    );
-    let _ = writeln!(
-        out,
-        "{:<22} {:>16.4} {:>16.4} {:>11.1}%",
-        "shared bandwidth",
-        with.shared_bandwidth,
-        without.shared_bandwidth,
-        bandwidth_gain * 100.0
-    );
-    let _ = writeln!(
-        out,
-        "paper reference: approximately +8% articles, +11% bandwidth"
-    );
-    out
-}
-
-/// Relative gain of `a` over `b`, guarding against a zero baseline.
-pub fn relative_gain(a: f64, b: f64) -> f64 {
-    if b.abs() < 1e-12 {
-        if a.abs() < 1e-12 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        (a - b) / b
-    }
-}
 
 /// Renders the churn counters of a run — the Section-VI reputation-
 /// persistence numbers: how much reputation re-entrant identities kept
@@ -173,8 +60,7 @@ pub fn behavior_table(report: &SimulationReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::LabelledReport;
-    use crate::report::{BehaviorBreakdown, SimulationReport};
+    use crate::report::BehaviorBreakdown;
     use std::collections::BTreeMap;
 
     fn fake_report(shared_articles: f64, shared_bandwidth: f64) -> SimulationReport {
@@ -200,58 +86,6 @@ mod tests {
             evaluation_steps: 10,
             seed: 0,
         }
-    }
-
-    fn labelled(label: &str, parameter: f64) -> LabelledReport {
-        LabelledReport {
-            label: label.to_string(),
-            parameter,
-            report: fake_report(0.3, 0.6),
-        }
-    }
-
-    #[test]
-    fn csv_has_header_and_one_row_per_result() {
-        let csv = to_csv(&[labelled("a", 1.0), labelled("b", 2.0)]);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("label,parameter"));
-        assert!(lines[1].starts_with("a,1,"));
-        assert!(lines[2].starts_with("b,2,"));
-        // Each data row has the same number of columns as the header.
-        let header_cols = lines[0].split(',').count();
-        assert_eq!(lines[1].split(',').count(), header_cols);
-    }
-
-    #[test]
-    fn table_contains_every_label() {
-        let table = to_table(
-            "demo",
-            &[labelled("config-x", 1.0), labelled("config-y", 2.0)],
-        );
-        assert!(table.contains("# demo"));
-        assert!(table.contains("config-x"));
-        assert!(table.contains("config-y"));
-    }
-
-    #[test]
-    fn figure3_summary_reports_gains() {
-        let with = fake_report(0.27, 0.62);
-        let without = fake_report(0.25, 0.56);
-        let summary = figure3_summary(&with, &without);
-        assert!(summary.contains("shared articles"));
-        assert!(summary.contains("shared bandwidth"));
-        assert!(summary.contains("8% articles"));
-        // 0.27 / 0.25 − 1 = 8 %.
-        assert!(summary.contains("8.0%"));
-    }
-
-    #[test]
-    fn relative_gain_edge_cases() {
-        assert!((relative_gain(1.1, 1.0) - 0.1).abs() < 1e-12);
-        assert_eq!(relative_gain(0.0, 0.0), 0.0);
-        assert_eq!(relative_gain(1.0, 0.0), f64::INFINITY);
-        assert!(relative_gain(0.9, 1.0) < 0.0);
     }
 
     #[test]

@@ -517,6 +517,10 @@ macro_rules! key {
 /// Peer and article ids are `u32`.
 const ID_LIMIT: usize = u32::MAX as usize;
 
+/// The largest utility weight magnitude a spec may set (the paper's
+/// defaults are 0.25–10).
+const MAX_UTILITY_WEIGHT: f64 = 1e6;
+
 /// Every spec key, in the order [`ScenarioSpec::to_text`] writes them.
 /// Rules that join several keys live in [`SimulationConfig::check`] and
 /// [`ScenarioSpecBuilder::build`].
@@ -539,11 +543,15 @@ const KEYS: &[Key] = &[
     key!(learning_rate: learning.learning_rate, checked by learning),
     key!(discount: learning.discount, checked by learning),
     key!(initial_q: learning.initial_q, checked by learning),
-    // A non-finite weight makes the rewards the learners see non-finite.
-    key!(utility_sharing: utility.sharing, |u| [u.alpha, u.beta, u.gamma].iter().all(|w| w.is_finite()),
-        "utility weights must be finite"),
-    key!(utility_editing: utility.editing, |u| u.delta.is_finite() && u.epsilon.is_finite(),
-        "utility weights must be finite"),
+    // Bounded weights bound every per-step reward: `U_S` weighs three
+    // fractions, and `U_E` weighs one step's counts of successful edits and
+    // votes, which the population bounds. So the Q-values
+    // (`q_value_bound`) and the report's utility sums stay finite at any
+    // accepted step count; finite weights of 1e308 overflowed both.
+    key!(utility_sharing: utility.sharing, |u| [u.alpha, u.beta, u.gamma].iter().all(|w| w.abs() <= MAX_UTILITY_WEIGHT),
+        "utility weights must lie in [-1e6, 1e6]"),
+    key!(utility_editing: utility.editing, |u| [u.delta, u.epsilon].iter().all(|w| w.abs() <= MAX_UTILITY_WEIGHT),
+        "utility weights must lie in [-1e6, 1e6]"),
     key!(contribution: contribution, checked),
     key!(service: service, checked),
     key!(punishment: punishment, checked),
@@ -1365,8 +1373,20 @@ mod tests {
         ("learning_rate", &["0", "1.5", "NaN"]),
         ("discount", &["-0.1", "1.5", "NaN"]),
         ("initial_q", &["inf", "NaN"]),
-        ("utility_sharing", &["NaN,0.5,0.5", "10,inf,0.5", "10,0.5"]),
-        ("utility_editing", &["NaN,0.25", "2,-inf"]),
+        (
+            "utility_sharing",
+            &[
+                "NaN,0.5,0.5",
+                "10,inf,0.5",
+                "10,0.5",
+                "1e308,1e308,1e308",
+                "10,0.5,-1000001",
+            ],
+        ),
+        (
+            "utility_editing",
+            &["NaN,0.25", "2,-inf", "1e308,1e308", "1000001,0.25"],
+        ),
         (
             "contribution",
             &[

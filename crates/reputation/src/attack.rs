@@ -6,8 +6,8 @@
 //! by simply uploading some files to a highly reputable peer"). These
 //! generators build trust graphs and ledger workloads exhibiting those
 //! attacks so the propagation substrates and the incentive scheme can be
-//! stress-tested; the `abl2_propagation_attacks` bench reports how each
-//! substrate ranks attackers versus honest peers.
+//! stress-tested; `tests/substrate_interplay.rs` checks how each
+//! substrate ranks attackers versus honest peers on a collusion clique.
 
 use crate::propagation::TrustGraph;
 use rand::Rng;

@@ -10,10 +10,11 @@
 //!
 //! The concrete representation chosen in the paper is the logistic function
 //! `R(C) = 1 / (1 + g · exp(−β · C))` (Figure 1 plots it for `g = 19` and
-//! `β ∈ {0.1, 0.15, 0.2, 0.3}`). Because Section VI names the study of
-//! alternative reputation functions as future work, this module ships three
-//! additional monotone functions with the same `[R_min, 1]` range so the
-//! ablation bench (`abl1_reputation_functions`) can compare them.
+//! `β ∈ {0.1, 0.15, 0.2, 0.3}`, [`FIGURE1_BETAS`]). Because Section VI names
+//! the study of alternative reputation functions as future work, this
+//! module ships three additional monotone functions with the same
+//! `[R_min, 1]` range. The ABL1 claim of `collabsim check` sweeps the
+//! logistic `β` over the Figure 1 values.
 
 /// A monotone map from contribution values to reputation values.
 ///
@@ -211,26 +212,6 @@ impl ReputationFunction for ExponentialSaturation {
 /// The β values plotted in Figure 1 of the paper.
 pub const FIGURE1_BETAS: [f64; 4] = [0.3, 0.2, 0.15, 0.1];
 
-/// Evaluates the paper's Figure 1 series: for every β in
-/// [`FIGURE1_BETAS`], the reputation at each integer contribution value in
-/// `0..=max_contribution`. Returns `(beta, Vec<(contribution, reputation)>)`
-/// pairs.
-pub fn figure1_series(max_contribution: u32) -> Vec<(f64, Vec<(f64, f64)>)> {
-    FIGURE1_BETAS
-        .iter()
-        .map(|&beta| {
-            let f = LogisticReputation::paper(beta);
-            let series = (0..=max_contribution)
-                .map(|c| {
-                    let c = f64::from(c);
-                    (c, f.reputation(c))
-                })
-                .collect();
-            (beta, series)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,20 +326,6 @@ mod tests {
         assert!((f.reputation(0.0) - 0.05).abs() < 1e-12);
         assert!(f.reputation(100.0) > 0.9999);
         assert!(f.reputation(100.0) <= 1.0);
-    }
-
-    #[test]
-    fn figure1_series_shape() {
-        let series = figure1_series(50);
-        assert_eq!(series.len(), 4);
-        for (beta, points) in &series {
-            assert!(FIGURE1_BETAS.contains(beta));
-            assert_eq!(points.len(), 51);
-            assert!((points[0].1 - 0.05).abs() < 1e-12);
-            // By C = 50 every curve in Figure 1 is close to saturation for
-            // β ≥ 0.15; the slowest (β = 0.1) reaches at least ~0.88.
-            assert!(points[50].1 > 0.85, "beta={beta}: {}", points[50].1);
-        }
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! * [`propagation`] — EigenTrust, MaxFlow and gossip propagation of local
 //!   trust into global reputation values,
 //! * [`attack`] — collusion / whitewashing attack generators used by the
-//!   robustness benches.
+//!   robustness tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,9 +8,8 @@
 //! source can assign to a target is bounded by the maximum flow between
 //! them in the local-trust graph). This module implements both, plus a
 //! simple gossip-averaging scheme, over a shared [`TrustGraph`]
-//! representation of pairwise local trust. The ablation bench
-//! `abl2_propagation_attacks` compares them under collusion and
-//! whitewashing attacks generated by [`crate::attack`].
+//! representation of pairwise local trust. `tests/substrate_interplay.rs`
+//! compares them under a collusion clique generated by [`crate::attack`].
 //!
 //! All three algorithms sit behind the [`PropagationBackend`] trait so the
 //! simulation engine (and anything else that periodically turns local
@@ -186,8 +185,8 @@ impl PropagationBackend for maxflow::MaxFlowTrust {
     }
 
     /// MaxFlow trust is inherently pairwise; as a global vector we report
-    /// the reputations as seen from peer 0, the conventional observer of
-    /// the ablation benches (`O(V · E²)` per pair makes an all-pairs
+    /// the reputations as seen from peer 0, the conventional observer
+    /// (`O(V · E²)` per pair makes an all-pairs
     /// aggregate prohibitive inside a simulation step).
     fn propagate(&self, graph: &TrustGraph, _rng: &mut dyn RngCore) -> GlobalReputation {
         self.reputation_from(graph, 0)

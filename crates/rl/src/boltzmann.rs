@@ -11,8 +11,8 @@
 //! the distribution is nearly uniform (the training phase of the simulation
 //! sets `T` to the largest representable floating-point value), for low `T`
 //! the highest-valued action dominates. Figure 2 of the paper plots the
-//! distribution for Q-values 1..10 at `T = 2` and `T = 1000`; the
-//! `fig2_boltzmann` bench binary regenerates exactly that series from
+//! distribution for Q-values 1..10 at `T = 2` and `T = 1000`; this
+//! module's tests check that series' two shapes against
 //! [`boltzmann_distribution`].
 
 use rand::Rng;
