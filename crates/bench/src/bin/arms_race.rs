@@ -32,7 +32,7 @@
 //! [`ARMS_DEFENCES`]: collabsim_cli::training::ARMS_DEFENCES
 
 use collabsim::json::Json;
-use collabsim_bench::{arg_value, has_flag, write_and_gate};
+use collabsim_bench::{write_and_gate, Args, Takes};
 use collabsim_cli::training::{
     arms_scale, equilibrate_base, run_defence_arm, EvalOutcome, TrainedPolicy, ARMS_DEFENCES,
 };
@@ -112,9 +112,14 @@ fn render_csv(results: &[ArmResult]) -> String {
 }
 
 fn main() {
-    let quick = has_flag("--quick");
+    let args = Args::from_env(&[
+        ("--quick", Takes::Nothing),
+        ("--episodes", Takes::Count),
+        ("--csv", Takes::Path),
+    ]);
+    let quick = args.has("--quick");
     let mut scale = arms_scale(quick);
-    if let Some(episodes) = arg_value("--episodes").and_then(|v| v.parse().ok()) {
+    if let Some(episodes) = args.value("--episodes") {
         scale.episodes = episodes;
     }
 
@@ -205,8 +210,8 @@ fn main() {
     );
 
     let report = report_json(&results, equilibration_seconds, total_steps_per_sec);
-    let gated = write_and_gate(&report, "BENCH_arms.json");
-    if let Some(path) = arg_value("--csv") {
+    let gated = write_and_gate(&report, "BENCH_arms.json", &args);
+    if let Some(path) = args.value::<String>("--csv") {
         match std::fs::write(&path, render_csv(&results)) {
             Ok(()) => println!("(csv written to {path})"),
             Err(e) => eprintln!("failed to write {path}: {e}"),

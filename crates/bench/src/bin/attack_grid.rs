@@ -32,7 +32,7 @@ use collabsim::adversary::AttackMetricsObserver;
 use collabsim::json::Json;
 use collabsim::pipeline::PhaseRegistry;
 use collabsim::{MemStore, RunStore, ScenarioSpec, Simulation};
-use collabsim_bench::{has_flag, write_and_gate};
+use collabsim_bench::{write_and_gate, Args, Takes};
 use collabsim_cli::runner::run_spec_instrumented;
 use collabsim_cli::scenarios::{attack_cells, attack_scale, AttackCell, ATTACK_STRATEGIES};
 use std::fmt::Write as _;
@@ -162,7 +162,8 @@ fn warm_start_experiment(cells: &[AttackCell]) -> WarmStartReport {
 }
 
 fn main() {
-    let quick = has_flag("--quick");
+    let args = Args::from_env(&[("--quick", Takes::Nothing)]);
+    let quick = args.has("--quick");
     let scale = attack_scale(quick);
 
     println!(
@@ -275,7 +276,7 @@ fn main() {
         ("warm_start", warm.into()),
         ("total_steps_per_sec", total_steps_per_sec.into()),
     ]);
-    let gated = write_and_gate(&report, "BENCH_attacks.json");
+    let gated = write_and_gate(&report, "BENCH_attacks.json", &args);
     if !beats {
         eprintln!("acceptance violated: adaptive-whitewash must beat naive-whitewash");
         std::process::exit(1);

@@ -1,18 +1,13 @@
 //! `churn_smoke` — the churn scenario bench: steps/sec plus re-entry
 //! reputation-persistence statistics, written as `BENCH_churn.json`.
 //!
-//! Two stages:
-//!
-//! 1. **End-to-end grid** — three churn regimes (background churn,
-//!    whitewash-heavy, combined) expressed as [`ScenarioSpec`]s and run
-//!    through the [`ScenarioRunner`] — the registry-driven path a custom
-//!    scenario takes (no engine edits anywhere).
-//! 2. **Instrumented runs** — every regime re-run through the shared
-//!    [`collabsim_cli::runner`] core with a [`ChurnTimelineObserver`],
-//!    producing the per-regime steps/sec figures (each baseline-gated in
-//!    CI) and the persistence stats: mean sharing reputation observed at
-//!    re-entry (above `R_min` ⇒ reputation survives absences) and mean
-//!    reputation shed per whitewash (what the adversary pays).
+//! Three churn regimes (background churn, whitewash-heavy, combined),
+//! expressed as [`ScenarioSpec`]s, each run through the shared
+//! [`collabsim_cli::runner`] core with a [`ChurnTimelineObserver`]. Per
+//! regime it reports steps/sec (baseline-gated in CI) and the persistence
+//! stats: mean sharing reputation observed at re-entry (above `R_min` ⇒
+//! reputation survives absences) and mean reputation shed per whitewash
+//! (what the adversary pays).
 //!
 //! The regimes come from [`collabsim_cli::scenarios::churn_regimes`] — the
 //! constructors behind the checked-in `scenarios/churn/` files, so
@@ -24,12 +19,11 @@
 //!
 //! [`ScenarioSpec`]: collabsim::ScenarioSpec
 
-use collabsim::experiment::ScenarioRunner;
 use collabsim::json::Json;
 use collabsim::observer::ChurnTimelineObserver;
 use collabsim::pipeline::PhaseRegistry;
 use collabsim::ScenarioSpec;
-use collabsim_bench::{has_flag, write_and_gate};
+use collabsim_bench::{write_and_gate, Args, Takes};
 use collabsim_cli::runner::run_spec_instrumented;
 use collabsim_cli::scenarios::{churn_phases, churn_regimes};
 
@@ -38,6 +32,9 @@ collabsim::json_struct! {
         label: String,
         total_steps: u64,
         steps_per_sec: f64,
+        shared_articles: f64,
+        shared_bandwidth: f64,
+        completed_downloads: usize,
         joins: u64,
         leaves: u64,
         whitewashes: u64,
@@ -59,6 +56,9 @@ fn run_instrumented(spec: &ScenarioSpec) -> ChurnResult {
         label: outcome.label,
         total_steps: outcome.total_steps,
         steps_per_sec: outcome.steps_per_sec,
+        shared_articles: outcome.report.shared_articles,
+        shared_bandwidth: outcome.report.shared_bandwidth,
+        completed_downloads: outcome.report.completed_downloads,
         joins: stats.joins,
         leaves: stats.leaves,
         whitewashes: stats.whitewashes,
@@ -69,7 +69,8 @@ fn run_instrumented(spec: &ScenarioSpec) -> ChurnResult {
 }
 
 fn main() {
-    let quick = has_flag("--quick");
+    let args = Args::from_env(&[("--quick", Takes::Nothing)]);
+    let quick = args.has("--quick");
 
     println!(
         "collabsim — churn_smoke [scale: {}]",
@@ -78,35 +79,17 @@ fn main() {
     println!("(churn scenarios as ScenarioSpecs: registry-driven pipeline, zero engine edits)");
     println!();
 
-    // Stage 1 — the whole regime family end to end through the runner.
-    let specs = churn_regimes(churn_phases(quick));
-    let reports = ScenarioRunner::default()
-        .run_specs(specs.clone())
-        .expect("churn phase is registered in the standard registry");
-    println!(
-        "{:<22} {:>10} {:>10} {:>12}",
-        "regime", "articles", "bandwidth", "downloads"
-    );
-    for report in &reports {
-        println!(
-            "{:<22} {:>10.4} {:>10.4} {:>12}",
-            report.label,
-            report.report.shared_articles,
-            report.report.shared_bandwidth,
-            report.report.completed_downloads
-        );
-    }
-    println!();
-
-    // Stage 2 — instrumented runs: steps/sec + persistence stats.
     let mut results = Vec::new();
-    for spec in &specs {
+    for spec in &churn_regimes(churn_phases(quick)) {
         let result = run_instrumented(spec);
         println!(
-            "{:<22} steps/sec={:>9.2}  joins={:<4} leaves={:<4} whitewashes={:<4} \
-             reentry-R={:.4} shed-R={:.4} online={}",
+            "{:<22} steps/sec={:>9.2}  articles={:.4} bandwidth={:.4} downloads={:<6} \
+             joins={:<4} leaves={:<4} whitewashes={:<4} reentry-R={:.4} shed-R={:.4} online={}",
             result.label,
             result.steps_per_sec,
+            result.shared_articles,
+            result.shared_bandwidth,
+            result.completed_downloads,
             result.joins,
             result.leaves,
             result.whitewashes,
@@ -118,7 +101,7 @@ fn main() {
     }
 
     let report = Json::object([("bench", "churn_smoke".into()), ("cells", results.into())]);
-    if !write_and_gate(&report, "BENCH_churn.json") {
+    if !write_and_gate(&report, "BENCH_churn.json", &args) {
         std::process::exit(1);
     }
 }

@@ -1,28 +1,26 @@
 //! `determinism_probe` — prints bit-exact simulation reports for the CI
 //! determinism job.
 //!
-//! The binary runs (1) a mix × scheme × seed scenario grid through the
-//! [`ScenarioRunner`] with automatic parallelism, (2) the paper
-//! configuration (100 peers, shortened phases) with automatic ledger
-//! sharding and intra-step threading, (3) a download-heavy cell with
-//! few upload sources, so the batched transfer engine's parallel grant
-//! stage allocates large multi-request buckets across its workers, and
-//! (4) a churn-enabled spec (departures, re-entries and whitewashes over a
-//! sharded ledger) so the offline-gated phase paths stay byte-identical
-//! under intra-step parallelism, and (5) an adversary cell
-//! (adaptive-whitewash + collusion-ring under the paper mix, with
-//! propagation-fed service differentiation) so the strategic-attack and
-//! propagated-reputation paths stay byte-identical too; every report's
-//! `Debug` form is printed to stdout.
+//! The binary runs (1) a mix × scheme × seed set of eight small cells, one
+//! after another, (2) the paper configuration (100 peers, shortened
+//! phases) with automatic ledger sharding and intra-step threading, (3) a
+//! download-heavy cell with few upload sources, so every source's request
+//! bucket holds many competing downloaders, (4) a churn-enabled spec
+//! (departures, re-entries and whitewashes over a sharded ledger) so the
+//! offline-gated phase paths stay byte-identical under intra-step
+//! parallelism, and (5) an adversary cell (adaptive-whitewash +
+//! collusion-ring under the paper mix, with propagation-fed service
+//! differentiation) so the strategic-attack and propagated-reputation
+//! paths stay byte-identical too; every report's `Debug` form is printed
+//! to stdout.
 //!
-//! All sources of parallelism honour the `SCENARIO_THREADS` environment
-//! variable, so CI runs the binary twice — `SCENARIO_THREADS=1` and the
-//! default (parallel) — and `diff`s the outputs: any divergence between
-//! sequential and sharded-parallel execution fails the build.
+//! The intra-step workers honour the `SCENARIO_THREADS` environment
+//! variable, so CI runs the binary at 1, 3 and 4 threads and `diff`s the
+//! outputs: any divergence between sequential and sharded-parallel
+//! execution fails the build.
 
 use collabsim::adversary::AdversarySpec;
 use collabsim::config::PhaseConfig;
-use collabsim::experiment::{ScenarioGrid, ScenarioRunner};
 use collabsim::{BehaviorMix, IncentiveScheme, ScenarioSpec, Simulation, SimulationConfig};
 use collabsim_netsim::churn::ChurnModel;
 use collabsim_reputation::propagation::PropagationScheme;
@@ -35,8 +33,7 @@ fn main() {
         std::env::var("SCENARIO_THREADS").unwrap_or_else(|_| "unset".to_string())
     );
 
-    // A grid of independent cells: the runner's parallel scheduling must
-    // reproduce sequential per-cell reports exactly.
+    // Small cells across the mix × scheme × seed axes.
     let base = SimulationConfig {
         population: 20,
         initial_articles: 10,
@@ -47,15 +44,22 @@ fn main() {
         },
         ..Default::default()
     };
-    let grid = ScenarioGrid::new(base)
-        .with_mixes([
-            ("half-rational", 50.0, BehaviorMix::new(0.5, 0.25, 0.25)),
-            ("all-rational", 100.0, BehaviorMix::all_rational()),
-        ])
-        .with_schemes([IncentiveScheme::ReputationBased, IncentiveScheme::None])
-        .with_seeds([7, 8]);
-    for report in ScenarioRunner::default().run_grid(&grid) {
-        println!("{}: {:?}", report.label, report.report);
+    for (mix_label, mix) in [
+        ("half-rational", BehaviorMix::new(0.5, 0.25, 0.25)),
+        ("all-rational", BehaviorMix::all_rational()),
+    ] {
+        for incentive in [IncentiveScheme::ReputationBased, IncentiveScheme::None] {
+            for seed in [7, 8] {
+                let config = SimulationConfig {
+                    mix,
+                    incentive,
+                    seed,
+                    ..base.clone()
+                };
+                let report = Simulation::new(config).run();
+                println!("{mix_label}/{}/seed={seed}: {report:?}", incentive.label());
+            }
+        }
     }
 
     // The paper configuration with the sharded ledger: intra-step worker
@@ -139,7 +143,7 @@ fn main() {
     // edits, with service differentiation fed by propagated (EigenTrust)
     // reputation instead of the ledger. Adversaries draw from their own
     // RNG stream and the parallel stages (selection, the sharded ledger,
-    // learning, the runner) must reproduce the attack trajectory
+    // learning) must reproduce the attack trajectory
     // byte-for-byte at any SCENARIO_THREADS value.
     let attack_spec = ScenarioSpec::builder()
         .label("adversary/paper-mix")

@@ -1,18 +1,14 @@
 //! `fault_grid` — the fault-injection bench: steps/sec plus fault-layer
 //! accounting per regime × incentive scheme, written as `BENCH_faults.json`.
 //!
-//! Two stages:
-//!
-//! 1. **End-to-end grid** — the 12 fault cells (four link-model regimes:
-//!    ideal, lossy-5 %, high-latency, partitioned clusters × the three
-//!    incentive schemes) expressed as [`ScenarioSpec`]s and run through
-//!    the [`ScenarioRunner`] — the registry-driven path a custom scenario
-//!    takes (no engine edits anywhere).
-//! 2. **Instrumented runs** — every cell re-run through the shared
-//!    [`collabsim_cli::runner`] core, producing the per-cell steps/sec
-//!    figures (each baseline-gated in CI) and the fault accounting
-//!    ([`NetStats`]): grant bandwidth offered/applied/lost/delayed,
-//!    permanent transfer failures, timeouts and re-routes.
+//! The 12 fault cells (four link-model regimes: ideal, lossy-5 %,
+//! high-latency, partitioned clusters × the three incentive schemes),
+//! expressed as [`ScenarioSpec`]s, each run through the shared
+//! [`collabsim_cli::runner`] core. Per cell it reports steps/sec
+//! (baseline-gated in CI), the shared articles, bandwidth and downloads,
+//! and the fault accounting ([`NetStats`]): grant bandwidth
+//! offered/applied/lost/delayed, permanent transfer failures, timeouts and
+//! re-routes.
 //!
 //! The headline table reports **incentive-scheme separation per fault
 //! regime**: shared bandwidth under the paper's reputation scheme minus
@@ -30,11 +26,10 @@
 //! [`ScenarioSpec`]: collabsim::ScenarioSpec
 //! [`NetStats`]: collabsim::NetStats
 
-use collabsim::experiment::ScenarioRunner;
 use collabsim::json::Json;
 use collabsim::pipeline::PhaseRegistry;
 use collabsim::ScenarioSpec;
-use collabsim_bench::{has_flag, write_and_gate};
+use collabsim_bench::{write_and_gate, Args, Takes};
 use collabsim_cli::runner::run_spec_instrumented;
 use collabsim_cli::scenarios::{fault_cells, fault_phases, fault_regimes};
 
@@ -44,6 +39,7 @@ collabsim::json_struct! {
         label: String,
         total_steps: u64,
         steps_per_sec: f64,
+        shared_articles: f64,
         shared_bandwidth: f64,
         completed_downloads: usize,
         grants_offered: f64,
@@ -64,6 +60,7 @@ fn run_instrumented(spec: &ScenarioSpec) -> FaultResult {
         label: outcome.label,
         total_steps: outcome.total_steps,
         steps_per_sec: outcome.steps_per_sec,
+        shared_articles: outcome.report.shared_articles,
         shared_bandwidth: outcome.report.shared_bandwidth,
         completed_downloads: outcome.report.completed_downloads,
         grants_offered: net.grants_offered,
@@ -77,7 +74,8 @@ fn run_instrumented(spec: &ScenarioSpec) -> FaultResult {
 }
 
 fn main() {
-    let quick = has_flag("--quick");
+    let args = Args::from_env(&[("--quick", Takes::Nothing)]);
+    let quick = args.has("--quick");
 
     println!(
         "collabsim — fault_grid [scale: {}]",
@@ -86,35 +84,18 @@ fn main() {
     println!("(fault regimes as ScenarioSpecs: registry-driven pipeline, zero engine edits)");
     println!();
 
-    // Stage 1 — the whole grid end to end through the runner.
-    let specs = fault_cells(fault_phases(quick));
-    let reports = ScenarioRunner::default()
-        .run_specs(specs.clone())
-        .expect("fault cells use only standard phases");
-    println!(
-        "{:<28} {:>10} {:>10} {:>12}",
-        "cell", "articles", "bandwidth", "downloads"
-    );
-    for report in &reports {
-        println!(
-            "{:<28} {:>10.4} {:>10.4} {:>12}",
-            report.label,
-            report.report.shared_articles,
-            report.report.shared_bandwidth,
-            report.report.completed_downloads
-        );
-    }
-    println!();
-
-    // Stage 2 — instrumented runs: steps/sec + fault accounting.
     let mut results = Vec::new();
-    for spec in &specs {
+    for spec in &fault_cells(fault_phases(quick)) {
         let result = run_instrumented(spec);
         println!(
-            "{:<28} steps/sec={:>9.2}  offered={:<9.1} applied={:<9.1} lost={:<8.1} \
-             delayed={:<8.1} failed={:<3} timeouts={:<3} rerouted={}",
+            "{:<28} steps/sec={:>9.2}  articles={:.4} bandwidth={:.4} downloads={:<6} \
+             offered={:<9.1} applied={:<9.1} lost={:<8.1} delayed={:<8.1} failed={:<3} \
+             timeouts={:<3} rerouted={}",
             result.label,
             result.steps_per_sec,
+            result.shared_articles,
+            result.shared_bandwidth,
+            result.completed_downloads,
             result.grants_offered,
             result.grants_applied,
             result.grants_lost,
@@ -156,7 +137,7 @@ fn main() {
     }
 
     let report = Json::object([("bench", "fault_grid".into()), ("cells", results.into())]);
-    if !write_and_gate(&report, "BENCH_faults.json") {
+    if !write_and_gate(&report, "BENCH_faults.json", &args) {
         std::process::exit(1);
     }
 }

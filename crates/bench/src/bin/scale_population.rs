@@ -3,7 +3,7 @@
 //! Runs the `large_population` scenario family
 //! ([`ScenarioSpec::large_population`]) at each requested population
 //! tier (default: the 10⁴ / 5·10⁴ / 10⁵ family of
-//! `ScenarioGrid::large_population`), measuring world-construction time,
+//! [`LARGE_POPULATION_TIERS`]), measuring world-construction time,
 //! end-to-end steps/sec, the per-phase wall-clock breakdown and the
 //! process's peak resident set size, and writes the result as
 //! `BENCH_scale.json`. Each tier runs through the shared
@@ -29,16 +29,14 @@
 //! the fresh `BENCH_scale.json` as a build artifact.
 //!
 //! [`ScenarioSpec::large_population`]: collabsim::ScenarioSpec::large_population
+//! [`LARGE_POPULATION_TIERS`]: collabsim_cli::scenarios::LARGE_POPULATION_TIERS
 
-use collabsim::experiment::LARGE_POPULATION_TIERS;
 use collabsim::json::Json;
 use collabsim::pipeline::PhaseRegistry;
 use collabsim::Simulation;
-use collabsim_bench::{
-    arg_value, has_flag, peak_rss_mb, phase_seconds, print_phases, write_and_gate,
-};
+use collabsim_bench::{peak_rss_mb, phase_seconds, print_phases, write_and_gate, Args, Takes};
 use collabsim_cli::runner::run_spec_instrumented;
-use collabsim_cli::scenarios::scale_tier_spec;
+use collabsim_cli::scenarios::{scale_tier_spec, LARGE_POPULATION_TIERS};
 
 collabsim::json_struct! {
     struct TierResult {
@@ -84,29 +82,6 @@ fn mean_sharing_reputation(sim: &Simulation) -> f64 {
     total / peers as f64
 }
 
-fn tiers_from_args() -> Vec<usize> {
-    if let Some(list) = arg_value("--tiers") {
-        let tiers: Vec<usize> = list
-            .split(',')
-            .filter_map(|t| t.trim().parse().ok())
-            .collect();
-        if !tiers.is_empty() {
-            return tiers;
-        }
-        eprintln!("--tiers {list:?} did not parse; using the default family");
-    }
-    if has_flag("--quick") {
-        return vec![2_000];
-    }
-    LARGE_POPULATION_TIERS.to_vec()
-}
-
-/// Optional training/evaluation step-count overrides from the command line.
-fn step_overrides() -> (Option<u64>, Option<u64>) {
-    let parse = |flag: &str| arg_value(flag).and_then(|v| v.parse().ok());
-    (parse("--train"), parse("--eval"))
-}
-
 fn run_tier(peers: usize, train: Option<u64>, eval: Option<u64>) -> TierResult {
     let spec = scale_tier_spec(peers, train, eval);
     let expected_eval = spec.config().phases.evaluation_steps;
@@ -130,8 +105,20 @@ fn run_tier(peers: usize, train: Option<u64>, eval: Option<u64>) -> TierResult {
 }
 
 fn main() {
-    let tiers = tiers_from_args();
-    let (train, eval) = step_overrides();
+    let args = Args::from_env(&[
+        ("--tiers", Takes::Counts),
+        ("--train", Takes::Count),
+        ("--eval", Takes::Count),
+        ("--quick", Takes::Nothing),
+    ]);
+    let tiers = args.list("--tiers").unwrap_or_else(|| {
+        if args.has("--quick") {
+            vec![2_000]
+        } else {
+            LARGE_POPULATION_TIERS.to_vec()
+        }
+    });
+    let (train, eval) = (args.value("--train"), args.value("--eval"));
 
     println!("collabsim — scale_population [tiers: {tiers:?}]");
     println!("(--tiers a,b,c to override, --baseline <path> to gate on a previous run)");
@@ -159,7 +146,7 @@ fn main() {
         ("bench", "scale_population".into()),
         ("tiers", results.into()),
     ]);
-    if !write_and_gate(&report, "BENCH_scale.json") {
+    if !write_and_gate(&report, "BENCH_scale.json", &args) {
         std::process::exit(1);
     }
 }

@@ -5,25 +5,138 @@
 //! report as a [`Json`] value and end in [`write_and_gate`], which writes
 //! it to `--out` and, given `--baseline`, gates every throughput the
 //! baseline (an earlier report of the same bench) holds against the same
-//! entry of the new report. The paper's figures are not benches:
-//! `collabsim check` checks them ([`collabsim_cli::claims`]).
+//! entry of the new report. Each binary reads its command line with
+//! [`Args`], which refuses any flag it does not take. The paper's figures
+//! are not benches: `collabsim check` checks them
+//! ([`collabsim_cli::claims`]).
 
 use collabsim::json::Json;
 use collabsim::Simulation;
 use collabsim_cli::runner::floor_verdict;
+use collabsim_cli::CliError;
+use std::str::FromStr;
 
-/// Returns the value following `name` on the command line, if any
-/// (`--out path` style flags of the perf benches).
-pub fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// What follows a bench flag on the command line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Takes {
+    /// Nothing: the flag is a switch (`--quick`).
+    Nothing,
+    /// A path (`--out BENCH_scale.json`).
+    Path,
+    /// A finite number (`--max-regress 20`).
+    Number,
+    /// A whole number (`--episodes 2`).
+    Count,
+    /// Comma-separated whole numbers (`--tiers 10000,1000000`).
+    Counts,
 }
 
-/// Whether `name` appears on the command line.
-pub fn has_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
+/// The flags [`write_and_gate`] reads, which every bench binary takes.
+const GATE_FLAGS: [(&str, Takes); 3] = [
+    ("--out", Takes::Path),
+    ("--baseline", Takes::Path),
+    ("--max-regress", Takes::Number),
+];
+
+/// A bench binary's command line, checked against the flags it takes.
+#[derive(Debug)]
+pub struct Args {
+    given: Vec<(String, Option<String>)>,
+}
+
+impl Args {
+    /// Reads the process's command line against `flags` and the gate
+    /// flags; a mistake prints its `error[...]` line and exits 2.
+    pub fn from_env(flags: &[(&str, Takes)]) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&args, flags).unwrap_or_else(|error| {
+            eprintln!("{error}");
+            std::process::exit(error.exit_code());
+        })
+    }
+
+    /// Reads `args` (the command line after the program name) against
+    /// `flags` and the gate flags. An unknown flag, a flag without its
+    /// value and a value that does not parse as the flag [`Takes`] are
+    /// errors naming the flag.
+    pub fn parse(args: &[String], flags: &[(&str, Takes)]) -> Result<Self, CliError> {
+        let mut given = Vec::new();
+        let mut rest = args.iter();
+        while let Some(flag) = rest.next() {
+            let takes = flags
+                .iter()
+                .chain(&GATE_FLAGS)
+                .find_map(|&(name, takes)| (name == flag).then_some(takes))
+                .ok_or_else(|| CliError::Usage(format!("unknown flag `{flag}`")))?;
+            let value = if takes == Takes::Nothing {
+                None
+            } else {
+                let value = rest
+                    .next()
+                    .ok_or_else(|| CliError::Usage(format!("`{flag}` requires a value")))?;
+                check_value(flag, value, takes)?;
+                Some(value.clone())
+            };
+            given.push((flag.clone(), value));
+        }
+        Ok(Self { given })
+    }
+
+    /// Whether `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|(name, _)| name == flag)
+    }
+
+    /// The last value given for `flag`, as the type its [`Takes`] checked.
+    pub fn value<T: FromStr>(&self, flag: &str) -> Option<T> {
+        self.raw(flag).map(|value| parsed(flag, value))
+    }
+
+    /// The entries of the last comma-separated list given for `flag`.
+    pub fn list<T: FromStr>(&self, flag: &str) -> Option<Vec<T>> {
+        self.raw(flag)
+            .map(|list| list.split(',').map(|entry| parsed(flag, entry)).collect())
+    }
+
+    fn raw(&self, flag: &str) -> Option<&str> {
+        self.given
+            .iter()
+            .rev()
+            .find(|(name, _)| name == flag)
+            .and_then(|(_, value)| value.as_deref())
+    }
+}
+
+fn parsed<T: FromStr>(flag: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| panic!("`{flag}` {value:?} was checked by Args::parse"))
+}
+
+/// Refuses a `value` for `flag` that does not parse as `takes`, naming
+/// the entry of a list that does not.
+fn check_value(flag: &str, value: &str, takes: Takes) -> Result<(), CliError> {
+    let whole = |entry: &str| entry.parse::<u64>().is_ok();
+    let (refused, expected) = match takes {
+        Takes::Nothing | Takes::Path => (None, ""),
+        Takes::Number => (
+            (!value.parse::<f64>().is_ok_and(f64::is_finite)).then_some(value),
+            "a finite number",
+        ),
+        Takes::Count => ((!whole(value)).then_some(value), "a whole number"),
+        Takes::Counts => (
+            value.split(',').find(|entry| !whole(entry)),
+            "comma-separated whole numbers",
+        ),
+    };
+    match refused {
+        None => Ok(()),
+        Some(value) => Err(CliError::InvalidFlag {
+            flag: flag.to_string(),
+            value: value.to_string(),
+            expected: expected.to_string(),
+        }),
+    }
 }
 
 /// The process's peak resident set size in MB (`VmHWM` from
@@ -66,18 +179,18 @@ pub fn print_phases(phases: &Json) {
 /// `--baseline <path>`, gates it against that earlier report of the same
 /// bench with the `--max-regress <pct>` tolerance (default 20 %). Returns
 /// `false` on a regression or a baseline that compares nothing.
-pub fn write_and_gate(report: &Json, default_out: &str) -> bool {
-    let out_path = arg_value("--out").unwrap_or_else(|| default_out.to_string());
+pub fn write_and_gate(report: &Json, default_out: &str, args: &Args) -> bool {
+    let out_path = args
+        .value("--out")
+        .unwrap_or_else(|| default_out.to_string());
     match std::fs::write(&out_path, format!("{report}\n")) {
         Ok(()) => println!("\n(report written to {out_path})"),
         Err(e) => eprintln!("failed to write {out_path}: {e}"),
     }
-    let Some(baseline_path) = arg_value("--baseline") else {
+    let Some(baseline_path) = args.value::<String>("--baseline") else {
         return true;
     };
-    let max_regress: f64 = arg_value("--max-regress")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0);
+    let max_regress = args.value("--max-regress").unwrap_or(20.0);
     println!();
     let baseline = match std::fs::read_to_string(&baseline_path) {
         Ok(text) => Json::parse(&text).map_err(|e| format!("not JSON: {e}")),
@@ -177,6 +290,58 @@ mod tests {
 
     fn parse(text: &str) -> Json {
         Json::parse(text).expect("test JSON parses")
+    }
+
+    fn line(text: &str) -> Vec<String> {
+        text.split_whitespace().map(str::to_string).collect()
+    }
+
+    const SCALE_FLAGS: [(&str, Takes); 4] = [
+        ("--quick", Takes::Nothing),
+        ("--tiers", Takes::Counts),
+        ("--train", Takes::Count),
+        ("--eval", Takes::Count),
+    ];
+
+    #[test]
+    fn flags_read_as_they_are_declared() {
+        let args = Args::parse(
+            &line("--quick --tiers 10000,1000000 --train 3 --out a.json --out b.json --max-regress 7.5"),
+            &SCALE_FLAGS,
+        )
+        .expect("every flag is declared");
+        assert!(args.has("--quick"));
+        assert_eq!(args.list::<usize>("--tiers"), Some(vec![10_000, 1_000_000]));
+        assert_eq!(args.value::<u64>("--train"), Some(3));
+        assert_eq!(args.value::<u64>("--eval"), None);
+        assert_eq!(
+            args.value::<String>("--out").as_deref(),
+            Some("b.json"),
+            "the last value wins"
+        );
+        assert_eq!(args.value::<f64>("--max-regress"), Some(7.5));
+        assert!(!Args::parse(&[], &SCALE_FLAGS).unwrap().has("--quick"));
+    }
+
+    #[test]
+    fn mistakes_exit_2_naming_the_flag() {
+        for (text, kind, named) in [
+            ("--tiers 10000,1e6", "invalid-flag", "`1e6` for `--tiers`"),
+            ("--tiers 10000,", "invalid-flag", "`` for `--tiers`"),
+            ("--max-regress twenty", "invalid-flag", "`--max-regress`"),
+            ("--max-regress NaN", "invalid-flag", "`--max-regress`"),
+            ("--train -3", "invalid-flag", "`--train`"),
+            ("--eval 2.5", "invalid-flag", "`--eval`"),
+            ("--baselien base.json", "usage", "`--baselien`"),
+            ("--csv figure.csv", "usage", "`--csv`"),
+            ("stray", "usage", "`stray`"),
+            ("--quick --baseline", "usage", "`--baseline` requires"),
+        ] {
+            let error = Args::parse(&line(text), &SCALE_FLAGS).unwrap_err();
+            assert_eq!(error.exit_code(), 2, "{text}");
+            assert_eq!(error.kind(), kind, "{text}");
+            assert!(error.to_string().contains(named), "{text}: {error}");
+        }
     }
 
     #[test]

@@ -11,7 +11,6 @@
 
 use collabsim::adversary::AdversarySpec;
 use collabsim::config::PhaseConfig;
-use collabsim::experiment::{LARGE_POPULATION_TIERS, MIX_SWEEP_PERCENTAGES};
 use collabsim::{BehaviorMix, BehaviorType, IncentiveScheme, ScenarioSpec, SimulationConfig};
 use collabsim_netsim::churn::ChurnModel;
 use collabsim_netsim::fault::LinkModel;
@@ -64,30 +63,14 @@ pub fn paper_cell_spec(phases: PhaseConfig) -> ScenarioSpec {
         .with_label("paper-cell")
 }
 
-/// Phase lengths for the 18-cell mix grid: the full 12 000-step paper
-/// length when `full_grid_steps`, a smoke length when `quick`, and the
-/// CI-sized 600 + 300 default otherwise.
-pub fn paper_mix_phases(quick: bool, full_grid_steps: bool) -> PhaseConfig {
-    if full_grid_steps {
-        PhaseConfig::default()
-    } else if quick {
-        PhaseConfig {
-            training_steps: 150,
-            evaluation_steps: 100,
-            ..Default::default()
-        }
-    } else {
-        PhaseConfig {
-            training_steps: 600,
-            evaluation_steps: 300,
-            ..Default::default()
-        }
-    }
-}
+/// The percentages swept in the paper's mix experiments (Section IV-B:
+/// "the occurrence of each user type is varied from 10 − 100 %"; the figures
+/// plot 10–90 %).
+pub const MIX_SWEEP_PERCENTAGES: [u32; 9] = [10, 20, 30, 40, 50, 60, 70, 80, 90];
 
 /// The Section IV-B mix grid: 9 altruistic-share + 9 irrational-share
 /// cells over the paper configuration, as labelled specs (the grid behind
-/// Figures 4, 5 and 7, and the `paper_grid` bench's parallel stage).
+/// Figures 4, 5 and 7, and perfbench's `paper-mix` workload).
 pub fn paper_mix_cells(phases: PhaseConfig) -> Vec<ScenarioSpec> {
     let base = SimulationConfig {
         phases,
@@ -443,6 +426,10 @@ pub fn fault_cells(phases: PhaseConfig) -> Vec<ScenarioSpec> {
     cells
 }
 
+/// The population tiers of the `large_population` scenario family: three
+/// orders of magnitude above the paper's 100 peers.
+pub const LARGE_POPULATION_TIERS: [usize; 3] = [10_000, 50_000, 100_000];
+
 /// One population tier of the `scale_population` bench: the
 /// `large_population` preset, optionally with overridden phase lengths
 /// (the reduced-step 10⁶ CI smoke leg).
@@ -641,7 +628,7 @@ mod tests {
 
     #[test]
     fn grids_match_the_published_cell_counts() {
-        assert_eq!(paper_mix_cells(paper_mix_phases(false, false)).len(), 18);
+        assert_eq!(paper_mix_cells(PhaseConfig::default()).len(), 18);
         assert_eq!(churn_regimes(churn_phases(true)).len(), 3);
         assert_eq!(attack_cells(&attack_scale(true)).len(), 30);
         assert_eq!(fault_cells(fault_phases(true)).len(), 12);

@@ -14,8 +14,8 @@
 //! * a `--jsonl -` stream parses line by line (run_start / step /
 //!   run_end events on machine-owned stdout),
 //! * `collabsim grid --workers 4` over the 18-cell paper mix grid yields
-//!   worker reports that decode equal to the in-process
-//!   [`ScenarioRunner`]'s,
+//!   worker reports that decode equal to in-process
+//!   [`Simulation::from_spec`] runs of the same cells,
 //! * a worker SIGKILLed mid-cell is retried and the sweep still completes
 //!   (deterministic one-shot kill injection via `COLLABSIM_TEST_KILL_ONCE`),
 //! * a worker that lands a torn half-record while exiting 0 is detected
@@ -42,11 +42,8 @@
 //!
 //! Manifests, result records and JSONL lines are read with the same
 //! strict parser the coordinator uses ([`collabsim::json`]).
-//!
-//! [`ScenarioRunner`]: collabsim::experiment::ScenarioRunner
 
 use collabsim::config::PhaseConfig;
-use collabsim::experiment::ScenarioRunner;
 use collabsim::json::Json;
 use collabsim::snapshot::write_snapshot_file;
 use collabsim::{ScenarioSpec, Simulation};
@@ -415,9 +412,14 @@ fn reduced_mix_cells() -> Vec<collabsim::ScenarioSpec> {
 fn grid_workers_reproduce_in_process_reports_bit_for_bit() {
     let cells = reduced_mix_cells();
     assert_eq!(cells.len(), 18);
-    let in_process = ScenarioRunner::default()
-        .run_specs(cells.clone())
-        .expect("mix cells resolve");
+    let in_process: Vec<_> = cells
+        .iter()
+        .map(|cell| {
+            Simulation::from_spec(cell)
+                .expect("mix cells resolve")
+                .run()
+        })
+        .collect();
 
     let out_dir = scratch("grid-identity");
     let summary = run_grid(
@@ -436,14 +438,15 @@ fn grid_workers_reproduce_in_process_reports_bit_for_bit() {
 
     assert_eq!(summary.ok_count(), 18);
     assert_eq!(summary.failed_count(), 0);
-    for (cell, expected) in summary.cells.iter().zip(&in_process) {
+    for ((cell, spec), expected) in summary.cells.iter().zip(&cells).zip(&in_process) {
         let result = cell.result.as_ref().expect("ok cell has a result");
-        assert_eq!(result.label, expected.label, "cell order");
-        assert_eq!(result.parameter, expected.parameter, "cell parameter");
+        assert_eq!(result.label, spec.label(), "cell order");
+        assert_eq!(result.parameter, spec.parameter(), "cell parameter");
         assert_eq!(
-            result.report, expected.report,
+            &result.report,
+            expected,
             "worker report for `{}` differs from the in-process run",
-            expected.label
+            spec.label()
         );
     }
     assert!(summary.manifest_path.is_file(), "manifest written");

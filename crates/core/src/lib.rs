@@ -1,9 +1,8 @@
 //! # collabsim
 //!
-//! The simulation model and experiment harness of the collabsim
-//! reproduction of *"Game Theoretical Analysis of Incentives for
-//! Large-scale, Fully Decentralized Collaboration Networks"* (Bocek, Shann,
-//! Hausheer, Stiller — IPDPS 2008).
+//! The simulation model of the collabsim reproduction of *"Game
+//! Theoretical Analysis of Incentives for Large-scale, Fully Decentralized
+//! Collaboration Networks"* (Bocek, Shann, Hausheer, Stiller — IPDPS 2008).
 //!
 //! The crate assembles the substrates into the paper's Section-IV model:
 //!
@@ -33,14 +32,15 @@
 //!   simulation (training phase + measured evaluation phase) and obtain a
 //!   [`SimulationReport`],
 //! * [`pipeline`] — the step-phase pipeline behind [`Simulation::step`],
-//! * [`experiment`] — [`experiment::ScenarioGrid`] /
-//!   [`experiment::ScenarioRunner`]: declarative parameter grids
-//!   (mix × scheme × seed) executed on parallel worker threads,
+//! * [`ScenarioSpec`] — one run as a declarative, text-serialisable
+//!   description ([`Simulation::from_spec`] builds it),
 //! * [`results`] — the plain-text per-behaviour and churn tables the
 //!   examples print.
 //!
-//! The paper's Figures 3–7 and the ablations are checked-in spec files
-//! checked by `collabsim check` (the `collabsim-cli` crate's claims table).
+//! Sets of runs are declared in the `collabsim-cli` crate's `scenarios`
+//! module and run by its grid coordinator, one worker process per cell:
+//! the paper's Figures 3–7 and the ablations are checked-in spec files
+//! checked by `collabsim check` (that crate's claims table).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +52,6 @@ pub mod agent;
 pub mod agent_table;
 pub mod config;
 pub mod engine;
-pub mod experiment;
 pub mod incentive;
 pub mod invariants;
 pub mod json;
@@ -75,7 +74,6 @@ pub use agent::{AgentState, CollabAgent};
 pub use agent_table::{AgentShardMut, AgentTable};
 pub use config::{PhaseConfig, PropagationConfig, ReputationSource, SimulationConfig};
 pub use engine::Simulation;
-pub use experiment::{ScenarioGrid, ScenarioRunner};
 pub use incentive::IncentiveScheme;
 pub use invariants::{
     ActiveSetObserver, ArenaBoundObserver, ConservationObserver, ReputationBoundsObserver,

@@ -5,21 +5,13 @@
 //! population, behaviour mix, incentive scheme, seed, propagation wiring,
 //! churn model, and the *ordered list of named phases* that constitutes a
 //! step — with a validating builder ([`ScenarioSpecBuilder`]) that returns
-//! a typed [`SpecError`] instead of panicking. Specs are the unit the
-//! experiment layer iterates ([`ScenarioGrid`](crate::experiment::ScenarioGrid)
-//! expands into specs, [`ScenarioRunner`](crate::experiment::ScenarioRunner)
-//! executes them), and the phase list is resolved against a
-//! [`PhaseRegistry`] — so a new workload is
-//! a new spec (plus, at most, a registered phase), never an engine edit.
-//!
-//! The paper presets that used to live on
-//! [`SimulationConfig`] are thin spec
-//! constructors here: [`ScenarioSpec::paper_figure3_with_incentive`],
-//! [`ScenarioSpec::paper_figure3_without_incentive`],
-//! [`ScenarioSpec::large_population`], and the churn-enabled
-//! [`ScenarioSpec::churn_stress`]. A spec built from an unchanged config
-//! resolves to exactly the standard pipeline, so every preset reproduces
-//! the golden report bit for bit.
+//! a typed [`SpecError`] instead of panicking. A spec is the unit every
+//! run is made of: [`Simulation::from_spec`](crate::Simulation::from_spec)
+//! builds one, the `collabsim` CLI reads one per file and its grid
+//! coordinator runs one per worker process. The phase list is resolved
+//! against a [`PhaseRegistry`], so a new workload is a new spec (plus, at
+//! most, a registered phase), never an engine edit. A spec built from an
+//! unchanged config resolves to exactly the standard pipeline.
 //!
 //! # Text format
 //!
@@ -204,22 +196,6 @@ impl ScenarioSpec {
         })
     }
 
-    /// The paper's Figure 3 setting: 100 rational peers, incentive scheme
-    /// on. (Former `SimulationConfig::paper_figure3_with_incentive`.)
-    pub fn paper_figure3_with_incentive() -> Self {
-        Self::from_config(SimulationConfig::paper_figure3_with_incentive())
-            .expect("paper preset is valid")
-            .with_label("paper-fig3/with-incentive")
-    }
-
-    /// The Figure 3 baseline: identical but without any incentive scheme.
-    /// (Former `SimulationConfig::paper_figure3_without_incentive`.)
-    pub fn paper_figure3_without_incentive() -> Self {
-        Self::from_config(SimulationConfig::paper_figure3_without_incentive())
-            .expect("paper preset is valid")
-            .with_label("paper-fig3/without-incentive")
-    }
-
     /// The population-scale preset of the `large_population` scenario
     /// family. (Former `SimulationConfig::large_population`.)
     pub fn large_population(population: usize) -> Self {
@@ -229,30 +205,8 @@ impl ScenarioSpec {
             .with_parameter(population as f64)
     }
 
-    /// A churn-stressed paper configuration: the Section-VI discussion made
-    /// runnable. Mild background churn (occasional joins and departures)
-    /// plus the given per-peer whitewash probability, with the `churn`
-    /// phase leading every step. Reputation persistence under re-entry is
-    /// observable through [`SimWorld::churn_stats`](crate::world::SimWorld)
-    /// or a [`StepObserver`](crate::observer::StepObserver).
-    pub fn churn_stress(whitewash_probability: f64) -> Result<Self, SpecError> {
-        let churn = ChurnModel {
-            join_probability: 0.05,
-            leave_probability: 0.002,
-            whitewash_probability,
-        };
-        Self::builder()
-            .mix(BehaviorMix::new(0.6, 0.2, 0.2))
-            .churn(churn)
-            .build()
-            .map(|spec| {
-                spec.with_label(format!("churn-stress/whitewash={whitewash_probability}"))
-                    .with_parameter(whitewash_probability)
-            })
-    }
-
-    /// The spec's human-readable label (grid cells set `mix/scheme/seed`
-    /// style labels; presets use their own).
+    /// The spec's human-readable label (scenario constructors set
+    /// `family/cell` style labels, such as `fig3/with-incentive`).
     pub fn label(&self) -> &str {
         &self.label
     }
@@ -1140,16 +1094,9 @@ mod tests {
 
     #[test]
     fn text_round_trip_is_exact_for_presets() {
-        for spec in [
-            ScenarioSpec::paper_figure3_with_incentive(),
-            ScenarioSpec::paper_figure3_without_incentive(),
-            ScenarioSpec::large_population(10_000),
-            ScenarioSpec::churn_stress(0.01).unwrap(),
-        ] {
-            let text = spec.to_text();
-            let parsed = ScenarioSpec::parse(&text).unwrap();
-            assert_eq!(parsed, spec, "round trip drifted for {}", spec.label());
-        }
+        let spec = ScenarioSpec::large_population(10_000);
+        let parsed = ScenarioSpec::parse(&spec.to_text()).unwrap();
+        assert_eq!(parsed, spec, "round trip drifted for {}", spec.label());
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! Thread-count resolution shared by the scenario runner and the
-//! intra-step parallel stages.
+//! Thread-count resolution for the intra-step parallel stages.
 //!
-//! One environment variable, `SCENARIO_THREADS`, caps every source of
-//! parallelism in the crate: the [`crate::experiment::ScenarioRunner`]
-//! worker pool and the intra-step workers — the selection phase's
-//! sampling shards, the sharing phase's collect and ledger-apply workers,
-//! and the learning phase's shards. The download, edit-vote and utility
-//! phases run on the calling thread at every worker count. Setting
+//! One environment variable, `SCENARIO_THREADS`, caps the crate's only
+//! parallelism, the intra-step workers: the selection phase's sampling
+//! shards, the sharing phase's collect and ledger-apply workers, and the
+//! learning phase's shards. The download, edit-vote and utility phases
+//! run on the calling thread at every worker count. Setting
 //! `SCENARIO_THREADS=1` therefore forces a fully sequential execution —
 //! which the determinism CI job diffs against the default parallel
 //! execution, pinning the parallel == sequential guarantee.

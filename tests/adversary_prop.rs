@@ -6,8 +6,6 @@
 //! * **Round trip** — specs carrying arbitrary `AdversarySpec` lists
 //!   survive the text-format build → serialize → parse → build round trip
 //!   exactly.
-//! * **Determinism** — adversary-enabled specs produce bit-identical
-//!   reports under parallel and sequential scenario execution.
 //! * **Effectiveness** — the adaptive whitewasher demonstrably beats the
 //!   naive stochastic whitewasher (higher reputation retained, fewer
 //!   punishments) at a comparable reset volume.
@@ -15,9 +13,7 @@
 use collabsim_workspace::collabsim::adversary::{AdversarySpec, AttackMetricsObserver};
 use collabsim_workspace::collabsim::config::PhaseConfig;
 use collabsim_workspace::collabsim::spec::ScenarioSpec;
-use collabsim_workspace::collabsim::{
-    BehaviorMix, IncentiveScheme, ScenarioRunner, Simulation, SimulationConfig,
-};
+use collabsim_workspace::collabsim::{BehaviorMix, IncentiveScheme, Simulation, SimulationConfig};
 use proptest::prelude::*;
 
 /// A short arbitrary configuration (no adversaries).
@@ -146,34 +142,6 @@ proptest! {
         // validate against the standard registry).
         Simulation::from_spec(&parsed).expect("parsed adversary specs build");
     }
-}
-
-/// Adversary-enabled specs must produce bit-identical reports whether the
-/// runner executes them sequentially or on parallel workers.
-#[test]
-fn adversary_runs_parallel_equals_sequential() {
-    let specs: Vec<ScenarioSpec> = (0..4)
-        .map(|i| {
-            ScenarioSpec::builder()
-                .label(format!("attack/{i}"))
-                .population(24)
-                .initial_articles(12)
-                .mix(BehaviorMix::new(0.5, 0.3, 0.2))
-                .phase_config(PhaseConfig {
-                    training_steps: 80,
-                    evaluation_steps: 40,
-                    ..Default::default()
-                })
-                .seed(0xA11CE + i)
-                .adversary(AdversarySpec::new(STRATEGIES[i as usize % 5], 3))
-                .adversary(AdversarySpec::new("collusion-ring", 2))
-                .build()
-                .expect("attack specs are valid")
-        })
-        .collect();
-    let parallel = ScenarioRunner::default().run_specs(specs.clone()).unwrap();
-    let sequential = ScenarioRunner::sequential().run_specs(specs).unwrap();
-    assert_eq!(parallel, sequential);
 }
 
 /// The acceptance comparison: at a comparable reset volume the adaptive

@@ -14,8 +14,7 @@ use collabsim_workspace::collabsim::observer::{StepObserver, WorldView};
 use collabsim_workspace::collabsim::pipeline::{PhaseRegistry, StepContext, StepPhase};
 use collabsim_workspace::collabsim::spec::{ScenarioSpec, SpecError};
 use collabsim_workspace::collabsim::{
-    AdversaryRegistry, BehaviorMix, IncentiveScheme, ScenarioRunner, SimWorld, Simulation,
-    SimulationConfig,
+    AdversaryRegistry, BehaviorMix, IncentiveScheme, SimWorld, Simulation, SimulationConfig,
 };
 use collabsim_workspace::netsim::churn::ChurnModel;
 use proptest::prelude::*;
@@ -112,14 +111,6 @@ fn from_spec_matches_new_on_default_phases() {
 
 #[test]
 fn presets_are_thin_wrappers_over_the_config_presets() {
-    assert_eq!(
-        ScenarioSpec::paper_figure3_with_incentive().config(),
-        &SimulationConfig::paper_figure3_with_incentive()
-    );
-    assert_eq!(
-        ScenarioSpec::paper_figure3_without_incentive().config(),
-        &SimulationConfig::paper_figure3_without_incentive()
-    );
     assert_eq!(
         ScenarioSpec::large_population(10_000).config(),
         &SimulationConfig::large_population(10_000)
@@ -231,41 +222,4 @@ fn user_registered_phase_runs_in_declared_order() {
             name: "stamp".to_string()
         }
     );
-}
-
-#[test]
-fn runner_executes_custom_registry_specs_in_parallel() {
-    let mut registry = PhaseRegistry::standard();
-    registry.register("stamp", |_| Box::new(StampPhase));
-    let base = ScenarioSpec::builder()
-        .population(10)
-        .initial_articles(5)
-        .phase_config(PhaseConfig {
-            training_steps: 30,
-            evaluation_steps: 20,
-            ..Default::default()
-        })
-        .push_phase("stamp");
-    let specs: Vec<ScenarioSpec> = (0..4)
-        .map(|i| {
-            base.clone()
-                .label(format!("stamp/{i}"))
-                .seed(1000 + i)
-                .build()
-                .unwrap()
-        })
-        .collect();
-    let parallel = ScenarioRunner::default()
-        .run_specs_with_registries(specs.clone(), &registry, &AdversaryRegistry::standard())
-        .unwrap();
-    let sequential = ScenarioRunner::sequential()
-        .run_specs_with_registries(specs.clone(), &registry, &AdversaryRegistry::standard())
-        .unwrap();
-    assert_eq!(parallel, sequential);
-    assert_eq!(parallel.len(), 4);
-    assert_eq!(parallel[0].label, "stamp/0");
-
-    // Unknown phases fail up front through the runner too.
-    let err = ScenarioRunner::default().run_specs(specs).unwrap_err();
-    assert!(matches!(err, SpecError::UnknownPhase { .. }));
 }
