@@ -14,7 +14,9 @@
 //! Flags:
 //!
 //! * `--tiers 10000,1000000` — override the population tiers (the 10⁶
-//!   million-peer tier is exercised this way),
+//!   million-peer tier is exercised this way); every tier's spec is built
+//!   before the first run, and a population the spec refuses exits 2 with
+//!   `error[invalid-flag]` naming the entry,
 //! * `--train N` / `--eval N` — override the preset's training/evaluation
 //!   step counts (the CI smoke leg runs the 10⁶ tier with reduced steps),
 //! * `--quick` — a single reduced tier (2 000 peers) for smoke runs,
@@ -33,10 +35,12 @@
 
 use collabsim::json::Json;
 use collabsim::pipeline::PhaseRegistry;
-use collabsim::Simulation;
-use collabsim_bench::{peak_rss_mb, phase_seconds, print_phases, write_and_gate, Args, Takes};
+use collabsim::{ScenarioSpec, Simulation};
+use collabsim_bench::{phase_seconds, print_phases, write_and_gate, Args, Takes};
+use collabsim_cli::peak_rss_mb;
 use collabsim_cli::runner::run_spec_instrumented;
 use collabsim_cli::scenarios::{scale_tier_spec, LARGE_POPULATION_TIERS};
+use collabsim_cli::CliError;
 
 collabsim::json_struct! {
     struct TierResult {
@@ -82,10 +86,29 @@ fn mean_sharing_reputation(sim: &Simulation) -> f64 {
     total / peers as f64
 }
 
-fn run_tier(peers: usize, train: Option<u64>, eval: Option<u64>) -> TierResult {
-    let spec = scale_tier_spec(peers, train, eval);
+/// Every tier's spec, built before the first tier runs: a population the
+/// spec refuses is an error naming its `--tiers` entry.
+fn tier_specs(
+    tiers: &[usize],
+    train: Option<u64>,
+    eval: Option<u64>,
+) -> Result<Vec<ScenarioSpec>, CliError> {
+    tiers
+        .iter()
+        .map(|&peers| {
+            scale_tier_spec(peers, train, eval).map_err(|error| CliError::InvalidFlag {
+                flag: "--tiers".to_string(),
+                value: peers.to_string(),
+                expected: format!("a valid population ({error})"),
+            })
+        })
+        .collect()
+}
+
+fn run_tier(spec: &ScenarioSpec) -> TierResult {
+    let peers = spec.config().population;
     let expected_eval = spec.config().phases.evaluation_steps;
-    let (outcome, sim) = run_spec_instrumented(&spec, &PhaseRegistry::standard(), |_| {})
+    let (outcome, sim) = run_spec_instrumented(spec, &PhaseRegistry::standard(), |_| {})
         .expect("standard phases resolve");
     assert_eq!(
         outcome.report.evaluation_steps, expected_eval,
@@ -119,14 +142,18 @@ fn main() {
         }
     });
     let (train, eval) = (args.value("--train"), args.value("--eval"));
+    let specs = tier_specs(&tiers, train, eval).unwrap_or_else(|error| {
+        eprintln!("{error}");
+        std::process::exit(error.exit_code());
+    });
 
     println!("collabsim — scale_population [tiers: {tiers:?}]");
     println!("(--tiers a,b,c to override, --baseline <path> to gate on a previous run)");
     println!();
 
     let mut results = Vec::new();
-    for &peers in &tiers {
-        let tier = run_tier(peers, train, eval);
+    for spec in &specs {
+        let tier = run_tier(spec);
         println!(
             "peers={:>7}  shards={:>2}  threads={}  build={:>7.2}s  steps={}  steps/sec={:>8.2}{}",
             tier.peers,

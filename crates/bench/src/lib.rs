@@ -139,22 +139,6 @@ fn check_value(flag: &str, value: &str, takes: Takes) -> Result<(), CliError> {
     }
 }
 
-/// The process's peak resident set size in MB (`VmHWM` from
-/// `/proc/self/status`), or `None` on platforms without procfs. The scale
-/// bench records this per tier so CI can gate the memory footprint of the
-/// struct-of-arrays hot state alongside steps/sec — a tier that still hits
-/// its throughput floor by ballooning to a dense quadratic structure fails
-/// the RSS ceiling instead.
-pub fn peak_rss_mb() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: f64 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|v| v.parse().ok())?;
-    Some(kb / 1024.0)
-}
-
 /// Per-phase wall-clock seconds of a run made through
 /// [`collabsim_cli::runner`], as a JSON object in pipeline order.
 pub fn phase_seconds(sim: &Simulation) -> Json {

@@ -8,7 +8,7 @@ use crate::error::CliError;
 use crate::jsonl::{open_sink, JsonlObserver};
 use crate::{args, chaos, claims, coordinator, profile, runner, scenarios, training};
 use collabsim::json::Json;
-use collabsim::snapshot::{read_snapshot_file, write_snapshot_file};
+use collabsim::snapshot::{read_snapshot_file, write_snapshot_file, SNAPSHOT_EXTENSION};
 use std::path::{Path, PathBuf};
 
 /// Parses and executes one command line, returning the process exit code.
@@ -92,7 +92,14 @@ fn cmd_run(run: RunArgs) -> Result<i32, CliError> {
                 store_dir.display()
             ));
             for key in &keys {
-                say(&format!("  checkpoint {key}"));
+                let path = store_dir.join(format!("{key}.{SNAPSHOT_EXTENSION}"));
+                let bytes = std::fs::metadata(&path)
+                    .map_err(|e| CliError::Io {
+                        path: path.clone(),
+                        message: e.to_string(),
+                    })?
+                    .len();
+                say(&format!("  checkpoint {key} {bytes} B"));
             }
             (outcome, sim)
         }
@@ -111,6 +118,9 @@ fn cmd_run(run: RunArgs) -> Result<i32, CliError> {
     .lines()
     {
         say(line);
+    }
+    if let Some(mb) = profile::peak_rss_mb() {
+        say(&format!("peak RSS: {mb:.1} MB"));
     }
 
     if run.print_report {
@@ -173,6 +183,9 @@ fn cmd_resume(resume: ResumeArgs) -> Result<i32, CliError> {
     .lines()
     {
         println!("{line}");
+    }
+    if let Some(mb) = profile::peak_rss_mb() {
+        println!("peak RSS: {mb:.1} MB");
     }
     if resume.print_report {
         println!("{:?}", outcome.report);

@@ -7,14 +7,17 @@
 //! ```text
 //! {"event":"run_start","label":"...","population":100,"online":100,"total_steps":12000}
 //! {"event":"step","step":25,"online":98,"measuring":false,"joins":3,"leaves":1,"whitewashes":0}
-//! {"event":"run_end","label":"...","steps":12000,"shared_bandwidth":0.45,...,"phases":{"selection":0.12,...}}
+//! {"event":"run_end","label":"...","steps":12000,"shared_bandwidth":0.45,...,"phases":{"selection":0.12,...},"peak_rss_mb":41.3}
 //! ```
 //!
 //! `step` events are emitted every `every` steps (and always for the final
-//! step), so a 12 000-step run does not have to produce 12 000 lines. Each
-//! event is a [`Json`] value written in its compact one-line form.
+//! step), so a 12 000-step run does not have to produce 12 000 lines. The
+//! `run_end` event's `peak_rss_mb` is the process's peak resident set size
+//! so far, left out where it cannot be read. Each event is a [`Json`]
+//! value written in its compact one-line form.
 
 use crate::error::CliError;
+use crate::profile::peak_rss_mb;
 use collabsim::json::Json;
 use collabsim::observer::WorldView;
 use collabsim::pipeline::StepContext;
@@ -125,7 +128,7 @@ impl StepObserver for JsonlObserver {
             .phase_totals
             .iter()
             .map(|(name, seconds)| (name.as_str(), Json::from(*seconds)));
-        self.emit(Json::object([
+        let members = [
             ("event", "run_end".into()),
             ("label", self.label.as_str().into()),
             ("steps", world.now().into()),
@@ -137,7 +140,9 @@ impl StepObserver for JsonlObserver {
             ("evaluation_steps", report.evaluation_steps.into()),
             ("seed", report.seed.into()),
             ("phases", Json::object(phases)),
-        ]));
+        ];
+        let peak_rss = peak_rss_mb().map(|mb| ("peak_rss_mb", mb.into()));
+        self.emit(Json::object(members.into_iter().chain(peak_rss)));
         let _ = self.sink.flush();
     }
 }

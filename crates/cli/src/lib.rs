@@ -60,7 +60,7 @@ pub use coordinator::{
 };
 pub use error::CliError;
 pub use jsonl::{open_sink, JsonlObserver};
-pub use profile::render_profile;
+pub use profile::{peak_rss_mb, render_profile};
 pub use runner::{
     load_spec, load_spec_with_overrides, resume_snapshot_instrumented, run_spec_checkpointed,
     run_spec_instrumented, snapshot_err, RunOutcome,

@@ -1,9 +1,23 @@
 //! The profiling summary printed after a run: throughput plus the
 //! per-phase wall-clock breakdown a
-//! [`TimingObserver`](collabsim::TimingObserver) recorded.
+//! [`TimingObserver`](collabsim::TimingObserver) recorded, and the
+//! process's peak resident set size.
 
 use collabsim::pipeline::PhaseTimings;
 use std::fmt::Write as _;
+
+/// The process's peak resident set size in MB (`VmHWM` from
+/// `/proc/self/status`), or `None` where that file cannot be read. The
+/// kernel's high-water mark is process-wide and never falls.
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|v| v.parse().ok())?;
+    Some(kb / 1024.0)
+}
 
 /// Renders the human-readable profiling summary for one finished run.
 ///

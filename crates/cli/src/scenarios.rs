@@ -11,7 +11,9 @@
 
 use collabsim::adversary::AdversarySpec;
 use collabsim::config::PhaseConfig;
-use collabsim::{BehaviorMix, BehaviorType, IncentiveScheme, ScenarioSpec, SimulationConfig};
+use collabsim::{
+    BehaviorMix, BehaviorType, IncentiveScheme, ScenarioSpec, SimulationConfig, SpecError,
+};
 use collabsim_netsim::churn::ChurnModel;
 use collabsim_netsim::fault::LinkModel;
 use collabsim_reputation::function::FIGURE1_BETAS;
@@ -432,23 +434,23 @@ pub const LARGE_POPULATION_TIERS: [usize; 3] = [10_000, 50_000, 100_000];
 
 /// One population tier of the `scale_population` bench: the
 /// `large_population` preset, optionally with overridden phase lengths
-/// (the reduced-step 10⁶ CI smoke leg).
-pub fn scale_tier_spec(peers: usize, train: Option<u64>, eval: Option<u64>) -> ScenarioSpec {
-    match (train, eval) {
-        (None, None) => ScenarioSpec::large_population(peers),
-        _ => {
-            let mut config = SimulationConfig::large_population(peers);
-            if let Some(steps) = train {
-                config.phases.training_steps = steps;
-            }
-            if let Some(steps) = eval {
-                config.phases.evaluation_steps = steps;
-            }
-            ScenarioSpec::from_config(config)
-                .expect("large-population preset with step overrides is valid")
-                .with_label(format!("large-population/pop={peers}"))
-        }
+/// (the reduced-step 10⁶ CI smoke leg). A population the spec refuses
+/// (below 2 or past `u32` ids) is its typed [`SpecError`].
+pub fn scale_tier_spec(
+    peers: usize,
+    train: Option<u64>,
+    eval: Option<u64>,
+) -> Result<ScenarioSpec, SpecError> {
+    let mut config = SimulationConfig::large_population(peers);
+    if let Some(steps) = train {
+        config.phases.training_steps = steps;
     }
+    if let Some(steps) = eval {
+        config.phases.evaluation_steps = steps;
+    }
+    Ok(ScenarioSpec::from_config(config)?
+        .with_label(format!("large-population/pop={peers}"))
+        .with_parameter(peers as f64))
 }
 
 /// A deliberately crashing scenario for the crash-isolation path: a tiny
@@ -533,7 +535,7 @@ pub fn scenario_files() -> Vec<(PathBuf, ScenarioSpec)> {
     for &peers in &LARGE_POPULATION_TIERS {
         files.push((
             PathBuf::from(format!("scale/pop_{peers}.spec")),
-            scale_tier_spec(peers, None, None),
+            scale_tier_spec(peers, None, None).expect("the scale tiers are valid populations"),
         ));
     }
     // The arms-race cells: the shared base plus, per defence, the
@@ -623,6 +625,25 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
             assert_eq!(parsed.to_text(), text, "{} round trip", path.display());
             assert_eq!(parsed.label(), spec.label(), "{} label", path.display());
+        }
+    }
+
+    #[test]
+    fn a_tier_the_spec_refuses_is_a_typed_population_error() {
+        for peers in [0, 1] {
+            for (train, eval) in [(None, None), (Some(3), Some(2))] {
+                let error = scale_tier_spec(peers, train, eval).unwrap_err();
+                assert!(
+                    matches!(
+                        error,
+                        SpecError::InvalidField {
+                            field: "population",
+                            ..
+                        }
+                    ),
+                    "{peers} peers: {error}"
+                );
+            }
         }
     }
 

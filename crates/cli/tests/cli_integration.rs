@@ -31,6 +31,9 @@
 //! * `run --checkpoint-every --store` + `resume` reproduces the
 //!   uninterrupted report byte-for-byte; a truncated or missing snapshot
 //!   exits with `error[snapshot]` and code 3,
+//! * `run --checkpoint-every` prints each checkpoint's size, which is its
+//!   file's, and `run`, `resume` and the JSONL `run_end` event report the
+//!   process's peak RSS,
 //! * `run` (plain and checkpointed) and `resume` print one profile row per
 //!   phase of the spec, in pipeline order,
 //! * `grid --warm-start` workers fork from a shared equilibrated snapshot
@@ -384,6 +387,8 @@ fn jsonl_stream_on_stdout_is_structurally_valid() {
     assert_eq!(event(last), "run_end");
     assert_eq!(last.read::<u64>("seed"), Ok(0xC0FFEE));
     assert!(last.get("phases").and_then(Json::as_object).is_some());
+    let peak_rss_mb: f64 = last.read("peak_rss_mb").expect("run_end carries peak RSS");
+    assert!(peak_rss_mb > 0.0, "{last}");
     // Step events at 50, 100, 150, 200.
     let steps: Vec<u64> = events
         .iter()
@@ -394,6 +399,17 @@ fn jsonl_stream_on_stdout_is_structurally_valid() {
     // The human-readable summary must have moved to stderr.
     let err = stderr_of(&output);
     assert!(err.contains("profile:"), "stderr: {err}");
+    // Read after the event and rounded to 0.1 MB; the mark never falls.
+    assert!(peak_rss_line(&err) >= peak_rss_mb - 0.05, "stderr: {err}");
+}
+
+/// The MB figure of the `peak RSS: <mb> MB` line `run` and `resume` print.
+fn peak_rss_line(out: &str) -> f64 {
+    out.lines()
+        .find_map(|line| line.strip_prefix("peak RSS: ")?.strip_suffix(" MB"))
+        .unwrap_or_else(|| panic!("no peak RSS line: {out}"))
+        .parse()
+        .expect("peak RSS is a number")
 }
 
 // ----------------------------------------------- grid == in-process runs
@@ -728,10 +744,6 @@ fn panicking_phase_fails_its_cell_but_not_the_grid() {
 
 // ------------------------------------------------- checkpoint and resume
 
-/// `run --checkpoint-every --store` followed by `resume` from a
-/// mid-training snapshot reproduces the uninterrupted run's report byte
-/// for byte — the CLI leg of the tentpole's bit-identity guarantee, on
-/// the on-disk store backend.
 #[test]
 fn a_claim_over_a_crashing_cell_is_a_grid_error_not_a_verdict() {
     let out_dir = scratch("claims-chaos");
@@ -772,6 +784,11 @@ fn a_claim_over_a_crashing_cell_is_a_grid_error_not_a_verdict() {
     let _ = std::fs::remove_dir_all(&out_dir);
 }
 
+/// `run --checkpoint-every --store` followed by `resume` from a
+/// mid-training snapshot reproduces the uninterrupted run's report byte
+/// for byte, on the on-disk store backend. The run prints each
+/// checkpoint's key beside its size, which is the file's, and both
+/// commands print the peak RSS.
 #[test]
 fn cli_checkpoint_then_resume_reproduces_the_golden_report() {
     let dir = scratch("checkpoint-resume");
@@ -804,6 +821,20 @@ fn cli_checkpoint_then_resume_reproduces_the_golden_report() {
         format!("{:?}", Simulation::from_spec(&golden_spec()).unwrap().run()),
         "checkpointing perturbed the report"
     );
+    let printed: Vec<(String, u64)> = stdout_of(&output)
+        .lines()
+        .filter_map(|line| line.strip_prefix("  checkpoint ")?.strip_suffix(" B"))
+        .map(|entry| {
+            let (key, bytes) = entry.split_once(' ').expect("`<key> <bytes> B`");
+            (key.to_string(), bytes.parse().expect("a byte count"))
+        })
+        .collect();
+    assert_eq!(printed.len(), 4, "{}", stdout_of(&output));
+    for (key, bytes) in &printed {
+        let file = store.join(format!("{key}.snap"));
+        assert_eq!(std::fs::metadata(&file).unwrap().len(), *bytes, "{key}");
+    }
+    assert!(peak_rss_line(&stdout_of(&output)) > 0.0);
 
     // Sorted keys are chronological; resume from the earliest (step 50,
     // mid-training: both the training tail and the reset still to run).
@@ -823,6 +854,7 @@ fn cli_checkpoint_then_resume_reproduces_the_golden_report() {
     );
     let stdout = stdout_of(&output);
     assert!(stdout.contains("from step 50"), "stdout: {stdout}");
+    assert!(peak_rss_line(&stdout) > 0.0);
     assert_eq!(
         report_line(&stdout),
         expected,
@@ -924,8 +956,9 @@ fn truncated_snapshot_is_a_typed_snapshot_error_with_exit_code_3() {
 
     // One flipped payload byte, a version-3 header (the layout under the
     // previous content hash), a version-4 header (the last layout that
-    // carried the full edit log) and a version-5 header (the last layout
-    // that carried the article store as id lists).
+    // carried the full edit log), a version-5 header (the last layout
+    // that carried the article store as id lists) and a version-7 header
+    // (the last layout that stored every Q-plane).
     let mut rotted = bytes.clone();
     rotted[bytes.len() / 2] ^= 0x01;
     let mut old = bytes.clone();
@@ -934,11 +967,14 @@ fn truncated_snapshot_is_a_typed_snapshot_error_with_exit_code_3() {
     v4[8..10].copy_from_slice(&4u16.to_le_bytes());
     let mut v5 = bytes.clone();
     v5[8..10].copy_from_slice(&5u16.to_le_bytes());
+    let mut v7 = bytes.clone();
+    v7[8..10].copy_from_slice(&7u16.to_le_bytes());
     for (name, contents, needle) in [
         ("rotted.snap", rotted, "content hash mismatch"),
         ("old.snap", old, "version 3"),
         ("v4.snap", v4, "version 4"),
         ("v5.snap", v5, "version 5"),
+        ("v7.snap", v7, "version 7"),
     ] {
         let path = dir.join(name);
         std::fs::write(&path, contents).unwrap();

@@ -144,6 +144,12 @@ impl AgentTable {
         self.actions
     }
 
+    /// Values per bucket plane of [`q_values`](Self::q_values): one row of
+    /// [`action_count`](Self::action_count) values per learner.
+    pub fn plane_len(&self) -> usize {
+        self.learner_count() * self.actions
+    }
+
     /// The rational peer's rank: the index of its row in every plane.
     #[inline]
     fn rank(&self, peer: usize) -> usize {
@@ -248,15 +254,16 @@ impl AgentTable {
     /// Overwrites the mutable learning state (Q-values, update counters,
     /// last choices) with a checkpoint export. The immutable layout
     /// (behaviour assignment, ranks, hyper-parameters) is untouched — it is
-    /// rebuilt from the configuration, so the slices must match the table's
-    /// own dimensions exactly.
+    /// rebuilt from the configuration, so the lengths must match the
+    /// table's own dimensions exactly. The Q-values are taken by value and
+    /// become the table's, so a restore copies them no further.
     ///
     /// # Panics
     ///
-    /// Panics if any slice length differs from the table's layout.
+    /// Panics if any length differs from the table's layout.
     pub fn restore_learning_state(
         &mut self,
-        q: &[f64],
+        q: Vec<f64>,
         updates: &[u64],
         last_state: &[u32],
         last_action: &[u8],
@@ -273,7 +280,7 @@ impl AgentTable {
             self.last_action.len(),
             "last-action mismatch"
         );
-        self.q.copy_from_slice(q);
+        self.q = q;
         self.updates.copy_from_slice(updates);
         self.last_state.copy_from_slice(last_state);
         self.last_action.copy_from_slice(last_action);
@@ -303,7 +310,7 @@ impl AgentTable {
     pub fn as_shard_mut(&mut self) -> AgentShardMut<'_> {
         let mut planes = empty_planes();
         // `max(1)`: a table without learners has no rows to chunk.
-        let plane_len = (self.learner_count() * self.actions).max(1);
+        let plane_len = self.plane_len().max(1);
         for (plane, rows) in planes.iter_mut().zip(self.q.chunks_exact_mut(plane_len)) {
             *plane = rows;
         }
@@ -553,7 +560,7 @@ mod tests {
         // Each cell holds its own index in the flat array.
         let q: Vec<f64> = (0..t.q_values().len()).map(|i| i as f64).collect();
         let (updates, states, actions) = (vec![0; 3], vec![NO_STATE; 5], vec![NO_ACTION; 5]);
-        t.restore_learning_state(&q, &updates, &states, &actions);
+        t.restore_learning_state(q, &updates, &states, &actions);
         let expected = |rank: usize, bucket: usize| -> Vec<f64> {
             let start = (bucket * 3 + rank) * 27;
             (start..start + 27).map(|i| i as f64).collect()

@@ -81,9 +81,11 @@ pub use invariants::{
 pub use observer::{StepObserver, TimingObserver, WorldView};
 pub use pipeline::{PhaseRegistry, PhaseTimings, StepContext, StepPhase, StepPipeline};
 pub use report::{BehaviorBreakdown, SimulationReport};
-pub use snapshot::{DirStore, MemStore, RunStore, Snapshot, SnapshotError, WorldState};
+pub use snapshot::{DirStore, MemStore, QPlanes, RunStore, Snapshot, SnapshotError, WorldState};
 pub use spec::{apply_defence, ScenarioSpec, ScenarioSpecBuilder, SpecError};
-pub use world::{AccumulatorTable, ChurnStats, NetStats, PeerAccumulator, SimWorld, UploadMatrix};
+pub use world::{
+    AccumulatorTable, ChurnStats, NetStats, PeerAccumulator, SimWorld, UploadColumns, UploadMatrix,
+};
 
 // Re-export the pieces downstream users constantly need alongside the core
 // API so examples only import one crate.

@@ -266,7 +266,7 @@ mod tests {
         let last_actions = world.agents.last_actions_raw().to_vec();
         world
             .agents
-            .restore_learning_state(&q, &updates, &last_states, &last_actions);
+            .restore_learning_state(q, &updates, &last_states, &last_actions);
         for p in 0..world.population() {
             let action = SharingAction {
                 shared_articles: rng.gen_range(0.0..20.0),

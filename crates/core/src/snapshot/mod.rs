@@ -24,6 +24,12 @@
 //! rather than misparsed. Two [`RunStore`] backends ship with the crate:
 //! the in-memory [`MemStore`] and the on-disk, content-hash-keyed
 //! [`DirStore`].
+//!
+//! A checkpoint is sized by what the run wrote. The Q column keeps only
+//! the planes (one per reputation bucket) in which a learner wrote a value
+//! ([`QPlanes`]); the others are refilled with the captured `initial_q` on
+//! restore. The upload history is three flat columns ([`UploadColumns`]),
+//! each copied as one block.
 
 mod codec;
 mod store;
@@ -33,8 +39,9 @@ pub use store::{
 };
 
 use crate::adversary::{AttackStats, PeerPolicyState, PolicyState};
+use crate::agent_table::{AgentTable, MAX_REPUTATION_STATES};
 use crate::spec::ScenarioSpec;
-use crate::world::{AccumulatorTable, ChurnStats, NetStats, SimWorld, UploadMatrix};
+use crate::world::{AccumulatorTable, ChurnStats, NetStats, SimWorld, UploadColumns, UploadMatrix};
 use crate::ActiveSets;
 use codec::{xxh64, Reader, Writer};
 use collabsim_gametheory::behavior::BehaviorType;
@@ -62,10 +69,12 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"COLLBSNP";
 /// pending edits, revision counts and voter sets; version 6 replaced the
 /// held and offered id lists with the article store's bitset tables;
 /// version 7 stores the Q-values bucket-major (one plane per reputation
-/// bucket) instead of one block per learner. Files of any other version
-/// are refused with a typed [`SnapshotError::VersionMismatch`] rather than
-/// misparsed.
-pub const SNAPSHOT_VERSION: u16 = 7;
+/// bucket) instead of one block per learner; version 8 stores only the
+/// Q-planes a learner wrote, under a plane mask ([`QPlanes`]), and the
+/// upload history as three flat columns ([`UploadColumns`]) instead of one
+/// list per uploader. Files of any other version are refused with a typed
+/// [`SnapshotError::VersionMismatch`] rather than misparsed.
+pub const SNAPSHOT_VERSION: u16 = 8;
 
 /// The most `u64` words an article-store row can need: every article id
 /// is a `u32`, so 2³² bits cover them all.
@@ -160,9 +169,9 @@ pub struct WorldState {
     pub ledger: Vec<PeerLedgerState>,
     /// The transfer arena: every slot, the free list and retired totals.
     pub transfers: TransferArenaState,
-    /// Bucket-major flat Q-values of every learner: one plane per
-    /// reputation bucket, each holding the learners' rows in rank order.
-    pub q: Vec<f64>,
+    /// The Q-values of every learner: the bucket-major planes a learner
+    /// wrote, under a plane mask.
+    pub q: QPlanes,
     /// Per-learner Q-update counters.
     pub updates: Vec<u64>,
     /// Sentinel-encoded per-peer last-choice state buckets.
@@ -173,8 +182,9 @@ pub struct WorldState {
     /// deterministic assignment — a mismatch means the snapshot does not
     /// belong to its embedded spec).
     pub behaviors: Vec<BehaviorType>,
-    /// Upload-relation rows, sorted by counterparty id.
-    pub uploads: Vec<Vec<(u32, f64)>>,
+    /// The upload history: relation counts per uploader, then every
+    /// relation's counterparty and amount, each row sorted by counterparty.
+    pub uploads: UploadColumns,
     /// In-flight download slot per peer.
     pub active_transfer: Vec<Option<u64>>,
     /// Accepted edits since last punishment, per peer.
@@ -209,6 +219,103 @@ pub struct WorldState {
     /// Step at which each currently offline peer went offline (drives the
     /// offline reputation-uptime discount), dense by id.
     pub offline_since: Vec<Option<u64>>,
+}
+
+/// The Q column of a snapshot: of the agent table's bucket-major planes
+/// (one per reputation bucket, each `plane_len` values), only those in
+/// which a learner wrote a value. A plane no learner wrote holds nothing
+/// but `initial_q`, and is restored from `fill`.
+#[derive(Debug, Clone, Default)]
+pub struct QPlanes {
+    /// Bits of the capturing world's `initial_q`: the value of every cell
+    /// in a plane the mask omits.
+    pub fill: u64,
+    /// Number of planes: the table's reputation states, at most
+    /// [`MAX_REPUTATION_STATES`] (64), so one `u64` mask covers them.
+    pub planes: u32,
+    /// Values per plane: learners × actions.
+    pub plane_len: u64,
+    /// Bit `b` is set when plane `b` holds a value whose bits differ from
+    /// `fill` (so a learned `-0.0` under a `0.0` fill counts as written).
+    pub mask: u64,
+    /// The marked planes, in plane order.
+    pub values: Vec<f64>,
+}
+
+impl QPlanes {
+    /// Keeps the planes of `agents` that hold a value other than its
+    /// `initial_q`'s bits. A plane's scan stops at its first such value.
+    fn capture(agents: &AgentTable) -> Self {
+        let fill = agents.params().initial_q.to_bits();
+        let plane_len = agents.plane_len();
+        // `max(1)`: a table without learners has no planes to scan.
+        let planes = || agents.q_values().chunks_exact(plane_len.max(1));
+        let mask = planes()
+            .enumerate()
+            .filter(|(_, plane)| plane.iter().any(|v| v.to_bits() != fill))
+            .fold(0u64, |mask, (b, _)| mask | 1 << b);
+        let mut values = Vec::with_capacity(mask.count_ones() as usize * plane_len);
+        for (b, plane) in planes().enumerate() {
+            if mask >> b & 1 == 1 {
+                values.extend_from_slice(plane);
+            }
+        }
+        Self {
+            fill,
+            planes: agents.state_count() as u32,
+            plane_len: plane_len as u64,
+            mask,
+            values,
+        }
+    }
+
+    /// The dense bucket-major column: `fill` everywhere, then the stored
+    /// planes copied in. With a `+0.0` fill the allocator hands back zero
+    /// pages, so a plane no learner wrote is never faulted in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the values do not hold exactly the marked planes, which
+    /// decode refuses.
+    fn to_dense(&self) -> Vec<f64> {
+        let plane_len = self.plane_len as usize;
+        let mut q = vec![f64::from_bits(self.fill); self.planes as usize * plane_len];
+        let mut stored = self.values.chunks_exact(plane_len.max(1));
+        for (b, plane) in q.chunks_exact_mut(plane_len.max(1)).enumerate() {
+            if self.mask >> b & 1 == 1 {
+                plane.copy_from_slice(stored.next().expect("a stored plane per mask bit"));
+            }
+        }
+        q
+    }
+
+    /// Checks the column against itself: at most
+    /// [`MAX_REPUTATION_STATES`] planes, no mask bit at or past the plane
+    /// count, and exactly one stored plane per mask bit.
+    fn check(&self) -> Result<(), String> {
+        if self.planes as usize > MAX_REPUTATION_STATES {
+            return Err(format!(
+                "{} Q-planes, past the {MAX_REPUTATION_STATES} a mask covers",
+                self.planes
+            ));
+        }
+        if self.mask.checked_shr(self.planes).unwrap_or(0) != 0 {
+            return Err(format!(
+                "Q-plane mask {:#x} marks a plane at or past the {} planes",
+                self.mask, self.planes
+            ));
+        }
+        let stored = u64::from(self.mask.count_ones()).checked_mul(self.plane_len);
+        if stored != Some(self.values.len() as u64) {
+            return Err(format!(
+                "{} stored Q-values, not {} planes of {}",
+                self.values.len(),
+                self.mask.count_ones(),
+                self.plane_len
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// One checkpoint: the full [`WorldState`] plus the exact text of the
@@ -354,12 +461,12 @@ impl WorldState {
                 .map(|p| world.ledger.export_peer_state(p))
                 .collect(),
             transfers: world.transfers.export_state(),
-            q: world.agents.q_values().to_vec(),
+            q: QPlanes::capture(&world.agents),
             updates: world.agents.update_counts().to_vec(),
             last_state: world.agents.last_states_raw().to_vec(),
             last_action: world.agents.last_actions_raw().to_vec(),
             behaviors: world.behaviors.clone(),
-            uploads: world.uploads.sorted_rows(),
+            uploads: world.uploads.columns(),
             active_transfer: world.active_transfer.clone(),
             accepted_since_punishment: world.accepted_since_punishment.clone(),
             accumulators: world.accumulators.clone(),
@@ -390,7 +497,10 @@ impl WorldState {
 
     /// Overwrites a freshly constructed world (same spec) with this state.
     /// Derived structures — active sets, article caches, the upload
-    /// reverse index — are rebuilt from the restored data.
+    /// reverse index — are rebuilt from the restored data. Q-planes the
+    /// snapshot omits take its `fill`, not the world's `initial_q`, so a
+    /// fork onto a spec with another `initial_q` restores the captured
+    /// values.
     pub fn apply(&self, world: &mut SimWorld) -> Result<(), SnapshotError> {
         let population = world.config.population;
         let mismatch = |what: &str| -> SnapshotError {
@@ -419,13 +529,15 @@ impl WorldState {
         if self.ledger.len() != population
             || self.active_transfer.len() != population
             || self.accepted_since_punishment.len() != population
-            || self.uploads.len() != population
+            || self.uploads.counts.len() != population
             || self.accumulators.len() != population
         {
             return Err(mismatch("a per-peer table's length"));
         }
-        if self.q.len() != world.agents.q_values().len()
-            || self.updates.len() != world.agents.update_counts().len()
+        let agents = &world.agents;
+        if self.q.planes as usize != agents.state_count()
+            || self.q.plane_len != agents.plane_len() as u64
+            || self.updates.len() != agents.update_counts().len()
             || self.last_state.len() != population
             || self.last_action.len() != population
         {
@@ -444,6 +556,18 @@ impl WorldState {
         self.check_store(population, world.store.words_per_peer())
             .map_err(SnapshotError::Mismatch)?;
         self.check_ledger().map_err(SnapshotError::Mismatch)?;
+        self.q.check().map_err(SnapshotError::Mismatch)?;
+        self.check_uploads().map_err(SnapshotError::Mismatch)?;
+        let outside = self
+            .uploads
+            .to
+            .iter()
+            .find(|&&to| to as usize >= population);
+        if let Some(peer) = outside {
+            return Err(SnapshotError::Mismatch(format!(
+                "an upload counterparty {peer} lies outside the population of {population}"
+            )));
+        }
 
         world.clock = SimClock::starting_at(self.step);
         world.rng = StdRng::from_state(self.rng);
@@ -465,12 +589,12 @@ impl WorldState {
         }
         world.transfers = TransferManager::from_state(self.transfers.clone());
         world.agents.restore_learning_state(
-            &self.q,
+            self.q.to_dense(),
             &self.updates,
             &self.last_state,
             &self.last_action,
         );
-        world.uploads = UploadMatrix::from_sorted_rows(self.uploads.clone());
+        world.uploads = UploadMatrix::from_columns(&self.uploads);
         world.active_transfer = self.active_transfer.clone();
         world.accepted_since_punishment = self.accepted_since_punishment.clone();
         world.accumulators = self.accumulators.clone();
@@ -628,6 +752,40 @@ impl WorldState {
         Ok(())
     }
 
+    /// Checks the upload columns against themselves: the counts cover the
+    /// other two columns exactly, and each row's counterparties are
+    /// strictly increasing, as the sorted export writes them. A state
+    /// failing either would build a row map with a lost or misplaced
+    /// relation.
+    fn check_uploads(&self) -> Result<(), String> {
+        let UploadColumns {
+            counts,
+            to,
+            amounts,
+        } = &self.uploads;
+        let total = counts
+            .iter()
+            .fold(0u64, |sum, &n| sum.saturating_add(u64::from(n)));
+        if total != to.len() as u64 || to.len() != amounts.len() {
+            return Err(format!(
+                "upload counts sum to {total}, but the columns hold {} counterparties and {} amounts",
+                to.len(),
+                amounts.len()
+            ));
+        }
+        let mut start = 0;
+        for (from, &count) in counts.iter().enumerate() {
+            let end = start + count as usize;
+            if to[start..end].windows(2).any(|pair| pair[0] >= pair[1]) {
+                return Err(format!(
+                    "peer {from}'s upload counterparties are not strictly increasing"
+                ));
+            }
+            start = end;
+        }
+        Ok(())
+    }
+
     fn encode(&self, w: &mut Writer) {
         w.u64(self.step);
         write_rng(w, &self.rng);
@@ -715,7 +873,11 @@ impl WorldState {
         w.u64(self.transfers.completed_duration_sum);
         w.f64s(&self.transfers.retired_received);
         w.f64s(&self.transfers.retired_served);
-        w.f64s(&self.q);
+        w.u64(self.q.fill);
+        w.u32(self.q.planes);
+        w.u64(self.q.plane_len);
+        w.u64(self.q.mask);
+        w.f64s(&self.q.values);
         w.u64s(&self.updates);
         w.u32s(&self.last_state);
         w.u8s(&self.last_action);
@@ -723,14 +885,9 @@ impl WorldState {
         for &b in &self.behaviors {
             w.u8(behavior_tag(b));
         }
-        w.usize(self.uploads.len());
-        for row in &self.uploads {
-            w.usize(row.len());
-            for &(to, amount) in row {
-                w.u32(to);
-                w.f64(amount);
-            }
-        }
+        w.u32s(&self.uploads.counts);
+        w.u32s(&self.uploads.to);
+        w.f64s(&self.uploads.amounts);
         w.usize(self.active_transfer.len());
         for &slot in &self.active_transfer {
             w.opt_u64(slot);
@@ -936,7 +1093,13 @@ impl WorldState {
             retired_received: r.f64s()?,
             retired_served: r.f64s()?,
         };
-        let q = r.f64s()?;
+        let q = QPlanes {
+            fill: r.u64()?,
+            planes: r.u32()?,
+            plane_len: r.u64()?,
+            mask: r.u64()?,
+            values: r.f64s()?,
+        };
         let updates = r.u64s()?;
         let last_state = r.u32s()?;
         let last_action = r.u8s()?;
@@ -945,17 +1108,11 @@ impl WorldState {
         for _ in 0..behavior_count {
             behaviors.push(behavior_from_tag(r.u8()?)?);
         }
-        let upload_rows = r.len()?;
-        let mut uploads = Vec::with_capacity(upload_rows);
-        for _ in 0..upload_rows {
-            let entries = r.len()?;
-            let mut row = Vec::with_capacity(entries);
-            for _ in 0..entries {
-                let to = r.u32()?;
-                row.push((to, r.f64()?));
-            }
-            uploads.push(row);
-        }
+        let uploads = UploadColumns {
+            counts: r.u32s()?,
+            to: r.u32s()?,
+            amounts: r.f64s()?,
+        };
         let slot_count = r.len()?;
         let mut active_transfer = Vec::with_capacity(slot_count);
         for _ in 0..slot_count {
@@ -1101,6 +1258,8 @@ impl WorldState {
             .check_articles(state.peers.len())
             .map_err(SnapshotError::Corrupt)?;
         state.check_ledger().map_err(SnapshotError::Corrupt)?;
+        state.q.check().map_err(SnapshotError::Corrupt)?;
+        state.check_uploads().map_err(SnapshotError::Corrupt)?;
         Ok(state)
     }
 }
@@ -1343,8 +1502,10 @@ mod tests {
         // next one under the previous content hash, 4 the last layout that
         // carried the full edit log, 5 the last one that carried the
         // article store as id lists, 6 the last one that stored the
-        // Q-values rank-major (same length, so it would read transposed).
-        for version in [0x63u16, 2, 3, 4, 5, 6] {
+        // Q-values rank-major (same length, so it would read transposed),
+        // 7 the last one that stored every Q-plane and one upload list per
+        // uploader.
+        for version in [0x63u16, 2, 3, 4, 5, 6, 7] {
             let mut bytes = bytes.clone();
             bytes[8..10].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
@@ -1596,7 +1757,10 @@ mod tests {
     /// article-store word count no row can have; apply checks the store's
     /// tables against the spec and the registry, so a tampered store
     /// cannot misdirect a download pick or a replica add. A ledger value
-    /// no mutator writes (negative or non-finite) is refused at both.
+    /// no mutator writes (negative or non-finite) is refused at both, and
+    /// so are a Q column or upload columns that contradict themselves; a
+    /// Q layout or upload columns that do not fit the spec's population
+    /// are refused at apply. What decode does not refuse, it accepts.
     /// Every tamper is encoded afresh, so its frame hash is valid.
     #[test]
     fn malformed_article_and_ledger_state_is_a_typed_error_at_decode_and_apply() {
@@ -1617,9 +1781,14 @@ mod tests {
 
         // 200 articles: four words per article-store row.
         assert_eq!(snapshot.state.article_words, 4);
+        // Learners wrote at least two Q-planes (so a plane length of
+        // `u64::MAX` overflows the stored size), and some uploader has two
+        // relations.
+        assert!(snapshot.state.q.mask.count_ones() >= 2);
+        assert!(snapshot.state.uploads.counts.iter().any(|&n| n >= 2));
         type Tamper = fn(&mut WorldState);
         // Each tamper, and whether decode already refuses it.
-        let tampers: [(&str, Tamper, bool); 15] = [
+        let tampers: [(&str, Tamper, bool); 26] = [
             (
                 "unsorted voter set",
                 |state| {
@@ -1750,18 +1919,105 @@ mod tests {
                 |state| state.ledger[7].total_articles = f64::INFINITY,
                 true,
             ),
+            // A `u64` mask covers at most 64 planes, and a bit past the
+            // plane count names a plane the table does not have.
+            (
+                "more Q-planes than a mask covers",
+                |state| state.q.planes = MAX_REPUTATION_STATES as u32 + 1,
+                true,
+            ),
+            (
+                "a Q-plane mask bit at or past the plane count",
+                |state| {
+                    let q = &mut state.q;
+                    q.mask |= 1 << q.planes;
+                    q.values.extend(vec![0.0; q.plane_len as usize]);
+                },
+                true,
+            ),
+            (
+                "a stored Q-value more than the marked planes hold",
+                |state| state.q.values.push(0.5),
+                true,
+            ),
+            (
+                "marked planes whose length overflows",
+                |state| state.q.plane_len = u64::MAX,
+                true,
+            ),
+            (
+                "upload counts that do not sum to the column length",
+                |state| state.uploads.counts[0] += 1,
+                true,
+            ),
+            (
+                "an amount column longer than the counterparties",
+                |state| state.uploads.amounts.push(1.0),
+                true,
+            ),
+            (
+                "upload counterparties out of order within a row",
+                |state| {
+                    let uploads = &mut state.uploads;
+                    let mut start = 0;
+                    for &count in &uploads.counts {
+                        if count >= 2 {
+                            uploads.to.swap(start, start + 1);
+                            return;
+                        }
+                        start += count as usize;
+                    }
+                },
+                true,
+            ),
+            (
+                "a Q-plane count other than the spec's",
+                |state| state.q.planes += 1,
+                false,
+            ),
+            (
+                "a Q-plane length other than the spec's",
+                |state| {
+                    let q = &mut state.q;
+                    let fill = f64::from_bits(q.fill);
+                    q.values = q
+                        .values
+                        .chunks_exact(q.plane_len as usize)
+                        .flat_map(|plane| plane.iter().copied().chain([fill]))
+                        .collect();
+                    q.plane_len += 1;
+                },
+                false,
+            ),
+            (
+                "an upload counts column one peer too long",
+                |state| state.uploads.counts.push(0),
+                false,
+            ),
+            // Restored unchecked, the rebuild would index the reverse index
+            // out of bounds.
+            (
+                "an upload counterparty outside the population",
+                |state| {
+                    let uploads = &mut state.uploads;
+                    *uploads.counts.last_mut().unwrap() += 1;
+                    uploads.to.push(POPULATION);
+                    uploads.amounts.push(1.0);
+                },
+                false,
+            ),
         ];
         for (case, tamper, at_decode) in tampers {
             let mut bad = snapshot.clone();
             tamper(&mut bad.state);
+            let decoded = Snapshot::decode(&bad.encode());
             if at_decode {
                 assert!(
-                    matches!(
-                        Snapshot::decode(&bad.encode()),
-                        Err(SnapshotError::Corrupt(_))
-                    ),
+                    matches!(decoded, Err(SnapshotError::Corrupt(_))),
                     "{case}: decode"
                 );
+            } else {
+                assert!(decoded.is_ok(), "{case}: decode refused {decoded:?}");
             }
             assert!(
                 matches!(
@@ -1779,6 +2035,88 @@ mod tests {
                 "{message}"
             ),
             other => panic!("a NaN editing contribution decoded as {other:?}"),
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A world no learner has stepped stores no Q-plane.
+    #[test]
+    fn a_fresh_world_stores_no_q_plane() {
+        let spec = quick_spec();
+        let sim = Simulation::from_spec(&spec).unwrap();
+        let q = sim.snapshot(&spec).state.q;
+        assert_eq!((q.mask, q.values.len()), (0, 0));
+        assert_eq!((q.planes, q.fill), (10, 0.0f64.to_bits()));
+    }
+
+    /// After training, a plane is stored exactly when it holds a value
+    /// other than the fill in the live world, so every plane the mask
+    /// omits holds only the fill's bits; restoring gives back the live
+    /// column, and the decoded snapshot re-encodes to the same bytes.
+    #[test]
+    fn only_the_q_planes_a_learner_wrote_are_stored() {
+        let spec = quick_spec();
+        let mut sim = Simulation::from_spec(&spec).unwrap();
+        sim.run_training();
+        let snapshot = sim.snapshot(&spec);
+        let q = &snapshot.state.q;
+        // This run writes some planes and leaves others untouched.
+        let written = q.mask.count_ones();
+        assert!(written > 0 && written < q.planes, "{:#x}", q.mask);
+        let live = sim.world().agents.q_values();
+        for (b, plane) in live.chunks_exact(q.plane_len as usize).enumerate() {
+            let written = plane.iter().any(|v| v.to_bits() != q.fill);
+            assert_eq!(q.mask >> b & 1 == 1, written, "plane {b}");
+        }
+        assert_eq!(bits(&q.to_dense()), bits(live));
+        let bytes = snapshot.encode();
+        assert_eq!(Snapshot::decode(&bytes).unwrap().encode(), bytes);
+    }
+
+    /// A learned `-0.0` under a `0.0` fill differs from the fill in its
+    /// bits, so its plane is stored and restored with its sign.
+    #[test]
+    fn a_learned_negative_zero_keeps_its_plane() {
+        let spec = quick_spec();
+        let mut sim = Simulation::from_spec(&spec).unwrap();
+        let agents = &mut sim.world_mut().agents;
+        let mut q = agents.q_values().to_vec();
+        q[3 * agents.plane_len() + 5] = -0.0;
+        let (updates, last_state, last_action) = (
+            agents.update_counts().to_vec(),
+            agents.last_states_raw().to_vec(),
+            agents.last_actions_raw().to_vec(),
+        );
+        agents.restore_learning_state(q.clone(), &updates, &last_state, &last_action);
+        let snapshot = sim.snapshot(&spec);
+        assert_eq!(snapshot.state.q.mask, 1 << 3);
+        let decoded = Snapshot::decode(&snapshot.encode()).unwrap();
+        let resumed = Simulation::resume_from(&decoded).unwrap();
+        assert_eq!(bits(resumed.world().agents.q_values()), bits(&q));
+    }
+
+    /// Planes the snapshot omits take its fill, not the target spec's
+    /// `initial_q`: a fork onto a spec with another `initial_q` resumes
+    /// with the captured world's Q-values, bit for bit.
+    #[test]
+    fn a_fork_onto_another_initial_q_restores_the_captured_q_values() {
+        let spec = quick_spec();
+        let mut sim = Simulation::from_spec(&spec).unwrap();
+        sim.run_training();
+        let snapshot = sim.snapshot(&spec);
+        assert_ne!(snapshot.state.q.mask, 0);
+        let mut config = spec.config().clone();
+        config.learning.initial_q = 1.5;
+        let fork = snapshot.with_spec(&ScenarioSpec::from_config(config).expect("valid config"));
+        for fork in [fork.clone(), Snapshot::decode(&fork.encode()).unwrap()] {
+            let resumed = Simulation::resume_from(&fork).unwrap();
+            assert_eq!(
+                bits(resumed.world().agents.q_values()),
+                bits(sim.world().agents.q_values())
+            );
         }
     }
 

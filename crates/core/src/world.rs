@@ -152,9 +152,10 @@ impl AccumulatorTable {
 /// number of transfers, so rows are kept as hash maps keyed by the
 /// counterparty. Reads of absent pairs return 0.0, exactly like the dense
 /// matrix's untouched cells. A row iterates in the map's order, which
-/// depends on insertion history; that order cannot matter, because every
-/// reader of a whole row writes each relation to its own cell once (the
-/// propagation phase's trust graph) or sorts it (the checkpoint export).
+/// depends on insertion history and capacity; that order cannot matter,
+/// because every reader of a whole row writes each relation to its own
+/// cell once (the propagation phase's trust graph) or sorts it (the
+/// checkpoint export, [`UploadMatrix::columns`]).
 /// The rows use [`PeerKeyHasher`] (a multiplicative hash over the dense
 /// `u32` peer id) instead of the DoS-resistant default: the download phase
 /// performs one lookup per request and one insert per granted transfer
@@ -167,6 +168,18 @@ pub struct UploadMatrix {
     /// [`UploadMatrix::clear_peer`] drop a whitewashed identity's column in
     /// O(degree) instead of scanning every row.
     incoming: Vec<Vec<u32>>,
+}
+
+/// The relations of an [`UploadMatrix`] as three flat columns, row after
+/// row in uploader order: what a snapshot stores.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct UploadColumns {
+    /// Relations per uploader, one entry per peer.
+    pub counts: Vec<u32>,
+    /// Each relation's counterparty, strictly increasing within a row.
+    pub to: Vec<u32>,
+    /// Each relation's uploaded total.
+    pub amounts: Vec<f64>,
 }
 
 /// `BuildHasher` for peer-id-keyed hash maps on hot paths: Fibonacci
@@ -257,31 +270,72 @@ impl UploadMatrix {
         self.rows.iter().map(HashMap::len).sum()
     }
 
-    /// The upload relations as one `(counterparty, total)` list per row,
-    /// sorted by counterparty id (checkpoint export: the sorted order makes
-    /// the serialization independent of map insertion history).
-    pub fn sorted_rows(&self) -> Vec<Vec<(u32, f64)>> {
-        self.rows
-            .iter()
-            .map(|row| {
-                let mut entries: Vec<(u32, f64)> = row.iter().map(|(&k, &v)| (k, v)).collect();
-                entries.sort_unstable_by_key(|&(k, _)| k);
-                entries
-            })
-            .collect()
+    /// The upload relations as three flat columns, each row sorted by
+    /// counterparty id (checkpoint export: the sorted order makes the
+    /// serialization independent of map insertion history).
+    pub fn columns(&self) -> UploadColumns {
+        let relations = self.relation_count();
+        let mut columns = UploadColumns {
+            counts: Vec::with_capacity(self.rows.len()),
+            to: Vec::with_capacity(relations),
+            amounts: Vec::with_capacity(relations),
+        };
+        let mut row = Vec::new();
+        for map in &self.rows {
+            row.clear();
+            row.extend(map.iter().map(|(&to, &amount)| (to, amount)));
+            row.sort_unstable_by_key(|&(to, _)| to);
+            // A row names distinct peers, and peer ids are `u32`s.
+            columns.counts.push(row.len() as u32);
+            columns.to.extend(row.iter().map(|&(to, _)| to));
+            columns
+                .amounts
+                .extend(row.iter().map(|&(_, amount)| amount));
+        }
+        columns
     }
 
-    /// Rebuilds a matrix from a [`UploadMatrix::sorted_rows`] export,
-    /// including the reverse index. The rows' iteration order may differ
-    /// from the original's; see the type docs for why that cannot matter.
-    pub fn from_sorted_rows(rows: Vec<Vec<(u32, f64)>>) -> Self {
-        let mut matrix = Self::new(rows.len());
-        for (from, row) in rows.iter().enumerate() {
-            for &(to, amount) in row {
-                matrix.add(from, to as usize, amount);
-            }
+    /// Rebuilds a matrix from a [`UploadMatrix::columns`] export, including
+    /// the reverse index. Each row map and each reverse-index list is sized
+    /// once, from the counts. The rows' iteration order may differ from
+    /// the original's; see the type docs for why that cannot matter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the counts do not sum to the length of the other two
+    /// columns, or a counterparty is not below `counts.len()`.
+    pub fn from_columns(columns: &UploadColumns) -> Self {
+        let UploadColumns {
+            counts,
+            to,
+            amounts,
+        } = columns;
+        assert_eq!(to.len(), amounts.len(), "upload column lengths differ");
+        let mut uploaders = vec![0u32; counts.len()];
+        for &peer in to {
+            uploaders[peer as usize] += 1;
         }
-        matrix
+        let mut incoming: Vec<Vec<u32>> = uploaders
+            .iter()
+            .map(|&n| Vec::with_capacity(n as usize))
+            .collect();
+        let mut start = 0;
+        let rows = counts
+            .iter()
+            .enumerate()
+            .map(|(from, &count)| {
+                let end = start + count as usize;
+                let mut row = HashMap::with_capacity_and_hasher(count as usize, PeerKeyHashBuilder);
+                for (&peer, &amount) in to[start..end].iter().zip(&amounts[start..end]) {
+                    row.insert(peer, amount);
+                    incoming[peer as usize].push(from as u32);
+                }
+                start = end;
+                row
+            })
+            .collect();
+        assert_eq!(start, to.len(), "upload counts do not cover the columns");
+        Self { rows, incoming }
     }
 
     /// Forgets every relation involving `peer` — uploads by it (its row)
@@ -989,8 +1043,11 @@ mod tests {
                     matrix.add(from, to, rng.gen_range(0.0..1.0));
                 }
             }
-            let rebuilt = UploadMatrix::from_sorted_rows(matrix.sorted_rows());
+            let columns = matrix.columns();
+            assert_eq!(columns.counts.len(), peers);
+            let rebuilt = UploadMatrix::from_columns(&columns);
             assert_eq!(sorted_incoming(&matrix), sorted_incoming(&rebuilt));
+            assert_eq!(rebuilt.columns(), columns);
         }
     }
 }
