@@ -21,9 +21,9 @@
 
 use collabsim::adversary::AdversarySpec;
 use collabsim::config::PhaseConfig;
+use collabsim::netsim::churn::ChurnModel;
+use collabsim::reputation::propagation::PropagationScheme;
 use collabsim::{BehaviorMix, IncentiveScheme, ScenarioSpec, Simulation, SimulationConfig};
-use collabsim_netsim::churn::ChurnModel;
-use collabsim_reputation::propagation::PropagationScheme;
 
 fn main() {
     // The thread setting goes to stderr: stdout must be identical across

@@ -61,13 +61,12 @@ collabsim::json_struct! {
     }
 }
 
-/// Mean final sharing reputation, aggregated by parallel readers over the
-/// ledger's [`LedgerView`](collabsim_reputation::sharded::LedgerView) —
-/// one scoped worker per shard range, sharing the `Sync` read facade.
+/// Mean final sharing reputation, aggregated by parallel readers — one
+/// scoped worker per shard range, sharing the `Sync` ledger.
 fn mean_sharing_reputation(sim: &Simulation) -> f64 {
-    let view = sim.ledger().view();
-    let shard_count = view.shard_count();
-    let peers = view.len();
+    let ledger = sim.ledger();
+    let shard_count = ledger.shard_count();
+    let peers = ledger.len();
     let per_worker = peers.div_ceil(shard_count);
     let total: f64 = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..shard_count)
@@ -76,7 +75,7 @@ fn mean_sharing_reputation(sim: &Simulation) -> f64 {
                     let start = w * per_worker;
                     let end = ((w + 1) * per_worker).min(peers);
                     (start..end)
-                        .map(|p| view.sharing_reputation(p))
+                        .map(|p| ledger.sharing_reputation(p))
                         .sum::<f64>()
                 })
             })

@@ -11,13 +11,13 @@
 
 use collabsim::adversary::AdversarySpec;
 use collabsim::config::PhaseConfig;
+use collabsim::netsim::churn::ChurnModel;
+use collabsim::netsim::fault::LinkModel;
+use collabsim::reputation::function::FIGURE1_BETAS;
+use collabsim::reputation::propagation::PropagationScheme;
 use collabsim::{
     BehaviorMix, BehaviorType, IncentiveScheme, ScenarioSpec, SimulationConfig, SpecError,
 };
-use collabsim_netsim::churn::ChurnModel;
-use collabsim_netsim::fault::LinkModel;
-use collabsim_reputation::function::FIGURE1_BETAS;
-use collabsim_reputation::propagation::PropagationScheme;
 use std::path::{Path, PathBuf};
 
 /// The golden-report scenario: the exact configuration pinned by

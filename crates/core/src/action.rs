@@ -10,9 +10,9 @@
 //! choice the learner can make.
 //!
 //! Actions are flattened into indices `0..27` for the tabular Q-learner via
-//! the mixed-radix encoding of [`collabsim_rl::space`].
+//! the mixed-radix encoding of [`crate::rl::space`].
 
-use collabsim_rl::space::{flatten_action, unflatten_action_into, ActionSpace};
+use crate::rl::space::{flatten_action, unflatten_action_into, ActionSpace};
 
 /// Per-dimension cardinalities of the composite action space:
 /// 3 bandwidth levels × 3 article levels × 3 edit behaviours.

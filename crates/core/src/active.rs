@@ -25,8 +25,8 @@
 //! [`SimWorld::depart_peer`]: crate::world::SimWorld::depart_peer
 //! [`SimWorld::rejoin_peer`]: crate::world::SimWorld::rejoin_peer
 
-use collabsim_gametheory::behavior::BehaviorType;
-use collabsim_netsim::peer::PeerRegistry;
+use crate::gametheory::behavior::BehaviorType;
+use crate::netsim::peer::PeerRegistry;
 
 /// A fixed-capacity packed bitset over peer indices.
 ///
@@ -330,7 +330,7 @@ impl ActiveSets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collabsim_netsim::peer::PeerId;
+    use crate::netsim::peer::PeerId;
 
     #[test]
     fn empty_and_full_counts() {
@@ -427,7 +427,7 @@ mod tests {
         let mut peers = PeerRegistry::with_population(10);
         let mut sets = ActiveSets::new(&behaviors);
         assert!(sets.matches(&peers, &behaviors));
-        peers.set_online(PeerId(3), false);
+        peers.peer_mut(PeerId(3)).online = false;
         assert!(!sets.matches(&peers, &behaviors));
         sets.set_offline(3);
         assert!(sets.matches(&peers, &behaviors));

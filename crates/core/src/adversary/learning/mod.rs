@@ -4,7 +4,7 @@
 //! The five scripted strategies of the adversary subsystem encode fixed
 //! attack recipes; [`LearningAdversary`] instead *discovers* one. Each
 //! controlled peer runs a tabular Q-learner (the same
-//! `collabsim_rl` machinery the honest rational agents use) over a
+//! `crate::rl` machinery the honest rational agents use) over a
 //! discretised observation of its own standing — reputation bucket,
 //! punishment proximity, steps since its last identity reset, vote-rights
 //! status — and a small macro-action space built from the typed
@@ -32,11 +32,11 @@
 
 use super::{AdversaryAction, AdversaryStrategy, PeerPolicyState, PolicyState};
 use crate::action::{CollabAction, EditBehavior, ShareLevel};
+use crate::netsim::peer::PeerId;
 use crate::observer::WorldView;
-use collabsim_netsim::peer::PeerId;
-use collabsim_rl::boltzmann::{boltzmann_distribution, sample_probs};
-use collabsim_rl::qtable::QTable;
-use collabsim_rl::space::StateSpace;
+use crate::rl::boltzmann::{boltzmann_distribution, sample_probs};
+use crate::rl::qtable::QTable;
+use crate::rl::space::StateSpace;
 use rand::rngs::StdRng;
 
 /// Reputation buckets of the observation space.

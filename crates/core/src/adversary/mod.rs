@@ -21,7 +21,7 @@
 //!   custom phases),
 //! * [`AdversaryRoster`] — the per-run state: instantiated strategy units,
 //!   their controlled peers, forced actions, vote directives, the timed
-//!   [`ReentrySchedule`] and per-unit [`AttackStats`],
+//!   `ReentrySchedule` and per-unit [`AttackStats`],
 //! * [`AdversaryPhase`] — the registry-resolved step phase (name
 //!   `adversary`) that runs every unit and applies its actions,
 //! * [`AttackMetricsObserver`] — a [`StepObserver`] aggregating per-unit
@@ -47,11 +47,11 @@ pub use strategies::{
 };
 
 use crate::action::CollabAction;
+use crate::netsim::churn::ReentrySchedule;
+use crate::netsim::peer::PeerId;
 use crate::observer::{StepObserver, WorldView};
 use crate::pipeline::{StepContext, StepPhase};
 use crate::world::SimWorld;
-use collabsim_netsim::churn::ReentrySchedule;
-use collabsim_netsim::peer::PeerId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -176,7 +176,7 @@ pub enum AdversaryAction {
         peer: PeerId,
     },
     /// Schedule a departed peer's re-entry at a future step through the
-    /// [`ReentrySchedule`] — the timed-whitewash/lie-low primitive.
+    /// `ReentrySchedule` — the timed-whitewash/lie-low primitive.
     RejoinAt {
         /// The controlled peer.
         peer: PeerId,
@@ -1026,7 +1026,7 @@ mod tests {
 
     #[test]
     fn actions_on_uncontrolled_peers_are_ignored() {
-        use collabsim_netsim::peer::PeerId;
+        use crate::netsim::peer::PeerId;
 
         /// Tries to puppet and whitewash peer 0, which it does not control.
         struct Overreacher;
@@ -1112,8 +1112,8 @@ mod tests {
 
     #[test]
     fn offline_adversary_peers_cast_no_override_votes() {
+        use crate::netsim::peer::PeerId;
         use crate::pipeline::{PhaseRegistry, StepContext, StepPhase};
-        use collabsim_netsim::peer::PeerId;
 
         // A phase that takes the *second* ring peer offline on step 1 and
         // keeps it there, so the only way the unit's override-vote counter

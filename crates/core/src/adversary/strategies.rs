@@ -22,9 +22,9 @@
 use super::{AdversaryAction, AdversaryRoster, AdversarySpec, AdversaryStrategy, VotePolicy};
 use crate::action::{CollabAction, EditBehavior, ShareLevel};
 use crate::config::SimulationConfig;
+use crate::netsim::peer::PeerId;
 use crate::observer::WorldView;
 use crate::spec::SpecError;
-use collabsim_netsim::peer::PeerId;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -50,7 +50,7 @@ fn vandal_action() -> CollabAction {
 ///
 /// Parameter: re-entry delay in steps. With a non-zero delay the strategy
 /// additionally departs after each whitewash and schedules the re-entry
-/// through the timed [`ReentrySchedule`](collabsim_netsim::churn::ReentrySchedule)
+/// through the timed `ReentrySchedule`
 /// (lie low, then return), the "timed whitewash" of the ROADMAP.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AdaptiveWhitewash {

@@ -8,10 +8,10 @@
 //! engine does not branch on behaviour types.
 
 use crate::action::CollabAction;
-use collabsim_gametheory::behavior::BehaviorType;
-use collabsim_rl::boltzmann::BoltzmannPolicy;
-use collabsim_rl::qlearning::{QLearningAgent, QLearningParams};
-use collabsim_rl::space::{ActionSpace, StateSpace};
+use crate::gametheory::behavior::BehaviorType;
+use crate::rl::boltzmann::BoltzmannPolicy;
+use crate::rl::qlearning::{QLearningAgent, QLearningParams};
+use crate::rl::space::{ActionSpace, StateSpace};
 use rand::RngCore;
 
 /// The observable state an agent conditions its policy on: its reputation

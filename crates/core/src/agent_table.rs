@@ -24,9 +24,9 @@
 //! random churn/adversary traces.
 
 use crate::action::CollabAction;
-use collabsim_gametheory::behavior::BehaviorType;
-use collabsim_rl::qlearning::QLearningParams;
-use collabsim_rl::space::StateSpace;
+use crate::gametheory::behavior::BehaviorType;
+use crate::rl::qlearning::QLearningParams;
+use crate::rl::space::StateSpace;
 
 const NO_STATE: u32 = u32::MAX;
 const NO_ACTION: u8 = u8::MAX;
@@ -507,7 +507,7 @@ fn recorded_choice(last_state: u32, last_action: u8) -> (usize, usize) {
 }
 
 /// The shared Q-update kernel: exactly
-/// [`QLearningAgent::update`](collabsim_rl::qlearning::QLearningAgent::update)
+/// [`QLearningAgent::update`](crate::rl::qlearning::QLearningAgent::update)
 /// of the cell holding `old`, towards the best value of `next_row`.
 #[inline]
 fn updated_q(params: &QLearningParams, old: f64, reward: f64, next_row: &[f64]) -> f64 {

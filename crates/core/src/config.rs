@@ -8,17 +8,17 @@
 //! behaviour-mix sweep convention of Section IV-B.
 
 use crate::adversary::AdversarySpec;
+use crate::gametheory::behavior::BehaviorMix;
+use crate::gametheory::utility::UtilityModel;
 use crate::incentive::IncentiveScheme;
+use crate::netsim::churn::ChurnModel;
+use crate::netsim::fault::LinkModel;
+use crate::reputation::contribution::ContributionParams;
+use crate::reputation::propagation::PropagationScheme;
+use crate::reputation::punishment::PunishmentPolicy;
+use crate::reputation::service::ServiceParams;
+use crate::rl::qlearning::QLearningParams;
 use crate::spec::SpecError;
-use collabsim_gametheory::behavior::BehaviorMix;
-use collabsim_gametheory::utility::UtilityModel;
-use collabsim_netsim::churn::ChurnModel;
-use collabsim_netsim::fault::LinkModel;
-use collabsim_reputation::contribution::ContributionParams;
-use collabsim_reputation::propagation::PropagationScheme;
-use collabsim_reputation::punishment::PunishmentPolicy;
-use collabsim_reputation::service::ServiceParams;
-use collabsim_rl::qlearning::QLearningParams;
 
 /// Configuration of the optional reputation-propagation phase.
 ///
@@ -226,7 +226,7 @@ pub struct SimulationConfig {
     pub adversaries: Vec<AdversarySpec>,
     /// Per-step churn probabilities (joins, departures, whitewashing).
     /// The paper's own simulation is churn-free, so the default is
-    /// [`ChurnModel::stable`] and the churn phase only enters the pipeline
+    /// `ChurnModel::stable` and the churn phase only enters the pipeline
     /// when the model generates events. Churn draws from its own RNG
     /// stream, so a stable model leaves the trajectory bit-identical to a
     /// churn-free configuration.

@@ -26,16 +26,16 @@
 
 use crate::adversary::AdversaryRegistry;
 use crate::config::SimulationConfig;
+use crate::gametheory::behavior::BehaviorType;
+use crate::netsim::article::ArticleRegistry;
 use crate::observer::{StepObserver, WorldView};
 use crate::pipeline::{PhaseRegistry, StepContext, StepPipeline};
 use crate::report::SimulationReport;
+use crate::reputation::propagation::GlobalReputation;
+use crate::reputation::sharded::ShardedLedger;
 use crate::snapshot::{RunStore, Snapshot, SnapshotError};
 use crate::spec::{ScenarioSpec, SpecError};
 use crate::world::SimWorld;
-use collabsim_gametheory::behavior::BehaviorType;
-use collabsim_netsim::article::ArticleRegistry;
-use collabsim_reputation::propagation::GlobalReputation;
-use collabsim_reputation::sharded::ShardedLedger;
 use std::convert::Infallible;
 
 pub use crate::world::{ARTICLE_CONTRIBUTION_UNITS, BANDWIDTH_CONTRIBUTION_UNITS};
@@ -337,10 +337,10 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::config::{PhaseConfig, PropagationConfig, ReputationSource};
+    use crate::gametheory::behavior::BehaviorMix;
     use crate::incentive::IncentiveScheme;
     use crate::observer::TimingObserver;
-    use collabsim_gametheory::behavior::BehaviorMix;
-    use collabsim_reputation::propagation::PropagationScheme;
+    use crate::reputation::propagation::PropagationScheme;
 
     fn quick_config() -> SimulationConfig {
         SimulationConfig {

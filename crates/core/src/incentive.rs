@@ -8,7 +8,7 @@
 //! editing admission) each time it needs one, so a single engine code path
 //! serves the incentive run, the baseline and the TFT comparison.
 
-use collabsim_netsim::bandwidth::AllocationPolicy;
+use crate::netsim::bandwidth::AllocationPolicy;
 
 /// Which incentive scheme governs the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -227,7 +227,7 @@ mod tests {
     use super::*;
     use crate::config::{PhaseConfig, SimulationConfig};
     use crate::engine::Simulation;
-    use collabsim_netsim::fault::LinkModel;
+    use crate::netsim::fault::LinkModel;
 
     fn quick_config() -> SimulationConfig {
         SimulationConfig {

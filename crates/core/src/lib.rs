@@ -4,20 +4,20 @@
 //! Theoretical Analysis of Incentives for Large-scale, Fully Decentralized
 //! Collaboration Networks"* (Bocek, Shann, Hausheer, Stiller — IPDPS 2008).
 //!
-//! The crate assembles the substrates into the paper's Section-IV model:
+//! The crate holds the paper's Section-IV model, one module per substrate:
 //!
-//! * a population of (by default) 100 peers connected by the
-//!   [`collabsim_netsim`] substrate,
-//! * every peer carrying the dual reputation of
-//!   [`collabsim_reputation`] (`R_S` for sharing, `R_E` for editing/voting),
-//! * rational peers learning with the tabular Q-learning of
-//!   [`collabsim_rl`] (Boltzmann exploration, the paper's two-phase
-//!   temperature schedule), while altruistic and irrational peers follow the
-//!   fixed behaviours of [`collabsim_gametheory::behavior`],
+//! * a population of (by default) 100 peers connected by the P2P network
+//!   of [`netsim`],
+//! * every peer carrying the dual reputation of [`reputation`] (`R_S` for
+//!   sharing, `R_E` for editing/voting),
+//! * rational peers learning with the tabular Q-learning of [`rl`]
+//!   (Boltzmann exploration, the paper's two-phase temperature schedule),
+//!   while altruistic and irrational peers follow the fixed behaviours of
+//!   [`gametheory::behavior`],
 //! * service differentiation applied (or not, for the baseline) when
 //!   bandwidth is allocated, votes are weighted and edits are admitted,
-//! * the utility functions `U_S`/`U_E` of
-//!   [`collabsim_gametheory::utility`] providing the per-step rewards.
+//! * the utility functions `U_S`/`U_E` of [`gametheory::utility`]
+//!   providing the per-step rewards.
 //!
 //! The step loop itself is a composable pipeline: every sub-phase of a
 //! simulation step (selection, sharing, downloads, editing/voting, utility,
@@ -52,13 +52,17 @@ pub mod agent;
 pub mod agent_table;
 pub mod config;
 pub mod engine;
+pub mod gametheory;
 pub mod incentive;
 pub mod invariants;
 pub mod json;
+pub mod netsim;
 pub mod observer;
 pub mod pipeline;
 pub mod report;
+pub mod reputation;
 pub mod results;
+pub mod rl;
 pub mod snapshot;
 pub mod spec;
 pub mod threads;
@@ -89,6 +93,6 @@ pub use world::{
 
 // Re-export the pieces downstream users constantly need alongside the core
 // API so examples only import one crate.
-pub use collabsim_gametheory::behavior::{BehaviorMix, BehaviorType};
-pub use collabsim_gametheory::utility::UtilityModel;
-pub use collabsim_reputation::function::LogisticReputation;
+pub use crate::gametheory::behavior::{BehaviorMix, BehaviorType};
+pub use crate::gametheory::utility::UtilityModel;
+pub use crate::reputation::function::LogisticReputation;

@@ -1,9 +1,7 @@
 //! Step observers: streaming metrics without growing the report.
 //!
 //! A [`StepObserver`] receives callbacks at phase, step and run boundaries
-//! with a read-only [`WorldView`] of the simulation state (the same
-//! pattern as the reputation ledger's
-//! [`LedgerView`]). Observers
+//! with a read-only [`WorldView`] of the simulation state. Observers
 //! are how benches and tests collect statistics the fixed
 //! [`SimulationReport`] does not carry — per-step time series, churn
 //! dynamics, phase timings — without every new metric growing the report
@@ -14,13 +12,12 @@
 //! results. The built-in [`TimingObserver`] is how a run is timed per
 //! phase.
 
+use crate::gametheory::behavior::BehaviorType;
+use crate::netsim::article::ArticleRegistry;
+use crate::netsim::peer::PeerRegistry;
 use crate::pipeline::{PhaseTimings, StepContext};
 use crate::report::SimulationReport;
 use crate::world::{ChurnStats, SimWorld};
-use collabsim_gametheory::behavior::BehaviorType;
-use collabsim_netsim::article::ArticleRegistry;
-use collabsim_netsim::peer::PeerRegistry;
-use collabsim_reputation::sharded::LedgerView;
 use std::time::Duration;
 
 /// A read-only facade over [`SimWorld`] handed to observer callbacks.
@@ -52,11 +49,6 @@ impl<'a> WorldView<'a> {
     /// The current simulation step.
     pub fn now(&self) -> u64 {
         self.world.clock.now()
-    }
-
-    /// Read facade over the reputation ledger.
-    pub fn ledger(&self) -> LedgerView<'a> {
-        self.world.ledger.view()
     }
 
     /// A peer's sharing reputation `R_S`.

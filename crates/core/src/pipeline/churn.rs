@@ -1,12 +1,12 @@
 //! Optional phase — peer churn between steps.
 
 use super::{StepContext, StepPhase};
+use crate::netsim::churn::ChurnEvent;
+use crate::netsim::peer::PeerId;
 use crate::world::SimWorld;
-use collabsim_netsim::churn::ChurnEvent;
-use collabsim_netsim::peer::PeerId;
 use rand::Rng;
 
-/// Applies the configured [`ChurnModel`](collabsim_netsim::churn::ChurnModel)
+/// Applies the configured [`ChurnModel`](crate::netsim::churn::ChurnModel)
 /// at the top of every step: departures take peers offline (withdrawing
 /// their offers and cancelling their in-flight download), joins bring
 /// departed identities back online with their reputation intact (re-entry —
@@ -83,7 +83,7 @@ impl StepPhase for ChurnPhase {
 mod tests {
     use crate::config::{PhaseConfig, SimulationConfig};
     use crate::engine::Simulation;
-    use collabsim_netsim::churn::ChurnModel;
+    use crate::netsim::churn::ChurnModel;
 
     fn quick_config() -> SimulationConfig {
         SimulationConfig {

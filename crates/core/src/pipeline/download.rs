@@ -9,12 +9,12 @@
 //!    [`RequestTable`] bucketed by source.
 //! 2. **Allocate and apply** (in ascending source order): each source's
 //!    offered upload is split among its request bucket by
-//!    [`BandwidthAllocator::allocate_into`](collabsim_netsim::bandwidth::BandwidthAllocator::allocate_into),
+//!    [`BandwidthAllocator::allocate_into`](crate::netsim::bandwidth::BandwidthAllocator::allocate_into),
 //!    and the grants update the step observables and the upload history
 //!    at once. An allocation reads only the requests frozen at collect
 //!    time and the source's offer, and the apply writes neither, so the
 //!    grants are exactly those of allocating every source first. Then
-//!    [`TransferManager::apply_grants`](collabsim_netsim::transfer::TransferManager::apply_grants)
+//!    [`TransferManager::apply_grants`](crate::netsim::transfer::TransferManager::apply_grants)
 //!    applies the whole grant queue and the drained completions update the
 //!    article store and release their transfer slots.
 //!
@@ -26,14 +26,14 @@
 
 use super::{StepContext, StepPhase};
 use crate::config::DownloadRate;
-use crate::world::SimWorld;
-use collabsim_netsim::bandwidth::{AllocScratch, Allocation, DownloadRequest};
-use collabsim_netsim::fault::{
+use crate::netsim::bandwidth::{AllocScratch, Allocation, DownloadRequest};
+use crate::netsim::fault::{
     step_connections, ConnectionState, BACKOFF_BASE_STEPS, MAX_TRANSFER_RETRIES,
     TRANSFER_TIMEOUT_STEPS,
 };
-use collabsim_netsim::peer::PeerId;
-use collabsim_netsim::transfer::TransferStatus;
+use crate::netsim::peer::PeerId;
+use crate::netsim::transfer::TransferStatus;
+use crate::world::SimWorld;
 use rand::Rng;
 
 /// Collects download requests (continuing in-flight transfers, starting new

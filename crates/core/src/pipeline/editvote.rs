@@ -3,12 +3,12 @@
 use super::{StepContext, StepPhase};
 use crate::action::EditBehavior;
 use crate::adversary::VoteDirective;
+use crate::netsim::article::EditKind;
+use crate::netsim::peer::PeerId;
+use crate::reputation::contribution::EditingAction;
+use crate::reputation::punishment::PunishmentOutcome;
+use crate::reputation::service::ServiceDifferentiation;
 use crate::world::SimWorld;
-use collabsim_netsim::article::EditKind;
-use collabsim_netsim::peer::PeerId;
-use collabsim_reputation::contribution::EditingAction;
-use collabsim_reputation::punishment::PunishmentOutcome;
-use collabsim_reputation::service::ServiceDifferentiation;
 use rand::seq::SliceRandom;
 use rand::Rng;
 

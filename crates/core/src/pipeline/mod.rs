@@ -24,7 +24,7 @@
 //! * [`PropagationPhase`] — (optional, config-gated) periodically
 //!   propagates the upload-derived trust graph into a global reputation
 //!   vector through the configured
-//!   [`PropagationBackend`](collabsim_reputation::propagation::PropagationBackend),
+//!   `PropagationBackend`,
 //! * [`ChurnPhase`] — (optional, spec-gated) applies the configured churn
 //!   model between steps: departures, re-entries and whitewashes over the
 //!   peer arena, drawing from its own stream (`world.churn_rng`),
@@ -78,11 +78,11 @@ pub use utility::UtilityPhase;
 
 use crate::action::CollabAction;
 use crate::agent::AgentState;
+use crate::netsim::churn::ChurnEvent;
+use crate::netsim::peer::PeerId;
 use crate::observer::{StepObserver, WorldView};
+use crate::reputation::sharded::DeltaBatch;
 use crate::world::SimWorld;
-use collabsim_netsim::churn::ChurnEvent;
-use collabsim_netsim::peer::PeerId;
-use collabsim_reputation::sharded::DeltaBatch;
 use std::time::{Duration, Instant};
 
 /// The precomputed effect of one peer's sharing decision: how many of its
@@ -395,8 +395,8 @@ mod tests {
     use crate::adversary::AdversaryRegistry;
     use crate::config::{PhaseConfig, SimulationConfig};
     use crate::observer::TimingObserver;
+    use crate::reputation::propagation::PropagationScheme;
     use crate::spec::ScenarioSpec;
-    use collabsim_reputation::propagation::PropagationScheme;
 
     fn quick_config() -> SimulationConfig {
         SimulationConfig {

@@ -1,9 +1,9 @@
 //! Optional phase — reputation propagation over the trust graph.
 
 use super::{StepContext, StepPhase};
+use crate::reputation::propagation::eigentrust::EigenTrust;
+use crate::reputation::propagation::{PropagationBackend, TrustGraph};
 use crate::world::{SimWorld, UploadMatrix};
-use collabsim_reputation::propagation::eigentrust::EigenTrust;
-use collabsim_reputation::propagation::{PropagationBackend, TrustGraph};
 
 /// Periodically propagates the upload-derived local-trust graph into a
 /// global reputation vector through the backend selected by
@@ -87,10 +87,10 @@ mod tests {
     use crate::adversary::AdversarySpec;
     use crate::config::PhaseConfig;
     use crate::engine::Simulation;
+    use crate::netsim::churn::ChurnModel;
+    use crate::reputation::propagation::PropagationScheme;
     use crate::spec::ScenarioSpec;
     use crate::BehaviorMix;
-    use collabsim_netsim::churn::ChurnModel;
-    use collabsim_reputation::propagation::PropagationScheme;
 
     /// The N² build [`trust_graph`] replaced, kept as its reference: one
     /// `get` per ordered pair of distinct peers.

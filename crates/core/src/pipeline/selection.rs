@@ -5,9 +5,9 @@ use crate::action::CollabAction;
 use crate::active::PeerBitset;
 use crate::agent::AgentState;
 use crate::agent_table::AgentShardMut;
+use crate::gametheory::behavior::BehaviorType;
+use crate::rl::boltzmann::{boltzmann_distribution_into, sample_probs_raw};
 use crate::world::{ServiceReputation, SimWorld};
-use collabsim_gametheory::behavior::BehaviorType;
-use collabsim_rl::boltzmann::{boltzmann_distribution_into, sample_probs_raw};
 use rand::RngCore;
 
 /// Every *online* agent observes its state (reputation bucket) and picks
@@ -50,7 +50,7 @@ pub struct SelectionPhase;
 /// buffer: rational peers' Q-rows differ once learning has moved them, so
 /// a per-bucket memo of the last row almost never hits in evaluation.
 /// Either way the probabilities are exactly what
-/// [`boltzmann_distribution_into`] produces, so the sampled stream is
+/// `boltzmann_distribution_into` produces, so the sampled stream is
 /// bit-identical to the unbuffered policy.
 #[derive(Debug, Clone, Default)]
 pub struct BoltzmannCache {
@@ -77,10 +77,10 @@ impl BoltzmannCache {
 
     /// Samples an action index from the Boltzmann distribution over `row`
     /// at the step temperature with the raw draw `raw` — the pick
-    /// [`BoltzmannPolicy::select_action`] makes when its `next_u64` returns
+    /// `BoltzmannPolicy::select_action` makes when its `next_u64` returns
     /// `raw`.
     ///
-    /// [`BoltzmannPolicy::select_action`]: collabsim_rl::boltzmann::BoltzmannPolicy
+    /// `BoltzmannPolicy::select_action`: crate::rl::boltzmann::BoltzmannPolicy
     #[inline]
     pub fn sample(&mut self, row: &[f64], raw: u64) -> usize {
         if self.uniform {
@@ -234,10 +234,10 @@ mod tests {
     use super::*;
     use crate::adversary::{AdversaryPhase, AdversaryRegistry, AdversarySpec};
     use crate::config::SimulationConfig;
-    use collabsim_gametheory::behavior::BehaviorMix;
-    use collabsim_netsim::peer::PeerId;
-    use collabsim_reputation::contribution::SharingAction;
-    use collabsim_rl::boltzmann::{boltzmann_distribution, sample_probs};
+    use crate::gametheory::behavior::BehaviorMix;
+    use crate::netsim::peer::PeerId;
+    use crate::reputation::contribution::SharingAction;
+    use crate::rl::boltzmann::{boltzmann_distribution, sample_probs};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -2,10 +2,10 @@
 
 use super::{OfferPlan, StepContext, StepPhase};
 use crate::action::CollabAction;
+use crate::netsim::peer::PeerId;
+use crate::netsim::storage::ArticleStore;
+use crate::reputation::contribution::{ContributionDelta, SharingAction};
 use crate::world::{SimWorld, ARTICLE_CONTRIBUTION_UNITS, BANDWIDTH_CONTRIBUTION_UNITS};
-use collabsim_netsim::peer::PeerId;
-use collabsim_netsim::storage::ArticleStore;
-use collabsim_reputation::contribution::{ContributionDelta, SharingAction};
 
 /// Applies every *online* peer's sharing decision to the peer registry and
 /// the article store, and records the step's sharing contribution (`C_S`)
@@ -29,7 +29,7 @@ use collabsim_reputation::contribution::{ContributionDelta, SharingAction};
 ///    the same buckets in the same order.
 /// 2. **Apply** — registry and store writes happen sequentially in peer
 ///    order; the contribution deltas are applied through
-///    [`ShardedLedger::apply_parallel`](collabsim_reputation::sharded::ShardedLedger::apply_parallel),
+///    [`ShardedLedger::apply_parallel`](crate::reputation::sharded::ShardedLedger::apply_parallel),
 ///    bit-identical to a sequential apply.
 pub struct SharingPhase;
 

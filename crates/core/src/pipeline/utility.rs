@@ -2,8 +2,8 @@
 
 use super::{StepContext, StepPhase};
 use crate::action::EditBehavior;
+use crate::gametheory::utility::{EditingObservation, SharingObservation};
 use crate::world::SimWorld;
-use collabsim_gametheory::utility::{EditingObservation, SharingObservation};
 
 /// Computes every *online* peer's per-step reward `U = U_S + U_E` from the
 /// step's observations, and accumulates the evaluation-phase measurements

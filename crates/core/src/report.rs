@@ -21,9 +21,9 @@
 //! carries every field exactly, so a decoded report compares `==` with the
 //! in-process one.
 
+use crate::gametheory::behavior::BehaviorType;
 use crate::json::{FromJson, Json, JsonError};
-use collabsim_gametheory::behavior::BehaviorType;
-use collabsim_netsim::article::EditOutcomeCounts;
+use crate::netsim::article::EditOutcomeCounts;
 use std::collections::BTreeMap;
 
 crate::json_struct! {

@@ -1,9 +1,9 @@
 //! Result rendering: the plain-text tables the examples print for one
 //! run's per-behaviour breakdown and churn counters.
 
+use crate::gametheory::behavior::BehaviorType;
 use crate::report::SimulationReport;
 use crate::world::ChurnStats;
-use collabsim_gametheory::behavior::BehaviorType;
 use std::fmt::Write as _;
 
 /// Renders the churn counters of a run — the Section-VI reputation-

@@ -40,21 +40,21 @@ pub use store::{
 
 use crate::adversary::{AttackStats, PeerPolicyState, PolicyState};
 use crate::agent_table::{AgentTable, MAX_REPUTATION_STATES};
+use crate::gametheory::behavior::BehaviorType;
+use crate::netsim::article::{
+    Article, ArticleId, ArticleRegistry, Edit, EditId, EditKind, EditOutcomeCounts,
+};
+use crate::netsim::clock::SimClock;
+use crate::netsim::fault::ConnectionState;
+use crate::netsim::peer::{Peer, PeerId, PeerRegistry};
+use crate::netsim::storage::ArticleStore;
+use crate::netsim::transfer::{Transfer, TransferArenaState, TransferManager, TransferStatus};
+use crate::reputation::propagation::GlobalReputation;
+use crate::reputation::sharded::PeerLedgerState;
 use crate::spec::ScenarioSpec;
 use crate::world::{AccumulatorTable, ChurnStats, NetStats, SimWorld, UploadColumns, UploadMatrix};
 use crate::ActiveSets;
 use codec::{xxh64, Reader, Writer};
-use collabsim_gametheory::behavior::BehaviorType;
-use collabsim_netsim::article::{
-    Article, ArticleId, ArticleRegistry, Edit, EditId, EditKind, EditOutcomeCounts,
-};
-use collabsim_netsim::clock::SimClock;
-use collabsim_netsim::fault::ConnectionState;
-use collabsim_netsim::peer::{Peer, PeerId, PeerRegistry};
-use collabsim_netsim::storage::ArticleStore;
-use collabsim_netsim::transfer::{Transfer, TransferArenaState, TransferManager, TransferStatus};
-use collabsim_reputation::propagation::GlobalReputation;
-use collabsim_reputation::sharded::PeerLedgerState;
 use rand::rngs::StdRng;
 
 /// Leading magic of every encoded snapshot.
@@ -1427,7 +1427,7 @@ mod tests {
     use super::*;
     use crate::config::{PhaseConfig, SimulationConfig};
     use crate::engine::Simulation;
-    use collabsim_gametheory::behavior::BehaviorMix;
+    use crate::gametheory::behavior::BehaviorMix;
 
     fn quick_spec() -> ScenarioSpec {
         let config = SimulationConfig {
@@ -1580,18 +1580,18 @@ mod tests {
             mix: BehaviorMix::new(0.5, 0.25, 0.25),
             seed: 7,
             propagation: crate::config::PropagationConfig {
-                scheme: Some(collabsim_reputation::propagation::PropagationScheme::EigenTrust),
+                scheme: Some(crate::reputation::propagation::PropagationScheme::EigenTrust),
                 interval: 10,
                 pretrusted: 0,
             },
             ..Default::default()
         };
-        config.churn = collabsim_netsim::churn::ChurnModel {
+        config.churn = crate::netsim::churn::ChurnModel {
             join_probability: 0.02,
             leave_probability: 0.02,
             whitewash_probability: 0.01,
         };
-        config.network = collabsim_netsim::fault::LinkModel::IidLoss { loss: 0.05 };
+        config.network = crate::netsim::fault::LinkModel::IidLoss { loss: 0.05 };
         config.adversaries = vec![crate::adversary::AdversarySpec::new("naive-whitewash", 3)];
         let spec = ScenarioSpec::from_config(config).expect("valid config");
 
@@ -1734,7 +1734,7 @@ mod tests {
             .accepted_destructive;
         resumed.world_mut().articles.resolve_edit(edit, true);
         let article = resumed.articles().article(ArticleId(3));
-        assert!(article.is_successful_editor(PeerId(5)));
+        assert!(article.voters().contains(&PeerId(5)));
         assert_eq!(article.accepted_destructive, damage + 1);
     }
 

@@ -44,18 +44,18 @@ use crate::agent_table::MAX_REPUTATION_STATES;
 use crate::config::{
     DownloadRate, PhaseConfig, PropagationConfig, ReputationSource, SimulationConfig,
 };
+use crate::gametheory::behavior::BehaviorMix;
+use crate::gametheory::utility::{EditingUtilityParams, SharingUtilityParams};
 use crate::incentive::IncentiveScheme;
 use crate::json::{FromJson, Json};
+use crate::netsim::churn::ChurnModel;
+use crate::netsim::fault::{LinkModel, LinkModelError};
 use crate::pipeline::{PhaseRegistry, StepPipeline};
+use crate::reputation::contribution::ContributionParams;
+use crate::reputation::propagation::PropagationScheme;
+use crate::reputation::punishment::PunishmentPolicy;
+use crate::reputation::service::ServiceParams;
 use crate::threads::MAX_THREADS;
-use collabsim_gametheory::behavior::BehaviorMix;
-use collabsim_gametheory::utility::{EditingUtilityParams, SharingUtilityParams};
-use collabsim_netsim::churn::ChurnModel;
-use collabsim_netsim::fault::{LinkModel, LinkModelError};
-use collabsim_reputation::contribution::ContributionParams;
-use collabsim_reputation::propagation::PropagationScheme;
-use collabsim_reputation::punishment::PunishmentPolicy;
-use collabsim_reputation::service::ServiceParams;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -499,8 +499,8 @@ const KEYS: &[Key] = &[
     key!(initial_q: learning.initial_q, checked by learning),
     // Bounded weights bound every per-step reward: `U_S` weighs three
     // fractions, and `U_E` weighs one step's counts of successful edits and
-    // votes, which the population bounds. So the Q-values
-    // (`q_value_bound`) and the report's utility sums stay finite at any
+    // votes, which the population bounds. So the Q-values (at most
+    // `r_max / (1 − γ)`) and the report's utility sums stay finite at any
     // accepted step count; finite weights of 1e308 overflowed both.
     key!(utility_sharing: utility.sharing, |u| [u.alpha, u.beta, u.gamma].iter().all(|w| w.abs() <= MAX_UTILITY_WEIGHT),
         "utility weights must lie in [-1e6, 1e6]"),
@@ -1031,6 +1031,13 @@ impl ScenarioSpecBuilder {
 mod tests {
     use super::*;
 
+    /// Occasional joins and departures.
+    const MILD_CHURN: ChurnModel = ChurnModel {
+        join_probability: 0.05,
+        leave_probability: 0.002,
+        whitewash_probability: 0.0,
+    };
+
     #[test]
     fn default_spec_uses_the_standard_phase_order() {
         let spec = ScenarioSpec::from_config(SimulationConfig::default()).unwrap();
@@ -1053,7 +1060,7 @@ mod tests {
     fn propagation_and_churn_extend_the_default_order() {
         let spec = ScenarioSpec::builder()
             .propagation(PropagationScheme::Gossip, 50)
-            .churn(ChurnModel::mild())
+            .churn(MILD_CHURN)
             .build()
             .unwrap();
         assert_eq!(spec.phases().first().map(String::as_str), Some("churn"));
@@ -1190,7 +1197,7 @@ mod tests {
         // order, so builder call order cannot silently drop a phase.
         let spec = ScenarioSpec::builder()
             .push_phase("my-metrics")
-            .churn(ChurnModel::mild())
+            .churn(MILD_CHURN)
             .build()
             .unwrap();
         assert_eq!(spec.phases().first().map(String::as_str), Some("churn"));
@@ -1218,7 +1225,7 @@ mod tests {
     #[test]
     fn churn_precedes_adversary_in_the_default_order() {
         let spec = ScenarioSpec::builder()
-            .churn(ChurnModel::mild())
+            .churn(MILD_CHURN)
             .adversary(AdversarySpec::new("collusion-ring", 4))
             .build()
             .unwrap();

@@ -28,7 +28,7 @@ pub const SCENARIO_THREADS_ENV: &str = "SCENARIO_THREADS";
 
 /// The largest worker count accepted from outside the program. It equals
 /// the ledger's automatic shard ceiling
-/// ([`MAX_AUTO_SHARDS`](collabsim_reputation::sharded::MAX_AUTO_SHARDS)),
+/// (`MAX_AUTO_SHARDS`),
 /// and the hardware-based automatic count never exceeds 8.
 pub const MAX_THREADS: usize = 64;
 

@@ -13,20 +13,20 @@ use crate::adversary::{AdversaryRegistry, AdversaryRoster};
 use crate::agent::AgentState;
 use crate::agent_table::AgentTable;
 use crate::config::{ReputationSource, SimulationConfig};
+use crate::gametheory::behavior::BehaviorType;
+use crate::netsim::article::{ArticleId, ArticleRegistry, EditOutcomeCounts};
+use crate::netsim::bandwidth::BandwidthAllocator;
+use crate::netsim::clock::SimClock;
+use crate::netsim::dht::{self, DhtKey};
+use crate::netsim::peer::{PeerId, PeerRegistry};
+use crate::netsim::storage::ArticleStore;
+use crate::netsim::transfer::TransferManager;
 use crate::report::{BehaviorBreakdown, SimulationReport};
-use collabsim_gametheory::behavior::BehaviorType;
-use collabsim_netsim::article::{ArticleId, ArticleRegistry, EditOutcomeCounts};
-use collabsim_netsim::bandwidth::BandwidthAllocator;
-use collabsim_netsim::clock::SimClock;
-use collabsim_netsim::dht::{self, DhtKey};
-use collabsim_netsim::peer::{PeerId, PeerRegistry};
-use collabsim_netsim::storage::ArticleStore;
-use collabsim_netsim::transfer::TransferManager;
-use collabsim_reputation::function::LogisticReputation;
-use collabsim_reputation::propagation::GlobalReputation;
-use collabsim_reputation::service::ServiceDifferentiation;
-use collabsim_reputation::sharded::ShardedLedger;
-use collabsim_rl::space::StateSpace;
+use crate::reputation::function::LogisticReputation;
+use crate::reputation::propagation::GlobalReputation;
+use crate::reputation::service::ServiceDifferentiation;
+use crate::reputation::sharded::ShardedLedger;
+use crate::rl::space::StateSpace;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -296,9 +296,11 @@ impl UploadMatrix {
     }
 
     /// Rebuilds a matrix from a [`UploadMatrix::columns`] export, including
-    /// the reverse index. Each row map and each reverse-index list is sized
-    /// once, from the counts. The rows' iteration order may differ from
-    /// the original's; see the type docs for why that cannot matter.
+    /// the reverse index. Each row map is sized once, from its count; each
+    /// reverse-index list grows by pushes, as a straight run's does, so a
+    /// resumed world has room left for its next uploaders. The rows'
+    /// iteration order may differ from the original's; see the type docs
+    /// for why that cannot matter.
     ///
     /// # Panics
     ///
@@ -311,14 +313,7 @@ impl UploadMatrix {
             amounts,
         } = columns;
         assert_eq!(to.len(), amounts.len(), "upload column lengths differ");
-        let mut uploaders = vec![0u32; counts.len()];
-        for &peer in to {
-            uploaders[peer as usize] += 1;
-        }
-        let mut incoming: Vec<Vec<u32>> = uploaders
-            .iter()
-            .map(|&n| Vec::with_capacity(n as usize))
-            .collect();
+        let mut incoming: Vec<Vec<u32>> = vec![Vec::new(); counts.len()];
         let mut start = 0;
         let rows = counts
             .iter()
@@ -480,9 +475,9 @@ pub struct SimWorld {
     /// iterates, plus the static rational-learner set. Maintained by
     /// [`SimWorld::depart_peer`], [`SimWorld::rejoin_peer`] and
     /// [`SimWorld::whitewash_peer`] — custom phases must toggle peer
-    /// liveness through those methods, never via
-    /// [`PeerRegistry::set_online`] directly, or the sets (and every phase
-    /// iterating them) go stale.
+    /// liveness through those methods, never by writing a peer's `online`
+    /// flag directly, or the sets (and every phase iterating them) go
+    /// stale.
     pub active: ActiveSets,
     /// The learner's state space (reputation buckets).
     pub states: StateSpace,
@@ -824,7 +819,7 @@ impl SimWorld {
         let p = peer.index();
         if let Some(tid) = self.active_transfer[p].take() {
             if self.transfers.transfer(tid).status
-                == collabsim_netsim::transfer::TransferStatus::InProgress
+                == crate::netsim::transfer::TransferStatus::InProgress
             {
                 self.transfers.cancel(tid, now);
             }
@@ -899,7 +894,7 @@ impl SimWorld {
         // than leave + rejoin.
         if let Some(tid) = self.active_transfer[p].take() {
             if self.transfers.transfer(tid).status
-                == collabsim_netsim::transfer::TransferStatus::InProgress
+                == crate::netsim::transfer::TransferStatus::InProgress
             {
                 self.transfers.cancel(tid, now);
             }

@@ -8,10 +8,10 @@
 //!
 //! Run with `cargo run --release --example churn_scenario`.
 
+use collabsim_workspace::collabsim::netsim::churn::ChurnModel;
 use collabsim_workspace::collabsim::observer::ChurnTimelineObserver;
 use collabsim_workspace::collabsim::results::churn_summary;
 use collabsim_workspace::collabsim::{BehaviorMix, PhaseConfig, ScenarioSpec, Simulation};
-use collabsim_workspace::netsim::churn::ChurnModel;
 
 fn main() {
     // --- declare the scenario ---------------------------------------------

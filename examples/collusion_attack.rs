@@ -12,8 +12,8 @@
 //! Run with `cargo run --release --example collusion_attack`.
 
 use collabsim_workspace::collabsim::adversary::{AdversarySpec, AttackMetricsObserver};
+use collabsim_workspace::collabsim::reputation::propagation::PropagationScheme;
 use collabsim_workspace::collabsim::{BehaviorMix, PhaseConfig, ScenarioSpec, Simulation};
-use collabsim_workspace::reputation::propagation::PropagationScheme;
 
 fn main() {
     // --- declare the attack ------------------------------------------------

@@ -1,4 +1,4 @@
-//! A decentralized wiki, built from the substrate crates directly.
+//! A decentralized wiki, built from the substrate modules directly.
 //!
 //! The paper's motivating application is a P2P collaboration network in
 //! which peers store articles, download them from each other, edit them and
@@ -14,24 +14,24 @@
 //! cargo run --release --example decentralized_wiki
 //! ```
 
-use collabsim_workspace::netsim::article::{ArticleRegistry, EditKind};
-use collabsim_workspace::netsim::bandwidth::{
-    AllocationPolicy, BandwidthAllocator, DownloadRequest,
+use collabsim_workspace::collabsim::netsim::article::{ArticleRegistry, EditKind};
+use collabsim_workspace::collabsim::netsim::bandwidth::{
+    AllocScratch, AllocationPolicy, BandwidthAllocator, DownloadRequest,
 };
-use collabsim_workspace::netsim::dht::{self, DhtKey};
-use collabsim_workspace::netsim::peer::{PeerId, PeerRegistry};
-use collabsim_workspace::netsim::storage::ArticleStore;
-use collabsim_workspace::reputation::contribution::SharingAction;
-use collabsim_workspace::reputation::ledger::ReputationLedger;
-use collabsim_workspace::reputation::punishment::PunishmentPolicy;
-use collabsim_workspace::reputation::service::ServiceDifferentiation;
+use collabsim_workspace::collabsim::netsim::dht::{self, DhtKey};
+use collabsim_workspace::collabsim::netsim::peer::{PeerId, PeerRegistry};
+use collabsim_workspace::collabsim::netsim::storage::ArticleStore;
+use collabsim_workspace::collabsim::reputation::contribution::SharingAction;
+use collabsim_workspace::collabsim::reputation::ledger::ReputationLedger;
+use collabsim_workspace::collabsim::reputation::punishment::PunishmentPolicy;
+use collabsim_workspace::collabsim::reputation::service::{ServiceDifferentiation, ServiceParams};
 
 fn main() {
     // --- the network ------------------------------------------------------
     let population = 8;
     let mut peers = PeerRegistry::with_population(population);
     let mut ledger = ReputationLedger::with_paper_defaults(population);
-    let service = ServiceDifferentiation::paper_defaults();
+    let service = ServiceDifferentiation::new(ServiceParams::default(), 0.05);
     let punishment = PunishmentPolicy::default();
     let mut articles = ArticleRegistry::new();
     // The store is sized for its universe up front: this wiki has one
@@ -47,15 +47,19 @@ fn main() {
     let author = PeerId(0);
     let article = articles.create_article(author, 0);
     let key = DhtKey::for_article(article.0);
-    store.add_replica(author, article);
     let mut nearest = [(0, PeerId(0)); 3];
-    for &(_, holder) in dht::closest_into(key, &members, &mut nearest) {
+    let mut holders = vec![author];
+    holders.extend(
+        dht::closest_into(key, &members, &mut nearest)
+            .iter()
+            .map(|&(_, p)| p),
+    );
+    holders.sort();
+    holders.dedup();
+    for &holder in &holders {
         store.add_replica(holder, article);
     }
-    println!(
-        "article {article} published by {author}; replicas on {:?}",
-        store.holding_peers(article)
-    );
+    println!("article {article} published by {author}; replicas on {holders:?}");
 
     // --- contributions raise reputation -------------------------------------
     // Peers 0 and 1 share storage and bandwidth; peer 7 free-rides.
@@ -87,7 +91,14 @@ fn main() {
             uploaded_to_source: 0.0,
         })
         .collect();
-    for allocation in allocator.allocate(peers.peer(PeerId(0)).offered_upload(), &requests) {
+    let mut allocations = Vec::new();
+    allocator.allocate_into(
+        peers.peer(PeerId(0)).offered_upload(),
+        &requests,
+        &mut AllocScratch::default(),
+        &mut allocations,
+    );
+    for allocation in allocations {
         println!(
             "download from peer#0: {} receives {:.2} of the upload bandwidth",
             allocation.downloader, allocation.bandwidth
@@ -104,7 +115,8 @@ fn main() {
         .iter()
         .map(|v| ledger.editing_reputation(v.index()))
         .collect();
-    let powers = service.voting_powers(&reputations);
+    let mut powers = Vec::new();
+    service.voting_powers_into(&reputations, &mut powers);
     // Peers 0 and 2 support the edit, the vandal (7) votes against.
     let in_favor = powers[0] + powers[1];
     let against = powers[2];

@@ -3,7 +3,7 @@
 //! Without service differentiation, free-riding is a peer's best response:
 //! it receives the same service as a contributor without paying the cost
 //! (the paper's Section-II argument). This example evaluates the paper's
-//! own sharing utility `U_S` from the `collabsim-gametheory` crate to show
+//! own sharing utility `U_S` from `collabsim::gametheory` to show
 //! that reputation-based service differentiation makes sharing pay, even
 //! without the direct repeated relations tit-for-tat needs.
 //!
@@ -13,7 +13,7 @@
 //! cargo run --release --example freerider_economics
 //! ```
 
-use collabsim_workspace::gametheory::utility::{SharingObservation, UtilityModel};
+use collabsim_workspace::collabsim::gametheory::utility::{SharingObservation, UtilityModel};
 
 fn main() {
     let model = UtilityModel::default();
@@ -42,7 +42,12 @@ fn main() {
             disk_share: 1.0,
             own_upload: 1.0
         }),
-        model.freeride_utility(1.0, 0.05)
+        model.sharing_utility(&SharingObservation {
+            source_upload: 1.0,
+            bandwidth_share: 0.05,
+            disk_share: 0.0,
+            own_upload: 0.0
+        })
     );
     println!("  without it, free-riding wins — exactly the gap the reputation scheme closes.");
 }

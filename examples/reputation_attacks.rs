@@ -16,10 +16,12 @@
 //! cargo run --release --example reputation_attacks
 //! ```
 
-use collabsim_workspace::reputation::attack::{collusion_clique, whitewashing_gain};
-use collabsim_workspace::reputation::function::{LogisticReputation, ReputationFunction};
-use collabsim_workspace::reputation::propagation::eigentrust::EigenTrust;
-use collabsim_workspace::reputation::propagation::maxflow::MaxFlowTrust;
+use collabsim_workspace::collabsim::reputation::attack::{collusion_clique, whitewashing_gain};
+use collabsim_workspace::collabsim::reputation::function::{
+    LogisticReputation, ReputationFunction,
+};
+use collabsim_workspace::collabsim::reputation::propagation::eigentrust::EigenTrust;
+use collabsim_workspace::collabsim::reputation::propagation::maxflow::MaxFlowTrust;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -1,10 +1,6 @@
-//! Workspace umbrella crate: re-exports the public API of every member crate
-//! so the examples and integration tests in the repository root can use a
+//! Workspace umbrella crate: re-exports the model library and the CLI so
+//! the examples and integration tests in the repository root can use a
 //! single import path.
 
 pub use collabsim;
 pub use collabsim_cli as cli;
-pub use collabsim_gametheory as gametheory;
-pub use collabsim_netsim as netsim;
-pub use collabsim_reputation as reputation;
-pub use collabsim_rl as rl;

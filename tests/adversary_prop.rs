@@ -200,7 +200,7 @@ fn adaptive_whitewash_beats_naive_stochastic_whitewash() {
 
 /// The timed-whitewash path: with a re-entry delay the adaptive strategy
 /// departs after each whitewash and returns through the
-/// [`ReentrySchedule`](collabsim_workspace::netsim::churn::ReentrySchedule).
+/// [`ReentrySchedule`](collabsim_workspace::collabsim::netsim::churn::ReentrySchedule).
 #[test]
 fn timed_whitewash_departs_and_reenters_on_schedule() {
     let spec = ScenarioSpec::builder()
@@ -237,9 +237,9 @@ fn collusion_ring_amplifies_destructive_acceptance() {
     use collabsim_workspace::collabsim::adversary::{
         AdversaryAction, AdversaryRegistry, AdversaryStrategy,
     };
+    use collabsim_workspace::collabsim::netsim::peer::PeerId;
     use collabsim_workspace::collabsim::pipeline::PhaseRegistry;
     use collabsim_workspace::collabsim::{CollabAction, EditBehavior, ShareLevel, WorldView};
-    use collabsim_workspace::netsim::peer::PeerId;
 
     /// The ring's exact forced action, but *without* any voting (the
     /// [`Silent`](collabsim_workspace::collabsim::adversary::VotePolicy)

@@ -33,15 +33,15 @@
 
 use collabsim_workspace::collabsim::adversary::AdversarySpec;
 use collabsim_workspace::collabsim::json::Json;
+use collabsim_workspace::collabsim::netsim::churn::ChurnModel;
+use collabsim_workspace::collabsim::netsim::fault::LinkModel;
+use collabsim_workspace::collabsim::netsim::peer::PeerId;
+use collabsim_workspace::collabsim::reputation::propagation::PropagationScheme;
 use collabsim_workspace::collabsim::spec::ScenarioSpec;
 use collabsim_workspace::collabsim::{
     apply_defence, BehaviorMix, BehaviorType, IncentiveScheme, PhaseConfig, PropagationConfig,
     ReputationSource, Simulation, SimulationConfig, SimulationReport,
 };
-use collabsim_workspace::netsim::churn::ChurnModel;
-use collabsim_workspace::netsim::fault::LinkModel;
-use collabsim_workspace::netsim::peer::PeerId;
-use collabsim_workspace::reputation::propagation::PropagationScheme;
 
 /// The pinned configuration behind the golden values below. Do not change
 /// it — add a new pin instead if another scenario needs coverage.

@@ -1,17 +1,19 @@
 //! Property-based integration tests over the incentive scheme's invariants,
-//! spanning the reputation, netsim, rl and gametheory crates.
+//! spanning the reputation, netsim, rl and gametheory modules.
 
 use collabsim_workspace::collabsim::action::CollabAction;
-use collabsim_workspace::gametheory::behavior::{BehaviorMix, BehaviorType};
-use collabsim_workspace::netsim::bandwidth::{
-    AllocationPolicy, BandwidthAllocator, DownloadRequest,
+use collabsim_workspace::collabsim::gametheory::behavior::{BehaviorMix, BehaviorType};
+use collabsim_workspace::collabsim::netsim::bandwidth::{
+    AllocScratch, AllocationPolicy, BandwidthAllocator, DownloadRequest,
 };
-use collabsim_workspace::netsim::peer::PeerId;
-use collabsim_workspace::reputation::function::{LogisticReputation, ReputationFunction};
-use collabsim_workspace::reputation::service::ServiceDifferentiation;
-use collabsim_workspace::rl::boltzmann::boltzmann_distribution;
-use collabsim_workspace::rl::qlearning::{q_value_bound, QLearningAgent, QLearningParams};
-use collabsim_workspace::rl::space::{ActionSpace, StateSpace};
+use collabsim_workspace::collabsim::netsim::peer::PeerId;
+use collabsim_workspace::collabsim::reputation::function::{
+    LogisticReputation, ReputationFunction,
+};
+use collabsim_workspace::collabsim::reputation::service::{ServiceDifferentiation, ServiceParams};
+use collabsim_workspace::collabsim::rl::boltzmann::boltzmann_distribution;
+use collabsim_workspace::collabsim::rl::qlearning::{QLearningAgent, QLearningParams};
+use collabsim_workspace::collabsim::rl::space::{ActionSpace, StateSpace};
 use proptest::prelude::*;
 
 proptest! {
@@ -52,7 +54,8 @@ proptest! {
             AllocationPolicy::WeightedByReputation,
             AllocationPolicy::TitForTat,
         ] {
-            let shares = BandwidthAllocator::new(policy).shares(&requests);
+            let mut shares = Vec::new();
+            BandwidthAllocator::new(policy).shares_into(&requests, &mut shares);
             let sum: f64 = shares.iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-9, "{policy:?}: sum {sum}");
             prop_assert!(shares.iter().all(|&s| s >= 0.0));
@@ -76,8 +79,13 @@ proptest! {
                 uploaded_to_source: 0.0,
             })
             .collect();
-        let allocations =
-            BandwidthAllocator::new(AllocationPolicy::WeightedByReputation).allocate(offered, &requests);
+        let mut allocations = Vec::new();
+        BandwidthAllocator::new(AllocationPolicy::WeightedByReputation).allocate_into(
+            offered,
+            &requests,
+            &mut AllocScratch::default(),
+            &mut allocations,
+        );
         let total: f64 = allocations.iter().map(|a| a.bandwidth).sum();
         prop_assert!(total <= offered + 1e-9);
         for (allocation, request) in allocations.iter().zip(requests.iter()) {
@@ -114,11 +122,11 @@ proptest! {
         gamma in 0.0f64..0.95,
     ) {
         let params = QLearningParams { learning_rate: alpha, discount: gamma, initial_q: 0.0 };
-        let mut agent = QLearningAgent::new(StateSpace::new(6), ActionSpace::new(4), params);
+        let mut agent = QLearningAgent::new(StateSpace::new(6), ActionSpace::product(&[4]), params);
         for (state, action, reward, next) in seedlike {
             agent.update(state, action, reward, next);
         }
-        prop_assert!(agent.max_abs_q() <= q_value_bound(1.0, gamma) + 1e-9);
+        prop_assert!(agent.max_abs_q() <= 1.0 / (1.0 - gamma) + 1e-9);
         prop_assert!(agent.table().is_finite());
     }
 
@@ -126,7 +134,7 @@ proptest! {
     /// the editor's reputation and stays a valid fraction.
     #[test]
     fn required_majority_is_monotone(r1 in 0.0f64..1.0, r2 in 0.0f64..1.0) {
-        let service = ServiceDifferentiation::paper_defaults();
+        let service = ServiceDifferentiation::new(ServiceParams::default(), 0.05);
         let (lo, hi) = if r1 <= r2 { (r1, r2) } else { (r2, r1) };
         let m_lo = service.required_majority(lo);
         let m_hi = service.required_majority(hi);
@@ -144,13 +152,18 @@ proptest! {
         population in 1usize..300,
     ) {
         let altruistic = (1.0 - rational) * altruistic_weight;
-        let irrational = 1.0 - rational - altruistic;
-        let mix = BehaviorMix::new(rational, altruistic, irrational.clamp(0.0, 1.0));
+        let irrational = (1.0 - rational - altruistic).clamp(0.0, 1.0);
+        let mix = BehaviorMix::new(rational, altruistic, irrational);
         let assigned = mix.assign(population);
         prop_assert_eq!(assigned.len(), population);
         for behavior in BehaviorType::ALL {
             let count = assigned.iter().filter(|&&b| b == behavior).count() as f64;
-            let expected = mix.fraction(behavior) * population as f64;
+            let fraction = match behavior {
+                BehaviorType::Rational => rational,
+                BehaviorType::Altruistic => altruistic,
+                BehaviorType::Irrational => irrational,
+            };
+            let expected = fraction * population as f64;
             prop_assert!((count - expected).abs() <= 1.0 + 1e-9);
         }
     }

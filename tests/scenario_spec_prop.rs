@@ -10,13 +10,13 @@
 //!   is bit-identical to `Simulation::new` on the same configuration.
 
 use collabsim_workspace::collabsim::config::PhaseConfig;
+use collabsim_workspace::collabsim::netsim::churn::ChurnModel;
 use collabsim_workspace::collabsim::observer::{StepObserver, WorldView};
 use collabsim_workspace::collabsim::pipeline::{PhaseRegistry, StepContext, StepPhase};
 use collabsim_workspace::collabsim::spec::{ScenarioSpec, SpecError};
 use collabsim_workspace::collabsim::{
     AdversaryRegistry, BehaviorMix, IncentiveScheme, SimWorld, Simulation, SimulationConfig,
 };
-use collabsim_workspace::netsim::churn::ChurnModel;
 use proptest::prelude::*;
 
 /// A small-but-arbitrary spec from random draws: population, mix, scheme,

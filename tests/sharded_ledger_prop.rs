@@ -5,12 +5,14 @@
 //! beside each record always equal a fresh evaluation of the contributions
 //! it exports, whichever mutator wrote them last.
 
-use collabsim_workspace::reputation::contribution::{
+use collabsim_workspace::collabsim::reputation::contribution::{
     ContributionDelta, ContributionParams, EditingAction, SharingAction,
 };
-use collabsim_workspace::reputation::function::{LogisticReputation, ReputationFunction};
-use collabsim_workspace::reputation::ledger::{ReputationLedger, ReputationStore};
-use collabsim_workspace::reputation::sharded::{DeltaBatch, ShardedLedger};
+use collabsim_workspace::collabsim::reputation::function::{
+    LogisticReputation, ReputationFunction,
+};
+use collabsim_workspace::collabsim::reputation::ledger::{ReputationLedger, ReputationStore};
+use collabsim_workspace::collabsim::reputation::sharded::{DeltaBatch, ShardedLedger};
 use proptest::prelude::*;
 use std::sync::Arc;
 

@@ -20,13 +20,13 @@
 
 use collabsim_workspace::collabsim::adversary::AdversarySpec;
 use collabsim_workspace::collabsim::config::PhaseConfig;
+use collabsim_workspace::collabsim::netsim::churn::ChurnModel;
+use collabsim_workspace::collabsim::rl::qlearning::QLearningParams;
+use collabsim_workspace::collabsim::rl::space::StateSpace;
 use collabsim_workspace::collabsim::{
     ActiveSets, AgentState, AgentTable, BehaviorMix, BehaviorType, CollabAgent, Simulation,
     SimulationConfig, WorldView,
 };
-use collabsim_workspace::netsim::churn::ChurnModel;
-use collabsim_workspace::rl::qlearning::QLearningParams;
-use collabsim_workspace::rl::space::StateSpace;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -277,7 +277,9 @@ proptest! {
 fn recompute_oracle_matches_fresh_construction() {
     let mut rng = StdRng::seed_from_u64(0xB0C);
     let behaviors = draw_behaviors(17, &mut rng);
-    let peers = collabsim_workspace::netsim::peer::PeerRegistry::with_population(behaviors.len());
+    let peers = collabsim_workspace::collabsim::netsim::peer::PeerRegistry::with_population(
+        behaviors.len(),
+    );
     assert_eq!(
         ActiveSets::recompute(&peers, &behaviors),
         ActiveSets::new(&behaviors)

@@ -24,13 +24,13 @@
 use collabsim_workspace::collabsim::invariants::{
     ActiveSetObserver, ArenaBoundObserver, ConservationObserver, ReputationBoundsObserver,
 };
+use collabsim_workspace::collabsim::netsim::churn::ChurnModel;
+use collabsim_workspace::collabsim::netsim::fault::LinkModel;
 use collabsim_workspace::collabsim::spec::ScenarioSpec;
 use collabsim_workspace::collabsim::{
     AdversarySpec, BehaviorMix, DirStore, IncentiveScheme, MemStore, PhaseConfig, RunStore,
     Simulation, Snapshot, StepContext, StepObserver, WorldView,
 };
-use collabsim_workspace::netsim::churn::ChurnModel;
-use collabsim_workspace::netsim::fault::LinkModel;
 use proptest::{case_count, seed_for, Strategy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -3,19 +3,40 @@
 //! a collusion clique, and the tit-for-tat baseline against the reputation
 //! scheme on the same request stream.
 
-use collabsim_workspace::netsim::bandwidth::{
-    AllocationPolicy, BandwidthAllocator, DownloadRequest,
+use collabsim_workspace::collabsim::netsim::bandwidth::{
+    AllocScratch, Allocation, AllocationPolicy, BandwidthAllocator, DownloadRequest,
 };
-use collabsim_workspace::netsim::peer::PeerId;
-use collabsim_workspace::reputation::attack::collusion_clique;
-use collabsim_workspace::reputation::contribution::SharingAction;
-use collabsim_workspace::reputation::ledger::ReputationLedger;
-use collabsim_workspace::reputation::propagation::eigentrust::EigenTrust;
-use collabsim_workspace::reputation::propagation::gossip::GossipAveraging;
-use collabsim_workspace::reputation::propagation::maxflow::MaxFlowTrust;
-use collabsim_workspace::reputation::service::ServiceDifferentiation;
+use collabsim_workspace::collabsim::netsim::peer::PeerId;
+use collabsim_workspace::collabsim::reputation::attack::collusion_clique;
+use collabsim_workspace::collabsim::reputation::contribution::SharingAction;
+use collabsim_workspace::collabsim::reputation::ledger::ReputationLedger;
+use collabsim_workspace::collabsim::reputation::propagation::eigentrust::EigenTrust;
+use collabsim_workspace::collabsim::reputation::propagation::gossip::GossipAveraging;
+use collabsim_workspace::collabsim::reputation::propagation::maxflow::MaxFlowTrust;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// A request from `peer` with the given sharing reputation and no direct
+/// upload history with the source.
+fn request(peer: usize, sharing_reputation: f64) -> DownloadRequest {
+    DownloadRequest {
+        downloader: PeerId(peer as u32),
+        sharing_reputation,
+        download_capacity: 1.0,
+        uploaded_to_source: 0.0,
+    }
+}
+
+fn allocate(policy: AllocationPolicy, requests: &[DownloadRequest]) -> Vec<Allocation> {
+    let mut out = Vec::new();
+    BandwidthAllocator::new(policy).allocate_into(
+        1.0,
+        requests,
+        &mut AllocScratch::default(),
+        &mut out,
+    );
+    out
+}
 
 #[test]
 fn propagated_trust_feeds_service_differentiation_against_colluders() {
@@ -28,10 +49,12 @@ fn propagated_trust_feeds_service_differentiation_against_colluders() {
     let observer = scenario.honest()[0];
     let trust = MaxFlowTrust::new().reputation_from(&graph, observer);
 
-    let service = ServiceDifferentiation::paper_defaults();
     let peers: Vec<usize> = (0..16).filter(|&p| p != observer).collect();
-    let reputations: Vec<f64> = peers.iter().map(|&p| trust.values[p]).collect();
-    let shares = service.bandwidth_shares(&reputations);
+    let requests: Vec<DownloadRequest> =
+        peers.iter().map(|&p| request(p, trust.values[p])).collect();
+    let mut shares = Vec::new();
+    BandwidthAllocator::new(AllocationPolicy::WeightedByReputation)
+        .shares_into(&requests, &mut shares);
     let share_of = |peer: usize| shares[peers.iter().position(|&p| p == peer).unwrap()];
 
     let mean_honest: f64 = scenario
@@ -112,22 +135,11 @@ fn reputation_scheme_beats_tit_for_tat_for_non_direct_relations() {
     // Peer 1 is a pure free-rider. Both now download from source peer 2 for
     // the first time (no direct history with it).
     let requests = [
-        DownloadRequest {
-            downloader: PeerId(0),
-            sharing_reputation: ledger.sharing_reputation(0),
-            download_capacity: 1.0,
-            uploaded_to_source: 0.0,
-        },
-        DownloadRequest {
-            downloader: PeerId(1),
-            sharing_reputation: ledger.sharing_reputation(1),
-            download_capacity: 1.0,
-            uploaded_to_source: 0.0,
-        },
+        request(0, ledger.sharing_reputation(0)),
+        request(1, ledger.sharing_reputation(1)),
     ];
-    let reputation_split =
-        BandwidthAllocator::new(AllocationPolicy::WeightedByReputation).allocate(1.0, &requests);
-    let tft_split = BandwidthAllocator::new(AllocationPolicy::TitForTat).allocate(1.0, &requests);
+    let reputation_split = allocate(AllocationPolicy::WeightedByReputation, &requests);
+    let tft_split = allocate(AllocationPolicy::TitForTat, &requests);
 
     // The reputation scheme rewards the contributor...
     assert!(reputation_split[0].bandwidth > 0.8);

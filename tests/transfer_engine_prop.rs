@@ -3,11 +3,11 @@
 //! allocate-and-apply loop expects, and the [`TransferManager`] free list
 //! recycles slots without losing any aggregate statistics.
 
+use collabsim_workspace::collabsim::netsim::article::ArticleId;
+use collabsim_workspace::collabsim::netsim::bandwidth::DownloadRequest;
+use collabsim_workspace::collabsim::netsim::peer::PeerId;
+use collabsim_workspace::collabsim::netsim::transfer::{TransferManager, TransferStatus};
 use collabsim_workspace::collabsim::pipeline::RequestTable;
-use collabsim_workspace::netsim::article::ArticleId;
-use collabsim_workspace::netsim::bandwidth::DownloadRequest;
-use collabsim_workspace::netsim::peer::PeerId;
-use collabsim_workspace::netsim::transfer::{TransferManager, TransferStatus};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
